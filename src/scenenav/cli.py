@@ -217,6 +217,10 @@ def _format_row(agent: str, episode: str, result: EpisodeResult) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.particles < 0:
+        print(f"--particles must be 0 (filter off) or positive, got {args.particles}",
+              file=sys.stderr)
+        return EXIT_INVALID
     try:
         schema = _load_schema(args.schema)
     except OSError as exc:
@@ -363,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", choices=["rule", "remote"], default="rule")
     p.add_argument("--baseline", action="store_true", help="also run reference walkers")
     p.add_argument("--particles", type=int, default=0,
-                   help="enable the topology filter with this many particles")
+                   help="enable the topology filter with this many particles (0: off)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--recall", type=float, default=0.9)
     p.add_argument("--synonym", type=float, default=0.1)

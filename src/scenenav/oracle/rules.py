@@ -32,7 +32,24 @@ class RuleConfig:
     confidence_steepness: float = 4.0
 
 
+# Bounds of the per-oracle memos; each is cleared when full.  Labels repeat
+# across a run, but mapper place ids ("bedroom_12") and filter cell tags grow
+# with the map.  Repeated place-match questions come from the filter's
+# particles within one step (about a dozen distinct ones per step), so a small
+# memo catches nearly all of them; a larger one mostly keeps mapper feature
+# tuples alive.
+_LABEL_MEMO_SIZE = 1024
+_MATCH_MEMO_SIZE = 64
+
+
 class RuleOracle(SemanticOracle):
+    """Rule decisions, memoised where the same question recurs.
+
+    Every decision is a pure function of its inputs, ``tables`` and
+    ``config``, so the memos are exact; assigning either attribute empties
+    them.
+    """
+
     def __init__(
         self,
         tables: OracleTables | None = None,
@@ -43,26 +60,66 @@ class RuleOracle(SemanticOracle):
         self.config = config if config is not None else RuleConfig()
         self.seed = seed  # reserved; every rule below is deterministic
 
+    @property
+    def tables(self) -> OracleTables:
+        return self._tables
+
+    @tables.setter
+    def tables(self, value: OracleTables) -> None:
+        self._tables = value
+        self._forget()
+
+    @property
+    def config(self) -> RuleConfig:
+        return self._config
+
+    @config.setter
+    def config(self, value: RuleConfig) -> None:
+        self._config = value
+        self._forget()
+
+    def _forget(self) -> None:
+        # raw label -> canonical label, canonical label -> overlap weight
+        self._canon_memo: dict[str, str] = {}
+        self._weight_memo: dict[str, float] = {}
+        # (items a, items b) -> match_place decision
+        self._match_memo: dict[tuple, MatchDecision] = {}
+
     # -- label handling --------------------------------------------------------
 
     def _canon(self, label: str) -> str:
-        return self.tables.canonical(strip_suffix(label))
+        memo = self._canon_memo
+        canon = memo.get(label)
+        if canon is None:
+            if len(memo) >= _LABEL_MEMO_SIZE:
+                memo.clear()
+            canon = memo[label] = self.tables.canonical(strip_suffix(label))
+        return canon
 
     def _weight(self, canon_label: str) -> float:
-        return self.config.large_weight if self.tables.is_large(canon_label) else 1.0
+        memo = self._weight_memo
+        weight = memo.get(canon_label)
+        if weight is None:
+            if len(memo) >= _LABEL_MEMO_SIZE:
+                memo.clear()
+            large = self.tables.is_large(canon_label)
+            weight = memo[canon_label] = self.config.large_weight if large else 1.0
+        return weight
 
-    def _overlap(self, labels_a: list[str], labels_b: list[str]) -> float:
+    def _bag(self, features: ObjectFeatures) -> Counter:
+        """Multiset of the canonical labels of ``features``."""
+        return Counter(map(self._canon, features.labels()))
+
+    def _overlap(self, a: Counter, b: Counter) -> float:
         """Weighted Jaccard on canonical label multisets; empty-vs-empty is 1."""
-        a = Counter(self._canon(l) for l in labels_a)
-        b = Counter(self._canon(l) for l in labels_b)
         if not a and not b:
             return 1.0
         inter = 0.0
         union = 0.0
-        for label in sorted(set(a) | set(b)):
+        for label in sorted(a.keys() | b.keys()):
             w = self._weight(label)
-            inter += w * min(a.get(label, 0), b.get(label, 0))
-            union += w * max(a.get(label, 0), b.get(label, 0))
+            inter += w * min(a[label], b[label])
+            union += w * max(a[label], b[label])
         return inter / union if union else 0.0
 
     # -- decisions ---------------------------------------------------------------
@@ -72,7 +129,17 @@ class RuleOracle(SemanticOracle):
         return [c for c in candidates if self._canon(c) == want]
 
     def match_place(self, features_a: ObjectFeatures, features_b: ObjectFeatures) -> MatchDecision:
-        overlap = self._overlap(features_a.labels(), features_b.labels())
+        key = (features_a.items, features_b.items)
+        memo = self._match_memo
+        decision = memo.get(key)
+        if decision is None:
+            if len(memo) >= _MATCH_MEMO_SIZE:
+                memo.clear()
+            decision = memo[key] = self._decide_match(features_a, features_b)
+        return decision
+
+    def _decide_match(self, a: ObjectFeatures, b: ObjectFeatures) -> MatchDecision:
+        overlap = self._overlap(self._bag(a), self._bag(b))
         confidence = 1.0 / (
             1.0 + math.exp(-self.config.confidence_steepness * (overlap - 0.5))
         )
@@ -126,10 +193,13 @@ class RuleOracle(SemanticOracle):
         want = self._canon(probe_label)
         best_id: str | None = None
         best_score = -1.0
+        probe_bag: Counter | None = None
         for cand_id, label, _, features in candidates:
             if self._canon(label) != want:
                 continue
-            score = self._overlap(probe_features.labels(), features.labels())
+            if probe_bag is None:
+                probe_bag = self._bag(probe_features)
+            score = self._overlap(probe_bag, self._bag(features))
             if score > best_score:
                 best_score = score
                 best_id = cand_id

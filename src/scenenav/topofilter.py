@@ -8,6 +8,17 @@ restricted to a hop radius), the weight update scores how well the newest
 observation matches its cell while mismatching rival cells of similar label,
 and systematic resampling keeps the ensemble focused.
 
+Each particle keeps per-cell tables beside its assignments: cell sizes, cell
+adjacency, each cell's unique ``(label, desc)`` pairs in first-seen order and
+a tag naming the cell by its first observation's place label.  A step folds
+only the newest observation into them, so proposing and weighting one
+particle costs time in its number of cells, not in the length of the
+history: the proposal walks the cells within its radius, and the rival
+search hands every cell's tag to ``similar_labels``.  A resampled clone
+copies the per-cell lists but shares every cell's immutable value with its
+source until it extends that cell (copy-on-write), so a clone costs O(cells)
+plus a flat copy of its assignment list.
+
 The filter runs beside the deterministic mapper as a robustness/diagnostics
 layer; adopting its estimate is an explicit call (`suggest_merges`), never a
 side effect.
@@ -48,16 +59,113 @@ class ObsRecord:
     features: ObjectFeatures
 
 
+class _CellTables:
+    """Per-cell summaries of one particle's assignments, extended in place.
+
+    ``sizes`` and ``adjacency`` follow from the assignments alone; ``items``
+    (the cell's unique ``(label, desc)`` pairs in first-seen order) and
+    ``tags`` (``"<label of the cell's first observation>_<cell>"``) also need
+    the observation stream they were read from.  Every list is indexed by cell
+    and holds immutable values, so a copy of the lists shares each cell's
+    value with its source until one side replaces it.
+    """
+
+    __slots__ = ("source", "length", "sizes", "adjacency",
+                 "observations", "item_length", "items", "tags")
+
+    def __init__(self, source: list[int]) -> None:
+        self.source = source  # the assignments list these tables describe
+        self.length = 0  # assignments folded into sizes / adjacency
+        self.sizes: list[int] = []
+        self.adjacency: list[frozenset[int]] = []
+        self.observations: list[ObsRecord] | None = None
+        self.item_length = 0  # assignments folded into items / tags
+        self.items: list[tuple[tuple[str, str], ...]] = []
+        self.tags: list[str | None] = []
+
+    def copy(self, source: list[int]) -> "_CellTables":
+        twin = _CellTables(source)
+        twin.length = self.length
+        twin.sizes = list(self.sizes)
+        twin.adjacency = list(self.adjacency)
+        twin.observations = self.observations
+        twin.item_length = self.item_length
+        twin.items = list(self.items)
+        twin.tags = list(self.tags)
+        return twin
+
+    def extend(self) -> None:
+        """Fold the assignments appended since the last call."""
+        assignments, sizes, adjacency = self.source, self.sizes, self.adjacency
+        for idx in range(self.length, len(assignments)):
+            node = assignments[idx]
+            while len(sizes) <= node:
+                sizes.append(0)
+                adjacency.append(frozenset())
+            sizes[node] += 1
+            prev = assignments[idx - 1] if idx else node
+            if prev != node and node not in adjacency[prev]:
+                adjacency[prev] = adjacency[prev] | {node}
+                adjacency[node] = adjacency[node] | {prev}
+        self.length = len(assignments)
+
+    def extend_items(self, observations: list[ObsRecord]) -> None:
+        """Fold the observations of the assignments appended since the last call."""
+        if observations is not self.observations:
+            self.observations = observations
+            self.item_length = 0
+            self.items = []
+            self.tags = []
+        assignments, items, tags = self.source, self.items, self.tags
+        for idx in range(self.item_length, self.length):
+            node = assignments[idx]
+            while len(items) <= node:
+                items.append(())
+                tags.append(None)
+            if tags[node] is None:
+                tags[node] = f"{observations[idx].place_label}_{node}"
+            cell = items[node]
+            seen = set(cell)
+            extra = []
+            for pair in observations[idx].features.items:
+                if pair not in seen:
+                    seen.add(pair)
+                    extra.append(pair)
+            if extra:
+                items[node] = cell + tuple(extra)
+        self.item_length = self.length
+
+
 @dataclass
 class TopologyParticle:
-    """One topology hypothesis: cell assignment per observation index."""
+    """One topology hypothesis: cell assignment per observation index.
+
+    Per-cell tables ride beside ``assignments`` and catch up with it on use.
+    Appending to ``assignments`` or replacing the list keeps them right;
+    editing an earlier entry in place does not.
+    """
 
     assignments: list[int] = field(default_factory=list)
     weight: float = 1.0
+    _tables: _CellTables | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _synced(self, observations: list[ObsRecord] | None = None) -> _CellTables:
+        """The cell tables, rebuilt if ``assignments`` was replaced, else extended."""
+        tables = self._tables
+        length = len(self.assignments)
+        if tables is None or tables.source is not self.assignments or tables.length > length:
+            tables = self._tables = _CellTables(self.assignments)
+        if tables.length < length:
+            tables.extend()
+        if observations is not None and (
+            tables.item_length < length or tables.observations is not observations
+        ):
+            tables.extend_items(observations)
+        return tables
 
     @property
     def num_nodes(self) -> int:
-        return max(self.assignments) + 1 if self.assignments else 0
+        return len(self._synced().sizes)
 
     @property
     def last_node(self) -> int | None:
@@ -73,15 +181,14 @@ class TopologyParticle:
         return tuple(tuple(sorted(cell)) for cell in self.partition())
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {n: set() for n in range(self.num_nodes)}
-        for prev, cur in zip(self.assignments, self.assignments[1:]):
-            if prev != cur:
-                adj[prev].add(cur)
-                adj[cur].add(prev)
-        return adj
+        return {n: set(nbrs) for n, nbrs in enumerate(self._synced().adjacency)}
 
     def clone(self) -> "TopologyParticle":
-        return TopologyParticle(assignments=list(self.assignments), weight=self.weight)
+        """Copy with its own assignments; cell values stay shared until extended."""
+        twin = TopologyParticle(assignments=list(self.assignments), weight=self.weight)
+        if self._tables is not None and self._tables.source is self.assignments:
+            twin._tables = self._tables.copy(twin.assignments)
+        return twin
 
 
 @dataclass(frozen=True)
@@ -90,9 +197,6 @@ class FilterConfig:
     alpha: float = 1.0
     radius: int = 2
     resample_threshold: float = 0.5
-    # hook for proposal variants that peek at the observation; unused by the
-    # stock proposal
-    targeted_sampling: bool = False
 
     def __post_init__(self) -> None:
         if self.num_particles < 1:
@@ -119,15 +223,14 @@ class FilterState:
         return cls(config=config, rng=rng, particles=particles)
 
 
-def _nearby_nodes(particle: TopologyParticle, source: int, radius: int) -> set[int]:
-    adj = particle.adjacency()
+def _nearby_nodes(adjacency: list[frozenset[int]], source: int, radius: int) -> set[int]:
     seen = {source}
     frontier = deque([(source, 0)])
     while frontier:
         node, depth = frontier.popleft()
         if depth == radius:
             continue
-        for nb in adj[node]:
+        for nb in adjacency[node]:
             if nb not in seen:
                 seen.add(nb)
                 frontier.append((nb, depth + 1))
@@ -148,10 +251,9 @@ def proposal_distribution(
     """
     if prev_state_node is None or not particle.assignments:
         return [], 1.0
-    sizes = [0] * particle.num_nodes
-    for node in particle.assignments:
-        sizes[node] += 1
-    reachable = sorted(_nearby_nodes(particle, prev_state_node, radius))
+    tables = particle._synced()
+    sizes = tables.sizes
+    reachable = sorted(_nearby_nodes(tables.adjacency, prev_state_node, radius))
     total = float(sum(sizes[n] for n in reachable))
     denom = total + alpha
     existing = [(n, sizes[n] / denom) for n in reachable]
@@ -181,24 +283,6 @@ def propose(
     return chosen
 
 
-def _cell_label(particle: TopologyParticle, node: int, observations: list[ObsRecord]) -> str:
-    first = min(i for i, n in enumerate(particle.assignments) if n == node)
-    return observations[first].place_label
-
-
-def _cell_features(
-    particle: TopologyParticle, node: int, observations: list[ObsRecord]
-) -> ObjectFeatures:
-    items: list[tuple[str, str]] = []
-    for i, n in enumerate(particle.assignments):
-        if n != node:
-            continue
-        for pair in observations[i].features.items:
-            if pair not in items:
-                items.append(pair)
-    return ObjectFeatures(items=tuple(items))
-
-
 def likelihood(
     obs: ObsRecord,
     particle: TopologyParticle,
@@ -209,18 +293,18 @@ def likelihood(
     assigned = particle.last_node
     if assigned is None:
         return 1.0
+    tables = particle._synced(observations)
     p_assigned = oracle.match_place(
-        _cell_features(particle, assigned, observations), obs.features
+        ObjectFeatures(items=tables.items[assigned]), obs.features
     ).confidence
-    labels = [f"{_cell_label(particle, n, observations)}_{n}" for n in range(particle.num_nodes)]
-    similar = oracle.similar_labels(obs.place_label, labels)
+    similar = oracle.similar_labels(obs.place_label, list(tables.tags))
     value = p_assigned
     for tag in similar:
         node = int(tag.rsplit("_", 1)[1])
         if node == assigned:
             continue
         p_rival = oracle.match_place(
-            _cell_features(particle, node, observations), obs.features
+            ObjectFeatures(items=tables.items[node]), obs.features
         ).confidence
         value *= 1.0 - p_rival
     return value
@@ -251,14 +335,14 @@ def step(state: FilterState, obs: ObsRecord, oracle: SemanticOracle) -> FilterSt
     if resampled:
         _systematic_resample(state, weights)
 
-    best = map_estimate(state)
+    best = _map_particle(state)
     top = sorted((p.weight for p in state.particles), reverse=True)[:5]
     state.trace.append(
         {
             "step": len(state.observations) - 1,
             "ess": ess,
             "resampled": resampled,
-            "map_size": len(best),
+            "map_size": best.num_nodes,
             "top_weights": top,
         }
     )
@@ -279,7 +363,7 @@ def _systematic_resample(state: FilterState, weights: np.ndarray) -> None:
     state.particles = fresh
 
 
-def map_estimate(state: FilterState) -> list[set[int]]:
+def _map_particle(state: FilterState) -> TopologyParticle:
     if not state.particles:
         raise ValueError("filter holds no particles")
     best_idx = 0
@@ -288,7 +372,11 @@ def map_estimate(state: FilterState) -> list[set[int]]:
         if particle.weight > best_weight:
             best_weight = particle.weight
             best_idx = i
-    return state.particles[best_idx].partition()
+    return state.particles[best_idx]
+
+
+def map_estimate(state: FilterState) -> list[set[int]]:
+    return _map_particle(state).partition()
 
 
 def suggest_merges(state: FilterState, place_of_obs: list[str]) -> list[list[str]]:

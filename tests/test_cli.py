@@ -167,6 +167,17 @@ class TestRun:
         _, par = self._run(tmp_path, home_path, "par.csv", ["--baseline", "--jobs", "3"])
         assert seq.read_bytes() == par.read_bytes()
 
+    def test_negative_particles_rejected(self, tmp_path, home_path, capsys):
+        out = tmp_path / "n.csv"
+        code = main([
+            "run", "--schema", home_path, "--episodes", "1", "--particles", "-3",
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "--particles" in err and len(err.splitlines()) == 1
+
     def test_remote_backend_rejected_for_run(self, tmp_path, home_path):
         out = tmp_path / "x.csv"
         code = main([

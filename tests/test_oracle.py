@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenenav.graph import ObjectFeatures
-from scenenav.oracle.rules import RuleOracle
+from scenenav.oracle.rules import RuleConfig, RuleOracle
 from scenenav.oracle.tables import OracleTables, SynonymTable, default_tables
 from scenenav.schema import builtin_schema
 
@@ -299,3 +299,59 @@ def test_tables_from_dict_roundtrip():
     assert tables.canonical("sofa") == "couch"
     assert tables.cooccurs("sink") == frozenset({"kitchen"})
     assert default_tables().is_large("sofa")
+
+
+def test_replacing_tables_changes_later_answers(oracle):
+    a, b = feats("zorb"), feats("blip")
+    assert not oracle.match_place(a, b).matched
+    assert oracle.similar_labels("zorb", ["blip_1"]) == []
+    oracle.tables = OracleTables.from_dict({"synonyms": [["zorb", "blip"]]})
+    assert oracle.match_place(a, b).matched
+    assert oracle.similar_labels("zorb", ["blip_1"]) == ["blip_1"]
+
+
+def test_replacing_config_changes_later_answers(oracle):
+    # weighted Jaccard 0.6, as in test_match_place_frozen_overlap_point_six
+    a = feats("vase", "plant", "mirror", "window")
+    b = feats("vase", "plant", "mirror", "curtain")
+    before = oracle.match_place(a, b)
+    assert before.matched
+    oracle.config = RuleConfig(match_threshold=0.9, confidence_steepness=8.0)
+    after = oracle.match_place(a, b)
+    assert not after.matched
+    assert after.confidence == pytest.approx(1.0 / (1.0 + math.exp(-8.0 * 0.1)), abs=1e-12)
+
+
+def test_overriding_match_place_sees_every_call():
+    from scenenav.topofilter import FilterConfig, FilterState, ObsRecord, step
+
+    class Counting(RuleOracle):
+        def __init__(self):
+            super().__init__()
+            self.calls = 0
+
+        def match_place(self, a, b):
+            self.calls += 1
+            return super().match_place(a, b)
+
+    counting = Counting()
+    obs = ObsRecord(place_label="bedroom", features=feats("bed", "lamp"))
+    # every particle opens its first cell with this observation and asks the
+    # same question; the base class answers repeats from its memo, but the
+    # override still sees each of them
+    step(FilterState.create(FilterConfig(num_particles=20), seed=0), obs, counting)
+    assert counting.calls == 20
+    counting.match_place(obs.features, obs.features)
+    assert counting.calls == 21
+
+
+def test_memos_stay_bounded(oracle):
+    from scenenav.oracle.rules import _LABEL_MEMO_SIZE, _MATCH_MEMO_SIZE
+
+    candidates = [f"room{i}_{i}" for i in range(5000)]
+    oracle.similar_labels("room0", candidates)
+    for i in range(1000):
+        oracle.match_place(feats(f"thing{i}"), feats("thing0"))
+    assert len(oracle._canon_memo) <= _LABEL_MEMO_SIZE
+    assert len(oracle._weight_memo) <= _LABEL_MEMO_SIZE
+    assert len(oracle._match_memo) <= _MATCH_MEMO_SIZE

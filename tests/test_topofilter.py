@@ -1,11 +1,17 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from scenenav.graph import ObjectFeatures
+from scenenav.graph import ObjectFeatures, SceneGraph
+from scenenav.mapper import MapperConfig, MapperState, mapper_step
 from scenenav.oracle.rules import RuleOracle
+from scenenav.schema import builtin_schema
+from scenenav.sim import cover_walk, default_noise, generate_home_scene, walk_to_frames
+from scenenav.sim.protocol import BenchmarkProtocol
 from scenenav.topofilter import (
     FilterConfig,
     FilterState,
@@ -253,3 +259,170 @@ def test_config_validation():
         FilterConfig(num_particles=0)
     with pytest.raises(ValueError):
         FilterConfig(alpha=0.0)
+
+
+# -- incremental cell tables ----------------------------------------------------
+#
+# The brute-force helpers below rescan the whole assignment history, as the
+# filter did before it kept per-cell tables; they are the reference the
+# tables must agree with.
+
+
+def _brute_cell_label(assignments, node, observations):
+    first = min(i for i, n in enumerate(assignments) if n == node)
+    return observations[first].place_label
+
+
+def _brute_cell_items(assignments, node, observations):
+    items = []
+    for i, n in enumerate(assignments):
+        if n != node:
+            continue
+        for pair in observations[i].features.items:
+            if pair not in items:
+                items.append(pair)
+    return tuple(items)
+
+
+def _brute_adjacency(assignments):
+    adj = {n: set() for n in range(max(assignments) + 1)}
+    for prev, cur in zip(assignments, assignments[1:]):
+        if prev != cur:
+            adj[prev].add(cur)
+            adj[cur].add(prev)
+    return adj
+
+
+def _assert_tables_match(particle, observations):
+    assignments = particle.assignments
+    tables = particle._tables
+    # the tables were kept current by the filter itself, not rebuilt here
+    assert tables.source is assignments
+    assert tables.length == tables.item_length == len(assignments)
+    cells = range(max(assignments) + 1)
+    assert tables.sizes == [assignments.count(n) for n in cells]
+    assert {n: set(nbrs) for n, nbrs in enumerate(tables.adjacency)} == _brute_adjacency(
+        assignments
+    )
+    assert tables.items == [_brute_cell_items(assignments, n, observations) for n in cells]
+    assert tables.tags == [
+        f"{_brute_cell_label(assignments, n, observations)}_{n}" for n in cells
+    ]
+
+
+def _random_stream(seed, length):
+    templates = [
+        ("corridor", ["plant", "picture", "bench", "door"]),
+        ("bedroom", ["bed", "lamp", "dresser", "mirror", "door"]),
+        ("kitchen", ["sink", "oven", "fridge", "door"]),
+        ("bedroom", ["bed", "wardrobe", "lamp", "rug"]),
+    ]
+    rng = np.random.default_rng(seed)
+    stream = []
+    for _ in range(length):
+        label, pool = templates[int(rng.integers(len(templates)))]
+        picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)))
+        # repeated picks give duplicate pairs within one observation
+        items = tuple((pool[k], ["", "red", "old"][int(rng.integers(3))]) for k in picks)
+        stream.append(ObsRecord(place_label=label, features=ObjectFeatures(items=items)))
+    return stream
+
+
+def test_cell_tables_match_brute_force_over_a_seeded_stream():
+    state = FilterState.create(FilterConfig(num_particles=30, resample_threshold=0.5), seed=9)
+    oracle = RuleOracle()
+    for obs in _random_stream(seed=4, length=40):
+        state = step(state, obs, oracle)
+        for particle in state.particles:
+            _assert_tables_match(particle, state.observations)
+    assert sum(rec["resampled"] for rec in state.trace) >= 5
+
+
+TABLE_FIELDS = ("sizes", "adjacency", "items", "tags")
+
+
+def test_extending_a_clone_leaves_its_source_untouched():
+    oracle = RuleOracle()
+    observations = [ROOM, CORRIDOR]
+    source = TopologyParticle(assignments=[0, 1])
+    likelihood(CORRIDOR, source, oracle, observations)
+    snapshot = [list(getattr(source._tables, name)) for name in TABLE_FIELDS]
+
+    twin = source.clone()
+    assert twin._tables.items[0] is source._tables.items[0]
+    for node, obs in ((0, rec("bedroom", "bed", "wardrobe")), (2, rec("kitchen", "sink"))):
+        observations.append(obs)
+        twin.assignments.append(node)
+        likelihood(obs, twin, oracle, observations)
+    _assert_tables_match(twin, observations)
+    assert twin._tables.items[0] != source._tables.items[0]
+
+    assert source.assignments == [0, 1]
+    assert [list(getattr(source._tables, name)) for name in TABLE_FIELDS] == snapshot
+    _assert_tables_match(source, observations)
+
+
+def test_replaced_assignments_behave_like_a_fresh_particle():
+    oracle = RuleOracle()
+    observations = [CORRIDOR, ROOM, CORRIDOR, ROOM]
+    particle = TopologyParticle(assignments=[0, 1, 2, 1])
+    likelihood(observations[3], particle, oracle, observations)
+    for replacement in ([0, 1, 0, 1], [0, 1, 0], [0, 0, 0, 1], [0, 1, 2, 3]):
+        particle.assignments = list(replacement)
+        fresh = TopologyParticle(assignments=list(replacement))
+        obs = observations[len(replacement) - 1]
+        assert likelihood(obs, particle, oracle, observations) == likelihood(
+            obs, fresh, oracle, observations
+        )
+        for prev in sorted(set(replacement)):
+            for radius in (0, 1, 2):
+                assert proposal_distribution(particle, prev, 1.0, radius) == (
+                    proposal_distribution(fresh, prev, 1.0, radius)
+                )
+        assert particle.num_nodes == fresh.num_nodes
+        assert particle.adjacency() == fresh.adjacency()
+
+    # the same assignments scored against another observation stream
+    other = [ROOM, CORRIDOR, ROOM, rec("bedroom", "bed")]
+    fresh = TopologyParticle(assignments=list(particle.assignments))
+    assert likelihood(other[3], particle, oracle, other) == likelihood(
+        other[3], fresh, oracle, other
+    )
+
+
+# SHA-256 over export_trace and every particle's (assignments, weight) after
+# each step, recorded with the filter that rescanned the history on every
+# call; any change to proposals, weights, resampling or the trace moves it
+FILTER_GOLDEN = "c6b5a88ecb1366ceadd87332a214ff117e9664d547e3d086116df10c34de3a4e"
+
+
+def _protocol_scene_records():
+    home = builtin_schema("home")
+    oracle = RuleOracle()
+    scene = generate_home_scene(np.random.default_rng(BenchmarkProtocol().scene_seed))
+    walk = cover_walk(scene, next(iter(scene.places)))
+    walk = walk + walk[-2::-1]  # out and back, so places are revisited
+    frames = walk_to_frames(scene, walk, default_noise(), np.random.default_rng(0))
+    state = MapperState(graph=SceneGraph(home))
+    records = []
+    for frame in frames:
+        result = mapper_step(frame, home, state, oracle, MapperConfig())
+        state = result.state
+        if result.obs is not None:
+            records.append(
+                ObsRecord(place_label=result.obs.place[1], features=result.obs.leaf_features())
+            )
+    return records
+
+
+def test_filter_output_is_pinned_on_a_protocol_scene():
+    records = _protocol_scene_records()
+    assert len(records) >= 30
+    oracle = RuleOracle()
+    state = FilterState.create(FilterConfig(num_particles=50), seed=0)
+    digest = hashlib.sha256()
+    for obs in records:
+        state = step(state, obs, oracle)
+        digest.update(export_trace(state).encode())
+        digest.update(json.dumps([[p.assignments, p.weight] for p in state.particles]).encode())
+    assert digest.hexdigest() == FILTER_GOLDEN
