@@ -14,8 +14,6 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from .graph import SceneGraph
 from .mapper import MapperConfig, MapperState, frames_from_jsonl, mapper_step
 from .oracle.base import OracleError
@@ -24,8 +22,8 @@ from .oracle.rules import RuleOracle
 from .schema import Schema, SchemaParseError, parse_schema, serialize_schema, verify_schema
 from .schemagen import builtin_mock_backend, load_mock_backend, run_pipeline, trace_to_json
 from .sim.baselines import baseline_greedy_frontier, baseline_random
-from .sim.episode import EpisodeResult, EpisodeSpec, RunnerConfig, metrics, run_episode
-from .sim.noise import NoiseModel, noiseless
+from .sim.episode import EpisodeResult, RunnerConfig, metrics, run_episode, spl_term
+from .sim.noise import default_noise, noiseless
 from .sim.protocol import GOAL_CATEGORIES, BenchmarkProtocol, build_episodes
 from .sim.scene import scene_from_json
 from .topofilter import FilterConfig
@@ -36,15 +34,6 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_REMOTE = 3
-
-_PLACE_GROUPS = [
-    ["livingroom", "familyroom", "lounge"],
-    ["bedroom", "guestroom"],
-    ["kitchen", "kitchenette"],
-    ["bathroom", "washroom"],
-    ["hallway", "hall"],
-    ["office", "study"],
-]
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -164,29 +153,11 @@ def cmd_map(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_noise(args: argparse.Namespace) -> NoiseModel:
-    if args.noiseless:
-        return noiseless()
-    confusion: dict[str, list[tuple[str, float]]] = {}
-    if args.confusion > 0:
-        for group in _PLACE_GROUPS:
-            for label in group:
-                alts = [g for g in group if g != label]
-                confusion[label] = [(alt, args.confusion / len(alts)) for alt in alts]
-    return NoiseModel(
-        detect_recall=args.recall,
-        synonym_rate=args.synonym,
-        place_confusion=confusion,
-    )
-
-
 def _episode_worker(payload: tuple) -> tuple[int, str, EpisodeResult]:
-    index, agent, spec, schema, noise, use_filter, particles = payload
+    index, agent, spec, schema, noise, particles = payload
     if agent == "full":
         config = RunnerConfig(
-            noise=noise,
-            use_filter=use_filter,
-            filter_config=FilterConfig(num_particles=particles) if use_filter else FilterConfig(),
+            noise=noise, filter=FilterConfig(num_particles=particles) if particles else None
         )
         return index, agent, run_episode(spec, schema, RuleOracle(), config)
     if agent == "random":
@@ -198,17 +169,12 @@ def _format_row(agent: str, episode: str, result: EpisodeResult) -> str:
     def num(value: float) -> str:
         return f"{value:.6f}"
 
-    spl = 0.0
-    if result.success:
-        spl = 1.0 if result.hops_traversed == 0 else (
-            result.shortest_hops / max(result.hops_traversed, result.shortest_hops)
-        )
     return ",".join(
         [
             agent,
             episode,
             "1" if result.success else "0",
-            num(spl),
+            num(spl_term(result)),
             str(result.hops_traversed),
             num(result.shortest_hops),
             num(result.final_goal_distance),
@@ -234,24 +200,40 @@ def cmd_run(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_INVALID
 
-    noise = _build_noise(args)
+    if args.noiseless:
+        noise = noiseless()
+    else:
+        try:
+            noise = default_noise(args.recall, args.synonym, args.confusion)
+        except ValueError as exc:
+            print(f"invalid noise setting: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+    scene = None
     if args.scene:
         try:
             scene = scene_from_json(_read(args.scene))
         except OSError as exc:
             print(f"cannot read scene: {exc}", file=sys.stderr)
             return EXIT_IO
-        specs = _episodes_on_scene(scene, args)
+        num_scenes, per_scene = 1, args.episodes
+    elif args.scenes < 1 or args.episodes < 1 or args.episodes % args.scenes:
+        print(f"--episodes must be a positive multiple of --scenes, got --episodes "
+              f"{args.episodes} and --scenes {args.scenes}", file=sys.stderr)
+        return EXIT_INVALID
     else:
-        protocol = BenchmarkProtocol(
-            num_scenes=args.scenes,
-            episodes_per_scene=max(1, args.episodes // max(args.scenes, 1)),
+        num_scenes, per_scene = args.scenes, args.episodes // args.scenes
+    specs = build_episodes(
+        BenchmarkProtocol(
+            num_scenes=num_scenes,
+            episodes_per_scene=per_scene,
             scene_seed=args.scene_seed,
             episode_seed=args.seed,
             horizon_factor=args.horizon_factor,
             horizon_slack=args.horizon_slack,
-        )
-        specs = build_episodes(protocol)
+            goals=tuple(args.goal.split(",") if args.goal else GOAL_CATEGORIES),
+        ),
+        scene,
+    )
     if not specs:
         print("no episodes to run", file=sys.stderr)
         return EXIT_INVALID
@@ -260,7 +242,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     jobs = []
     for agent in agents:
         for index, spec in enumerate(specs):
-            jobs.append((index, agent, spec, schema, noise, args.particles > 0, args.particles))
+            jobs.append((index, agent, spec, schema, noise, args.particles))
 
     results: dict[tuple[str, int], EpisodeResult] = {}
     if args.jobs > 1:
@@ -296,33 +278,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     _atomic_write(args.out, "\n".join(lines) + "\n")
     print(f"wrote {args.out}: {len(specs)} episodes x {len(agents)} agent(s)")
     return EXIT_OK
-
-
-def _episodes_on_scene(scene, args: argparse.Namespace) -> list[EpisodeSpec]:
-    rng = np.random.default_rng(args.seed)
-    labels = sorted({o.label for p in scene.places.values() for o in p.objects})
-    usable = [g for g in (args.goal.split(",") if args.goal else GOAL_CATEGORIES) if g in labels]
-    if not usable:
-        usable = labels
-    places = list(scene.places)
-    specs = []
-    for _ in range(args.episodes):
-        goal = usable[int(rng.integers(len(usable)))]
-        hosts = scene.hosts(goal)
-        start = places[0]
-        for _ in range(30):
-            start = places[int(rng.integers(len(places)))]
-            if start not in hosts:
-                break
-        shortest = scene.shortest_hops(start, hosts)
-        horizon = int(args.horizon_factor * max(shortest, 1) + args.horizon_slack)
-        specs.append(
-            EpisodeSpec(
-                scene=scene, start=start, goal=goal, horizon=horizon,
-                seed=int(rng.integers(1 << 31)),
-            )
-        )
-    return specs
 
 
 def build_parser() -> argparse.ArgumentParser:

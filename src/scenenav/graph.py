@@ -9,7 +9,7 @@ graph content can be rendered verbatim into text prompts.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .schema import ConceptKind, EdgeKind, Schema
@@ -374,9 +374,9 @@ def hop_distances(graph: SceneGraph, source: str | None) -> dict[str, int]:
     if source not in adj:
         return {}
     dist = {source: 0}
-    queue = [source]
+    queue = deque([source])
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for nb in adj.get(node, ()):
             if nb not in dist:
                 dist[nb] = dist[node] + 1

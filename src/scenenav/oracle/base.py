@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..graph import ObjectFeatures
 from ..schema import Schema
@@ -100,13 +100,3 @@ class SemanticOracle(abc.ABC):
         self, detections: list[tuple[str, str]], goal: str
     ) -> tuple[str, str] | None:
         """Return the detection satisfying the goal description, if any."""
-
-
-@dataclass
-class OracleStats:
-    """Cheap per-episode accounting of decision calls."""
-
-    calls: dict[str, int] = field(default_factory=dict)
-
-    def bump(self, name: str) -> None:
-        self.calls[name] = self.calls.get(name, 0) + 1

@@ -8,6 +8,7 @@ tables load from JSON and ship with home/market defaults.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -254,5 +255,11 @@ class OracleTables:
             return cls.from_dict(json.load(handle))
 
 
+@functools.cache
 def default_tables() -> OracleTables:
+    """The stock tables, built once per process and shared by every caller.
+
+    The shared instance is read-only: build a private one with
+    ``OracleTables.from_dict`` to change a table.
+    """
     return OracleTables.from_dict({})

@@ -120,23 +120,6 @@ def _candidate_tuple(graph: SceneGraph, node_id: str) -> tuple[str, str, str]:
     return (node_id, graph.node(node_id).label, _summary(graph, node_id))
 
 
-def _nearest_frontier(graph: SceneGraph, current: str | None, exhausted: set[str]) -> str | None:
-    frontiers = [f for f in _frontier_connectors(graph) if f not in exhausted]
-    if not frontiers:
-        return None
-    if current is None or current not in graph:
-        return frontiers[0]
-    best = None
-    best_cost = float("inf")
-    for frontier in frontiers:
-        path = find_path(graph, current, frontier)
-        cost = len(path) if path is not None else float("inf")
-        if cost < best_cost:
-            best_cost = cost
-            best = frontier
-    return best if best is not None else frontiers[0]
-
-
 def propose_region(
     schema: Schema,
     graph: SceneGraph,
@@ -149,6 +132,8 @@ def propose_region(
 
     Candidates are handed to the oracle nearest-first, so with no semantic
     signal the tie-break sweeps outward instead of ping-ponging across the map.
+    When the descent through the regions finds nothing left to search, the
+    target is the unexplored connector fewest hops away (ties: first mapped).
     """
     exhausted = exhausted or set()
     if not graph.places():
@@ -172,37 +157,22 @@ def propose_region(
         candidates = _order(
             [p.id for p in graph.places() if p.id not in exhausted], distances
         ) + frontier
-        return _select_layer2(graph, goal, oracle, candidates, current, exhausted)
-
-    chosen = _descend(graph, goal, oracle, start_nodes, frontier, exhausted, distances)
-    if chosen is not None:
-        return chosen
-    fallback = _nearest_frontier(graph, current, exhausted)
-    if fallback is not None:
-        return fallback
+        if candidates:
+            return oracle.select_region(
+                [_candidate_tuple(graph, c) for c in candidates], goal
+            ).chosen
+    else:
+        chosen = _descend(graph, goal, oracle, start_nodes, frontier, exhausted, distances)
+        if chosen is not None:
+            return chosen
+        if frontier:
+            return frontier[0]
     raise ExhaustedError("no unexplored region or connector remains")
 
 
 def _order(ids: list[str], distances: dict[str, int]) -> list[str]:
     index = {node_id: i for i, node_id in enumerate(ids)}
     return sorted(ids, key=lambda n: (distances.get(n, float("inf")), index[n]))
-
-
-def _select_layer2(
-    graph: SceneGraph,
-    goal: str,
-    oracle: SemanticOracle,
-    candidates: list[str],
-    current: str | None,
-    exhausted: set[str],
-) -> str:
-    if not candidates:
-        fallback = _nearest_frontier(graph, current, exhausted)
-        if fallback is not None:
-            return fallback
-        raise ExhaustedError("no unexplored region or connector remains")
-    proposal = oracle.select_region([_candidate_tuple(graph, c) for c in candidates], goal)
-    return proposal.chosen
 
 
 def _descend(

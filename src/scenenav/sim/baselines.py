@@ -11,7 +11,6 @@ import numpy as np
 from ..oracle.tables import default_tables
 from .episode import EpisodeResult, EpisodeSpec
 from .noise import NoiseModel, noiseless
-from .scene import GroundTruthScene
 
 __all__ = ["baseline_random", "baseline_greedy_frontier"]
 
@@ -81,7 +80,8 @@ def baseline_greedy_frontier(
     if _goal_seen(place, hosts, noise, rng):
         return _finish(spec, place, 0, True, hosts, shortest)
     while hops < spec.horizon:
-        path = _path_to_nearest_frontier(spec.scene, place, visited)
+        # the route ends at the first unvisited place, so it crosses only visited ones
+        path = spec.scene.route(place, lambda p: p not in visited)
         if path is None:
             break
         for nxt in path:
@@ -93,29 +93,3 @@ def baseline_greedy_frontier(
             if hops >= spec.horizon:
                 break
     return _finish(spec, place, hops, False, hosts, shortest)
-
-
-def _path_to_nearest_frontier(
-    scene: GroundTruthScene, start: str, visited: set[str]
-) -> list[str] | None:
-    """Shortest route through visited places to the closest unvisited one."""
-    prev = {start: start}
-    queue = [start]
-    best: str | None = None
-    while queue and best is None:
-        node = queue.pop(0)
-        for nb, _ in scene.neighbors(node):
-            if nb in prev:
-                continue
-            prev[nb] = node
-            if nb not in visited:
-                best = nb
-                break
-            queue.append(nb)
-    if best is None:
-        return None
-    path = [best]
-    while path[-1] != start:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path[1:]

@@ -37,6 +37,7 @@ __all__ = [
     "run_episode",
     "metrics",
     "Metrics",
+    "spl_term",
     "cover_walk",
     "walk_to_frames",
 ]
@@ -74,11 +75,7 @@ class EpisodeResult:
 @dataclass(frozen=True)
 class RunnerConfig:
     noise: NoiseModel = field(default_factory=noiseless)
-    beta_pix: float = 100.0
-    beta_iou: float = 0.1
-    min_obj_area: float = 200.0
-    use_filter: bool = False
-    filter_config: FilterConfig = field(default_factory=FilterConfig)
+    filter: FilterConfig | None = None  # run the topology filter alongside when set
 
 
 @dataclass(frozen=True)
@@ -184,24 +181,18 @@ def run_episode(
     config = config if config is not None else RunnerConfig()
     streams = np.random.SeedSequence(spec.seed).spawn(2)
     obs_rng = np.random.default_rng(streams[0])
-    canon = getattr(oracle, "tables", None)
-    canon_fn = canon.canonical if canon is not None else (lambda s: s)
-
-    mapper_cfg = MapperConfig(
-        beta_pix=config.beta_pix,
-        beta_iou=config.beta_iou,
-        min_obj_area=config.min_obj_area,
-        goal=spec.goal,
-    )
     tables = getattr(oracle, "tables", None)
+    canon_fn = tables.canonical if tables is not None else (lambda s: s)
+
+    mapper_cfg = MapperConfig(goal=spec.goal)
     likely_places = tables.cooccurs(spec.goal) if tables is not None else frozenset()
     state = MapperState(graph=SceneGraph(schema))
     plan = SubgoalPlan()
     memory = PlannerMemory()
     scans: dict[str, int] = {}
     filter_state = (
-        FilterState.create(config.filter_config, seed=np.random.default_rng(streams[1]))
-        if config.use_filter
+        FilterState.create(config.filter, seed=np.random.default_rng(streams[1]))
+        if config.filter is not None
         else None
     )
 
@@ -289,7 +280,8 @@ class Metrics:
     dtg: float
 
 
-def _spl_term(result: EpisodeResult) -> float:
+def spl_term(result: EpisodeResult) -> float:
+    """One episode's success-weighted path length; ``metrics`` averages it."""
     if not result.success:
         return 0.0
     if result.hops_traversed == 0:
@@ -302,7 +294,7 @@ def metrics(results: list[EpisodeResult]) -> Metrics:
         raise ValueError("metrics need at least one episode")
     n = len(results)
     sr = sum(1.0 for r in results if r.success) / n
-    spl = sum(_spl_term(r) for r in results) / n
+    spl = sum(spl_term(r) for r in results) / n
     dtg = sum(r.final_goal_distance for r in results) / n
     return Metrics(sr=sr, spl=spl, dtg=dtg)
 
@@ -338,32 +330,10 @@ def cover_walk(scene: GroundTruthScene, start: str) -> list[str]:
     for a, b, _ in scene.links:
         if frozenset((a, b)) in crossed:
             continue
-        here = walk[-1]
-        path = _bfs_path(scene, here, a)
-        walk.extend(path)
+        walk.extend(scene.route(walk[-1], lambda p: p == a))
         walk.append(b)
         crossed = {frozenset(pair) for pair in zip(walk, walk[1:])}
     return walk
-
-
-def _bfs_path(scene: GroundTruthScene, src: str, dst: str) -> list[str]:
-    if src == dst:
-        return []
-    prev: dict[str, str] = {src: src}
-    queue = [src]
-    while queue:
-        node = queue.pop(0)
-        if node == dst:
-            break
-        for nb, _ in scene.neighbors(node):
-            if nb not in prev:
-                prev[nb] = node
-                queue.append(nb)
-    path = [dst]
-    while path[-1] != src:
-        path.append(prev[path[-1]])
-    path.reverse()
-    return path[1:]
 
 
 def walk_to_frames(

@@ -10,7 +10,7 @@ from ..oracle.tables import DEFAULT_SYNONYM_GROUPS
 
 __all__ = ["NoiseModel", "noiseless", "default_noise"]
 
-# place labels the stock confusion table may swap within
+# place labels the confusion table may swap within
 _PLACE_GROUPS = [
     ["livingroom", "familyroom", "lounge"],
     ["bedroom", "guestroom"],
@@ -28,14 +28,13 @@ class NoiseModel:
     detect_recall: float = 1.0
     synonym_rate: float = 0.0
     place_confusion: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-    seed: int = 0
     synonym_groups: list[list[str]] = field(default_factory=lambda: [list(g) for g in DEFAULT_SYNONYM_GROUPS])
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.detect_recall <= 1.0:
-            raise ValueError("detect_recall must lie in [0, 1]")
+            raise ValueError(f"detect_recall must lie in [0, 1], got {self.detect_recall}")
         if not 0.0 <= self.synonym_rate <= 1.0:
-            raise ValueError("synonym_rate must lie in [0, 1]")
+            raise ValueError(f"synonym_rate must lie in [0, 1], got {self.synonym_rate}")
         self._peers: dict[str, list[str]] = {}
         for group in self.synonym_groups:
             for label in group:
@@ -69,17 +68,22 @@ def noiseless() -> NoiseModel:
     return NoiseModel(detect_recall=1.0, synonym_rate=0.0)
 
 
-def default_noise(seed: int = 0) -> NoiseModel:
-    """The stock acceptance setting: 10% dropouts, swaps and mislabels."""
-    confusion: dict[str, list[tuple[str, float]]] = {}
-    for group in _PLACE_GROUPS:
-        for label in group:
-            alts = [g for g in group if g != label]
-            share = 0.1 / len(alts)
-            confusion[label] = [(alt, share) for alt in alts]
-    return NoiseModel(
-        detect_recall=0.9,
-        synonym_rate=0.1,
-        place_confusion=confusion,
-        seed=seed,
-    )
+def default_noise(
+    recall: float = 0.9, synonym: float = 0.1, confusion: float = 0.1
+) -> NoiseModel:
+    """Observation noise at the given detection recall and swap/mislabel rates.
+
+    The defaults are the stock acceptance setting: 10% dropouts, swaps and
+    mislabels.  A place whose label sits in a confusion group is mislabelled
+    with probability ``confusion``, split evenly over the group's other
+    labels; at 0 no label is confused and no random number is drawn for it.
+    """
+    if not 0.0 <= confusion <= 1.0:
+        raise ValueError(f"confusion must lie in [0, 1], got {confusion}")
+    table: dict[str, list[tuple[str, float]]] = {}
+    if confusion > 0:
+        for group in _PLACE_GROUPS:
+            for label in group:
+                alts = [g for g in group if g != label]
+                table[label] = [(alt, confusion / len(alts)) for alt in alts]
+    return NoiseModel(detect_recall=recall, synonym_rate=synonym, place_confusion=table)

@@ -1,8 +1,9 @@
-"""Deterministic benchmark assembly: scenes, episodes and the comparison runs.
+"""Deterministic benchmark assembly: scenes and their episode specifications.
 
 One protocol object expands into a fixed list of episode specifications, so
 the evaluation command and the acceptance suite execute byte-identical
-workloads for a given seed, including under process-pool parallelism.
+workloads for a given seed, including under process-pool parallelism.  The
+same expansion serves generated homes and a scene loaded from a file.
 """
 
 from __future__ import annotations
@@ -11,14 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..oracle.rules import RuleOracle
-from ..schema import Schema
-from .baselines import baseline_greedy_frontier, baseline_random
-from .episode import EpisodeResult, EpisodeSpec, RunnerConfig, run_episode
-from .noise import NoiseModel, default_noise
-from .scene import generate_home_scene
+from .episode import EpisodeSpec
+from .scene import GroundTruthScene, generate_home_scene
 
-__all__ = ["BenchmarkProtocol", "build_episodes", "run_agent_episode", "GOAL_CATEGORIES"]
+__all__ = ["BenchmarkProtocol", "build_episodes", "GOAL_CATEGORIES"]
 
 # common object categories, in the spirit of standard object-goal benchmarks
 GOAL_CATEGORIES: list[str] = [
@@ -42,30 +39,44 @@ class BenchmarkProtocol:
         return self.num_scenes * self.episodes_per_scene
 
 
-def build_episodes(protocol: BenchmarkProtocol) -> list[EpisodeSpec]:
-    """Expand the protocol into per-episode specs, fully determined by seeds."""
+def build_episodes(
+    protocol: BenchmarkProtocol, scene: GroundTruthScene | None = None
+) -> list[EpisodeSpec]:
+    """Expand the protocol into per-episode specs, fully determined by seeds.
+
+    The episodes run on ``num_scenes`` homes generated from ``scene_seed``,
+    or, when ``scene`` is given, all on that scene (``num_scenes`` and
+    ``scene_seed`` then play no part).  Goals are the protocol's goals the
+    scene holds, or every object label in the scene when it holds none.
+    """
     rng = np.random.default_rng(protocol.episode_seed)
+    if scene is not None:
+        scenes = [scene]
+    else:
+        scenes = [
+            generate_home_scene(np.random.default_rng(protocol.scene_seed + s))
+            for s in range(protocol.num_scenes)
+        ]
     specs: list[EpisodeSpec] = []
-    for s in range(protocol.num_scenes):
-        scene = generate_home_scene(np.random.default_rng(protocol.scene_seed + s))
-        labels = sorted({o.label for p in scene.places.values() for o in p.objects})
-        usable = [g for g in protocol.goals if g in labels]
-        places = list(scene.places)
+    for world in scenes:
+        labels = sorted({o.label for p in world.places.values() for o in p.objects})
+        usable = [g for g in protocol.goals if g in labels] or labels
+        places = list(world.places)
         for _ in range(protocol.episodes_per_scene):
             goal = usable[int(rng.integers(len(usable)))]
-            hosts = scene.hosts(goal)
+            hosts = world.hosts(goal)
             start = places[0]
             for _ in range(30):
                 start = places[int(rng.integers(len(places)))]
                 if start not in hosts:
                     break
-            shortest = scene.shortest_hops(start, hosts)
+            shortest = world.shortest_hops(start, hosts)
             horizon = int(
                 protocol.horizon_factor * max(shortest, 1) + protocol.horizon_slack
             )
             specs.append(
                 EpisodeSpec(
-                    scene=scene,
+                    scene=world,
                     start=start,
                     goal=goal,
                     horizon=horizon,
@@ -73,19 +84,3 @@ def build_episodes(protocol: BenchmarkProtocol) -> list[EpisodeSpec]:
                 )
             )
     return specs
-
-
-def run_agent_episode(
-    spec: EpisodeSpec,
-    schema: Schema,
-    noise: NoiseModel | None = None,
-    use_filter: bool = False,
-) -> dict[str, EpisodeResult]:
-    """Run the full agent plus both reference walkers on one episode."""
-    noise = noise if noise is not None else default_noise()
-    config = RunnerConfig(noise=noise, use_filter=use_filter)
-    return {
-        "full": run_episode(spec, schema, RuleOracle(), config),
-        "random": baseline_random(spec, noise),
-        "frontier": baseline_greedy_frontier(spec, noise),
-    }

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -106,22 +107,34 @@ class GroundTruthScene:
             if any(canon(obj.label) == want for obj in place.objects)
         ]
 
-    def shortest_hops(self, start: str, targets: list[str]) -> float:
-        if start in targets:
-            return 0
-        wanted = set(targets)
-        dist = {start: 0}
+    def route(self, start: str, is_goal: Callable[[str], bool]) -> list[str] | None:
+        """Fewest-hop route to the first place ``is_goal`` accepts, start excluded.
+
+        Breadth-first in ``neighbors`` order, so ties go to the place found
+        first.  Returns ``[]`` when the start already qualifies and ``None``
+        when no reachable place does.
+        """
+        if is_goal(start):
+            return []
+        prev = {start: start}
         queue = deque([start])
         while queue:
             node = queue.popleft()
             for nb, _ in self.neighbors(node):
-                if nb in dist:
+                if nb in prev:
                     continue
-                dist[nb] = dist[node] + 1
-                if nb in wanted:
-                    return dist[nb]
+                prev[nb] = node
+                if is_goal(nb):
+                    path = [nb]
+                    while prev[path[-1]] != start:
+                        path.append(prev[path[-1]])
+                    return path[::-1]
                 queue.append(nb)
-        return float("inf")
+        return None
+
+    def shortest_hops(self, start: str, targets: list[str]) -> float:
+        path = self.route(start, set(targets).__contains__)
+        return float("inf") if path is None else len(path)
 
     def object_labels(self) -> list[str]:
         out = []

@@ -1,11 +1,14 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from scenenav import cli
 from scenenav.cli import main
 from scenenav.mapper import frames_to_jsonl
 from scenenav.sim import (
+    EpisodeResult,
     cover_walk,
     generate_home_scene,
     generate_market_scene,
@@ -15,6 +18,14 @@ from scenenav.sim import (
 )
 
 HOME = "src/scenenav/assets/schemas/home.json"
+
+# SHA-256 of metrics CSVs recorded before the simulator's BFS, episode builder
+# and noise table were each reduced to one implementation
+FIXED_RUN_SHA256 = "915d33c82476f92592079c0892820180042b8568d7f32442850592a9d1943cca"
+SCENE_RUN_SHA256 = {
+    "noise": "41a15e49d1064c4192ffd69afd33e7777acb2df1a2b192a0af7b8211ff0b7689",
+    "absent-goal": "fcdcc59f36c2b20464ac4f31567395f506a2922c4c2112a85a06dde7bc4988d7",
+}
 
 
 @pytest.fixture
@@ -186,3 +197,74 @@ class TestRun:
         ])
         assert code == 1
         assert not out.exists()
+
+    def test_fixed_run_csv_golden(self, tmp_path, home_path):
+        out = tmp_path / "fixed.csv"
+        code = main([
+            "run", "--schema", home_path, "--scenes", "20", "--episodes", "200",
+            "--baseline", "--out", str(out),
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_RUN_SHA256
+
+    @pytest.mark.parametrize("case,extra", [
+        ("noise", ["--recall", "0.8", "--synonym", "0.25", "--confusion", "0.3"]),
+        # no listed goal is in the scene: every object label becomes a goal
+        ("absent-goal", ["--goal", "unicorn"]),
+    ])
+    def test_scene_file_run_csv_golden(self, tmp_path, home_path, case, extra):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(scene_to_json(generate_home_scene(np.random.default_rng(12))))
+        out = tmp_path / "scene.csv"
+        code = main([
+            "run", "--schema", home_path, "--scene", str(scene_path), "--episodes", "25",
+            "--seed", "5", "--baseline", *extra, "--out", str(out),
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCENE_RUN_SHA256[case]
+
+    def test_goal_list_applies_to_generated_scenes(self, tmp_path, home_path, monkeypatch):
+        goals = []
+
+        def record(spec, schema, oracle, config):
+            goals.append(spec.goal)
+            return EpisodeResult(success=True, hops_traversed=0, shortest_hops=0,
+                                 final_goal_distance=0.0)
+
+        monkeypatch.setattr(cli, "run_episode", record)
+        code, _ = self._run(tmp_path, home_path, "g.csv", ["--goal", "sink,unicorn"])
+        assert code == 0
+        assert goals == ["sink"] * 6
+
+    @pytest.mark.parametrize("episodes,scenes", [
+        ("200", "30"), ("1", "2"), ("6", "0"), ("0", "2"), ("-4", "2"),
+    ])
+    def test_episodes_not_a_positive_multiple_of_scenes_rejected(
+        self, tmp_path, home_path, capsys, episodes, scenes
+    ):
+        out = tmp_path / "m.csv"
+        code = main([
+            "run", "--schema", home_path, "--scenes", scenes, "--episodes", episodes,
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "--episodes" in err and "--scenes" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--recall", "1.5"), ("--recall", "nan"), ("--synonym", "-0.1"),
+        ("--confusion", "1.2"), ("--confusion", "-0.5"),
+    ])
+    def test_noise_rate_outside_unit_interval_rejected(
+        self, tmp_path, home_path, capsys, flag, value
+    ):
+        out = tmp_path / "m.csv"
+        code = main([
+            "run", "--schema", home_path, "--scenes", "2", "--episodes", "2",
+            flag, value, "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert flag.lstrip("-") in err and len(err.splitlines()) == 1

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from scenenav.graph import ObjectFeatures
 from scenenav.oracle.rules import RuleConfig, RuleOracle
 from scenenav.oracle.tables import OracleTables, SynonymTable, default_tables
 from scenenav.schema import builtin_schema
+from scenenav.sim import EpisodeSpec, RunnerConfig, default_noise, generate_home_scene, run_episode
 
 
 @pytest.fixture
@@ -355,3 +357,21 @@ def test_memos_stay_bounded(oracle):
     assert len(oracle._canon_memo) <= _LABEL_MEMO_SIZE
     assert len(oracle._weight_memo) <= _LABEL_MEMO_SIZE
     assert len(oracle._match_memo) <= _MATCH_MEMO_SIZE
+
+
+def test_default_tables_built_once_per_process():
+    assert default_tables() is default_tables()
+    assert RuleOracle().tables is RuleOracle().tables
+    assert default_tables() == OracleTables.from_dict({})
+
+
+def test_shared_default_tables_answer_like_fresh_ones(home):
+    config = RunnerConfig(noise=default_noise())
+    for seed in range(3):
+        scene = generate_home_scene(np.random.default_rng(seed))
+        goal = sorted(scene.object_labels())[0]
+        spec = EpisodeSpec(scene=scene, start=next(iter(scene.places)), goal=goal,
+                           horizon=20, seed=seed)
+        shared = run_episode(spec, home, RuleOracle(), config)
+        fresh = run_episode(spec, home, RuleOracle(OracleTables.from_dict({})), config)
+        assert shared == fresh

@@ -153,6 +153,35 @@ class TestProposeRegion:
         chosen = propose_region(home, graph, "sink", oracle, exhausted={living})
         assert chosen == door
 
+    def test_exhausted_places_fall_back_to_nearest_frontier(self, home, oracle):
+        # the floor holds only p0, so the descent finds nothing once every place
+        # is exhausted; the target is then the frontier door fewest hops away,
+        # the first mapped one among equals
+        graph = SceneGraph(home)
+        places = _chain(graph, ["hallway", "bedroom", "kitchen", "bathroom", "office"])
+        island = graph.add_node(PlaceNode(cls="Room", label="attic"))
+        floor = graph.add_node(RegionNode(cls="Floor", label="floor"))
+        graph.add_edge(floor, places[0], EdgeKind.CONTAINS)
+        doors = []
+        for host in (island, places[4], places[2], places[1], places[3], places[1]):
+            door = graph.add_node(ConnectorNode(cls="Entrance", label="door"))
+            graph.add_edge(host, door, EdgeKind.CONNECTS_TO)
+            doors.append(door)
+        exhausted = set(places) | {island}
+        for current in places:
+            costs = []
+            for door in doors:
+                path = find_path(graph, current, door)
+                costs.append(len(path) if path is not None else float("inf"))
+            nearest = doors[costs.index(min(costs))]
+            got = propose_region(home, graph, "sink", oracle, current=current,
+                                 exhausted=exhausted)
+            assert got == nearest
+        # with those doors exhausted too, nothing is left
+        with pytest.raises(ExhaustedError):
+            propose_region(home, graph, "sink", oracle, current=places[0],
+                           exhausted=exhausted | set(doors))
+
     def test_exhaustion_raises(self, home, oracle):
         graph = SceneGraph(home)
         with pytest.raises(ExhaustedError):

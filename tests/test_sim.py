@@ -94,6 +94,28 @@ class TestSceneGeneration:
         assert scene_to_json(again) == scene_to_json(scene)
 
 
+class TestRoute:
+    def test_start_that_qualifies_gives_empty_route(self):
+        assert small_scene().route("kitchen_3", lambda p: p.startswith("kitchen")) == []
+
+    def test_nothing_qualifies_gives_none(self):
+        assert small_scene().route("kitchen_3", lambda p: p == "attic_9") is None
+
+    def test_fewest_hops_start_excluded(self):
+        scene = small_scene()
+        assert scene.route("livingroom_1", lambda p: p == "kitchen_3") == ["hallway_2", "kitchen_3"]
+        assert scene.shortest_hops("livingroom_1", ["kitchen_3", "hallway_2"]) == 1
+        assert scene.shortest_hops("livingroom_1", []) == float("inf")
+
+    def test_ties_go_to_the_place_found_first(self):
+        # two branches from a: both leaves are two hops away; neighbors order decides
+        scene = GroundTruthScene(env_label="home")
+        for pid in ("a", "b", "c", "d", "e"):
+            scene.places[pid] = ScenePlace(pid, "Room", "bedroom")
+        scene.links = [("a", "c", None), ("a", "b", None), ("b", "e", None), ("c", "d", None)]
+        assert scene.route("a", lambda p: p in {"d", "e"}) == ["c", "d"]
+
+
 class TestObserve:
     def test_noiseless_lists_exact_objects(self):
         scene = small_scene()
@@ -312,10 +334,7 @@ class TestRunEpisode:
         spec = EpisodeSpec(
             scene=scene, start=next(iter(scene.places)), goal=goal, horizon=12, seed=4
         )
-        config = RunnerConfig(
-            noise=default_noise(), use_filter=True,
-            filter_config=FilterConfig(num_particles=30),
-        )
+        config = RunnerConfig(noise=default_noise(), filter=FilterConfig(num_particles=30))
         plain = RunnerConfig(noise=default_noise())
         with_filter = run_episode(spec, home, RuleOracle(), config)
         without = run_episode(spec, home, RuleOracle(), plain)
