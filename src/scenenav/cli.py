@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from .graph import SceneGraph
-from .mapper import MapperConfig, MapperState, frames_from_jsonl, mapper_step
+from .mapper import FrameError, MapperConfig, MapperState, frames_from_jsonl, mapper_step
 from .oracle.base import OracleError
 from .oracle.remote import RemoteChatOracle, RemoteConfig
 from .oracle.rules import RuleOracle
@@ -141,7 +141,11 @@ def cmd_map(args: argparse.Namespace) -> int:
     )
     for frame in frames:
         before = state.current_place
-        state = mapper_step(frame, schema, state, oracle, config).state
+        try:
+            state = mapper_step(frame, schema, state, oracle, config).state
+        except FrameError as exc:
+            print(f"invalid frame: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         logger.info(
             "frame %s: %s -> %s", frame.frame_id, before or "(start)", state.current_place
         )
@@ -215,6 +219,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"cannot read scene: {exc}", file=sys.stderr)
             return EXIT_IO
+        except ValueError as exc:
+            print(f"invalid scene: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         num_scenes, per_scene = 1, args.episodes
     elif args.scenes < 1 or args.episodes < 1 or args.episodes % args.scenes:
         print(f"--episodes must be a positive multiple of --scenes, got --episodes "
@@ -222,18 +229,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     else:
         num_scenes, per_scene = args.scenes, args.episodes // args.scenes
-    specs = build_episodes(
-        BenchmarkProtocol(
-            num_scenes=num_scenes,
-            episodes_per_scene=per_scene,
-            scene_seed=args.scene_seed,
-            episode_seed=args.seed,
-            horizon_factor=args.horizon_factor,
-            horizon_slack=args.horizon_slack,
-            goals=tuple(args.goal.split(",") if args.goal else GOAL_CATEGORIES),
-        ),
-        scene,
+    protocol = BenchmarkProtocol(
+        num_scenes=num_scenes,
+        episodes_per_scene=per_scene,
+        scene_seed=args.scene_seed,
+        episode_seed=args.seed,
+        horizon_factor=args.horizon_factor,
+        horizon_slack=args.horizon_slack,
+        goals=tuple(args.goal.split(",") if args.goal else GOAL_CATEGORIES),
     )
+    try:
+        specs = build_episodes(protocol, scene)
+    except ValueError as exc:
+        print(f"invalid scene: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if not specs:
         print("no episodes to run", file=sys.stderr)
         return EXIT_INVALID

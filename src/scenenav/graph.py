@@ -125,6 +125,12 @@ class SceneGraph:
     One writer at a time; readers may interleave between mutations.  The
     ``version`` counter increments on every mutation, which lets planners
     detect staleness cheaply.
+
+    The derived views are maintained on write, not rebuilt on read: the
+    weighted place/connector adjacency, and the node lists per concept kind
+    and per layer.  Nodes are never removed and a node's kind and class never
+    change, so nothing needs invalidating.  ``connectivity_subgraph()``
+    returns the maintained adjacency itself, as a read-only view.
     """
 
     def __init__(self, schema: Schema):
@@ -134,6 +140,9 @@ class SceneGraph:
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}
         self._weights: dict[tuple[str, str, EdgeKind], float] = {}
+        self._adj: dict[str, dict[str, float]] = {}
+        self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
+        self._by_layer: dict[int, list[Node]] = {}
         self.version = 0
 
     # -- nodes ---------------------------------------------------------------
@@ -160,6 +169,10 @@ class SceneGraph:
         self._nodes[node.id] = node
         self._out[node.id] = {}
         self._in[node.id] = {}
+        if isinstance(node, (PlaceNode, ConnectorNode)):
+            self._adj[node.id] = {}
+        self._by_kind[node.kind].append(node)
+        self._by_layer.setdefault(concept.layer_id, []).append(node)
         self.version += 1
         return node.id
 
@@ -175,18 +188,13 @@ class SceneGraph:
     def nodes(self, kind: ConceptKind | None = None) -> list[Node]:
         if kind is None:
             return list(self._nodes.values())
-        return [n for n in self._nodes.values() if n.kind is kind]
+        return list(self._by_kind[kind])
 
     def places(self) -> list[PlaceNode]:
-        return [n for n in self._nodes.values() if isinstance(n, PlaceNode)]
+        return list(self._by_kind[ConceptKind.PLACE])
 
     def layer_nodes(self, layer: int) -> list[Node]:
-        out = []
-        for n in self._nodes.values():
-            concept = self.schema.concepts.get(self.node_cls(n))
-            if concept is not None and concept.layer_id == layer:
-                out.append(n)
-        return out
+        return list(self._by_layer.get(layer, ()))
 
     def node_layer(self, node_id: str) -> int:
         concept = self.schema.concepts[self.node_cls(self.node(node_id))]
@@ -226,6 +234,8 @@ class SceneGraph:
         self._out[src].setdefault(kind, []).append(dst)
         self._in[dst].setdefault(kind, []).append(src)
         self._weights[(src, dst, kind)] = weight
+        if kind is EdgeKind.CONNECTS_TO and src in self._adj and dst in self._adj:
+            self._adj[src][dst] = weight
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         out = []
@@ -279,19 +289,12 @@ class SceneGraph:
     def connectivity_subgraph(self) -> dict[str, dict[str, float]]:
         """Weighted undirected adjacency over the place/connector layer.
 
-        Key order follows node insertion order, keeping downstream tie-breaks
-        reproducible across processes.
+        Key order follows node insertion order and neighbour order follows
+        edge insertion order, keeping downstream tie-breaks reproducible
+        across processes.  The mapping is the graph's own, kept up to date by
+        every write: read it, never modify it.
         """
-        layer2 = [
-            n.id for n in self._nodes.values() if isinstance(n, (PlaceNode, ConnectorNode))
-        ]
-        members = set(layer2)
-        adj: dict[str, dict[str, float]] = {nid: {} for nid in layer2}
-        for nid in layer2:
-            for nb in self._out[nid].get(EdgeKind.CONNECTS_TO, ()):
-                if nb in members:
-                    adj[nid][nb] = self._weights[(nid, nb, EdgeKind.CONNECTS_TO)]
-        return adj
+        return self._adj
 
     def parent_region(self, node_id: str) -> str | None:
         parents = self.in_neighbors(node_id, EdgeKind.CONTAINS)

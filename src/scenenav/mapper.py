@@ -591,6 +591,16 @@ def frames_to_jsonl(frames: list[DetectionFrame]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _bbox(raw: object, frame_id: object) -> tuple[float, float, float, float]:
+    if (
+        not isinstance(raw, (list, tuple))
+        or len(raw) != 4
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
+    ):
+        raise ValueError(f"frame {frame_id}: bbox must be 4 numbers (x, y, w, h), got {raw!r}")
+    return tuple(raw)
+
+
 def frames_from_jsonl(text: str) -> list[DetectionFrame]:
     frames = []
     for line in text.splitlines():
@@ -608,7 +618,7 @@ def frames_from_jsonl(text: str) -> list[DetectionFrame]:
                     Detection(
                         label=d["label"],
                         desc=d.get("desc", ""),
-                        bbox=tuple(d.get("bbox", (0, 0, 0, 0))),
+                        bbox=_bbox(d.get("bbox", (0, 0, 0, 0)), raw["frame_id"]),
                         image_ref=d.get("image_ref", ""),
                     )
                     for d in raw.get("detections", ())

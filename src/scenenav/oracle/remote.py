@@ -15,7 +15,7 @@ import logging
 import os
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from typing import Callable
 
@@ -54,8 +54,18 @@ class RemoteConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "RemoteConfig":
+        """Load a config; anything but an object of known keys raises ``ValueError``."""
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: a remote config must be a JSON object")
+        known = {f.name: f for f in fields(cls)}
+        for key in raw:
+            if key not in known:
+                raise ValueError(f"{path}: unknown remote config key {key!r}")
+        for name, f in known.items():
+            if f.default is MISSING and name not in raw:
+                raise ValueError(f"{path}: remote config lacks required key {name!r}")
         return cls(**raw)
 
     @classmethod

@@ -99,12 +99,10 @@ def _frontier_connectors(graph: SceneGraph) -> list[str]:
     """Connectors seen from at most one place: likely doors to unmapped space."""
     adj = graph.connectivity_subgraph()
     out = []
-    for node_id, neighbors in adj.items():
-        if not _is_connector(graph, node_id):
-            continue
-        place_sides = [nb for nb in neighbors if not _is_connector(graph, nb)]
+    for node in graph.nodes(ConceptKind.CONNECTOR):
+        place_sides = [nb for nb in adj[node.id] if not _is_connector(graph, nb)]
         if len(place_sides) <= 1:
-            out.append(node_id)
+            out.append(node.id)
     return out
 
 

@@ -47,7 +47,8 @@ def build_episodes(
     The episodes run on ``num_scenes`` homes generated from ``scene_seed``,
     or, when ``scene`` is given, all on that scene (``num_scenes`` and
     ``scene_seed`` then play no part).  Goals are the protocol's goals the
-    scene holds, or every object label in the scene when it holds none.
+    scene holds, or every object label in the scene when it holds none; a
+    scene with no objects at all raises ``ValueError``.
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
@@ -61,6 +62,8 @@ def build_episodes(
     for world in scenes:
         labels = sorted({o.label for p in world.places.values() for o in p.objects})
         usable = [g for g in protocol.goals if g in labels] or labels
+        if not usable:
+            raise ValueError(f"scene {world.env_label!r} holds no objects to search for")
         places = list(world.places)
         for _ in range(protocol.episodes_per_scene):
             goal = usable[int(rng.integers(len(usable)))]

@@ -309,7 +309,19 @@ def scene_to_json(scene: GroundTruthScene) -> str:
 
 
 def scene_from_json(text: str) -> GroundTruthScene:
+    """Load a scene; malformed JSON or a missing key raises ``ValueError``."""
     raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError(f"a scene must be a JSON object, not {type(raw).__name__}")
+    try:
+        return _scene_from_dict(raw)
+    except KeyError as exc:
+        raise ValueError(f"scene lacks required key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed scene entry: {exc}") from None
+
+
+def _scene_from_dict(raw: dict) -> GroundTruthScene:
     scene = GroundTruthScene(env_label=raw["env_label"])
     for p in raw.get("places", ()):
         scene.places[p["id"]] = ScenePlace(

@@ -82,6 +82,23 @@ class TestGenSchema:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("doc,needle", [
+        ('{"endpoint": "https://example.invalid", "model": "m", "temprature": 0.1}',
+         "'temprature'"),
+        ('{"endpoint": "https://example.invalid"}', "'model'"),
+        ('["https://example.invalid", "m"]', "JSON object"),
+    ], ids=["unknown-key", "missing-key", "not-an-object"])
+    def test_malformed_remote_config_rejected(self, tmp_path, capsys, doc, needle):
+        config = tmp_path / "remote.json"
+        config.write_text(doc)
+        out = tmp_path / "schema.json"
+        code = main(["gen-schema", "home", "--backend", f"remote:{config}", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
+
+
 class TestMap:
     def _write_log(self, tmp_path, scene):
         walk = cover_walk(scene, next(iter(scene.places)))
@@ -138,6 +155,35 @@ class TestMap:
         ]) == 0
         assert "subgraph cluster_2" in out.read_text()
 
+    def _first_frame(self):
+        scene = generate_home_scene(np.random.default_rng(321))
+        walk = cover_walk(scene, next(iter(scene.places)))
+        frames = walk_to_frames(scene, walk, noiseless(), np.random.default_rng(0))
+        return json.loads(frames_to_jsonl(frames[:1]))
+
+    @pytest.mark.parametrize("bbox", [[1, 2, 3], [1, 2, 3, 4, 5], [1, 2, "w", 4], "1234", 7])
+    def test_bbox_not_four_numbers_rejected(self, tmp_path, home_path, capsys, bbox):
+        frame = self._first_frame()
+        frame["detections"][0]["bbox"] = bbox
+        log = tmp_path / "traj.jsonl"
+        log.write_text(json.dumps(frame) + "\n")
+        out = tmp_path / "graph.json"
+        assert main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "bbox" in err and len(err.splitlines()) == 1
+
+    def test_frame_outside_schema_rejected(self, tmp_path, home_path, capsys):
+        frame = self._first_frame()
+        frame["place_type_answer"] = "Object"
+        log = tmp_path / "traj.jsonl"
+        log.write_text(json.dumps(frame) + "\n")
+        out = tmp_path / "graph.json"
+        assert main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "'Object' is not a place concept" in err and len(err.splitlines()) == 1
+
 
 class TestRun:
     def _run(self, tmp_path, home_path, out_name, extra):
@@ -188,6 +234,28 @@ class TestRun:
         assert not out.exists()
         err = capsys.readouterr().err.strip()
         assert "--particles" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("text,needle", [
+        ("{not json", "invalid scene"),
+        ("{}", "'env_label'"),
+        ("[]", "JSON object"),
+        ('{"env_label": "home", "places": [{"id": "a", "cls": "Room"}]}', "'label'"),
+        ('{"env_label": "home", "places": [{"id": "a", "cls": "Room", "label": "kitchen",'
+         ' "objects": []}]}', "no objects"),
+    ], ids=["invalid-json", "no-env-label", "not-an-object", "place-without-label",
+            "no-objects"])
+    def test_invalid_scene_file_rejected(self, tmp_path, home_path, capsys, text, needle):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(text)
+        out = tmp_path / "m.csv"
+        code = main([
+            "run", "--schema", home_path, "--scene", str(scene_path),
+            "--episodes", "2", "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
 
     def test_remote_backend_rejected_for_run(self, tmp_path, home_path):
         out = tmp_path / "x.csv"

@@ -15,7 +15,7 @@ from scenenav.graph import (
     import_graph,
     validate_graph,
 )
-from scenenav.schema import EdgeKind, builtin_schema
+from scenenav.schema import ConceptKind, EdgeKind, builtin_schema
 
 
 @pytest.fixture
@@ -226,3 +226,105 @@ def test_place_features_match_brute_force(graph):
             if src == place.id and kind is EdgeKind.HAS
         )
         assert sorted(graph.object_features(place.id).items) == brute
+
+
+# -- maintained views against from-scratch rebuilds ---------------------------
+
+
+def _rebuilt_connectivity(graph):
+    """The adjacency as it was once rebuilt on every call (reference)."""
+    layer2 = [
+        n.id for n in graph._nodes.values() if isinstance(n, (PlaceNode, ConnectorNode))
+    ]
+    members = set(layer2)
+    adj = {nid: {} for nid in layer2}
+    for nid in layer2:
+        for nb in graph._out[nid].get(EdgeKind.CONNECTS_TO, ()):
+            if nb in members:
+                adj[nid][nb] = graph._weights[(nid, nb, EdgeKind.CONNECTS_TO)]
+    return adj
+
+
+def _assert_views_match_rebuild(graph):
+    adj, ref = graph.connectivity_subgraph(), _rebuilt_connectivity(graph)
+    assert list(adj) == list(ref)
+    for nid in ref:
+        assert list(adj[nid]) == list(ref[nid])
+    assert adj == ref
+    everything = list(graph._nodes.values())
+    assert graph.nodes() == everything
+    assert graph.places() == [n for n in everything if isinstance(n, PlaceNode)]
+    for kind in ConceptKind:
+        assert graph.nodes(kind) == [n for n in everything if n.kind is kind]
+    for layer in range(graph.schema.num_layers + 2):
+        assert graph.layer_nodes(layer) == [
+            n for n in everything
+            if graph.schema.concepts[graph.node_cls(n)].layer_id == layer
+        ]
+
+
+def _random_node(schema, rng, i):
+    kind = rng.choice(list(ConceptKind))
+    if kind is ConceptKind.OBJECT_ROLE:
+        return ObjectNode(label=rng.choice(["sofa", "tv", "sink"]), desc=f"d{i % 3}")
+    concepts = schema.by_kind(kind)
+    if not concepts:
+        return None
+    cls = rng.choice(concepts).name
+    label = rng.choice(["a", "b", "c"])
+    if kind is ConceptKind.PLACE:
+        return PlaceNode(cls=cls, label=label)
+    if kind is ConceptKind.CONNECTOR:
+        return ConnectorNode(cls=cls, label=label)
+    return RegionNode(cls=cls, label=label)
+
+
+@pytest.mark.parametrize("schema_name", ["home", "supermarket", "airport"])
+@pytest.mark.parametrize("seed", range(4))
+def test_maintained_views_equal_rebuild(schema_name, seed):
+    import random
+
+    rng = random.Random(seed)
+    graph = SceneGraph(builtin_schema(schema_name))
+    _assert_views_match_rebuild(graph)
+    ids, added = [], []
+    for step in range(700):
+        if not ids or rng.random() < 0.15:
+            node = _random_node(graph.schema, rng, step)
+            if node is not None:
+                ids.append(graph.add_node(node))
+        elif added and rng.random() < 0.2:
+            # repeat an edge, or ask for its reverse, with another weight
+            src, dst, kind = rng.choice(added)
+            if rng.random() < 0.5:
+                src, dst = dst, src
+            try:
+                graph.add_edge(src, dst, kind, weight=rng.choice([0.5, 3.0]))
+            except EdgeRuleError:
+                pass
+        else:
+            src, dst = rng.choice(ids), rng.choice(ids)
+            kind = rng.choice(list(EdgeKind))
+            try:
+                graph.add_edge(src, dst, kind, weight=rng.choice([1.0, 0.25, 2.5, 7.0]))
+            except EdgeRuleError:
+                continue
+            added.append((src, dst, kind))
+        if step % 50 == 0:
+            _assert_views_match_rebuild(graph)
+    _assert_views_match_rebuild(graph)
+    adj = graph.connectivity_subgraph()
+    assert any(w != 1.0 for nbs in adj.values() for w in nbs.values())
+    assert sum(map(len, adj.values())) > 10
+    reloaded = import_graph(graph.export(), graph.schema)
+    _assert_views_match_rebuild(reloaded)
+
+
+def test_node_views_are_copies(graph):
+    rooms, _ = _home_fixture(graph)
+    graph.places().clear()
+    graph.nodes(ConceptKind.CONNECTOR).clear()
+    graph.layer_nodes(2).clear()
+    assert [p.id for p in graph.places()] == rooms
+    assert len(graph.nodes(ConceptKind.CONNECTOR)) == 2
+    assert len(graph.layer_nodes(2)) == 5

@@ -162,6 +162,18 @@ def test_config_from_file(tmp_path):
     assert config.api_key_env == "SCENENAV_API_KEY"
 
 
+@pytest.mark.parametrize("doc,needle", [
+    ('{"endpoint": "e", "model": "m", "api_key": "k"}', "unknown remote config key 'api_key'"),
+    ('{"model": "m"}', "lacks required key 'endpoint'"),
+    ('"e"', "must be a JSON object"),
+], ids=["unknown-key", "missing-key", "not-an-object"])
+def test_config_from_file_rejects_malformed(tmp_path, doc, needle):
+    path = tmp_path / "remote.json"
+    path.write_text(doc)
+    with pytest.raises(ValueError, match=needle):
+        RemoteConfig.from_file(str(path))
+
+
 def test_schema_pipeline_can_use_remote_backend():
     from scenenav.schemagen import run_pipeline
 
