@@ -111,6 +111,10 @@ class ObjectFeatures:
         return bool(self.items)
 
 
+# the edge kind whose targets make up a node's maintained summary
+_SUMMARY_EDGE = {ConceptKind.PLACE: EdgeKind.HAS, ConceptKind.REGION: EdgeKind.CONTAINS}
+
+
 def _id_prefix(node: Node) -> str:
     if isinstance(node, (ObjectNode, ConnectorNode, PlaceNode, RegionNode)):
         label = node.label.strip()
@@ -127,10 +131,13 @@ class SceneGraph:
     detect staleness cheaply.
 
     The derived views are maintained on write, not rebuilt on read: the
-    weighted place/connector adjacency, and the node lists per concept kind
-    and per layer.  Nodes are never removed and a node's kind and class never
-    change, so nothing needs invalidating.  ``connectivity_subgraph()``
-    returns the maintained adjacency itself, as a read-only view.
+    weighted place/connector adjacency, the node lists per concept kind and
+    per layer, each place's and region's summary (``summary``) and each
+    connector's count of place-side neighbours (``connector_place_counts``).
+    Nodes and edges are never removed, and a node's kind, class and label
+    never change after ``add_node``, so nothing needs invalidating.
+    ``connectivity_subgraph()`` and ``connector_place_counts()`` return the
+    maintained mappings themselves, as read-only views.
     """
 
     def __init__(self, schema: Schema):
@@ -143,6 +150,8 @@ class SceneGraph:
         self._adj: dict[str, dict[str, float]] = {}
         self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
         self._by_layer: dict[int, list[Node]] = {}
+        self._summaries: dict[str, str] = {}
+        self._place_counts: dict[str, int] = {}
         self.version = 0
 
     # -- nodes ---------------------------------------------------------------
@@ -171,6 +180,10 @@ class SceneGraph:
         self._in[node.id] = {}
         if isinstance(node, (PlaceNode, ConnectorNode)):
             self._adj[node.id] = {}
+        if node.kind in _SUMMARY_EDGE:
+            self._summaries[node.id] = ""
+        if isinstance(node, ConnectorNode):
+            self._place_counts[node.id] = 0
         self._by_kind[node.kind].append(node)
         self._by_layer.setdefault(concept.layer_id, []).append(node)
         self.version += 1
@@ -206,6 +219,18 @@ class SceneGraph:
         return dst in self._out.get(src, {}).get(kind, ())
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind, weight: float = 1.0) -> None:
+        if not self._admits(src, dst, kind):
+            return
+        self._insert(src, dst, kind, weight)
+        if kind is EdgeKind.CONNECTS_TO and not self.has_edge(dst, src, kind):
+            self._insert(dst, src, kind, weight)
+        self.version += 1
+
+    def _admits(self, src: str, dst: str, kind: EdgeKind) -> bool:
+        """Raise for an edge the schema or the containment forest forbids.
+
+        Returns False when the edge is already stored.
+        """
         src_node = self.node(src)
         dst_node = self.node(dst)
         if src == dst:
@@ -219,23 +244,26 @@ class SceneGraph:
             parents = self._in[dst].get(kind, [])
             if parents:
                 if src in parents:
-                    return
+                    return False
                 raise EdgeRuleError(
                     f"{dst!r} already has a containing parent {parents[0]!r}"
                 )
-        if self.has_edge(src, dst, kind):
-            return
-        self._insert(src, dst, kind, weight)
-        if kind is EdgeKind.CONNECTS_TO and not self.has_edge(dst, src, kind):
-            self._insert(dst, src, kind, weight)
-        self.version += 1
+        return not self.has_edge(src, dst, kind)
 
     def _insert(self, src: str, dst: str, kind: EdgeKind, weight: float) -> None:
-        self._out[src].setdefault(kind, []).append(dst)
+        targets = self._out[src].setdefault(kind, [])
+        targets.append(dst)
         self._in[dst].setdefault(kind, []).append(src)
         self._weights[(src, dst, kind)] = weight
         if kind is EdgeKind.CONNECTS_TO and src in self._adj and dst in self._adj:
             self._adj[src][dst] = weight
+            if src in self._place_counts and isinstance(self._nodes[dst], PlaceNode):
+                self._place_counts[src] += 1
+        if kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
+            label = self._nodes[dst].label
+            self._summaries[src] = (
+                f"{self._summaries[src]}, {label}" if len(targets) > 1 else label
+            )
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         out = []
@@ -281,6 +309,27 @@ class SceneGraph:
         for child in self.out_neighbors(node_id, EdgeKind.CONTAINS):
             items.extend(self.object_features(child).items)
         return ObjectFeatures(items=tuple(items))
+
+    def summary(self, node_id: str) -> str:
+        """Labels of a node's contents, joined with ``", "``.
+
+        A place's contents are its ``HAS`` targets and a region's its
+        ``CONTAINS`` children, in edge insertion order; both are kept on
+        write.  A connector's or object's are its ``IS_NEAR`` neighbours, as
+        ``object_features`` orders them, computed on read.
+        """
+        summary = self._summaries.get(node_id)
+        if summary is None:
+            return ", ".join(self.object_features(node_id).labels())
+        return summary
+
+    def connector_place_counts(self) -> dict[str, int]:
+        """Connector id -> number of places it ``CONNECTS_TO``, in node insertion order.
+
+        The mapping is the graph's own, kept up to date by every write: read
+        it, never modify it.
+        """
+        return self._place_counts
 
     def _leaf_pair(self, node_id: str) -> tuple[str, str]:
         node = self.node(node_id)
@@ -340,10 +389,13 @@ class SceneGraph:
             if aliases:
                 entry["aliases"] = list(aliases)
             nodes.append(entry)
-        edges = [
-            {"src": src, "dst": dst, "kind": kind.value}
-            for src, dst, kind in self.edges()
-        ]
+        edges = []
+        for src, dst, kind in self.edges():
+            entry = {"src": src, "dst": dst, "kind": kind.value}
+            weight = self._weights[(src, dst, kind)]
+            if weight != 1.0:
+                entry["weight"] = weight
+            edges.append(entry)
         return json.dumps({"nodes": nodes, "edges": edges}, indent=2, ensure_ascii=False) + "\n"
 
     def _export_dot(self) -> str:
@@ -388,7 +440,13 @@ def hop_distances(graph: SceneGraph, source: str | None) -> dict[str, int]:
 
 
 def import_graph(document: str, schema: Schema) -> SceneGraph:
-    """Rebuild a graph from its structured export."""
+    """Rebuild a graph from its structured export.
+
+    Edges are inserted one triple at a time in file order, so every out-list,
+    the adjacency's neighbour order, the weights and the maintained views
+    come back as exported; in-neighbour order is not part of the export.  A
+    connectivity edge whose reverse is missing raises ``GraphCorruptionError``.
+    """
     raw = json.loads(document)
     graph = SceneGraph(schema)
     id_map: dict[str, str] = {}
@@ -419,7 +477,16 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
     for entry in raw.get("edges", ()):
         src = id_map.get(entry["src"], entry["src"])
         dst = id_map.get(entry["dst"], entry["dst"])
-        graph.add_edge(src, dst, EdgeKind(entry["kind"]))
+        kind = EdgeKind(entry["kind"])
+        if not graph._admits(src, dst, kind):
+            continue
+        # one mutation per connection, as add_edge counts it with its reverse
+        if not (kind is EdgeKind.CONNECTS_TO and graph.has_edge(dst, src, kind)):
+            graph.version += 1
+        graph._insert(src, dst, kind, float(entry.get("weight", 1.0)))
+    for src, dst, kind in graph.edges():
+        if kind is EdgeKind.CONNECTS_TO and not graph.has_edge(dst, src, kind):
+            raise GraphCorruptionError(f"connectivity edge {src} -> {dst} lacks its reverse")
     return graph
 
 

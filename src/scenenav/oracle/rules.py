@@ -34,10 +34,11 @@ class RuleConfig:
 
 # Bounds of the per-oracle memos; each is cleared when full.  Labels repeat
 # across a run, but mapper place ids ("bedroom_12") and filter cell tags grow
-# with the map.  Repeated place-match questions come from the filter's
-# particles within one step (about a dozen distinct ones per step), so a small
-# memo catches nearly all of them; a larger one mostly keeps mapper feature
-# tuples alive.
+# with the map.  The summary memo shares the label bound: a frozen map offers
+# one summary per place, region and frontier connector.  Repeated place-match
+# questions come from the filter's particles within one step (about a dozen
+# distinct ones per step), so a small memo catches nearly all of them; a
+# larger one mostly keeps mapper feature tuples alive.
 _LABEL_MEMO_SIZE = 1024
 _MATCH_MEMO_SIZE = 64
 
@@ -54,11 +55,9 @@ class RuleOracle(SemanticOracle):
         self,
         tables: OracleTables | None = None,
         config: RuleConfig | None = None,
-        seed: int = 0,
     ):
         self.tables = tables if tables is not None else default_tables()
         self.config = config if config is not None else RuleConfig()
-        self.seed = seed  # reserved; every rule below is deterministic
 
     @property
     def tables(self) -> OracleTables:
@@ -84,6 +83,8 @@ class RuleOracle(SemanticOracle):
         self._weight_memo: dict[str, float] = {}
         # (items a, items b) -> match_place decision
         self._match_memo: dict[tuple, MatchDecision] = {}
+        # candidate summary -> the canonical labels it lists
+        self._summary_memo: dict[str, frozenset[str]] = {}
 
     # -- label handling --------------------------------------------------------
 
@@ -105,6 +106,18 @@ class RuleOracle(SemanticOracle):
             large = self.tables.is_large(canon_label)
             weight = memo[canon_label] = self.config.large_weight if large else 1.0
         return weight
+
+    def _summary_labels(self, summary: str) -> frozenset[str]:
+        """Canonical labels of a comma-separated summary; select_region only tests membership."""
+        memo = self._summary_memo
+        labels = memo.get(summary)
+        if labels is None:
+            if len(memo) >= _LABEL_MEMO_SIZE:
+                memo.clear()
+            labels = memo[summary] = frozenset(
+                self._canon(s) for s in summary.split(",") if s.strip()
+            )
+        return labels
 
     def _bag(self, features: ObjectFeatures) -> Counter:
         """Multiset of the canonical labels of ``features``."""
@@ -258,11 +271,11 @@ class RuleOracle(SemanticOracle):
         best_score = -1.0
         for cand in candidates:
             cand_id, label, summary = cand
-            summary_labels = [self._canon(s) for s in summary.split(",") if s.strip()]
+            summary_labels = self._summary_labels(summary)
             score = 0.0
             if goal_canon in summary_labels:
                 score = 3.0
-            elif any(s in want_places for s in summary_labels):
+            elif not summary_labels.isdisjoint(want_places):
                 # a coarse region whose children include a likely place
                 score = 2.5
             elif self._canon(label) in want_places:

@@ -6,6 +6,12 @@ connectors are offered beside known places because new doors are the natural
 frontiers of a topological map.  A Dijkstra pass over the place/connector
 connectivity turns the chosen target into a next waypoint, and object
 proposal grounds that waypoint into a concrete leaf to steer toward.
+
+Each query reads what the graph keeps up to date as it is written: the
+place and region summaries the oracle sees (``SceneGraph.summary``), the
+frontier from each connector's count of place-side neighbours, and the
+adjacency.  Only a frontier connector's summary, its nearby objects, is
+built per query.
 """
 
 from __future__ import annotations
@@ -97,25 +103,11 @@ def _is_connector(graph: SceneGraph, node_id: str) -> bool:
 
 def _frontier_connectors(graph: SceneGraph) -> list[str]:
     """Connectors seen from at most one place: likely doors to unmapped space."""
-    adj = graph.connectivity_subgraph()
-    out = []
-    for node in graph.nodes(ConceptKind.CONNECTOR):
-        place_sides = [nb for nb in adj[node.id] if not _is_connector(graph, nb)]
-        if len(place_sides) <= 1:
-            out.append(node.id)
-    return out
-
-
-def _summary(graph: SceneGraph, node_id: str) -> str:
-    node = graph.node(node_id)
-    if node.kind is ConceptKind.REGION:
-        children = graph.out_neighbors(node_id, EdgeKind.CONTAINS)
-        return ", ".join(graph.node(c).label for c in children)
-    return ", ".join(graph.object_features(node_id).labels())
+    return [c for c, places in graph.connector_place_counts().items() if places <= 1]
 
 
 def _candidate_tuple(graph: SceneGraph, node_id: str) -> tuple[str, str, str]:
-    return (node_id, graph.node(node_id).label, _summary(graph, node_id))
+    return (node_id, graph.node(node_id).label, graph.summary(node_id))
 
 
 def propose_region(

@@ -47,8 +47,9 @@ def build_episodes(
     The episodes run on ``num_scenes`` homes generated from ``scene_seed``,
     or, when ``scene`` is given, all on that scene (``num_scenes`` and
     ``scene_seed`` then play no part).  Goals are the protocol's goals the
-    scene holds, or every object label in the scene when it holds none; a
-    scene with no objects at all raises ``ValueError``.
+    scene holds, or every object label in the scene when it holds none.  A
+    scene with no objects at all, or a drawn goal that cannot be reached
+    from the drawn start, raises ``ValueError``.
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
@@ -74,6 +75,11 @@ def build_episodes(
                 if start not in hosts:
                     break
             shortest = world.shortest_hops(start, hosts)
+            if shortest == float("inf"):
+                raise ValueError(
+                    f"scene {world.env_label!r}: goal {goal!r} cannot be reached "
+                    f"from start {start!r}"
+                )
             horizon = int(
                 protocol.horizon_factor * max(shortest, 1) + protocol.horizon_slack
             )

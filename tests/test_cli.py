@@ -257,6 +257,33 @@ class TestRun:
         err = capsys.readouterr().err.strip()
         assert needle in err and len(err.splitlines()) == 1
 
+    def test_unreachable_goal_rejected(self, tmp_path, home_path, capsys):
+        # the only door leads to a place the scene does not define
+        scene = {
+            "env_label": "home",
+            "places": [
+                {"id": "kitchen_1", "cls": "Room", "label": "kitchen",
+                 "objects": [{"label": "fridge"}]},
+                {"id": "bedroom_1", "cls": "Room", "label": "bedroom",
+                 "objects": [{"label": "bed"}]},
+            ],
+            "connectors": [{"id": "door_1", "label": "door",
+                            "endpoints": ["bedroom_1", "ghost_1"]}],
+            "links": [["bedroom_1", "ghost_1", "door_1"]],
+        }
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        out = tmp_path / "m.csv"
+        code = main([
+            "run", "--schema", home_path, "--scene", str(scene_path),
+            "--episodes", "2", "--goal", "fridge", "--out", str(out),
+        ])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert len(err.splitlines()) == 1
+        assert "'fridge'" in err and "'bedroom_1'" in err and "'home'" in err
+
     def test_remote_backend_rejected_for_run(self, tmp_path, home_path):
         out = tmp_path / "x.csv"
         code = main([

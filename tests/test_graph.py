@@ -328,3 +328,126 @@ def test_node_views_are_copies(graph):
     assert [p.id for p in graph.places()] == rooms
     assert len(graph.nodes(ConceptKind.CONNECTOR)) == 2
     assert len(graph.layer_nodes(2)) == 5
+
+
+def _full_scan_summary(graph, node_id):
+    """A candidate's summary as the planner once rebuilt it per query (reference)."""
+    node = graph.node(node_id)
+    if node.kind is ConceptKind.REGION:
+        children = graph.out_neighbors(node_id, EdgeKind.CONTAINS)
+        return ", ".join(graph.node(c).label for c in children)
+    return ", ".join(graph.object_features(node_id).labels())
+
+
+def _full_scan_frontier(graph):
+    """Frontier connectors as the planner once found them per query (reference)."""
+    adj = _rebuilt_connectivity(graph)
+    out = []
+    for node in graph.nodes(ConceptKind.CONNECTOR):
+        place_sides = [
+            nb for nb in adj[node.id] if graph.node(nb).kind is not ConceptKind.CONNECTOR
+        ]
+        if len(place_sides) <= 1:
+            out.append(node.id)
+    return out
+
+
+def _assert_summaries_and_frontier_match_full_scan(graph):
+    from scenenav.planner import _frontier_connectors
+
+    for node in graph.nodes():
+        assert graph.summary(node.id) == _full_scan_summary(graph, node.id)
+    adj = _rebuilt_connectivity(graph)
+    assert graph.connector_place_counts() == {
+        c.id: sum(isinstance(graph.node(nb), PlaceNode) for nb in adj[c.id])
+        for c in graph.nodes(ConceptKind.CONNECTOR)
+    }
+    assert list(graph.connector_place_counts()) == [
+        c.id for c in graph.nodes(ConceptKind.CONNECTOR)
+    ]
+    assert _frontier_connectors(graph) == _full_scan_frontier(graph)
+
+
+@pytest.mark.parametrize("schema_name", ["home", "supermarket", "airport"])
+@pytest.mark.parametrize("seed", range(4))
+def test_maintained_summaries_and_frontier_equal_full_scan(schema_name, seed, monkeypatch):
+    # run the random add_node/add_edge walk of test_maintained_views_equal_rebuild,
+    # checking the summaries and the frontier wherever it checks its views
+    checked = []
+
+    def check(graph):
+        _assert_summaries_and_frontier_match_full_scan(graph)
+        checked.append(graph)
+
+    monkeypatch.setitem(globals(), "_assert_views_match_rebuild", check)
+    test_maintained_views_equal_rebuild(schema_name, seed)
+    original, reloaded = checked[-2], checked[-1]
+    assert any(original.summary(p.id) for p in original.places())
+    assert reloaded.export() == original.export()
+    assert reloaded.version == original.version
+    adj, ref = reloaded.connectivity_subgraph(), original.connectivity_subgraph()
+    assert [(k, list(v.items())) for k, v in adj.items()] == [
+        (k, list(v.items())) for k, v in ref.items()
+    ]
+    assert reloaded._summaries == original._summaries
+    assert reloaded.connector_place_counts() == original.connector_place_counts()
+
+
+def test_weighted_export_round_trips_exactly(graph):
+    rooms = [graph.add_node(PlaceNode(cls="Room", label=l)) for l in ("kitchen", "hall", "den")]
+    door = graph.add_node(ConnectorNode(cls="Entrance", label="door"))
+    graph.add_edge(rooms[0], rooms[1], EdgeKind.CONNECTS_TO, weight=10.0)
+    graph.add_edge(rooms[2], door, EdgeKind.CONNECTS_TO, weight=0.1)
+    graph.add_edge(rooms[1], rooms[2], EdgeKind.CONNECTS_TO)
+    graph.add_edge(rooms[0], rooms[2], EdgeKind.CONNECTS_TO)
+    graph.add_edge(rooms[0], graph.add_node(ObjectNode(label="sink")), EdgeKind.HAS)
+    export = graph.export()
+    assert export.count('"weight": 10.0') == 2 and export.count('"weight": 0.1') == 2
+    reloaded = import_graph(export, graph.schema)
+    assert reloaded.export() == export
+    assert reloaded._weights == graph._weights
+    for nid, nbs in graph.connectivity_subgraph().items():
+        assert list(reloaded.connectivity_subgraph()[nid].items()) == list(nbs.items())
+    assert reloaded.summary(rooms[0]) == "sink"
+    assert reloaded.connector_place_counts() == {door: 1}
+
+
+def test_unit_weight_export_names_no_weight(graph):
+    _home_fixture(graph)
+    assert '"weight"' not in graph.export()
+
+
+def test_import_rejects_connectivity_without_reverse(graph):
+    import json
+
+    rooms, doors = _home_fixture(graph)
+    raw = json.loads(graph.export())
+    raw["edges"] = [
+        e for e in raw["edges"] if (e["src"], e["dst"]) != (doors[0], rooms[0])
+    ]
+    with pytest.raises(GraphCorruptionError, match="lacks its reverse"):
+        import_graph(json.dumps(raw), graph.schema)
+
+
+def test_connector_place_counts_ignore_connector_neighbours():
+    import json
+
+    from scenenav.planner import _frontier_connectors
+    from scenenav.schema import parse_schema
+
+    schema = parse_schema(json.dumps({
+        "Room": {"layer_type": "Place", "layer_id": 2, "connects_to": ["Door", "Stair"]},
+        "Door": {"layer_type": "Connector", "layer_id": 2, "connects_to": ["Room", "Stair"]},
+        "Stair": {"layer_type": "Connector", "layer_id": 2, "connects_to": ["Room", "Door"]},
+        "Object": {"layer_id": 1},
+    }))
+    graph = SceneGraph(schema)
+    a, b = (graph.add_node(PlaceNode(cls="Room", label=l)) for l in ("hall", "den"))
+    door = graph.add_node(ConnectorNode(cls="Door", label="door"))
+    stair = graph.add_node(ConnectorNode(cls="Stair", label="stair"))
+    graph.add_edge(a, door, EdgeKind.CONNECTS_TO)
+    graph.add_edge(door, stair, EdgeKind.CONNECTS_TO)
+    graph.add_edge(stair, a, EdgeKind.CONNECTS_TO)
+    graph.add_edge(b, stair, EdgeKind.CONNECTS_TO)
+    assert graph.connector_place_counts() == {door: 1, stair: 2}
+    assert _frontier_connectors(graph) == [door] == _full_scan_frontier(graph)

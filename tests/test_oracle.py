@@ -285,7 +285,7 @@ def test_confidence_always_in_open_interval(a, b):
 
 
 def test_rule_backend_is_deterministic():
-    a, b = RuleOracle(seed=1), RuleOracle(seed=2)
+    a, b = RuleOracle(), RuleOracle()
     fa = feats("bed", "lamp")
     fb = feats("bed", "mirror")
     assert a.match_place(fa, fb) == b.match_place(fa, fb)
@@ -357,6 +357,27 @@ def test_memos_stay_bounded(oracle):
     assert len(oracle._canon_memo) <= _LABEL_MEMO_SIZE
     assert len(oracle._weight_memo) <= _LABEL_MEMO_SIZE
     assert len(oracle._match_memo) <= _MATCH_MEMO_SIZE
+
+
+def test_summary_memo_stays_bounded(oracle):
+    from scenenav.oracle.rules import _LABEL_MEMO_SIZE
+
+    for i in range(3 * _LABEL_MEMO_SIZE):
+        oracle.select_region([(f"den_{i}", "den", f"lamp, rug_{i}")], "sink")
+    assert 0 < len(oracle._summary_memo) <= _LABEL_MEMO_SIZE
+
+
+def test_replacing_tables_or_config_empties_summary_memo(oracle):
+    candidates = [("den_1", "den", "lamp, rug"), ("hall_1", "hall", "zorb")]
+    assert oracle.select_region(candidates, "blip").chosen == "den_1"
+    assert oracle._summary_memo
+    oracle.config = RuleConfig(match_threshold=0.9)
+    assert not oracle._summary_memo
+    assert oracle.select_region(candidates, "blip").chosen == "den_1"
+    # "zorb" now canonicalises to "blip": a stale memo would still say "zorb"
+    oracle.tables = OracleTables.from_dict({"synonyms": [["zorb", "blip"]]})
+    assert not oracle._summary_memo
+    assert oracle.select_region(candidates, "blip").chosen == "hall_1"
 
 
 def test_default_tables_built_once_per_process():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from scenenav.graph import ConnectorNode, ObjectNode, PlaceNode, RegionNode, SceneGraph
@@ -283,3 +285,72 @@ class TestReasonStep:
         plan = reason_step(home, graph, living, SubgoalPlan(), "sink", oracle)
         assert plan.object_goal is not None
         assert plan.target_region != island
+
+
+# SHA-256 of planner outputs on the benchmark's sweep homes (bench/sweep.py),
+# recorded before candidate summaries and frontier counts were kept by the graph
+MAP_QUERY_PLANS_SHA256 = "8bcb9473168b11eb7d114a7eeee94140a5ac0f76faafd3a60eeea2900fbf7bf4"
+SWEEP_PLANS_SHA256 = "e2711919b16e773256bfcbc6aafd4f9f9fd53fc0d729bc149d59f1f396218b50"
+
+
+@pytest.fixture
+def sweep(monkeypatch):
+    import importlib
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    return importlib.import_module("sweep")
+
+
+def _plan_text(plan_once):
+    try:
+        return repr(plan_once())
+    except ExhaustedError:
+        return "exhausted"
+
+
+class TestPlanGoldens:
+    def test_every_map_query_plan_on_the_320_room_map(self, home, oracle, sweep):
+        from scenenav.mapper import MapperConfig, MapperState, mapper_step
+        from scenenav.planner import export_plan_trace
+        from scenenav.sim.protocol import GOAL_CATEGORIES
+
+        scene = sweep.sweep_home(320, 0)
+        state = MapperState(graph=SceneGraph(home))
+        for frame in sweep.sweep_frames(scene, 0):
+            state = mapper_step(frame, home, state, oracle, MapperConfig()).state
+        graph = state.graph
+        digest = hashlib.sha256()
+        for place in graph.places():
+            for goal in GOAL_CATEGORIES:
+                memory = PlannerMemory()
+                digest.update(_plan_text(lambda: reason_step(
+                    home, graph, place.id, SubgoalPlan(), goal, oracle, memory
+                )).encode())
+                digest.update(export_plan_trace(memory).encode())
+        assert len(graph.places()) * len(GOAL_CATEGORIES) == 1050
+        assert digest.hexdigest() == MAP_QUERY_PLANS_SHA256
+
+    def test_per_frame_sweep_plans_on_the_40_room_map(self, home, oracle, sweep):
+        from scenenav.graph import import_graph
+        from scenenav.mapper import MapperConfig, MapperState, mapper_step
+        from scenenav.planner import export_plan_trace
+
+        scene = sweep.sweep_home(40, 0)
+        state = MapperState(graph=SceneGraph(home))
+        plan, memory = SubgoalPlan(), PlannerMemory()
+        digest = hashlib.sha256()
+        for frame in sweep.sweep_frames(scene, 0):
+            state = mapper_step(frame, home, state, oracle, MapperConfig(goal="piano")).state
+            try:
+                plan = reason_step(
+                    home, state.graph, state.current_place, plan, "piano", oracle, memory
+                )
+            except ExhaustedError:
+                plan = SubgoalPlan()
+            digest.update(repr(plan).encode())
+        export = state.graph.export()
+        digest.update(export_plan_trace(memory).encode())
+        digest.update(export.encode())
+        assert digest.hexdigest() == SWEEP_PLANS_SHA256
+        assert import_graph(export, home).export() == export
