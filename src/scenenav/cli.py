@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import logging
+import math
 import os
 import sys
 import tempfile
 
-from .graph import SceneGraph
+from .graph import EdgeRuleError, SceneGraph
 from .mapper import FrameError, MapperConfig, MapperState, frames_from_jsonl, mapper_step
 from .oracle.base import OracleError
 from .oracle.remote import RemoteChatOracle, RemoteConfig
@@ -25,7 +26,7 @@ from .sim.baselines import baseline_greedy_frontier, baseline_random
 from .sim.episode import EpisodeResult, RunnerConfig, metrics, run_episode, spl_term
 from .sim.noise import default_noise, noiseless
 from .sim.protocol import GOAL_CATEGORIES, BenchmarkProtocol, build_episodes
-from .sim.scene import scene_from_json
+from .sim.scene import scene_from_json, validate_scene
 from .topofilter import FilterConfig
 
 logger = logging.getLogger(__name__)
@@ -72,7 +73,7 @@ def cmd_verify_schema(args: argparse.Namespace) -> int:
         print(f"{args.schema}: valid ({len(schema.concepts)} concepts, "
               f"{schema.num_layers} layers)")
         return EXIT_OK
-    print(report.text(), file=sys.stderr)
+    print(f"{args.schema}: invalid: {report.text('; ')}", file=sys.stderr)
     return EXIT_INVALID
 
 
@@ -90,6 +91,10 @@ def _make_backend(spec: str):
 
 
 def cmd_gen_schema(args: argparse.Namespace) -> int:
+    if args.max_iterations < 1:
+        print(f"--max-iterations must be at least 1, got {args.max_iterations}",
+              file=sys.stderr)
+        return EXIT_INVALID
     try:
         backend = _make_backend(args.backend)
     except (OSError, KeyError) as exc:
@@ -106,8 +111,8 @@ def cmd_gen_schema(args: argparse.Namespace) -> int:
     if args.trace:
         _atomic_write(args.trace, trace_to_json(trace))
     if not trace.succeeded:
-        last = trace.iterations[-1].report.text() if trace.iterations else "no iterations"
-        print(f"no valid schema within {args.max_iterations} iteration(s):\n{last}",
+        last = trace.iterations[-1].report.text("; ") if trace.iterations else "no iterations"
+        print(f"no valid schema within {args.max_iterations} iteration(s): {last}",
               file=sys.stderr)
         return EXIT_INVALID
     _atomic_write(args.out, serialize_schema(trace.final))
@@ -116,6 +121,11 @@ def cmd_gen_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    for flag, value in (("--beta-pix", args.beta_pix), ("--beta-iou", args.beta_iou),
+                        ("--min-obj-area", args.min_obj_area)):
+        if not (math.isfinite(value) and value >= 0):
+            print(f"{flag} must be a finite number of at least 0, got {value}", file=sys.stderr)
+            return EXIT_INVALID
     try:
         schema = _load_schema(args.schema)
         log_text = _read(args.log)
@@ -127,7 +137,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     report = verify_schema(schema)
     if not report.valid:
-        print(report.text(), file=sys.stderr)
+        print(f"invalid schema: {report.text('; ')}", file=sys.stderr)
         return EXIT_INVALID
     try:
         frames = frames_from_jsonl(log_text)
@@ -191,6 +201,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"--particles must be 0 (filter off) or positive, got {args.particles}",
               file=sys.stderr)
         return EXIT_INVALID
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_INVALID
+    if min(args.horizon_factor, args.horizon_slack) < 0 or not (
+        args.horizon_factor or args.horizon_slack
+    ):
+        print(f"--horizon-factor and --horizon-slack must be at least 0 and not both 0, "
+              f"got {args.horizon_factor} and {args.horizon_slack}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         schema = _load_schema(args.schema)
     except OSError as exc:
@@ -198,6 +217,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_IO
     except SchemaParseError as exc:
         print(f"schema parse error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    report = verify_schema(schema)
+    if not report.valid:
+        print(f"invalid schema: {report.text('; ')}", file=sys.stderr)
         return EXIT_INVALID
     if args.backend != "rule":
         print("episode evaluation currently runs on the rule backend only",
@@ -243,6 +266,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"invalid scene: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    # checked after the draws, which name an unreachable goal more precisely
+    problems = validate_scene(scene) if scene is not None else []
+    if problems:
+        print(f"invalid scene: {'; '.join(problems)}", file=sys.stderr)
+        return EXIT_INVALID
     if not specs:
         print("no episodes to run", file=sys.stderr)
         return EXIT_INVALID
@@ -254,14 +282,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             jobs.append((index, agent, spec, schema, noise, args.particles))
 
     results: dict[tuple[str, int], EpisodeResult] = {}
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for index, agent, result in pool.map(_episode_worker, jobs, chunksize=4):
+    try:
+        if args.jobs > 1:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                for index, agent, result in pool.map(_episode_worker, jobs, chunksize=4):
+                    results[(agent, index)] = result
+        else:
+            for payload in jobs:
+                index, agent, result = _episode_worker(payload)
                 results[(agent, index)] = result
-    else:
-        for payload in jobs:
-            index, agent, result = _episode_worker(payload)
-            results[(agent, index)] = result
+    except (EdgeRuleError, FrameError) as exc:
+        print(f"the schema does not fit the scenes: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
     lines = ["agent,episode,success,spl,p,l,dtg"]
     for agent in agents:

@@ -9,8 +9,11 @@ graph content can be rendered verbatim into text prompts.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from collections import Counter, deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from .schema import ConceptKind, EdgeKind, Schema
 
@@ -132,12 +135,20 @@ class SceneGraph:
 
     The derived views are maintained on write, not rebuilt on read: the
     weighted place/connector adjacency, the node lists per concept kind and
-    per layer, each place's and region's summary (``summary``) and each
-    connector's count of place-side neighbours (``connector_place_counts``).
+    per layer, each place's and region's summary (``summary``), each
+    connector's count of place-side neighbours (``connector_place_counts``),
+    each node's ``(label, desc)`` pair and the ``image_ref`` -> node index.
     Nodes and edges are never removed, and a node's kind, class and label
-    never change after ``add_node``, so nothing needs invalidating.
-    ``connectivity_subgraph()`` and ``connector_place_counts()`` return the
-    maintained mappings themselves, as read-only views.
+    never change after ``add_node``.  A leaf's ``desc`` and ``image_ref``
+    change only through ``set_leaf``, never by assignment.
+
+    Two views are kept on read instead.  ``object_features`` of objects,
+    connectors and places is memoised per node; an entry is dropped when an
+    ``IS_NEAR`` or ``HAS`` insert touches the node or ``set_leaf`` changes a
+    neighbour's ``desc``.  ``hop_tree`` keeps one breadth-first tree, for the
+    latest ``(version, source)``.  ``connectivity_subgraph()``,
+    ``connector_place_counts()``, the features and the tree are the graph's
+    own objects: read them, never modify them.
     """
 
     def __init__(self, schema: Schema):
@@ -148,10 +159,16 @@ class SceneGraph:
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}
         self._weights: dict[tuple[str, str, EdgeKind], float] = {}
         self._adj: dict[str, dict[str, float]] = {}
+        self._unit_weights = True
         self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
         self._by_layer: dict[int, list[Node]] = {}
         self._summaries: dict[str, str] = {}
         self._place_counts: dict[str, int] = {}
+        self._pairs: dict[str, tuple[str, str]] = {}
+        self._features: dict[str, ObjectFeatures] = {}
+        self._rank: dict[str, int] = {}
+        self._by_ref: dict[str, list[str]] = {}
+        self._tree: tuple[int, str, Mapping[str, int], dict[str, str]] | None = None
         self.version = 0
 
     # -- nodes ---------------------------------------------------------------
@@ -186,8 +203,47 @@ class SceneGraph:
             self._place_counts[node.id] = 0
         self._by_kind[node.kind].append(node)
         self._by_layer.setdefault(concept.layer_id, []).append(node)
+        self._pairs[node.id] = (node.label, getattr(node, "desc", ""))
+        self._rank[node.id] = len(self._rank)
+        self._index_ref(node.id, getattr(node, "image_ref", ""))
         self.version += 1
         return node.id
+
+    def set_leaf(
+        self, node_id: str, *, desc: str | None = None, image_ref: str | None = None
+    ) -> None:
+        """Change an object's or connector's ``desc`` or ``image_ref``; ``None`` keeps it.
+
+        Not a structural mutation: ``version`` stays.  The features of every
+        node that aggregates this leaf's pair are dropped, to be rebuilt on
+        their next read.
+        """
+        node = self.node(node_id)
+        if not isinstance(node, (ObjectNode, ConnectorNode)):
+            raise GraphError(f"{node_id!r} is not a leaf node")
+        if desc is not None and desc != node.desc:
+            node.desc = desc
+            self._pairs[node_id] = (node.label, desc)
+            out, into = self._out[node_id], self._in[node_id]
+            for holders in (
+                out.get(EdgeKind.IS_NEAR, ()),
+                into.get(EdgeKind.IS_NEAR, ()),
+                into.get(EdgeKind.HAS, ()),
+            ):
+                for holder in holders:
+                    self._features.pop(holder, None)
+        if image_ref is not None and image_ref != node.image_ref:
+            if node.image_ref:
+                holders = self._by_ref[node.image_ref]
+                holders.remove(node_id)
+                if not holders:
+                    del self._by_ref[node.image_ref]
+            node.image_ref = image_ref
+            self._index_ref(node_id, image_ref)
+
+    def _index_ref(self, node_id: str, image_ref: str) -> None:
+        if image_ref:
+            insort(self._by_ref.setdefault(image_ref, []), node_id, key=self._rank.__getitem__)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -219,7 +275,8 @@ class SceneGraph:
         return dst in self._out.get(src, {}).get(kind, ())
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind, weight: float = 1.0) -> None:
-        if not self._admits(src, dst, kind):
+        # a stored edge was admitted when it was stored
+        if self.has_edge(src, dst, kind) or not self._admits(src, dst, kind):
             return
         self._insert(src, dst, kind, weight)
         if kind is EdgeKind.CONNECTS_TO and not self.has_edge(dst, src, kind):
@@ -257,8 +314,13 @@ class SceneGraph:
         self._weights[(src, dst, kind)] = weight
         if kind is EdgeKind.CONNECTS_TO and src in self._adj and dst in self._adj:
             self._adj[src][dst] = weight
+            if weight != 1.0:
+                self._unit_weights = False
             if src in self._place_counts and isinstance(self._nodes[dst], PlaceNode):
                 self._place_counts[src] += 1
+        if kind is EdgeKind.IS_NEAR or kind is EdgeKind.HAS:
+            self._features.pop(src, None)
+            self._features.pop(dst, None)
         if kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
             label = self._nodes[dst].label
             self._summaries[src] = (
@@ -287,28 +349,31 @@ class SceneGraph:
         """Semantic signature of a node, per its kind.
 
         Leaf nodes aggregate their proximity neighbours, places aggregate the
-        objects they hold, regions aggregate over all contained places.
+        objects they hold, regions aggregate over all contained places.  The
+        features of leaves and places are memoised (see the class docstring)
+        and shared with the caller: read them, never modify them.
         """
+        features = self._features.get(node_id)
+        if features is not None:
+            return features
         node = self.node(node_id)
-        if isinstance(node, (ObjectNode, ConnectorNode)):
-            seen: list[str] = []
-            for nb in self.out_neighbors(node_id, EdgeKind.IS_NEAR):
-                if nb not in seen:
-                    seen.append(nb)
-            for nb in self.in_neighbors(node_id, EdgeKind.IS_NEAR):
-                if nb not in seen:
-                    seen.append(nb)
-            items = [self._leaf_pair(nb) for nb in seen]
+        pairs = self._pairs
+        if isinstance(node, RegionNode):
+            items = []
+            for child in self._out[node_id].get(EdgeKind.CONTAINS, ()):
+                items.extend(self.object_features(child).items)
             return ObjectFeatures(items=tuple(items))
         if isinstance(node, PlaceNode):
-            items = [
-                self._leaf_pair(obj) for obj in self.out_neighbors(node_id, EdgeKind.HAS)
-            ]
-            return ObjectFeatures(items=tuple(items))
-        items = []
-        for child in self.out_neighbors(node_id, EdgeKind.CONTAINS):
-            items.extend(self.object_features(child).items)
-        return ObjectFeatures(items=tuple(items))
+            near = self._out[node_id].get(EdgeKind.HAS, ())
+        else:
+            near = dict.fromkeys(
+                [*self._out[node_id].get(EdgeKind.IS_NEAR, ()),
+                 *self._in[node_id].get(EdgeKind.IS_NEAR, ())]
+            )
+        features = self._features[node_id] = ObjectFeatures(
+            items=tuple([pairs[nb] for nb in near])
+        )
+        return features
 
     def summary(self, node_id: str) -> str:
         """Labels of a node's contents, joined with ``", "``.
@@ -316,7 +381,7 @@ class SceneGraph:
         A place's contents are its ``HAS`` targets and a region's its
         ``CONTAINS`` children, in edge insertion order; both are kept on
         write.  A connector's or object's are its ``IS_NEAR`` neighbours, as
-        ``object_features`` orders them, computed on read.
+        its memoised ``object_features`` orders them.
         """
         summary = self._summaries.get(node_id)
         if summary is None:
@@ -331,10 +396,6 @@ class SceneGraph:
         """
         return self._place_counts
 
-    def _leaf_pair(self, node_id: str) -> tuple[str, str]:
-        node = self.node(node_id)
-        return (node.label, getattr(node, "desc", ""))
-
     def connectivity_subgraph(self) -> dict[str, dict[str, float]]:
         """Weighted undirected adjacency over the place/connector layer.
 
@@ -344,6 +405,36 @@ class SceneGraph:
         every write: read it, never modify it.
         """
         return self._adj
+
+    @property
+    def unit_weights(self) -> bool:
+        """True while every connectivity weight ever stored is 1.0."""
+        return self._unit_weights
+
+    def hop_tree(self, source: str) -> tuple[Mapping[str, int], Mapping[str, str]]:
+        """Breadth-first tree over the connectivity layer from ``source``.
+
+        Returns hop counts and each reached node's first-discoverer parent,
+        visiting neighbours in adjacency order.  The graph keeps the tree for
+        the latest ``(version, source)`` only; both mappings are its own.
+        ``source`` must be a place or connector.
+        """
+        tree = self._tree
+        if tree is None or tree[0] != self.version or tree[1] != source:
+            adj = self._adj
+            dist = {source: 0}
+            parent: dict[str, str] = {}
+            queue = deque([source])
+            while queue:
+                node = queue.popleft()
+                hops = dist[node] + 1
+                for nb in adj[node]:
+                    if nb not in dist:
+                        dist[nb] = hops
+                        parent[nb] = node
+                        queue.append(nb)
+            tree = self._tree = (self.version, source, MappingProxyType(dist), parent)
+        return tree[2], tree[3]
 
     def parent_region(self, node_id: str) -> str | None:
         parents = self.in_neighbors(node_id, EdgeKind.CONTAINS)
@@ -356,12 +447,9 @@ class SceneGraph:
         return parents[0]
 
     def find_by_image_ref(self, image_ref: str) -> str | None:
-        if not image_ref:
-            return None
-        for node in self._nodes.values():
-            if getattr(node, "image_ref", "") == image_ref:
-                return node.id
-        return None
+        """The first node, in insertion order, that holds ``image_ref`` now."""
+        holders = self._by_ref.get(image_ref)
+        return holders[0] if holders else None
 
     # -- export ----------------------------------------------------------------
 
@@ -421,22 +509,18 @@ class SceneGraph:
         return "\n".join(lines) + "\n"
 
 
-def hop_distances(graph: SceneGraph, source: str | None) -> dict[str, int]:
-    """BFS hop counts over the connectivity layer from a source node."""
-    if source is None or source not in graph:
-        return {}
-    adj = graph.connectivity_subgraph()
-    if source not in adj:
-        return {}
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        for nb in adj.get(node, ()):
-            if nb not in dist:
-                dist[nb] = dist[node] + 1
-                queue.append(nb)
-    return dist
+_NO_HOPS: Mapping[str, int] = MappingProxyType({})
+
+
+def hop_distances(graph: SceneGraph, source: str | None) -> Mapping[str, int]:
+    """BFS hop counts over the connectivity layer from a source node.
+
+    The counts are those of the graph's kept ``hop_tree``, as a read-only
+    mapping; empty when ``source`` is not a place or connector.
+    """
+    if source is None or source not in graph.connectivity_subgraph():
+        return _NO_HOPS
+    return graph.hop_tree(source)[0]
 
 
 def import_graph(document: str, schema: Schema) -> SceneGraph:

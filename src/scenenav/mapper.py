@@ -270,7 +270,7 @@ def _add_leaves(
             if known is not None and graph.node(known).kind is ConceptKind.CONNECTOR:
                 node_id = known
                 if desc:
-                    graph.node(known).desc = desc
+                    graph.set_leaf(known, desc=desc)
         if node_id is None:
             cls = _connector_concept_for(graph.schema, label)
             if cls is None:
@@ -526,7 +526,7 @@ def _associate_leaves(
                 assoc[idx] = leaf
                 claimed.add(leaf)
                 if desc:
-                    graph.node(leaf).desc = desc
+                    graph.set_leaf(leaf, desc=desc)
                 break
     for idx, (label, desc, image_ref) in enumerate(all_leaf_dets):
         if idx in assoc:
@@ -538,11 +538,7 @@ def _associate_leaves(
             continue
         assoc[idx] = match
         claimed.add(match)
-        node = graph.node(match)
-        if desc:
-            node.desc = desc
-        if image_ref:
-            node.image_ref = image_ref
+        graph.set_leaf(match, desc=desc or None, image_ref=image_ref or None)
     return assoc
 
 
@@ -601,28 +597,47 @@ def _bbox(raw: object, frame_id: object) -> tuple[float, float, float, float]:
     return tuple(raw)
 
 
+def _typed(raw: dict, key: str, kind: type | tuple[type, ...], where: str, default=...):
+    """``raw[key]`` (``KeyError`` when missing and no default), checked to be a ``kind``."""
+    value = raw[key] if default is ... else raw.get(key, default)
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{where}: {key!r} has the wrong type: {value!r}")
+    return value
+
+
 def frames_from_jsonl(text: str) -> list[DetectionFrame]:
+    """Parse a trajectory log; a malformed line raises ``ValueError`` or ``KeyError``."""
     frames = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         raw = json.loads(line)
+        if not isinstance(raw, dict):
+            raise ValueError(f"line {number}: a frame must be a JSON object")
+        frame_id = _typed(raw, "frame_id", int, f"line {number}")
+        where = f"frame {frame_id}"
+        detections = []
+        for d in _typed(raw, "detections", list, where, default=[]):
+            if not isinstance(d, dict):
+                raise ValueError(f"{where}: a detection must be a JSON object, got {d!r}")
+            detections.append(
+                Detection(
+                    label=_typed(d, "label", str, where),
+                    desc=_typed(d, "desc", str, where, default=""),
+                    bbox=_bbox(d.get("bbox", (0, 0, 0, 0)), frame_id),
+                    image_ref=_typed(d, "image_ref", str, where, default=""),
+                )
+            )
         frames.append(
             DetectionFrame(
-                frame_id=raw["frame_id"],
-                place_type_answer=raw["place_type_answer"],
-                place_label_answer=raw["place_label_answer"],
-                previous_subgoal=raw.get("previous_subgoal"),
-                detections=tuple(
-                    Detection(
-                        label=d["label"],
-                        desc=d.get("desc", ""),
-                        bbox=_bbox(d.get("bbox", (0, 0, 0, 0)), raw["frame_id"]),
-                        image_ref=d.get("image_ref", ""),
-                    )
-                    for d in raw.get("detections", ())
+                frame_id=frame_id,
+                place_type_answer=_typed(raw, "place_type_answer", str, where),
+                place_label_answer=_typed(raw, "place_label_answer", str, where),
+                previous_subgoal=_typed(
+                    raw, "previous_subgoal", (str, type(None)), where, default=None
                 ),
+                detections=tuple(detections),
             )
         )
     return frames

@@ -16,11 +16,11 @@ import os
 import re
 import threading
 from dataclasses import MISSING, dataclass, fields
-from importlib import resources
 from typing import Callable
 
 from ..graph import ObjectFeatures
 from ..schema import ConceptKind, Schema
+from ..schemagen import prompt_template
 from .base import (
     ClassifiedElements,
     MatchDecision,
@@ -93,11 +93,6 @@ def _requests_transport(url: str, payload: dict, headers: dict, timeout: float) 
     return response.json()
 
 
-def _template(name: str) -> str:
-    ref = resources.files("scenenav.assets.prompts").joinpath(f"{name}.txt")
-    return ref.read_text(encoding="utf-8")
-
-
 def _answer_line(reply: str) -> str | None:
     match = _ANSWER_RE.search(reply)
     if match is None:
@@ -145,7 +140,7 @@ class RemoteChatOracle(SemanticOracle):
         raise OracleError(f"remote backend failed for {template_id}: {last_error}")
 
     def _ask(self, template_id: str, **fields: str) -> str:
-        prompt = _template(template_id).format(**fields)
+        prompt = prompt_template(template_id).format(**fields)
         return self.complete(template_id, prompt)
 
     def _ask_validated(

@@ -3,21 +3,23 @@
 Region proposal walks the abstraction hierarchy top-down, asking the oracle
 at every layer which node is most promising for the goal; unexplored
 connectors are offered beside known places because new doors are the natural
-frontiers of a topological map.  A Dijkstra pass over the place/connector
+frontiers of a topological map.  A shortest route over the place/connector
 connectivity turns the chosen target into a next waypoint, and object
 proposal grounds that waypoint into a concrete leaf to steer toward.
 
-Each query reads what the graph keeps up to date as it is written: the
-place and region summaries the oracle sees (``SceneGraph.summary``), the
-frontier from each connector's count of place-side neighbours, and the
-adjacency.  Only a frontier connector's summary, its nearby objects, is
-built per query.
+Each query reads what the graph keeps rather than rebuilding it: the
+summaries the oracle sees (``SceneGraph.summary``; a connector's reads its
+memoised nearby objects), the frontier from each connector's count of
+place-side neighbours, and one breadth-first tree per graph version and
+source (``SceneGraph.hop_tree``), which gives both the hop order of the
+candidates and, while every weight is 1.0, the route to the target.
 """
 
 from __future__ import annotations
 
 import heapq
 import logging
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .graph import SceneGraph, hop_distances
@@ -62,13 +64,22 @@ class PlannerMemory:
 def find_path(graph: SceneGraph, frm: str, to: str) -> list[str] | None:
     """Cheapest route in the connectivity layer, excluding the start node.
 
-    Returns ``[]`` when already there and ``None`` when unreachable.
+    Returns ``[]`` when already there and ``None`` when unreachable.  While
+    every weight is 1.0 the route is read off the graph's kept breadth-first
+    tree from ``frm``: its first-discoverer parents are exactly the
+    ``(distance, push order)`` tie-breaks of the Dijkstra pass that weighted
+    graphs take.
     """
     adj = graph.connectivity_subgraph()
     if frm not in adj or to not in adj:
         return None
     if frm == to:
         return []
+    if graph.unit_weights:
+        _, prev = graph.hop_tree(frm)
+        if to not in prev:
+            return None
+        return _route(prev, frm, to)
     dist: dict[str, float] = {frm: 0.0}
     prev: dict[str, str] = {}
     counter = 0
@@ -90,6 +101,10 @@ def find_path(graph: SceneGraph, frm: str, to: str) -> list[str] | None:
                 heapq.heappush(heap, (nd, counter, nb))
     if to not in visited:
         return None
+    return _route(prev, frm, to)
+
+
+def _route(prev: Mapping[str, str], frm: str, to: str) -> list[str]:
     path = [to]
     while path[-1] != frm:
         path.append(prev[path[-1]])
@@ -160,7 +175,7 @@ def propose_region(
     raise ExhaustedError("no unexplored region or connector remains")
 
 
-def _order(ids: list[str], distances: dict[str, int]) -> list[str]:
+def _order(ids: list[str], distances: Mapping[str, int]) -> list[str]:
     index = {node_id: i for i, node_id in enumerate(ids)}
     return sorted(ids, key=lambda n: (distances.get(n, float("inf")), index[n]))
 
@@ -172,7 +187,7 @@ def _descend(
     start_nodes: list[str],
     frontier: list[str],
     exhausted: set[str],
-    distances: dict[str, int],
+    distances: Mapping[str, int],
 ) -> str | None:
     """Walk containment downward; every pick is a child of the previous pick."""
 

@@ -164,8 +164,8 @@ class VerifierReport:
     def valid(self) -> bool:
         return not self.messages
 
-    def text(self) -> str:
-        return "\n".join(self.messages)
+    def text(self, sep: str = "\n") -> str:
+        return sep.join(self.messages)
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:

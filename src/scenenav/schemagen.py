@@ -133,7 +133,8 @@ def builtin_mock_backend(name: str) -> MockChatBackend:
     return MockChatBackend(replies=raw["replies"])
 
 
-def _template(name: str) -> str:
+def prompt_template(name: str) -> str:
+    """The bundled prompt ``name`` (``assets/prompts/<name>.txt``), unformatted."""
     ref = resources.files("scenenav.assets.prompts").joinpath(f"{name}.txt")
     return ref.read_text(encoding="utf-8")
 
@@ -147,7 +148,7 @@ def generate_description(env_label: str, feedback: str | None, llm: ChatBackend)
             "\nYour previous description produced these structural errors:\n"
             f"{feedback}\nFix them and describe the layout again."
         )
-    prompt = _template("env_description").format(
+    prompt = prompt_template("env_description").format(
         EnvironmentLabel=env_label, Feedback=feedback_block
     )
     reply = llm.complete("env_description", prompt)
@@ -170,7 +171,7 @@ def _parse_triplets(reply: str) -> list[Triplet]:
 def extract_triplets(description: str, llm: ChatBackend, env_label: str = "") -> list[Triplet]:
     if not description.strip():
         return []
-    prompt = _template("triplet_extraction").format(
+    prompt = prompt_template("triplet_extraction").format(
         EnvironmentLabel=env_label or "described",
         Description=description,
         RelationTypes=", ".join(CANONICAL_RELATIONS),
@@ -190,7 +191,7 @@ def canonicalise(
     """Normalise relations/entities and derive each entity's abstract kind."""
     canonical: list[Triplet] = []
     for triplet in triplets:
-        prompt = _template("triplet_canonicalisation").format(
+        prompt = prompt_template("triplet_canonicalisation").format(
             EnvironmentLabel=env_label or "this", Triplet=triplet.text()
         )
         reply = llm.complete("triplet_canonicalisation", prompt)

@@ -321,22 +321,62 @@ def scene_from_json(text: str) -> GroundTruthScene:
         raise ValueError(f"malformed scene entry: {exc}") from None
 
 
+def _entries(raw: dict, key: str) -> list[dict]:
+    entries = raw.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise TypeError(f"{key!r} must be a list of objects")
+    return entries
+
+
+def _text(entry: dict, key: str, default: str | None = None) -> str:
+    value = entry[key] if default is None else entry.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, got {value!r}")
+    return value
+
+
+def _texts(value: object, count: int | None = None) -> list[str]:
+    if (
+        not isinstance(value, list)
+        or not all(isinstance(v, str) for v in value)
+        or (count is not None and len(value) != count)
+    ):
+        size = "a list of strings" if count is None else f"a list of {count} strings"
+        raise TypeError(f"expected {size}, got {value!r}")
+    return value
+
+
 def _scene_from_dict(raw: dict) -> GroundTruthScene:
-    scene = GroundTruthScene(env_label=raw["env_label"])
-    for p in raw.get("places", ()):
-        scene.places[p["id"]] = ScenePlace(
-            id=p["id"],
-            cls=p["cls"],
-            label=p["label"],
-            objects=[SceneObject(label=o["label"], desc=o.get("desc", "")) for o in p["objects"]],
+    scene = GroundTruthScene(env_label=_text(raw, "env_label"))
+    for p in _entries(raw, "places"):
+        scene.places[_text(p, "id")] = ScenePlace(
+            id=_text(p, "id"),
+            cls=_text(p, "cls"),
+            label=_text(p, "label"),
+            objects=[
+                SceneObject(label=_text(o, "label"), desc=_text(o, "desc", ""))
+                for o in _entries(p, "objects")
+            ],
         )
-    for c in raw.get("connectors", ()):
-        scene.connectors[c["id"]] = SceneConnector(
-            id=c["id"], label=c["label"], endpoints=tuple(c["endpoints"])
+    for c in _entries(raw, "connectors"):
+        scene.connectors[_text(c, "id")] = SceneConnector(
+            id=_text(c, "id"), label=_text(c, "label"), endpoints=tuple(_texts(c["endpoints"], 2))
         )
-    for r in raw.get("regions", ()):
-        scene.regions[r["id"]] = SceneRegion(
-            id=r["id"], cls=r["cls"], label=r["label"], children=list(r["children"])
+    for r in _entries(raw, "regions"):
+        scene.regions[_text(r, "id")] = SceneRegion(
+            id=_text(r, "id"), cls=_text(r, "cls"), label=_text(r, "label"),
+            children=list(_texts(r["children"])),
         )
-    scene.links = [(a, b, via) for a, b, via in raw.get("links", ())]
+    links = raw.get("links", [])
+    if not isinstance(links, list):
+        raise TypeError("'links' must be a list")
+    for link in links:
+        if not (
+            isinstance(link, list)
+            and len(link) == 3
+            and all(isinstance(v, str) for v in link[:2])
+            and isinstance(link[2], (str, type(None)))
+        ):
+            raise TypeError(f"a link must be [place, place, connector or null], got {link!r}")
+        scene.links.append(tuple(link))
     return scene

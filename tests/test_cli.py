@@ -363,3 +363,100 @@ class TestRun:
         assert not out.exists()
         err = capsys.readouterr().err.strip()
         assert flag.lstrip("-") in err and len(err.splitlines()) == 1
+
+
+class TestFlagBounds:
+    """Out-of-range counts and thresholds end in one line naming the flag and exit 1."""
+
+    @staticmethod
+    def _rejected(capsys, argv, flag, out):
+        assert main(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert flag in err and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_gen_schema_max_iterations(self, tmp_path, capsys):
+        out = tmp_path / "s.json"
+        argv = ["gen-schema", "home", "--out", str(out), "--max-iterations", "0"]
+        self._rejected(capsys, argv, "--max-iterations", out)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_run_jobs(self, tmp_path, home_path, capsys, jobs):
+        out = tmp_path / "m.csv"
+        argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
+                "--jobs", jobs, "--out", str(out)]
+        self._rejected(capsys, argv, "--jobs", out)
+
+    @pytest.mark.parametrize("factor,slack", [("-1", "4"), ("2", "-3"), ("0", "0")])
+    def test_run_horizon(self, tmp_path, home_path, capsys, factor, slack):
+        out = tmp_path / "m.csv"
+        argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
+                "--horizon-factor", factor, "--horizon-slack", slack, "--out", str(out)]
+        self._rejected(capsys, argv, "--horizon-factor", out)
+
+    def test_run_zero_horizon_factor_still_runs(self, tmp_path, home_path):
+        out = tmp_path / "m.csv"
+        argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
+                "--horizon-factor", "0", "--out", str(out)]
+        assert main(argv) == 0 and out.exists()
+
+    @pytest.mark.parametrize("flag", ["--beta-pix", "--beta-iou", "--min-obj-area"])
+    @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+    def test_map_thresholds(self, tmp_path, home_path, capsys, flag, value):
+        log, out = tmp_path / "t.jsonl", tmp_path / "g.json"
+        log.write_text("")
+        argv = ["map", "--log", str(log), "--schema", home_path, "--out", str(out),
+                flag, value]
+        self._rejected(capsys, argv, flag, out)
+
+
+class TestSceneFileShapes:
+    """Scene documents of the wrong shape end in one line and exit 1."""
+
+    @staticmethod
+    def _scene(**changes):
+        scene = {
+            "env_label": "home",
+            "places": [
+                {"id": "kitchen_1", "cls": "Room", "label": "kitchen",
+                 "objects": [{"label": "fridge"}]},
+                {"id": "bedroom_1", "cls": "Room", "label": "bedroom",
+                 "objects": [{"label": "bed"}]},
+            ],
+            "connectors": [{"id": "door_1", "label": "door",
+                            "endpoints": ["kitchen_1", "bedroom_1"]}],
+            "links": [["kitchen_1", "bedroom_1", "door_1"]],
+        }
+        scene.update(changes)
+        return scene
+
+    def _run(self, tmp_path, scene):
+        path, out = tmp_path / "scene.json", tmp_path / "m.csv"
+        path.write_text(json.dumps(scene))
+        code = main(["run", "--schema", HOME, "--scene", str(path), "--episodes", "2",
+                     "--out", str(out)])
+        return code, out
+
+    def test_well_formed_scene_runs(self, tmp_path):
+        code, out = self._run(tmp_path, self._scene())
+        assert code == 0 and out.exists()
+        code, out = self._run(tmp_path, self._scene(
+            connectors=[], links=[["kitchen_1", "bedroom_1", None]]))
+        assert code == 0 and out.exists()
+
+    @pytest.mark.parametrize("changes,needle", [
+        ({"env_label": 3}, "'env_label'"),
+        ({"places": {"kitchen_1": {}}}, "'places'"),
+        ({"links": [["kitchen_1", "bedroom_1"]]}, "a link must be"),
+        ({"links": [["kitchen_1", 2, None]]}, "a link must be"),
+        ({"connectors": [{"id": "door_1", "label": "door", "endpoints": ["kitchen_1"]}]},
+         "2 strings"),
+        ({"regions": [{"id": "floor_1", "cls": "Floor", "label": "floor",
+                       "children": ["kitchen_1", "attic_1"]}]}, "unknown place attic_1"),
+    ], ids=["env-label", "places", "short-link", "link-type", "endpoints", "region-child"])
+    def test_malformed_scene_rejected(self, tmp_path, capsys, changes, needle):
+        code, out = self._run(tmp_path, self._scene(**changes))
+        assert code == 1 and not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1

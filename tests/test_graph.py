@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scenenav.graph import (
     ConnectorNode,
     EdgeRuleError,
+    GraphError,
     GraphCorruptionError,
     ObjectFeatures,
     ObjectNode,
@@ -451,3 +452,271 @@ def test_connector_place_counts_ignore_connector_neighbours():
     graph.add_edge(b, stair, EdgeKind.CONNECTS_TO)
     assert graph.connector_place_counts() == {door: 1, stair: 2}
     assert _frontier_connectors(graph) == [door] == _full_scan_frontier(graph)
+
+
+# -- kept leaf views, the image_ref index and the hop tree against full scans --
+
+
+def _full_scan_features(graph, node_id):
+    """``object_features`` as it was once rebuilt on every call (reference)."""
+    node = graph.node(node_id)
+
+    def pair(nid):
+        nb = graph.node(nid)
+        return (nb.label, getattr(nb, "desc", ""))
+
+    if isinstance(node, (ObjectNode, ConnectorNode)):
+        seen = []
+        for nb in graph.out_neighbors(node_id, EdgeKind.IS_NEAR):
+            if nb not in seen:
+                seen.append(nb)
+        for nb in graph.in_neighbors(node_id, EdgeKind.IS_NEAR):
+            if nb not in seen:
+                seen.append(nb)
+        return tuple(pair(nb) for nb in seen)
+    if isinstance(node, PlaceNode):
+        return tuple(pair(obj) for obj in graph.out_neighbors(node_id, EdgeKind.HAS))
+    items = []
+    for child in graph.out_neighbors(node_id, EdgeKind.CONTAINS):
+        items.extend(_full_scan_features(graph, child))
+    return tuple(items)
+
+
+def _full_scan_find_by_image_ref(graph, image_ref):
+    """``find_by_image_ref`` as it once scanned every node (reference)."""
+    if not image_ref:
+        return None
+    for node in graph._nodes.values():
+        if getattr(node, "image_ref", "") == image_ref:
+            return node.id
+    return None
+
+
+_REFS = ["", "img:a", "img:b", "img:c", "img:d"]
+
+
+def _assert_leaf_views_match_full_scan(graph):
+    for node in graph.nodes():
+        items = _full_scan_features(graph, node.id)
+        assert graph.object_features(node.id).items == items
+        if node.kind is ConceptKind.REGION:
+            labels = [graph.node(c).label for c in graph.out_neighbors(node.id, EdgeKind.CONTAINS)]
+        elif node.kind is ConceptKind.PLACE:
+            labels = [graph.node(c).label for c in graph.out_neighbors(node.id, EdgeKind.HAS)]
+        else:
+            labels = [label for label, _ in items]
+        assert graph.summary(node.id) == ", ".join(labels)
+    for ref in _REFS:
+        assert graph.find_by_image_ref(ref) == _full_scan_find_by_image_ref(graph, ref)
+
+
+@pytest.mark.parametrize("schema_name", ["home", "supermarket", "airport"])
+@pytest.mark.parametrize("seed", range(4))
+def test_leaf_views_equal_full_scan_under_set_leaf(schema_name, seed):
+    # the random add_node/add_edge walk of test_maintained_views_equal_rebuild,
+    # with set_leaf writes mixed in and the views read often enough that a
+    # memo survives from one write to the next
+    import random
+
+    rng = random.Random(seed)
+    graph = SceneGraph(builtin_schema(schema_name))
+    ids, added, leaves = [], [], []
+    for step in range(500):
+        roll = rng.random()
+        if not ids or roll < 0.15:
+            node = _random_node(graph.schema, rng, step)
+            if node is None:
+                continue
+            if isinstance(node, (ObjectNode, ConnectorNode)):
+                node.image_ref = rng.choice(_REFS)
+            ids.append(graph.add_node(node))
+            if isinstance(node, (ObjectNode, ConnectorNode)):
+                leaves.append(node.id)
+        elif leaves and roll < 0.35:
+            graph.set_leaf(
+                rng.choice(leaves),
+                desc=rng.choice([None, "", "red", "blue", "d1"]),
+                image_ref=rng.choice([None] + _REFS),
+            )
+        elif added and roll < 0.45:
+            src, dst, kind = rng.choice(added)
+            try:
+                graph.add_edge(dst, src, kind)
+            except EdgeRuleError:
+                pass
+        else:
+            src, dst = rng.choice(ids), rng.choice(ids)
+            kind = rng.choice(list(EdgeKind))
+            try:
+                graph.add_edge(src, dst, kind)
+            except EdgeRuleError:
+                continue
+            added.append((src, dst, kind))
+        if step % 5 == 0:
+            _assert_leaf_views_match_full_scan(graph)
+    _assert_leaf_views_match_full_scan(graph)
+    assert any(graph.object_features(leaf) for leaf in leaves)
+    assert any(graph.find_by_image_ref(ref) for ref in _REFS)
+    reloaded = import_graph(graph.export(), graph.schema)
+    _assert_leaf_views_match_full_scan(reloaded)
+    assert reloaded.export() == graph.export()
+
+
+def test_set_leaf_shares_one_pair_and_keeps_version(graph):
+    room = graph.add_node(PlaceNode(cls="Room", label="kitchen"))
+    sink, stove = (graph.add_node(ObjectNode(label=l, desc="red")) for l in ("sink", "stove"))
+    for obj in (sink, stove):
+        graph.add_edge(room, obj, EdgeKind.HAS)
+    graph.add_edge(sink, stove, EdgeKind.IS_NEAR)
+    before = (graph.object_features(room), graph.object_features(stove), graph.version)
+    graph.set_leaf(sink, desc="blue", image_ref="img:sink")
+    assert graph.version == before[2]
+    assert graph.object_features(room).items == (("sink", "blue"), ("stove", "red"))
+    assert graph.object_features(stove).items == (("sink", "blue"),)
+    assert before[0].items == (("sink", "red"), ("stove", "red"))
+    assert graph.object_features(room).items[0] is graph.object_features(stove).items[0]
+    assert graph.node(sink).desc == "blue"
+    assert graph.find_by_image_ref("img:sink") == sink
+    graph.set_leaf(sink, image_ref="")
+    assert graph.find_by_image_ref("img:sink") is None
+    with pytest.raises(GraphError):
+        graph.set_leaf(room, desc="x")
+    with pytest.raises(UnknownNodeError):
+        graph.set_leaf("ghost_1", desc="x")
+
+
+def test_find_by_image_ref_returns_first_inserted_holder(graph):
+    a, b, c = (graph.add_node(ObjectNode(label=l)) for l in ("a", "b", "c"))
+    graph.set_leaf(c, image_ref="img:x")
+    graph.set_leaf(a, image_ref="img:x")
+    assert graph.find_by_image_ref("img:x") == a
+    graph.set_leaf(a, image_ref="img:y")
+    assert graph.find_by_image_ref("img:x") == c
+    graph.set_leaf(b, image_ref="img:x")
+    assert graph.find_by_image_ref("img:x") == b
+    assert graph.find_by_image_ref("") is None
+
+
+def _reference_dijkstra(graph, frm, to):
+    """``find_path`` as a Dijkstra pass over the adjacency (reference)."""
+    import heapq
+
+    adj = graph.connectivity_subgraph()
+    if frm not in adj or to not in adj:
+        return None
+    if frm == to:
+        return []
+    dist, prev, counter = {frm: 0.0}, {}, 0
+    heap, visited = [(0.0, counter, frm)], set()
+    while heap:
+        d, _, node = heapq.heappop(heap)
+        if node in visited:
+            continue
+        visited.add(node)
+        if node == to:
+            break
+        for nb, weight in adj[node].items():
+            if d + weight < dist.get(nb, float("inf")):
+                dist[nb] = d + weight
+                prev[nb] = node
+                counter += 1
+                heapq.heappush(heap, (d + weight, counter, nb))
+    if to not in visited:
+        return None
+    path = [to]
+    while path[-1] != frm:
+        path.append(prev[path[-1]])
+    return path[::-1][1:]
+
+
+def _reference_hops(graph, source):
+    adj = graph.connectivity_subgraph()
+    if source not in adj:
+        return {}
+    dist, frontier = {source: 0}, [source]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in adj[node]:
+                if nb not in dist:
+                    dist[nb] = dist[node] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
+def _random_layer2_graph(rng, n_nodes, n_edges, weights=(1.0,)):
+    graph = SceneGraph(builtin_schema("home"))
+    ids = []
+    for i in range(n_nodes):
+        if rng.random() < 0.3:
+            ids.append(graph.add_node(ConnectorNode(cls="Entrance", label="door")))
+        else:
+            ids.append(graph.add_node(PlaceNode(cls="Room", label=f"r{i % 4}")))
+    pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1:]]
+    rng.shuffle(pairs)
+    for a, b in pairs[:n_edges]:
+        if rng.random() < 0.5:
+            a, b = b, a
+        try:
+            graph.add_edge(a, b, EdgeKind.CONNECTS_TO, weight=rng.choice(weights))
+        except EdgeRuleError:
+            pass
+    return graph, ids
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_find_path_equals_dijkstra_on_unit_weight_graphs(seed):
+    import random
+
+    from scenenav.graph import hop_distances
+    from scenenav.planner import find_path
+
+    rng = random.Random(seed)
+    for _ in range(25):
+        n = rng.randint(2, 14)
+        graph, ids = _random_layer2_graph(rng, n, rng.randint(0, 2 * n))
+        assert graph.unit_weights
+        sources = rng.sample(ids, min(len(ids), 4))
+        for src in sources:
+            assert dict(hop_distances(graph, src)) == _reference_hops(graph, src)
+            for dst in ids:
+                assert find_path(graph, src, dst) == _reference_dijkstra(graph, src, dst)
+
+
+def test_imported_non_unit_weight_takes_the_weighted_route(graph):
+    from scenenav.graph import hop_distances
+    from scenenav.planner import find_path
+
+    a, b, c = (graph.add_node(PlaceNode(cls="Room", label=l)) for l in ("a", "b", "c"))
+    graph.add_edge(a, c, EdgeKind.CONNECTS_TO, weight=10.0)
+    graph.add_edge(a, b, EdgeKind.CONNECTS_TO)
+    graph.add_edge(b, c, EdgeKind.CONNECTS_TO)
+    reloaded = import_graph(graph.export(), graph.schema)
+    assert not reloaded.unit_weights
+    assert hop_distances(reloaded, a)[c] == 1
+    assert find_path(reloaded, a, c) == [b, c] == _reference_dijkstra(reloaded, a, c)
+    assert find_path(graph, a, c) == [b, c]
+
+
+def test_a_write_between_two_reads_renews_the_tree(graph):
+    from scenenav.graph import hop_distances
+    from scenenav.planner import find_path
+
+    rooms = [graph.add_node(PlaceNode(cls="Room", label=f"r{i}")) for i in range(4)]
+    for a, b in zip(rooms, rooms[1:]):
+        graph.add_edge(a, b, EdgeKind.CONNECTS_TO)
+    first = hop_distances(graph, rooms[0])
+    assert first[rooms[3]] == 3
+    assert find_path(graph, rooms[0], rooms[3]) == rooms[1:]
+    with pytest.raises(TypeError):
+        first[rooms[3]] = 0
+    graph.add_edge(rooms[0], rooms[3], EdgeKind.CONNECTS_TO)
+    assert hop_distances(graph, rooms[0])[rooms[3]] == 1
+    assert find_path(graph, rooms[0], rooms[3]) == [rooms[3]]
+    late = graph.add_node(PlaceNode(cls="Room", label="late"))
+    assert late not in hop_distances(graph, rooms[0])
+    graph.add_edge(rooms[3], late, EdgeKind.CONNECTS_TO)
+    assert find_path(graph, rooms[0], late) == [rooms[3], late]
+    assert hop_distances(graph, rooms[2]) == _reference_hops(graph, rooms[2])
+    assert find_path(graph, rooms[0], late) == [rooms[3], late]

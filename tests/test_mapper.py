@@ -281,3 +281,64 @@ def test_frames_jsonl_roundtrip():
     ]
     assert frames_from_jsonl(frames_to_jsonl(frames)) == frames
     assert frames_from_jsonl("") == []
+
+
+def _scanned_features(graph, node_id):
+    """A node's (label, desc) context read straight off its edges (reference)."""
+    node = graph.node(node_id)
+    if node.kind is ConceptKind.PLACE:
+        near = graph.out_neighbors(node_id, EdgeKind.HAS)
+    else:
+        near = graph.out_neighbors(node_id, EdgeKind.IS_NEAR)
+        near += [nb for nb in graph.in_neighbors(node_id, EdgeKind.IS_NEAR) if nb not in near]
+    return tuple((graph.node(nb).label, getattr(graph.node(nb), "desc", "")) for nb in near)
+
+
+def test_leaf_refreshes_reach_the_kept_views(home, oracle, config):
+    # a revisit that sees known leaves with a new desc or image handle must
+    # show in the features the graph keeps for the place and the neighbours,
+    # and in its image_ref index
+    frames = [
+        [det("sofa", 0, 0, desc="red"), det("tv", 30, 0, desc="red"),
+         det("door", 60, 0, image_ref="img:door")],
+        [det("sofa", 0, 0, desc="blue", image_ref="img:sofa"), det("tv", 30, 0, desc="red"),
+         det("door", 60, 0, desc="oak", image_ref="img:door")],
+        [det("sofa", 0, 0, desc="green", image_ref="img:sofa2"), det("tv", 30, 0),
+         det("door", 60, 0, desc="pine", image_ref="img:door")],
+    ]
+    state = MapperState(graph=SceneGraph(home))
+    for fid, dets in enumerate(frames):
+        state = mapper_step(frame(fid, dets=dets), home, state, oracle, config).state
+        graph = state.graph
+        for node in graph.nodes():
+            if node.kind is not ConceptKind.REGION:
+                assert graph.object_features(node.id).items == _scanned_features(graph, node.id)
+        for ref in ("img:door", "img:sofa", "img:sofa2"):
+            holders = [n.id for n in graph.nodes() if getattr(n, "image_ref", "") == ref]
+            assert graph.find_by_image_ref(ref) == (holders[0] if holders else None)
+    assert state.place_history == ["livingroom_1"] * 3
+    sofa = graph.find_by_image_ref("img:sofa2")
+    assert graph.node(sofa).desc == "green"
+    assert graph.find_by_image_ref("img:sofa") is None
+    assert ("sofa", "green") in graph.object_features("livingroom_1").items
+
+
+@pytest.mark.parametrize("line,needle", [
+    ("[1]", "JSON object"),
+    ('{"frame_id": "0", "place_type_answer": "Room", "place_label_answer": "hall"}',
+     "'frame_id'"),
+    ('{"frame_id": 0, "place_type_answer": 3, "place_label_answer": "hall"}',
+     "'place_type_answer'"),
+    ('{"frame_id": 0, "place_type_answer": "Room", "place_label_answer": "hall",'
+     ' "detections": {"label": "tv"}}', "'detections'"),
+    ('{"frame_id": 0, "place_type_answer": "Room", "place_label_answer": "hall",'
+     ' "detections": [null]}', "detection"),
+    ('{"frame_id": 0, "place_type_answer": "Room", "place_label_answer": "hall",'
+     ' "detections": [{"label": "tv", "desc": 7}]}', "'desc'"),
+    ('{"frame_id": 0, "place_type_answer": "Room", "place_label_answer": "hall",'
+     ' "previous_subgoal": ["door_1"]}', "'previous_subgoal'"),
+], ids=["not-an-object", "frame-id", "place-type", "detections", "detection",
+        "desc", "subgoal"])
+def test_frames_jsonl_rejects_wrong_types(line, needle):
+    with pytest.raises(ValueError, match=needle):
+        frames_from_jsonl(line)
