@@ -156,6 +156,9 @@ def cmd_map(args: argparse.Namespace) -> int:
         except FrameError as exc:
             print(f"invalid frame: {exc}", file=sys.stderr)
             return EXIT_INVALID
+        except EdgeRuleError as exc:
+            print(f"the schema does not fit frame {frame.frame_id}: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         logger.info(
             "frame %s: %s -> %s", frame.frame_id, before or "(start)", state.current_place
         )

@@ -272,22 +272,24 @@ class SceneGraph:
     # -- edges ---------------------------------------------------------------
 
     def has_edge(self, src: str, dst: str, kind: EdgeKind) -> bool:
-        return dst in self._out.get(src, {}).get(kind, ())
+        return (src, dst, kind) in self._weights
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind, weight: float = 1.0) -> None:
-        # a stored edge was admitted when it was stored
-        if self.has_edge(src, dst, kind) or not self._admits(src, dst, kind):
+        if not self._admits(src, dst, kind):
             return
         self._insert(src, dst, kind, weight)
-        if kind is EdgeKind.CONNECTS_TO and not self.has_edge(dst, src, kind):
+        # connectivity is stored both ways, so the reverse is missing too
+        if kind is EdgeKind.CONNECTS_TO:
             self._insert(dst, src, kind, weight)
         self.version += 1
 
     def _admits(self, src: str, dst: str, kind: EdgeKind) -> bool:
         """Raise for an edge the schema or the containment forest forbids.
 
-        Returns False when the edge is already stored.
+        Returns False when the edge is already stored: it was admitted then.
         """
+        if (src, dst, kind) in self._weights:
+            return False
         src_node = self.node(src)
         dst_node = self.node(dst)
         if src == dst:
@@ -298,14 +300,12 @@ class SceneGraph:
                 f"{self.node_cls(src_node)} -> {self.node_cls(dst_node)}"
             )
         if kind is EdgeKind.CONTAINS:
-            parents = self._in[dst].get(kind, [])
+            parents = self._in[dst].get(kind)
             if parents:
-                if src in parents:
-                    return False
                 raise EdgeRuleError(
                     f"{dst!r} already has a containing parent {parents[0]!r}"
                 )
-        return not self.has_edge(src, dst, kind)
+        return True
 
     def _insert(self, src: str, dst: str, kind: EdgeKind, weight: float) -> None:
         targets = self._out[src].setdefault(kind, [])

@@ -35,7 +35,9 @@ class RuleConfig:
 # Bounds of the per-oracle memos; each is cleared when full.  Labels repeat
 # across a run, but mapper place ids ("bedroom_12") and filter cell tags grow
 # with the map.  The summary memo shares the label bound: a frozen map offers
-# one summary per place, region and frontier connector.  Repeated place-match
+# one summary per place, region and frontier connector.  So does the bag memo:
+# the mapper compares the same candidates' features frame after frame, and the
+# graph hands it the same features tuple each time.  Repeated place-match
 # questions come from the filter's particles within one step (about a dozen
 # distinct ones per step), so a small memo catches nearly all of them; a
 # larger one mostly keeps mapper feature tuples alive.
@@ -85,6 +87,8 @@ class RuleOracle(SemanticOracle):
         self._match_memo: dict[tuple, MatchDecision] = {}
         # candidate summary -> the canonical labels it lists
         self._summary_memo: dict[str, frozenset[str]] = {}
+        # features items -> multiset of their canonical labels
+        self._bag_memo: dict[tuple, Counter] = {}
 
     # -- label handling --------------------------------------------------------
 
@@ -120,8 +124,14 @@ class RuleOracle(SemanticOracle):
         return labels
 
     def _bag(self, features: ObjectFeatures) -> Counter:
-        """Multiset of the canonical labels of ``features``."""
-        return Counter(map(self._canon, features.labels()))
+        """Multiset of the canonical labels of ``features``; shared, read it only."""
+        memo = self._bag_memo
+        bag = memo.get(features.items)
+        if bag is None:
+            if len(memo) >= _LABEL_MEMO_SIZE:
+                memo.clear()
+            bag = memo[features.items] = Counter(map(self._canon, features.labels()))
+        return bag
 
     def _overlap(self, a: Counter, b: Counter) -> float:
         """Weighted Jaccard on canonical label multisets; empty-vs-empty is 1."""
@@ -131,8 +141,11 @@ class RuleOracle(SemanticOracle):
         union = 0.0
         for label in sorted(a.keys() | b.keys()):
             w = self._weight(label)
-            inter += w * min(a[label], b[label])
-            union += w * max(a[label], b[label])
+            x, y = a.get(label, 0), b.get(label, 0)
+            if x > y:
+                x, y = y, x
+            inter += w * x
+            union += w * y
         return inter / union if union else 0.0
 
     # -- decisions ---------------------------------------------------------------

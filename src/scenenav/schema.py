@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import enum
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
+from typing import TypeVar
 
 __all__ = [
     "ConceptKind",
@@ -89,9 +92,33 @@ class ConceptDef:
         return tuple(t for k, t in self.allowed_edges if k is kind)
 
 
+_V = TypeVar("_V")
+
+
+def _resolve_name(named: Mapping[str, _V], name: str) -> _V | None:
+    """Look a concept reference up, tolerating singular/plural spellings.
+
+    Paper-style documents occasionally reference a concept through a
+    trivially pluralised name: an exact match wins, then the name without a
+    trailing ``s``, then the name with one added.
+    """
+    hit = named.get(name)
+    if hit is None and name.endswith("s"):
+        hit = named.get(name[:-1])
+    if hit is None:
+        hit = named.get(name + "s")
+    return hit
+
+
 @dataclass(frozen=True)
 class Schema:
-    """A parsed environment template: concept map plus layer count."""
+    """A parsed environment template: concept map plus layer count.
+
+    ``concepts`` maps each concept's name to its definition.  Nothing mutates
+    it after construction, so the permission triples, the concepts grouped by
+    kind and the object concept are compiled once, on first use, and every
+    later ``permits``, ``by_kind`` and ``object_concept`` is a lookup.
+    """
 
     concepts: dict[str, ConceptDef]
 
@@ -101,28 +128,41 @@ class Schema:
             return 0
         return max(c.layer_id for c in self.concepts.values())
 
-    def by_kind(self, kind: ConceptKind) -> list[ConceptDef]:
-        return [c for c in self.concepts.values() if c.kind is kind]
+    @cached_property
+    def _grouped(self) -> dict[ConceptKind, tuple[ConceptDef, ...]]:
+        return {
+            kind: tuple(c for c in self.concepts.values() if c.kind is kind)
+            for kind in ConceptKind
+        }
 
-    @property
+    def by_kind(self, kind: ConceptKind) -> tuple[ConceptDef, ...]:
+        """The concepts of one kind, in document order."""
+        return self._grouped[kind]
+
+    @cached_property
     def object_concept(self) -> ConceptDef | None:
         roles = self.by_kind(ConceptKind.OBJECT_ROLE)
         return roles[0] if roles else None
 
     def resolve(self, name: str) -> ConceptDef | None:
-        """Resolve a concept reference, tolerating singular/plural spellings.
+        """Resolve a concept reference, tolerating singular/plural spellings."""
+        return _resolve_name(self.concepts, name)
 
-        Paper-style documents occasionally reference a concept through a
-        trivially pluralised name; an exact match always wins.
-        """
-        hit = self.concepts.get(name)
-        if hit is not None:
-            return hit
-        if name.endswith("s"):
-            hit = self.concepts.get(name[:-1])
-            if hit is not None:
-                return hit
-        return self.concepts.get(name + "s")
+    @cached_property
+    def _permitted(self) -> frozenset[tuple[str, EdgeKind, str]]:
+        triples = set()
+        for src in self.concepts.values():
+            for kind, target in src.allowed_edges:
+                dst = self.resolve(target)
+                if dst is None:
+                    continue
+                triples.add((src.name, kind, dst.name))
+                if kind is EdgeKind.CONNECTS_TO:
+                    triples.add((dst.name, kind, src.name))
+        leaf = (ConceptKind.OBJECT_ROLE, ConceptKind.CONNECTOR)
+        leaves = [c.name for c in self.concepts.values() if c.kind in leaf]
+        triples.update((a, EdgeKind.IS_NEAR, b) for a in leaves for b in leaves)
+        return frozenset(triples)
 
     def permits(self, src_cls: str, kind: EdgeKind, dst_cls: str) -> bool:
         """Whether an instance edge (src_cls -[kind]-> dst_cls) is allowed.
@@ -131,27 +171,7 @@ class Schema:
         implicitly allowed; connectivity rules are read as undirected
         permissions because connectivity is stored bidirectionally.
         """
-        src = self.concepts.get(src_cls)
-        dst = self.concepts.get(dst_cls)
-        if src is None or dst is None:
-            return False
-        leaf = (ConceptKind.OBJECT_ROLE, ConceptKind.CONNECTOR)
-        if kind is EdgeKind.IS_NEAR and src.kind in leaf and dst.kind in leaf:
-            return True
-        if self._declares(src, kind, dst.name):
-            return True
-        if kind is EdgeKind.CONNECTS_TO and self._declares(dst, kind, src.name):
-            return True
-        return False
-
-    def _declares(self, src: ConceptDef, kind: EdgeKind, dst_name: str) -> bool:
-        for k, target in src.allowed_edges:
-            if k is not kind:
-                continue
-            resolved = self.resolve(target)
-            if resolved is not None and resolved.name == dst_name:
-                return True
-        return False
+        return (src_cls, kind, dst_cls) in self._permitted
 
 
 @dataclass
@@ -241,11 +261,7 @@ def parse_schema(document: str) -> Schema:
     for name, kind in kinds.items():
         edges = []
         for edge_kind, target in edge_lists[name]:
-            target_kind = kinds.get(target)
-            if target_kind is None and target.endswith("s"):
-                target_kind = kinds.get(target[:-1])
-            if target_kind is None:
-                target_kind = kinds.get(target + "s")
+            target_kind = _resolve_name(kinds, target)
             if (
                 kind is ConceptKind.PLACE
                 and target_kind is ConceptKind.OBJECT_ROLE

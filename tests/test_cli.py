@@ -184,6 +184,26 @@ class TestMap:
         err = capsys.readouterr().err.strip()
         assert "'Object' is not a place concept" in err and len(err.splitlines()) == 1
 
+    def test_valid_schema_that_does_not_fit_the_frames_rejected(self, tmp_path, capsys):
+        # a place concept with no has rule passes verify-schema, but a frame
+        # of that place holding an object needs a has edge the schema forbids
+        doc = json.loads(open(HOME).read())
+        doc["Hall"] = {"layer_type": "Place", "layer_id": 2, "connects_to": ["Room"]}
+        schema = tmp_path / "hall.json"
+        schema.write_text(json.dumps(doc))
+        assert main(["verify-schema", str(schema)]) == 0
+        frame = self._first_frame()
+        assert frame["detections"]
+        frame["place_type_answer"] = "Hall"
+        log = tmp_path / "traj.jsonl"
+        log.write_text(json.dumps(frame) + "\n")
+        out = tmp_path / "graph.json"
+        capsys.readouterr()
+        assert main(["map", "--log", str(log), "--schema", str(schema), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "schema forbids has edge Hall -> Object" in err and len(err.splitlines()) == 1
+
 
 class TestRun:
     def _run(self, tmp_path, home_path, out_name, extra):

@@ -122,6 +122,37 @@ def test_fuzzed_schema(doc):
                             "--out", str(Path(tmp) / "m.csv")])
 
 
+@st.composite
+def _pruned(draw, doc):
+    """``doc`` with one to four relation-rule entries deleted; it still verifies."""
+    doc = copy.deepcopy(doc)
+    entries = [
+        (name, key, target)
+        for name, body in doc.items()
+        for key, targets in body.items() if isinstance(targets, list)
+        for target in targets
+    ]
+    for name, key, target in draw(
+        st.lists(st.sampled_from(entries), min_size=1, max_size=4, unique=True)
+    ):
+        doc[name][key].remove(target)
+    return doc
+
+
+@FUZZ
+@given(_pruned(json.loads(Path(HOME).read_text(encoding="utf-8"))))
+def test_fuzzed_schema_that_verifies_maps_a_fixed_trajectory(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "s.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        log = Path(tmp) / "t.jsonl"
+        log.write_text("\n".join(json.dumps(f) for f in _frame_docs()), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify-schema", str(path)]) == 0
+        _assert_clean_exit(["map", "--log", str(log), "--schema", str(path),
+                            "--out", str(Path(tmp) / "g.json")])
+
+
 @FUZZ
 @given(_mutated(_scene_doc()))
 def test_fuzzed_scene_file(doc):

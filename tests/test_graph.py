@@ -246,7 +246,20 @@ def _rebuilt_connectivity(graph):
     return adj
 
 
+def _scanned_has_edge(graph, src, dst, kind):
+    """``has_edge`` as it once scanned the target list (reference)."""
+    return dst in graph._out.get(src, {}).get(kind, ())
+
+
+def _assert_has_edge_matches_scan(graph, src, dst):
+    for kind in EdgeKind:
+        for a, b in ((src, dst), (dst, src), (src, "ghost_1")):
+            assert graph.has_edge(a, b, kind) is _scanned_has_edge(graph, a, b, kind)
+
+
 def _assert_views_match_rebuild(graph):
+    # has_edge answers from the weight keys: they must be exactly the stored edges
+    assert set(graph._weights) == set(graph.edges())
     adj, ref = graph.connectivity_subgraph(), _rebuilt_connectivity(graph)
     assert list(adj) == list(ref)
     for nid in ref:
@@ -303,6 +316,7 @@ def test_maintained_views_equal_rebuild(schema_name, seed):
                 graph.add_edge(src, dst, kind, weight=rng.choice([0.5, 3.0]))
             except EdgeRuleError:
                 pass
+            _assert_has_edge_matches_scan(graph, src, dst)
         else:
             src, dst = rng.choice(ids), rng.choice(ids)
             kind = rng.choice(list(EdgeKind))
@@ -310,6 +324,8 @@ def test_maintained_views_equal_rebuild(schema_name, seed):
                 graph.add_edge(src, dst, kind, weight=rng.choice([1.0, 0.25, 2.5, 7.0]))
             except EdgeRuleError:
                 continue
+            finally:
+                _assert_has_edge_matches_scan(graph, src, dst)
             added.append((src, dst, kind))
         if step % 50 == 0:
             _assert_views_match_rebuild(graph)
@@ -544,6 +560,7 @@ def test_leaf_views_equal_full_scan_under_set_leaf(schema_name, seed):
                 graph.add_edge(dst, src, kind)
             except EdgeRuleError:
                 pass
+            _assert_has_edge_matches_scan(graph, src, dst)
         else:
             src, dst = rng.choice(ids), rng.choice(ids)
             kind = rng.choice(list(EdgeKind))
@@ -551,6 +568,8 @@ def test_leaf_views_equal_full_scan_under_set_leaf(schema_name, seed):
                 graph.add_edge(src, dst, kind)
             except EdgeRuleError:
                 continue
+            finally:
+                _assert_has_edge_matches_scan(graph, src, dst)
             added.append((src, dst, kind))
         if step % 5 == 0:
             _assert_leaf_views_match_full_scan(graph)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenenav.graph import ObjectFeatures
-from scenenav.oracle.rules import RuleConfig, RuleOracle
+from scenenav.oracle.rules import RuleConfig, RuleOracle, strip_suffix
 from scenenav.oracle.tables import OracleTables, SynonymTable, default_tables
 from scenenav.schema import builtin_schema
 from scenenav.sim import EpisodeSpec, RunnerConfig, default_noise, generate_home_scene, run_episode
@@ -396,3 +397,79 @@ def test_shared_default_tables_answer_like_fresh_ones(home):
         shared = run_episode(spec, home, RuleOracle(), config)
         fresh = run_episode(spec, home, RuleOracle(OracleTables.from_dict({})), config)
         assert shared == fresh
+
+
+def test_bag_memo_stays_bounded(oracle):
+    from scenenav.oracle.rules import _LABEL_MEMO_SIZE
+
+    stored = [("lamp_1", "lamp", "", feats("lamp", "rug"))]
+    for i in range(3 * _LABEL_MEMO_SIZE):
+        oracle.match_object(("lamp", "", feats("lamp", f"rug{i}")), stored)
+    assert 0 < len(oracle._bag_memo) <= _LABEL_MEMO_SIZE
+
+
+def test_replacing_tables_or_config_empties_bag_memo(oracle):
+    probe = ("lamp", "", feats("lamp", "zorb"))
+    stored = [("lamp_1", "lamp", "", feats("lamp", "rug")),
+              ("lamp_2", "lamp", "", feats("lamp", "blip"))]
+    assert oracle.match_object(probe, stored) == "lamp_1"
+    assert oracle._bag_memo
+    oracle.config = RuleConfig(match_threshold=0.9)
+    assert not oracle._bag_memo
+    assert oracle.match_object(probe, stored) == "lamp_1"
+    # "zorb" now canonicalises like "blip": a stale memo would still tie the two
+    oracle.tables = OracleTables.from_dict({"synonyms": [["zorb", "blip"]]})
+    assert not oracle._bag_memo
+    assert oracle.match_object(probe, stored) == "lamp_2"
+
+
+class _MemoFree(RuleOracle):
+    """Bags and overlaps as they were computed before the bag memo (reference)."""
+
+    def _bag(self, features):
+        return Counter(self.tables.canonical(strip_suffix(l)) for l in features.labels())
+
+    def _overlap(self, a, b):
+        if not a and not b:
+            return 1.0
+        inter = union = 0.0
+        for label in sorted(a.keys() | b.keys()):
+            w = self.config.large_weight if self.tables.is_large(label) else 1.0
+            inter += w * min(a[label], b[label])
+            union += w * max(a[label], b[label])
+        return inter / union if union else 0.0
+
+    def match_place(self, a, b):
+        return self._decide_match(a, b)
+
+
+class _Recording(RuleOracle):
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def match_object(self, probe, candidates):
+        answer = super().match_object(probe, candidates)
+        self.asked.append(("match_object", (probe, list(candidates)), answer))
+        return answer
+
+    def match_place(self, a, b):
+        answer = super().match_place(a, b)
+        self.asked.append(("match_place", (a, b), answer))
+        return answer
+
+
+def test_memoised_decisions_equal_memo_free_ones_on_a_sweep(home, sweep):
+    from scenenav.graph import SceneGraph
+    from scenenav.mapper import MapperConfig, MapperState, mapper_step
+
+    recording = _Recording()
+    state = MapperState(graph=SceneGraph(home))
+    for frame in sweep.sweep_frames(sweep.sweep_home(160, 0), 0):
+        state = mapper_step(frame, home, state, recording, MapperConfig()).state
+    reference = _MemoFree()
+    for method, args, answer in recording.asked:
+        assert getattr(reference, method)(*args) == answer, (method, args)
+    asked = Counter(method for method, _, _ in recording.asked)
+    assert asked["match_object"] > 1000 and asked["match_place"] > 500
+    assert recording._bag_memo

@@ -291,15 +291,17 @@ class TestReasonStep:
 # recorded before candidate summaries and frontier counts were kept by the graph
 MAP_QUERY_PLANS_SHA256 = "8bcb9473168b11eb7d114a7eeee94140a5ac0f76faafd3a60eeea2900fbf7bf4"
 SWEEP_PLANS_SHA256 = "e2711919b16e773256bfcbc6aafd4f9f9fd53fc0d729bc149d59f1f396218b50"
-
-
-@pytest.fixture
-def sweep(monkeypatch):
-    import importlib
-    from pathlib import Path
-
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-    return importlib.import_module("sweep")
+# (per-frame plans with trace and export, export alone) on the seed-0 sweep
+# homes, recorded before the oracle memoised its bags and the schema compiled
+# its permission table
+SWEEP_SHA256 = {
+    10: ("360d31a310a6e78af32603703cfe5f6080b1e8333af1915c1473b59dab0ab489",
+         "88fe7c8e17290ba2ddbcee38cc512b8f982ae18d17ca743513ea930b56b5e9bb"),
+    160: ("c99a4d476ee8d06060298f6d4a5c65b6baa4694e30bd7745889fe1fc617497b0",
+          "304bc66232e74134d36205b6aa2a530cba87eaf09d5dd0e60175cee9d66ba046"),
+    320: ("9fb65ff3d6be4b9ff24c314a965429e9ae78490d22aab120d02b9fa783a860bd",
+          "3ad6b784b5cd6528607a646ed75c838c1dba3f95f48470fb14e245589d9c0ed1"),
+}
 
 
 def _plan_text(plan_once):
@@ -333,24 +335,36 @@ class TestPlanGoldens:
 
     def test_per_frame_sweep_plans_on_the_40_room_map(self, home, oracle, sweep):
         from scenenav.graph import import_graph
-        from scenenav.mapper import MapperConfig, MapperState, mapper_step
-        from scenenav.planner import export_plan_trace
 
-        scene = sweep.sweep_home(40, 0)
-        state = MapperState(graph=SceneGraph(home))
-        plan, memory = SubgoalPlan(), PlannerMemory()
-        digest = hashlib.sha256()
-        for frame in sweep.sweep_frames(scene, 0):
-            state = mapper_step(frame, home, state, oracle, MapperConfig(goal="piano")).state
-            try:
-                plan = reason_step(
-                    home, state.graph, state.current_place, plan, "piano", oracle, memory
-                )
-            except ExhaustedError:
-                plan = SubgoalPlan()
-            digest.update(repr(plan).encode())
-        export = state.graph.export()
-        digest.update(export_plan_trace(memory).encode())
-        digest.update(export.encode())
-        assert digest.hexdigest() == SWEEP_PLANS_SHA256
+        digest, export = _sweep_plans(home, oracle, sweep, 40)
+        assert digest == SWEEP_PLANS_SHA256
         assert import_graph(export, home).export() == export
+
+    @pytest.mark.parametrize("n", sorted(SWEEP_SHA256))
+    def test_per_frame_sweep_plans_and_export(self, home, oracle, sweep, n):
+        digest, export = _sweep_plans(home, oracle, sweep, n)
+        assert (digest, hashlib.sha256(export.encode()).hexdigest()) == SWEEP_SHA256[n]
+
+
+def _sweep_plans(home, oracle, sweep, n):
+    """SHA-256 of every frame's plan toward "piano", the plan trace and the
+    export on the seed-0 N-room sweep home; and the export."""
+    from scenenav.mapper import MapperConfig, MapperState, mapper_step
+    from scenenav.planner import export_plan_trace
+
+    state = MapperState(graph=SceneGraph(home))
+    plan, memory = SubgoalPlan(), PlannerMemory()
+    digest = hashlib.sha256()
+    for frame in sweep.sweep_frames(sweep.sweep_home(n, 0), 0):
+        state = mapper_step(frame, home, state, oracle, MapperConfig(goal="piano")).state
+        try:
+            plan = reason_step(
+                home, state.graph, state.current_place, plan, "piano", oracle, memory
+            )
+        except ExhaustedError:
+            plan = SubgoalPlan()
+        digest.update(repr(plan).encode())
+    export = state.graph.export()
+    digest.update(export_plan_trace(memory).encode())
+    digest.update(export.encode())
+    return digest.hexdigest(), export

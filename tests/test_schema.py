@@ -195,3 +195,103 @@ def test_resolve_tolerates_plural_references():
     assert floor.targets(EdgeKind.CONNECTS_TO) == ("Stairs",)
     assert schema.resolve("Stairs") is schema.concepts["Stair"]
     assert verify_schema(schema).valid
+
+
+# -- compiled tables against the rule walks they replace ----------------------
+
+# concepts referred to by plural and singular names, in the parser's
+# normalisation (a place that "contains" objects has them) and in every rule
+PLURAL_DOC = {
+    "Floors": {"layer_type": "Region", "layer_id": 3, "contains": ["Rooms", "Hall"],
+               "connects_to": ["Stair"]},
+    "Room": {"layer_type": "Place", "layer_id": 2, "has": ["Objects"],
+             "connects_to": ["Doors", "Rooms"]},
+    "Halls": {"layer_type": "Place", "layer_id": 2, "contains": ["Object"],
+              "connects_to": ["Door"]},
+    "Stairs": {"layer_type": "Place", "layer_id": 2, "is_near": ["Objects"],
+               "connects_to": ["Floor"]},
+    "Door": {"layer_type": "Connector", "layer_id": 2, "is_near": ["Objects"],
+             "connects_to": ["Room", "Hall"]},
+    "Object": {"layer_id": 1},
+}
+NO_OBJECT_DOC = {"Room": {"layer_type": "Place", "layer_id": 2, "connects_to": ["Rooms"]}}
+COMPILED_CASES = LISTINGS + ["plural", "no-object"]
+
+
+def _case_schema(name):
+    docs = {"plural": PLURAL_DOC, "no-object": NO_OBJECT_DOC}
+    return parse_schema(json.dumps(docs[name])) if name in docs else builtin_schema(name)
+
+
+def _walked_resolve(schema, name):
+    """``Schema.resolve`` as it once spelled its own lookup (reference)."""
+    hit = schema.concepts.get(name)
+    if hit is not None:
+        return hit
+    if name.endswith("s"):
+        hit = schema.concepts.get(name[:-1])
+        if hit is not None:
+            return hit
+    return schema.concepts.get(name + "s")
+
+
+def _walked_permits(schema, src_cls, kind, dst_cls):
+    """``Schema.permits`` as it once walked the rules on every call (reference)."""
+    src, dst = schema.concepts.get(src_cls), schema.concepts.get(dst_cls)
+    if src is None or dst is None:
+        return False
+    leaf = (ConceptKind.OBJECT_ROLE, ConceptKind.CONNECTOR)
+    if kind is EdgeKind.IS_NEAR and src.kind in leaf and dst.kind in leaf:
+        return True
+
+    def declares(a, b):
+        for k, target in a.allowed_edges:
+            resolved = _walked_resolve(schema, target)
+            if k is kind and resolved is not None and resolved.name == b.name:
+                return True
+        return False
+
+    return declares(src, dst) or (kind is EdgeKind.CONNECTS_TO and declares(dst, src))
+
+
+@pytest.mark.parametrize("name", COMPILED_CASES)
+def test_compiled_permits_equal_the_rule_walk(name):
+    schema = _case_schema(name)
+    # unknown classes include plural and lower-case spellings of known ones:
+    # instance classes are exact names, only rule targets tolerate plurals
+    classes = list(schema.concepts) + ["Nowhere", "", "Objects", "Rooms", "room", "Stair"]
+    allowed = 0
+    for src in classes:
+        for kind in EdgeKind:
+            for dst in classes:
+                want = _walked_permits(schema, src, kind, dst)
+                assert schema.permits(src, kind, dst) is want, (src, kind, dst)
+                allowed += want
+    assert allowed > 0
+
+
+@pytest.mark.parametrize("name", COMPILED_CASES)
+def test_compiled_groups_equal_a_scan(name):
+    schema = _case_schema(name)
+    for kind in ConceptKind:
+        grouped = schema.by_kind(kind)
+        assert isinstance(grouped, tuple)
+        assert list(grouped) == [c for c in schema.concepts.values() if c.kind is kind]
+    roles = [c for c in schema.concepts.values() if c.kind is ConceptKind.OBJECT_ROLE]
+    assert schema.object_concept is (roles[0] if roles else None)
+    for target in ["Nowhere", "Objects", "Rooms", "Halls", "Floor", "Stair", "s", ""]:
+        assert schema.resolve(target) is _walked_resolve(schema, target)
+
+
+def test_parser_and_schema_resolve_plurals_alike():
+    schema = _case_schema("plural")
+    # "contains"/"is_near" toward the object concept reached through either
+    # spelling are read as "has", as the compiled table then permits
+    assert schema.concepts["Halls"].allowed_edges[-1] == (EdgeKind.HAS, "Object")
+    assert schema.concepts["Stairs"].targets(EdgeKind.HAS) == ("Objects",)
+    for place in ("Room", "Halls", "Stairs"):
+        assert schema.permits(place, EdgeKind.HAS, "Object")
+    assert schema.permits("Floors", EdgeKind.CONTAINS, "Halls")
+    assert schema.permits("Halls", EdgeKind.CONNECTS_TO, "Door")
+    assert schema.permits("Door", EdgeKind.CONNECTS_TO, "Halls")
+    assert not schema.permits("Room", EdgeKind.HAS, "Objects")
