@@ -170,6 +170,9 @@ def cmd_map(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_CHUNK_SIZE = 4  # episodes per task handed to a `run --jobs` worker
+
+
 def _episode_worker(payload: tuple) -> tuple[int, str, EpisodeResult]:
     index, agent, spec, schema, noise, particles = payload
     if agent == "full":
@@ -287,8 +290,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     results: dict[tuple[str, int], EpisodeResult] = {}
     try:
         if args.jobs > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                for index, agent, result in pool.map(_episode_worker, jobs, chunksize=4):
+            # a forked pool starts all its workers at once, so never more than
+            # the cores or the chunks of work can keep busy
+            chunks = -(-len(jobs) // _CHUNK_SIZE)
+            workers = min(args.jobs, os.cpu_count() or 1, chunks)
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                for index, agent, result in pool.map(_episode_worker, jobs,
+                                                     chunksize=_CHUNK_SIZE):
                     results[(agent, index)] = result
         else:
             for payload in jobs:

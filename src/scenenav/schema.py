@@ -46,12 +46,18 @@ class ConceptKind(enum.Enum):
     CONNECTOR = "Connector"
     REGION = "RegionAbstraction"
 
+    # members are singletons, so identity hashing agrees with equality and
+    # skips Enum's Python-level hash of the member name
+    __hash__ = object.__hash__
+
 
 class EdgeKind(enum.Enum):
     IS_NEAR = "is_near"
     CONNECTS_TO = "connects_to"
     HAS = "has"
     CONTAINS = "contains"
+
+    __hash__ = object.__hash__  # as for ConceptKind
 
 
 # Document field spellings (with their whitespace aliases) -> edge kind.

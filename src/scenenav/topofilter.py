@@ -12,12 +12,22 @@ Each particle keeps per-cell tables beside its assignments: cell sizes, cell
 adjacency, each cell's unique ``(label, desc)`` pairs in first-seen order and
 a tag naming the cell by its first observation's place label.  A step folds
 only the newest observation into them, so proposing and weighting one
-particle costs time in its number of cells, not in the length of the
+hypothesis costs time in its number of cells, not in the length of the
 history: the proposal walks the cells within its radius, and the rival
 search hands every cell's tag to ``similar_labels``.  A resampled clone
 copies the per-cell lists but shares every cell's immutable value with its
 source until it extends that cell (copy-on-write), so a clone costs O(cells)
 plus a flat copy of its assignment list.
+
+Resampling leaves many particles on one hypothesis, so a step shares work
+between them.  Each particle carries a hypothesis id: the particles of
+``FilterState.create`` share one, a clone keeps its source's, and a step
+gives every (parent id, chosen cell) pair a new one; assignments replaced or
+extended outside ``step`` get a fresh id.  A step computes the proposal once
+per distinct parent id and the likelihood (one round of oracle questions)
+once per distinct child; the other particles of a child adopt a copy of the
+scorer's tables.  Every particle still draws its own uniform number in
+particle order, so the states match a particle-by-particle loop exactly.
 
 The filter runs beside the deterministic mapper as a robustness/diagnostics
 layer; adopting its estimate is an explicit call (`suggest_merges`), never a
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -142,12 +153,32 @@ class TopologyParticle:
 
     Per-cell tables ride beside ``assignments`` and catch up with it on use.
     Appending to ``assignments`` or replacing the list keeps them right;
-    editing an earlier entry in place does not.
+    doing so outside ``step`` also gives the particle a fresh hypothesis id.
+    Editing an earlier entry in place does neither.
     """
 
     assignments: list[int] = field(default_factory=list)
     weight: float = 1.0
     _tables: _CellTables | None = field(default=None, init=False, repr=False, compare=False)
+    # (id, the assignments list it names, that list's length then); an id is
+    # a plain ``object()``, compared by identity
+    _hypothesis: tuple[object, list[int], int] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def _hypothesis_id(self) -> object:
+        """The id of these assignments; fresh if the list was replaced or extended."""
+        hypothesis = self._hypothesis
+        if (
+            hypothesis is None
+            or hypothesis[1] is not self.assignments
+            or hypothesis[2] != len(self.assignments)
+        ):
+            self._mark(object())
+        return self._hypothesis[0]
+
+    def _mark(self, hypothesis_id: object) -> None:
+        self._hypothesis = (hypothesis_id, self.assignments, len(self.assignments))
 
     def _synced(self, observations: list[ObsRecord] | None = None) -> _CellTables:
         """The cell tables, rebuilt if ``assignments`` was replaced, else extended."""
@@ -184,10 +215,12 @@ class TopologyParticle:
         return {n: set(nbrs) for n, nbrs in enumerate(self._synced().adjacency)}
 
     def clone(self) -> "TopologyParticle":
-        """Copy with its own assignments; cell values stay shared until extended."""
+        """Copy with its own assignments and the same hypothesis id; cell values
+        stay shared until extended."""
         twin = TopologyParticle(assignments=list(self.assignments), weight=self.weight)
         if self._tables is not None and self._tables.source is self.assignments:
             twin._tables = self._tables.copy(twin.assignments)
+        twin._mark(self._hypothesis_id())
         return twin
 
 
@@ -201,8 +234,14 @@ class FilterConfig:
     def __post_init__(self) -> None:
         if self.num_particles < 1:
             raise ValueError("num_particles must be at least 1")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if self.radius < 0:
+            raise ValueError(f"radius must be at least 0, got {self.radius}")
+        if not 0.0 <= self.resample_threshold <= 1.0:  # also rejects NaN
+            raise ValueError(
+                f"resample_threshold must lie in [0, 1], got {self.resample_threshold}"
+            )
 
 
 @dataclass
@@ -220,6 +259,9 @@ class FilterState:
             TopologyParticle(weight=1.0 / config.num_particles)
             for _ in range(config.num_particles)
         ]
+        root = object()
+        for particle in particles:
+            particle._mark(root)
         return cls(config=config, rng=rng, particles=particles)
 
 
@@ -268,19 +310,20 @@ def propose(
     radius: int = 2,
 ) -> int:
     """Sample the next observation's cell and append the assignment."""
-    existing, p_new = proposal_distribution(particle, prev_state_node, alpha, radius)
-    draw = rng.random()
+    existing, _ = proposal_distribution(particle, prev_state_node, alpha, radius)
+    chosen = _select(existing, particle.num_nodes, rng.random())
+    particle.assignments.append(chosen)
+    return chosen
+
+
+def _select(existing: list[tuple[int, float]], fresh: int, draw: float) -> int:
+    """The first cell whose cumulative mass exceeds ``draw``, else the fresh cell."""
     acc = 0.0
-    chosen: int | None = None
     for node, prob in existing:
         acc += prob
         if draw < acc:
-            chosen = node
-            break
-    if chosen is None:
-        chosen = particle.num_nodes  # fresh cell
-    particle.assignments.append(chosen)
-    return chosen
+            return node
+    return fresh
 
 
 def likelihood(
@@ -311,14 +354,40 @@ def likelihood(
 
 
 def step(state: FilterState, obs: ObsRecord, oracle: SemanticOracle) -> FilterState:
-    """Advance the filter by one observation: propose, weight, resample."""
+    """Advance the filter by one observation: propose, weight, resample.
+
+    Each particle draws its cell from its own uniform number, taken in particle
+    order.  The proposal is computed once per distinct parent hypothesis and
+    the likelihood once per distinct (parent, chosen cell); the other particles
+    of that child adopt a copy of the scorer's cell tables.
+    """
     config = state.config
-    state.observations.append(obs)
-    weights = np.empty(len(state.particles))
-    for i, particle in enumerate(state.particles):
-        propose(particle, particle.last_node, state.rng, config.alpha, config.radius)
-        like = likelihood(obs, particle, oracle, state.observations)
-        particle.weight *= like
+    observations = state.observations
+    observations.append(obs)
+    particles = state.particles
+    draws = state.rng.random(len(particles)).tolist()
+    proposals: dict[object, tuple[list[tuple[int, float]], int]] = {}
+    children: dict[tuple[object, int], tuple[object, float, _CellTables]] = {}
+    weights = np.empty(len(particles))
+    for i, particle in enumerate(particles):
+        parent = particle._hypothesis_id()
+        proposal = proposals.get(parent)
+        if proposal is None:
+            existing, _ = proposal_distribution(
+                particle, particle.last_node, config.alpha, config.radius
+            )
+            proposal = proposals[parent] = (existing, particle.num_nodes)
+        chosen = _select(*proposal, draws[i])
+        particle.assignments.append(chosen)
+        child = children.get((parent, chosen))
+        if child is None:
+            like = likelihood(obs, particle, oracle, observations)
+            child = (object(), like, particle._synced(observations))
+            children[parent, chosen] = child
+        else:
+            particle._tables = child[2].copy(particle.assignments)
+        particle._mark(child[0])
+        particle.weight *= child[1]
         weights[i] = particle.weight
 
     total = weights.sum()

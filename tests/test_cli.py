@@ -244,6 +244,33 @@ class TestRun:
         _, par = self._run(tmp_path, home_path, "par.csv", ["--baseline", "--jobs", "3"])
         assert seq.read_bytes() == par.read_bytes()
 
+    @pytest.mark.parametrize("cpus, expected", [(64, 5), (2, 2), (None, 1)])
+    def test_jobs_pool_is_capped(self, tmp_path, home_path, monkeypatch, cpus, expected):
+        # 6 episodes x 3 agents = 18 jobs in chunks of 4: 5 chunks; the pool is
+        # recorded and run inline, so no process is started
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _, seq = self._run(tmp_path, home_path, "seq.csv", ["--baseline"])
+        assert sizes == []
+        _, par = self._run(tmp_path, home_path, "par.csv", ["--baseline", "--jobs", "5000"])
+        assert sizes == [expected]
+        assert seq.read_bytes() == par.read_bytes()
+
     def test_negative_particles_rejected(self, tmp_path, home_path, capsys):
         out = tmp_path / "n.csv"
         code = main([

@@ -339,13 +339,13 @@ def test_overriding_match_place_sees_every_call():
 
     counting = Counting()
     obs = ObsRecord(place_label="bedroom", features=feats("bed", "lamp"))
-    # every particle opens its first cell with this observation and asks the
-    # same question; the base class answers repeats from its memo, but the
-    # override still sees each of them
+    # every particle opens its first cell with this observation: they hold one
+    # hypothesis, so the filter asks its question once; the override sees that
+    # call and every direct one, though the base class memoises the answer
     step(FilterState.create(FilterConfig(num_particles=20), seed=0), obs, counting)
-    assert counting.calls == 20
+    assert counting.calls == 1
     counting.match_place(obs.features, obs.features)
-    assert counting.calls == 21
+    assert counting.calls == 2
 
 
 def test_memos_stay_bounded(oracle):

@@ -295,3 +295,22 @@ def test_parser_and_schema_resolve_plurals_alike():
     assert schema.permits("Halls", EdgeKind.CONNECTS_TO, "Door")
     assert schema.permits("Door", EdgeKind.CONNECTS_TO, "Halls")
     assert not schema.permits("Room", EdgeKind.HAS, "Objects")
+
+
+@pytest.mark.parametrize("kind", list(ConceptKind) + list(EdgeKind), ids=str)
+def test_kind_members_hash_by_identity_and_survive_pickle(kind):
+    import copy
+    import pickle
+
+    enum_cls = type(kind)
+    assert hash(kind) == object.__hash__(kind)
+    table = {member: member.value for member in enum_cls}
+    assert table[kind] == kind.value
+    assert table[enum_cls(kind.value)] == kind.value
+    assert kind in frozenset(enum_cls)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        restored = pickle.loads(pickle.dumps(kind, protocol=protocol))
+        assert restored is kind
+        assert table[restored] == kind.value
+    assert copy.deepcopy(kind) is kind
+    assert pickle.loads(pickle.dumps(table)) == table

@@ -130,23 +130,26 @@ class TestStep:
         assert state.particles[0].weight == pytest.approx(1.0)
 
     def test_two_particle_weight_ratio(self):
-        # force both particles through one step, then check Eq-style update
+        # two hypotheses, each sure of its next cell (radius 0, next to no
+        # new-cell mass); the oracle answers per question, so each particle's
+        # weight is multiplied by its own cell's match confidence
+        kitchen, bedroom = rec("kitchen", "sink"), rec("bedroom", "bed")
         obs = rec("bedroom", "bed", "lamp")
 
         class SplitOracle(RuleOracle):
-            def __init__(self):
-                super().__init__()
-                self.calls = 0
-
             def match_place(self, a, b):
                 from scenenav.oracle.base import MatchDecision
 
-                self.calls += 1
-                conf = 0.8 if self.calls == 1 else 0.2
+                conf = 0.2 if "sink" in a.labels() else 0.8
                 return MatchDecision(matched=conf >= 0.5, confidence=conf)
 
-        state = FilterState.create(FilterConfig(num_particles=2, resample_threshold=0.0), seed=3)
+        config = FilterConfig(num_particles=2, alpha=1e-9, radius=0, resample_threshold=0.0)
+        state = FilterState.create(config, seed=3)
+        state.observations = [kitchen, bedroom]
+        state.particles[0].assignments = [0, 1]  # the bedroom's own cell: 0.8
+        state.particles[1].assignments = [0, 0]  # one cell with the sink: 0.2
         state = step(state, obs, SplitOracle())
+        assert [p.assignments for p in state.particles] == [[0, 1, 1], [0, 0, 0]]
         weights = sorted(p.weight for p in state.particles)
         assert weights == [pytest.approx(0.2), pytest.approx(0.8)]
 
@@ -259,6 +262,33 @@ def test_config_validation():
         FilterConfig(num_particles=0)
     with pytest.raises(ValueError):
         FilterConfig(alpha=0.0)
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("radius", -1),
+        ("radius", -3),
+        ("alpha", float("nan")),
+        ("alpha", float("inf")),
+        ("alpha", -1.0),
+        ("resample_threshold", float("nan")),
+        ("resample_threshold", -0.1),
+        ("resample_threshold", 1.5),
+        ("resample_threshold", float("inf")),
+    ],
+)
+def test_config_rejects_out_of_range_fields(field_name, value):
+    with pytest.raises(ValueError, match=field_name):
+        FilterConfig(**{field_name: value})
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [("radius", 0), ("resample_threshold", 0.0), ("resample_threshold", 1.0), ("alpha", 1e-9)],
+)
+def test_config_accepts_boundary_values(field_name, value):
+    assert getattr(FilterConfig(**{field_name: value}), field_name) == value
 
 
 # -- incremental cell tables ----------------------------------------------------
@@ -426,3 +456,147 @@ def test_filter_output_is_pinned_on_a_protocol_scene():
         digest.update(export_trace(state).encode())
         digest.update(json.dumps([[p.assignments, p.weight] for p in state.particles]).encode())
     assert digest.hexdigest() == FILTER_GOLDEN
+
+
+# -- hypothesis sharing -----------------------------------------------------------
+#
+# The reference below is the step loop from before particles holding one
+# hypothesis shared their work: every particle proposes with its own draw and
+# is scored on its own.  The filter must match it exactly.
+
+
+def _reference_step(state, obs, oracle):
+    config = state.config
+    state.observations.append(obs)
+    weights = np.empty(len(state.particles))
+    for i, particle in enumerate(state.particles):
+        propose(particle, particle.last_node, state.rng, config.alpha, config.radius)
+        like = likelihood(obs, particle, oracle, state.observations)
+        particle.weight *= like
+        weights[i] = particle.weight
+
+    total = weights.sum()
+    if total <= 0.0 or not np.isfinite(total):
+        weights[:] = 1.0 / len(weights)
+    else:
+        weights /= total
+    for particle, w in zip(state.particles, weights):
+        particle.weight = float(w)
+
+    ess = 1.0 / float(np.sum(weights**2))
+    resampled = ess < config.resample_threshold * len(state.particles)
+    if resampled:
+        n = len(state.particles)
+        positions = (np.arange(n) + state.rng.random()) / n
+        cumulative = np.cumsum(weights)
+        cumulative[-1] = 1.0
+        fresh = []
+        for idx in np.searchsorted(cumulative, positions):
+            clone = state.particles[int(idx)].clone()
+            clone.weight = 1.0 / n
+            fresh.append(clone)
+        state.particles = fresh
+
+    best = max(state.particles, key=lambda p: p.weight)  # first of the heaviest
+    top = sorted((p.weight for p in state.particles), reverse=True)[:5]
+    state.trace.append(
+        {
+            "step": len(state.observations) - 1,
+            "ess": ess,
+            "resampled": resampled,
+            "map_size": best.num_nodes,
+            "top_weights": top,
+        }
+    )
+    return state
+
+
+def _replace_some_assignments(state, t):
+    """Replace a few particles' assignment lists, as a caller outside ``step`` may."""
+    particles = state.particles
+    n = len(particles)
+    if t % 5 == 2:  # a copy of another particle's list
+        particles[t % n].assignments = list(particles[(3 * t + 1) % n].assignments)
+    if t % 7 == 4:  # an equal list of its own: a new id, the same hypothesis
+        particles[(t + 2) % n].assignments = list(particles[(t + 2) % n].assignments)
+    if t % 11 == 6:  # one cell holding every observation so far
+        particles[(5 * t) % n].assignments = [0] * len(state.observations)
+
+
+@pytest.fixture(scope="module")
+def equivalence_streams():
+    return [
+        _random_stream(seed=1, length=40),
+        _random_stream(seed=8, length=40),
+        _protocol_scene_records(),
+    ]
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("num_particles", [1, 7, 50, 200])
+def test_step_matches_the_per_particle_loop(equivalence_streams, num_particles, threshold):
+    config = FilterConfig(num_particles=num_particles, resample_threshold=threshold)
+    for seed, records in enumerate(equivalence_streams):
+        shared = FilterState.create(config, seed=seed)
+        reference = FilterState.create(config, seed=seed)
+        shared_oracle, reference_oracle = RuleOracle(), RuleOracle()
+        for t, obs in enumerate(records):
+            if t:
+                _replace_some_assignments(shared, t)
+                _replace_some_assignments(reference, t)
+            shared = step(shared, obs, shared_oracle)
+            reference = _reference_step(reference, obs, reference_oracle)
+            assert [p.assignments for p in shared.particles] == [
+                p.assignments for p in reference.particles
+            ]
+            assert [p.weight for p in shared.particles] == [
+                p.weight for p in reference.particles
+            ]
+            assert export_trace(shared) == export_trace(reference)
+        for particle in shared.particles:
+            _assert_tables_match(particle, shared.observations)
+
+
+def _count_scored_hypotheses(monkeypatch):
+    import scenenav.topofilter as topofilter
+
+    scored = []
+    real = topofilter.likelihood
+
+    def counting(obs, particle, oracle, observations):
+        scored.append(tuple(particle.assignments))
+        return real(obs, particle, oracle, observations)
+
+    monkeypatch.setattr(topofilter, "likelihood", counting)
+    return scored
+
+
+def test_each_distinct_hypothesis_is_scored_once_per_step(monkeypatch):
+    scored = _count_scored_hypotheses(monkeypatch)
+    oracle = RuleOracle()
+    # without resampling, the particles after a step are exactly its children
+    state = FilterState.create(FilterConfig(num_particles=50, resample_threshold=0.0), seed=4)
+    for obs in _random_stream(seed=2, length=15):
+        scored.clear()
+        state = step(state, obs, oracle)
+        distinct = {tuple(p.assignments) for p in state.particles}
+        assert len(scored) <= len(distinct)
+        assert set(scored) == distinct
+    assert len(distinct) > 1
+
+
+def test_resampled_particles_share_their_scoring(monkeypatch):
+    scored = _count_scored_hypotheses(monkeypatch)
+    oracle = RuleOracle()
+    state = FilterState.create(FilterConfig(num_particles=50, resample_threshold=1.0), seed=6)
+    calls = []
+    for obs in _random_stream(seed=3, length=30):
+        scored.clear()
+        state = step(state, obs, oracle)
+        # no hypothesis is scored twice, and every survivor was scored
+        assert len(scored) == len(set(scored))
+        assert {tuple(p.assignments) for p in state.particles} <= set(scored)
+        calls.append(len(scored))
+    assert calls[0] == 1  # every particle of a fresh filter opens cell 0
+    assert sum(rec["resampled"] for rec in state.trace) >= 5
+    assert sum(calls) < 50 * len(calls)
