@@ -210,6 +210,17 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_INVALID
+    if args.seed < 0:
+        print(f"--seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return EXIT_INVALID
+    if args.scene_seed < 0 and not args.scene:  # a scene file draws no home
+        print(f"--scene-seed must be a non-negative integer, got {args.scene_seed}",
+              file=sys.stderr)
+        return EXIT_INVALID
+    goals = args.goal.split(",") if args.goal else list(GOAL_CATEGORIES)
+    if not all(goal.strip() for goal in goals):
+        print(f"--goal entries must not be empty, got {args.goal!r}", file=sys.stderr)
+        return EXIT_INVALID
     if min(args.horizon_factor, args.horizon_slack) < 0 or not (
         args.horizon_factor or args.horizon_slack
     ):
@@ -265,7 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         episode_seed=args.seed,
         horizon_factor=args.horizon_factor,
         horizon_slack=args.horizon_slack,
-        goals=tuple(args.goal.split(",") if args.goal else GOAL_CATEGORIES),
+        goals=tuple(goals),
     )
     try:
         specs = build_episodes(protocol, scene)

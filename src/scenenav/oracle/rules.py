@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
 
 from ..graph import ObjectFeatures
@@ -31,16 +30,30 @@ class RuleConfig:
     large_weight: float = 3.0
     confidence_steepness: float = 4.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.match_threshold <= 1.0:  # also rejects NaN
+            raise ValueError(f"match_threshold must lie in [0, 1], got {self.match_threshold}")
+        # the weighted bags of RuleOracle rely on a positive weight
+        if not (math.isfinite(self.large_weight) and self.large_weight > 0):
+            raise ValueError(f"large_weight must be positive and finite, got {self.large_weight}")
+        if not (math.isfinite(self.confidence_steepness) and self.confidence_steepness > 0):
+            raise ValueError(
+                "confidence_steepness must be positive and finite, "
+                f"got {self.confidence_steepness}"
+            )
+
 
 # Bounds of the per-oracle memos; each is cleared when full.  Labels repeat
 # across a run, but mapper place ids ("bedroom_12") and filter cell tags grow
 # with the map.  The summary memo shares the label bound: a frozen map offers
 # one summary per place, region and frontier connector.  So does the bag memo:
 # the mapper compares the same candidates' features frame after frame, and the
-# graph hands it the same features tuple each time.  Repeated place-match
-# questions come from the filter's particles within one step (about a dozen
-# distinct ones per step), so a small memo catches nearly all of them; a
-# larger one mostly keeps mapper feature tuples alive.
+# graph hands it the same features tuple each time.  A bag maps each canonical
+# label to its overlap weight times its count, so an overlap reads no weight
+# and the memo saves the weighting as well as the canonicalising.  Repeated
+# place-match questions come from the filter's particles within one step
+# (about a dozen distinct ones per step), so a small memo catches nearly all
+# of them; a larger one mostly keeps mapper feature tuples alive.
 _LABEL_MEMO_SIZE = 1024
 _MATCH_MEMO_SIZE = 64
 
@@ -87,8 +100,8 @@ class RuleOracle(SemanticOracle):
         self._match_memo: dict[tuple, MatchDecision] = {}
         # candidate summary -> the canonical labels it lists
         self._summary_memo: dict[str, frozenset[str]] = {}
-        # features items -> multiset of their canonical labels
-        self._bag_memo: dict[tuple, Counter] = {}
+        # features items -> canonical label -> weight x count
+        self._bag_memo: dict[tuple, dict[str, float]] = {}
 
     # -- label handling --------------------------------------------------------
 
@@ -123,36 +136,50 @@ class RuleOracle(SemanticOracle):
             )
         return labels
 
-    def _bag(self, features: ObjectFeatures) -> Counter:
-        """Multiset of the canonical labels of ``features``; shared, read it only."""
+    def _bag(self, features: ObjectFeatures) -> dict[str, float]:
+        """Canonical label -> overlap weight x count over ``features``; shared, read it only."""
         memo = self._bag_memo
         bag = memo.get(features.items)
         if bag is None:
             if len(memo) >= _LABEL_MEMO_SIZE:
                 memo.clear()
-            bag = memo[features.items] = Counter(map(self._canon, features.labels()))
+            canon, weight = self._canon_memo.get, self._weight_memo.get
+            counts: dict[str, int] = {}
+            for label, _ in features.items:
+                label = canon(label) or self._canon(label)
+                counts[label] = counts.get(label, 0) + 1
+            bag = memo[features.items] = {
+                label: (weight(label) or self._weight(label)) * count
+                for label, count in counts.items()
+            }
         return bag
 
-    def _overlap(self, a: Counter, b: Counter) -> float:
-        """Weighted Jaccard on canonical label multisets; empty-vs-empty is 1."""
+    def _overlap(self, a: dict[str, float], b: dict[str, float]) -> float:
+        """Weighted Jaccard on canonical label multisets; empty-vs-empty is 1.
+
+        Rounding is monotone, so w * min(x, y) == min(w * x, w * y) exactly for
+        w > 0: summing the bags' weighted counts in sorted label order gives
+        the same float as weighting each count here.
+        """
         if not a and not b:
             return 1.0
         inter = 0.0
         union = 0.0
-        for label in sorted(a.keys() | b.keys()):
-            w = self._weight(label)
-            x, y = a.get(label, 0), b.get(label, 0)
+        get_a, get_b = a.get, b.get
+        for label in sorted({**a, **b}):  # the union of both bags' labels
+            x, y = get_a(label, 0.0), get_b(label, 0.0)
             if x > y:
                 x, y = y, x
-            inter += w * x
-            union += w * y
+            inter += x
+            union += y
         return inter / union if union else 0.0
 
     # -- decisions ---------------------------------------------------------------
 
     def similar_labels(self, query: str, candidates: list[str]) -> list[str]:
         want = self._canon(query)
-        return [c for c in candidates if self._canon(c) == want]
+        canon = self._canon_memo.get
+        return [c for c in candidates if (canon(c) or self._canon(c)) == want]
 
     def match_place(self, features_a: ObjectFeatures, features_b: ObjectFeatures) -> MatchDecision:
         key = (features_a.items, features_b.items)
@@ -219,7 +246,7 @@ class RuleOracle(SemanticOracle):
         want = self._canon(probe_label)
         best_id: str | None = None
         best_score = -1.0
-        probe_bag: Counter | None = None
+        probe_bag: dict[str, float] | None = None
         for cand_id, label, _, features in candidates:
             if self._canon(label) != want:
                 continue

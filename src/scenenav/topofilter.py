@@ -8,26 +8,29 @@ restricted to a hop radius), the weight update scores how well the newest
 observation matches its cell while mismatching rival cells of similar label,
 and systematic resampling keeps the ensemble focused.
 
-Each particle keeps per-cell tables beside its assignments: cell sizes, cell
-adjacency, each cell's unique ``(label, desc)`` pairs in first-seen order and
-a tag naming the cell by its first observation's place label.  A step folds
-only the newest observation into them, so proposing and weighting one
-hypothesis costs time in its number of cells, not in the length of the
-history: the proposal walks the cells within its radius, and the rival
-search hands every cell's tag to ``similar_labels``.  A resampled clone
-copies the per-cell lists but shares every cell's immutable value with its
-source until it extends that cell (copy-on-write), so a clone costs O(cells)
-plus a flat copy of its assignment list.
+Each hypothesis keeps per-cell tables: cell sizes, cell adjacency, each
+cell's unique ``(label, desc)`` pairs in first-seen order and a tag naming
+the cell by its first observation's place label.  A step folds only the
+newest observation into them, so proposing and weighting one hypothesis
+costs time in its number of cells, not in the length of the history: the
+proposal walks the cells within its radius, and the rival search hands every
+cell's tag to ``similar_labels``.
 
 Resampling leaves many particles on one hypothesis, so a step shares work
-between them.  Each particle carries a hypothesis id: the particles of
-``FilterState.create`` share one, a clone keeps its source's, and a step
-gives every (parent id, chosen cell) pair a new one; assignments replaced or
-extended outside ``step`` get a fresh id.  A step computes the proposal once
-per distinct parent id and the likelihood (one round of oracle questions)
-once per distinct child; the other particles of a child adopt a copy of the
-scorer's tables.  Every particle still draws its own uniform number in
-particle order, so the states match a particle-by-particle loop exactly.
+between them.  Each particle carries a hypothesis id and the tables stored
+with it: the particles of ``FilterState.create`` share one, a clone keeps its
+source's, and a step gives every (parent id, chosen cell) pair a new one;
+assignments replaced or extended outside ``step`` get a fresh id.  A step
+computes the proposal (cumulative cell masses) once per distinct parent id
+and the likelihood (one round of oracle questions) once per distinct child.
+Each child's tables are one copy of its parent's, extended by one
+assignment and one observation when the likelihood reads them; the copy
+shares every cell's immutable value with the parent's until it replaces that
+cell, so it costs O(cells).  Clones and the child's other particles hold a
+reference to the same tables.  Tables are never changed once shared: a
+particle extended or re-read against another stream copies them first.  Every particle still draws its own uniform
+number in particle order, so the states match a particle-by-particle loop
+exactly.
 
 The filter runs beside the deterministic mapper as a robustness/diagnostics
 layer; adopting its estimate is an explicit call (`suggest_merges`), never a
@@ -39,8 +42,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -71,21 +76,21 @@ class ObsRecord:
 
 
 class _CellTables:
-    """Per-cell summaries of one particle's assignments, extended in place.
+    """Per-cell summaries of one hypothesis's assignments.
 
     ``sizes`` and ``adjacency`` follow from the assignments alone; ``items``
     (the cell's unique ``(label, desc)`` pairs in first-seen order) and
     ``tags`` (``"<label of the cell's first observation>_<cell>"``) also need
     the observation stream they were read from.  Every list is indexed by cell
     and holds immutable values, so a copy of the lists shares each cell's
-    value with its source until one side replaces it.
+    value with its source until one side replaces it.  Tables are extended
+    only between their creation (or copy) and the moment a particle stores
+    them; after that they may be shared and are never changed.
     """
 
-    __slots__ = ("source", "length", "sizes", "adjacency",
-                 "observations", "item_length", "items", "tags")
+    __slots__ = ("length", "sizes", "adjacency", "observations", "item_length", "items", "tags")
 
-    def __init__(self, source: list[int]) -> None:
-        self.source = source  # the assignments list these tables describe
+    def __init__(self) -> None:
         self.length = 0  # assignments folded into sizes / adjacency
         self.sizes: list[int] = []
         self.adjacency: list[frozenset[int]] = []
@@ -94,8 +99,8 @@ class _CellTables:
         self.items: list[tuple[tuple[str, str], ...]] = []
         self.tags: list[str | None] = []
 
-    def copy(self, source: list[int]) -> "_CellTables":
-        twin = _CellTables(source)
+    def copy(self) -> "_CellTables":
+        twin = _CellTables()
         twin.length = self.length
         twin.sizes = list(self.sizes)
         twin.adjacency = list(self.adjacency)
@@ -105,9 +110,9 @@ class _CellTables:
         twin.tags = list(self.tags)
         return twin
 
-    def extend(self) -> None:
+    def extend(self, assignments: list[int]) -> None:
         """Fold the assignments appended since the last call."""
-        assignments, sizes, adjacency = self.source, self.sizes, self.adjacency
+        sizes, adjacency = self.sizes, self.adjacency
         for idx in range(self.length, len(assignments)):
             node = assignments[idx]
             while len(sizes) <= node:
@@ -120,14 +125,14 @@ class _CellTables:
                 adjacency[node] = adjacency[node] | {prev}
         self.length = len(assignments)
 
-    def extend_items(self, observations: list[ObsRecord]) -> None:
-        """Fold the observations of the assignments appended since the last call."""
+    def extend_items(self, assignments: list[int], observations: list[ObsRecord]) -> None:
+        """Fold the observations of the assignments folded since the last call."""
         if observations is not self.observations:
             self.observations = observations
             self.item_length = 0
             self.items = []
             self.tags = []
-        assignments, items, tags = self.source, self.items, self.tags
+        items, tags = self.items, self.tags
         for idx in range(self.item_length, self.length):
             node = assignments[idx]
             while len(items) <= node:
@@ -151,47 +156,41 @@ class _CellTables:
 class TopologyParticle:
     """One topology hypothesis: cell assignment per observation index.
 
-    Per-cell tables ride beside ``assignments`` and catch up with it on use.
-    Appending to ``assignments`` or replacing the list keeps them right;
-    doing so outside ``step`` also gives the particle a fresh hypothesis id.
+    The particle stores its hypothesis as ``(id, the assignments list it
+    names, cell tables)``; particles holding one hypothesis share the id and
+    the tables.  Appending to ``assignments`` or replacing the list outside
+    ``step`` gives the particle a fresh id and tables of its own on next use.
     Editing an earlier entry in place does neither.
     """
 
     assignments: list[int] = field(default_factory=list)
     weight: float = 1.0
-    _tables: _CellTables | None = field(default=None, init=False, repr=False, compare=False)
-    # (id, the assignments list it names, that list's length then); an id is
-    # a plain ``object()``, compared by identity
-    _hypothesis: tuple[object, list[int], int] | None = field(
+    # an id is a plain ``object()``, compared by identity
+    _hypothesis: tuple[object, list[int], _CellTables] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def _hypothesis_id(self) -> object:
-        """The id of these assignments; fresh if the list was replaced or extended."""
-        hypothesis = self._hypothesis
-        if (
-            hypothesis is None
-            or hypothesis[1] is not self.assignments
-            or hypothesis[2] != len(self.assignments)
-        ):
-            self._mark(object())
-        return self._hypothesis[0]
-
-    def _mark(self, hypothesis_id: object) -> None:
-        self._hypothesis = (hypothesis_id, self.assignments, len(self.assignments))
-
     def _synced(self, observations: list[ObsRecord] | None = None) -> _CellTables:
-        """The cell tables, rebuilt if ``assignments`` was replaced, else extended."""
-        tables = self._tables
-        length = len(self.assignments)
-        if tables is None or tables.source is not self.assignments or tables.length > length:
-            tables = self._tables = _CellTables(self.assignments)
-        if tables.length < length:
-            tables.extend()
-        if observations is not None and (
-            tables.item_length < length or tables.observations is not observations
+        """The hypothesis's cell tables, current with ``assignments`` (and
+        ``observations``); stored tables may be shared, so they are copied
+        before any change."""
+        hypothesis_id, named, tables = self._hypothesis or (None, None, None)
+        assignments = self.assignments
+        length = len(assignments)
+        if named is not assignments or tables.length > length:
+            hypothesis_id, tables = object(), _CellTables()
+        elif tables.length < length:
+            hypothesis_id, tables = object(), tables.copy()
+        elif observations is None or (
+            tables.item_length == length and tables.observations is observations
         ):
-            tables.extend_items(observations)
+            return tables
+        else:
+            tables = tables.copy()
+        tables.extend(assignments)
+        if observations is not None:
+            tables.extend_items(assignments, observations)
+        self._hypothesis = (hypothesis_id, assignments, tables)
         return tables
 
     @property
@@ -215,12 +214,10 @@ class TopologyParticle:
         return {n: set(nbrs) for n, nbrs in enumerate(self._synced().adjacency)}
 
     def clone(self) -> "TopologyParticle":
-        """Copy with its own assignments and the same hypothesis id; cell values
-        stay shared until extended."""
+        """Copy with its own assignments and the same hypothesis and tables."""
         twin = TopologyParticle(assignments=list(self.assignments), weight=self.weight)
-        if self._tables is not None and self._tables.source is self.assignments:
-            twin._tables = self._tables.copy(twin.assignments)
-        twin._mark(self._hypothesis_id())
+        tables = self._synced()
+        twin._hypothesis = (self._hypothesis[0], twin.assignments, tables)
         return twin
 
 
@@ -259,9 +256,9 @@ class FilterState:
             TopologyParticle(weight=1.0 / config.num_particles)
             for _ in range(config.num_particles)
         ]
-        root = object()
+        root, tables = object(), _CellTables()
         for particle in particles:
-            particle._mark(root)
+            particle._hypothesis = (root, particle.assignments, tables)
         return cls(config=config, rng=rng, particles=particles)
 
 
@@ -311,19 +308,20 @@ def propose(
 ) -> int:
     """Sample the next observation's cell and append the assignment."""
     existing, _ = proposal_distribution(particle, prev_state_node, alpha, radius)
-    chosen = _select(existing, particle.num_nodes, rng.random())
+    chosen = _select(*_masses(existing), particle.num_nodes, rng.random())
     particle.assignments.append(chosen)
     return chosen
 
 
-def _select(existing: list[tuple[int, float]], fresh: int, draw: float) -> int:
+def _masses(existing: list[tuple[int, float]]) -> tuple[list[int], list[float]]:
+    """The proposal's cells and their cumulative masses, summed in cell order."""
+    return [node for node, _ in existing], list(accumulate(prob for _, prob in existing))
+
+
+def _select(nodes: list[int], cumulative: list[float], fresh: int, draw: float) -> int:
     """The first cell whose cumulative mass exceeds ``draw``, else the fresh cell."""
-    acc = 0.0
-    for node, prob in existing:
-        acc += prob
-        if draw < acc:
-            return node
-    return fresh
+    pick = bisect_right(cumulative, draw)
+    return nodes[pick] if pick < len(nodes) else fresh
 
 
 def likelihood(
@@ -358,46 +356,49 @@ def step(state: FilterState, obs: ObsRecord, oracle: SemanticOracle) -> FilterSt
 
     Each particle draws its cell from its own uniform number, taken in particle
     order.  The proposal is computed once per distinct parent hypothesis and
-    the likelihood once per distinct (parent, chosen cell); the other particles
-    of that child adopt a copy of the scorer's cell tables.
+    the likelihood once per distinct (parent, chosen cell); that child's tables
+    are one copy of the parent's, and its other particles share them.
     """
     config = state.config
     observations = state.observations
     observations.append(obs)
     particles = state.particles
     draws = state.rng.random(len(particles)).tolist()
-    proposals: dict[object, tuple[list[tuple[int, float]], int]] = {}
-    children: dict[tuple[object, int], tuple[object, float, _CellTables]] = {}
-    weights = np.empty(len(particles))
+    proposals: dict[object, tuple[list[int], list[float], int]] = {}
+    children: dict[tuple[object, int], tuple[object, _CellTables, float]] = {}
+    unnormalised = []
     for i, particle in enumerate(particles):
-        parent = particle._hypothesis_id()
+        tables = particle._synced()
+        parent = particle._hypothesis[0]
         proposal = proposals.get(parent)
         if proposal is None:
             existing, _ = proposal_distribution(
                 particle, particle.last_node, config.alpha, config.radius
             )
-            proposal = proposals[parent] = (existing, particle.num_nodes)
+            proposal = proposals[parent] = (*_masses(existing), len(tables.sizes))
         chosen = _select(*proposal, draws[i])
-        particle.assignments.append(chosen)
+        assignments = particle.assignments
+        assignments.append(chosen)
         child = children.get((parent, chosen))
         if child is None:
+            # the append left the parent's tables behind, so the likelihood
+            # reads one copy of them, extended, under a fresh id
             like = likelihood(obs, particle, oracle, observations)
-            child = (object(), like, particle._synced(observations))
-            children[parent, chosen] = child
-        else:
-            particle._tables = child[2].copy(particle.assignments)
-        particle._mark(child[0])
-        particle.weight *= child[1]
-        weights[i] = particle.weight
+            tables = particle._synced(observations)
+            child = children[parent, chosen] = (particle._hypothesis[0], tables, like)
+        particle._hypothesis = (child[0], assignments, child[1])
+        particle.weight *= child[2]
+        unnormalised.append(particle.weight)
 
+    weights = np.array(unnormalised)
     total = weights.sum()
     if total <= 0.0 or not np.isfinite(total):
         logger.warning("all particle weights vanished; resetting to uniform")
         weights[:] = 1.0 / len(weights)
     else:
         weights /= total
-    for particle, w in zip(state.particles, weights):
-        particle.weight = float(w)
+    for particle, w in zip(particles, weights.tolist()):
+        particle.weight = w
 
     ess = 1.0 / float(np.sum(weights**2))
     resampled = ess < config.resample_threshold * len(state.particles)

@@ -448,6 +448,32 @@ class TestFlagBounds:
                 "--horizon-factor", "0", "--out", str(out)]
         assert main(argv) == 0 and out.exists()
 
+    @pytest.mark.parametrize("goal", [",", "bed,,sofa", " ", "sink, "])
+    def test_run_empty_goal_entry(self, tmp_path, home_path, capsys, goal):
+        out = tmp_path / "m.csv"
+        argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
+                "--goal", goal, "--out", str(out)]
+        self._rejected(capsys, argv, "--goal", out)
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-5"), ("--scene-seed", "-1")])
+    def test_run_negative_seed(self, tmp_path, home_path, capsys, monkeypatch, flag, value):
+        def no_draws(*args):
+            raise AssertionError("episodes drawn before the seeds were checked")
+
+        monkeypatch.setattr(cli, "build_episodes", no_draws)
+        out = tmp_path / "m.csv"
+        argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
+                flag, value, "--out", str(out)]
+        self._rejected(capsys, argv, flag, out)
+
+    def test_run_scene_file_ignores_negative_scene_seed(self, tmp_path, home_path):
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(scene_to_json(generate_home_scene(np.random.default_rng(12))))
+        out = tmp_path / "m.csv"
+        argv = ["run", "--schema", home_path, "--scene", str(scene_path), "--episodes", "1",
+                "--scene-seed", "-1", "--out", str(out)]
+        assert main(argv) == 0 and out.exists()
+
     @pytest.mark.parametrize("flag", ["--beta-pix", "--beta-iou", "--min-obj-area"])
     @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
     def test_map_thresholds(self, tmp_path, home_path, capsys, flag, value):

@@ -473,3 +473,100 @@ def test_memoised_decisions_equal_memo_free_ones_on_a_sweep(home, sweep):
     asked = Counter(method for method, _, _ in recording.asked)
     assert asked["match_object"] > 1000 and asked["match_place"] > 500
     assert recording._bag_memo
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [
+        ("large_weight", 0.0),
+        ("large_weight", -1.0),
+        ("large_weight", float("nan")),
+        ("large_weight", float("inf")),
+        ("match_threshold", -0.1),
+        ("match_threshold", 1.5),
+        ("match_threshold", float("nan")),
+        ("match_threshold", float("inf")),
+        ("confidence_steepness", 0.0),
+        ("confidence_steepness", -4.0),
+        ("confidence_steepness", float("nan")),
+        ("confidence_steepness", float("inf")),
+    ],
+)
+def test_rule_config_rejects_out_of_range_fields(field_name, value):
+    with pytest.raises(ValueError, match=field_name):
+        RuleConfig(**{field_name: value})
+
+
+@pytest.mark.parametrize(
+    "field_name, value",
+    [("match_threshold", 0.0), ("match_threshold", 1.0), ("large_weight", 1e-9),
+     ("confidence_steepness", 1e-9)],
+)
+def test_rule_config_accepts_boundary_values(field_name, value):
+    assert getattr(RuleConfig(**{field_name: value}), field_name) == value
+
+
+def _counter_overlap(oracle, a, b):
+    """Weighted Jaccard as computed before bags held weight x count: Counter
+    bags, labels sorted, each weight read and multiplied per call."""
+    if not a and not b:
+        return 1.0
+    inter = union = 0.0
+    for label in sorted(a.keys() | b.keys()):
+        w = oracle.config.large_weight if oracle.tables.is_large(label) else 1.0
+        x, y = a.get(label, 0), b.get(label, 0)
+        if x > y:
+            x, y = y, x
+        inter += w * x
+        union += w * y
+    return inter / union if union else 0.0
+
+
+class _CounterBags(RuleOracle):
+    """The rule oracle with Counter bags and the per-call weighted formula."""
+
+    def _bag(self, features):
+        return Counter(self.tables.canonical(strip_suffix(l)) for l in features.labels())
+
+    def _overlap(self, a, b):
+        return _counter_overlap(self, a, b)
+
+    def match_place(self, a, b):
+        return self._decide_match(a, b)
+
+
+# large objects, their synonyms and suffixed ids, and ordinary labels
+_BAG_POOL = ["sofa", "couch_3", "settee", "bed", "bed_2", "wardrobe", "closet", "fridge",
+             "refrigerator_1", "table", "lamp", "vase", "plant", "rug", "mirror", "sink"]
+
+
+def _random_features(rng):
+    # up to 24 labels, so a label can recur often enough that adding its weight
+    # count times would differ from multiplying by the count
+    size = int(rng.integers(0, 25))
+    labels = [_BAG_POOL[int(k)] for k in rng.integers(len(_BAG_POOL), size=size)]
+    return ObjectFeatures(items=tuple((l, str(int(rng.integers(3)))) for l in labels))
+
+
+@pytest.mark.parametrize("large_weight", [3.0, 2.7, 0.1, 1e-3])
+def test_weighted_bags_match_the_counter_formula_bit_for_bit(large_weight):
+    config = RuleConfig(large_weight=large_weight)
+    weighted, reference = RuleOracle(config=config), _CounterBags(config=config)
+    rng = np.random.default_rng(int(large_weight * 1000))
+    partial = 0
+    for _ in range(400):
+        a, b = _random_features(rng), _random_features(rng)
+        overlap = weighted._overlap(weighted._bag(a), weighted._bag(b))
+        expected = reference._overlap(reference._bag(a), reference._bag(b))
+        assert overlap.hex() == expected.hex(), (a, b)
+        assert weighted.match_place(a, b) == reference.match_place(a, b)
+        partial += 0.0 < overlap < 1.0
+        candidates = [
+            (f"obj_{i}", a.items[0][0] if a.items else "lamp", "", _random_features(rng))
+            for i in range(int(rng.integers(1, 5)))
+        ]
+        probe = (a.items[0][0] if a.items else "lamp", "", a)
+        assert weighted.match_object(probe, candidates) == reference.match_object(
+            probe, candidates
+        )
+    assert partial > 100  # most pairs share some labels but not all

@@ -323,11 +323,16 @@ def _brute_adjacency(assignments):
     return adj
 
 
+def _tables(particle):
+    """The cell tables stored with the particle's hypothesis."""
+    return particle._hypothesis[2]
+
+
 def _assert_tables_match(particle, observations):
     assignments = particle.assignments
-    tables = particle._tables
+    tables = _tables(particle)
     # the tables were kept current by the filter itself, not rebuilt here
-    assert tables.source is assignments
+    assert particle._hypothesis[1] is assignments
     assert tables.length == tables.item_length == len(assignments)
     cells = range(max(assignments) + 1)
     assert tables.sizes == [assignments.count(n) for n in cells]
@@ -376,19 +381,19 @@ def test_extending_a_clone_leaves_its_source_untouched():
     observations = [ROOM, CORRIDOR]
     source = TopologyParticle(assignments=[0, 1])
     likelihood(CORRIDOR, source, oracle, observations)
-    snapshot = [list(getattr(source._tables, name)) for name in TABLE_FIELDS]
+    snapshot = [list(getattr(_tables(source), name)) for name in TABLE_FIELDS]
 
     twin = source.clone()
-    assert twin._tables.items[0] is source._tables.items[0]
+    assert _tables(twin) is _tables(source)
     for node, obs in ((0, rec("bedroom", "bed", "wardrobe")), (2, rec("kitchen", "sink"))):
         observations.append(obs)
         twin.assignments.append(node)
         likelihood(obs, twin, oracle, observations)
     _assert_tables_match(twin, observations)
-    assert twin._tables.items[0] != source._tables.items[0]
+    assert _tables(twin).items[0] != _tables(source).items[0]
 
     assert source.assignments == [0, 1]
-    assert [list(getattr(source._tables, name)) for name in TABLE_FIELDS] == snapshot
+    assert [list(getattr(_tables(source), name)) for name in TABLE_FIELDS] == snapshot
     _assert_tables_match(source, observations)
 
 
@@ -600,3 +605,89 @@ def test_resampled_particles_share_their_scoring(monkeypatch):
     assert calls[0] == 1  # every particle of a fresh filter opens cell 0
     assert sum(rec["resampled"] for rec in state.trace) >= 5
     assert sum(calls) < 50 * len(calls)
+
+
+# -- tables shared between the particles of one hypothesis ------------------------
+
+
+def _shared_siblings(seed):
+    """A resampled filter state and two of its particles holding one tables object."""
+    state = FilterState.create(FilterConfig(num_particles=30, resample_threshold=1.0), seed=seed)
+    oracle = RuleOracle()
+    for obs in _random_stream(seed=seed, length=12):
+        state = step(state, obs, oracle)
+    by_tables = {}
+    for particle in state.particles:
+        by_tables.setdefault(id(_tables(particle)), []).append(particle)
+    siblings = max(by_tables.values(), key=len)
+    assert len(siblings) >= 2
+    return state, oracle, siblings
+
+
+def test_appending_to_one_sibling_leaves_the_shared_tables_alone():
+    state, oracle, siblings = _shared_siblings(seed=5)
+    shared = _tables(siblings[0])
+    snapshot = [list(getattr(shared, name)) for name in TABLE_FIELDS]
+    obs = rec("kitchen", "sink", "oven")
+    state.observations.append(obs)
+    appended = siblings[0]
+    appended.assignments.append(appended.num_nodes)  # a fresh cell
+    likelihood(obs, appended, oracle, state.observations)
+
+    assert _tables(appended) is not shared
+    assert appended._hypothesis[0] is not siblings[1]._hypothesis[0]
+    _assert_tables_match(appended, state.observations)
+    assert [list(getattr(shared, name)) for name in TABLE_FIELDS] == snapshot
+    for sibling in siblings[1:]:
+        assert _tables(sibling) is shared
+    for particle in state.particles:
+        _assert_tables_match(particle, state.observations)
+
+
+def test_rescoring_one_sibling_on_another_stream_leaves_the_shared_tables_alone():
+    state, oracle, siblings = _shared_siblings(seed=7)
+    shared = _tables(siblings[0])
+    rescored = siblings[0]
+    other = list(state.observations)
+    other[0] = rec("garage", "car", "bike")
+    other[-1] = rec("bedroom", "bed", "wardrobe", "rug")
+    likelihood(other[-1], rescored, oracle, other)
+
+    assert _tables(rescored) is not shared
+    assert rescored._hypothesis[0] is siblings[1]._hypothesis[0]  # the same assignments
+    _assert_tables_match(rescored, other)
+    for sibling in siblings[1:]:
+        assert _tables(sibling) is shared
+        _assert_tables_match(sibling, state.observations)
+
+    # the next step reads the filter's own stream again for every particle
+    state = step(state, rec("corridor", "plant", "bench"), oracle)
+    for particle in state.particles:
+        _assert_tables_match(particle, state.observations)
+
+
+def test_tables_are_copied_once_per_distinct_child(monkeypatch):
+    import scenenav.topofilter as topofilter
+
+    copies = []
+    real_copy = topofilter._CellTables.copy
+
+    def counting_copy(tables):
+        copies.append(tables)
+        return real_copy(tables)
+
+    monkeypatch.setattr(topofilter._CellTables, "copy", counting_copy)
+    scored = _count_scored_hypotheses(monkeypatch)
+    oracle = RuleOracle()
+    state = FilterState.create(FilterConfig(num_particles=50, resample_threshold=1.0), seed=6)
+    for obs in _random_stream(seed=3, length=30):
+        copies.clear()
+        scored.clear()
+        state = step(state, obs, oracle)
+        # adopters and resampled clones take a reference, no copy
+        assert len(copies) <= len(scored) < 50
+    assert sum(rec["resampled"] for rec in state.trace) >= 5
+
+    copies.clear()
+    twin = state.particles[0].clone()
+    assert not copies and _tables(twin) is _tables(state.particles[0])
