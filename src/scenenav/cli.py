@@ -20,7 +20,7 @@ from .mapper import FrameError, MapperConfig, MapperState, frames_from_jsonl, ma
 from .oracle.base import OracleError
 from .oracle.remote import RemoteChatOracle, RemoteConfig
 from .oracle.rules import RuleOracle
-from .schema import Schema, SchemaParseError, parse_schema, serialize_schema, verify_schema
+from .schema import SchemaParseError, load_schema_file, serialize_schema, verify_schema
 from .schemagen import builtin_mock_backend, load_mock_backend, run_pipeline, trace_to_json
 from .sim.baselines import baseline_greedy_frontier, baseline_random
 from .sim.episode import EpisodeResult, RunnerConfig, metrics, run_episode, spl_term
@@ -55,13 +55,9 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _load_schema(path: str) -> Schema:
-    return parse_schema(_read(path))
-
-
 def cmd_verify_schema(args: argparse.Namespace) -> int:
     try:
-        schema = _load_schema(args.schema)
+        schema = load_schema_file(args.schema)
     except OSError as exc:
         print(f"cannot read schema: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -127,7 +123,7 @@ def cmd_map(args: argparse.Namespace) -> int:
             print(f"{flag} must be a finite number of at least 0, got {value}", file=sys.stderr)
             return EXIT_INVALID
     try:
-        schema = _load_schema(args.schema)
+        schema = load_schema_file(args.schema)
         log_text = _read(args.log)
     except OSError as exc:
         print(f"cannot read input: {exc}", file=sys.stderr)
@@ -228,7 +224,7 @@ def cmd_run(args: argparse.Namespace) -> int:
               f"got {args.horizon_factor} and {args.horizon_slack}", file=sys.stderr)
         return EXIT_INVALID
     try:
-        schema = _load_schema(args.schema)
+        schema = load_schema_file(args.schema)
     except OSError as exc:
         print(f"cannot read schema: {exc}", file=sys.stderr)
         return EXIT_IO

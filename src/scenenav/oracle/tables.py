@@ -163,9 +163,6 @@ class SynonymTable:
         key = label.strip().lower()
         return self._canon.get(key, key)
 
-    def same(self, a: str, b: str) -> bool:
-        return self.canonical(a) == self.canonical(b)
-
     def group_of(self, label: str) -> frozenset[str]:
         key = label.strip().lower()
         for group in self.groups:

@@ -18,6 +18,7 @@ candidates and, while every weight is 1.0, the route to the target.
 from __future__ import annotations
 
 import heapq
+import json
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -27,6 +28,9 @@ from .oracle.base import SemanticOracle
 from .schema import ConceptKind, EdgeKind, Schema
 
 logger = logging.getLogger(__name__)
+
+# fresh sweeps reason_step may start once every region has been searched
+MAX_RESETS = 8
 
 __all__ = [
     "SubgoalPlan",
@@ -57,7 +61,6 @@ class PlannerMemory:
     last_proposal: tuple[str | None, str] | None = None
     last_version: int = -1
     resets: int = 0
-    max_resets: int = 8
     trace: list[dict] = field(default_factory=list)
 
 
@@ -290,7 +293,7 @@ def reason_step(
                     schema, graph, goal, oracle, current=current, exhausted=memory.exhausted
                 )
             except ExhaustedError:
-                if not memory.exhausted or memory.resets >= memory.max_resets:
+                if not memory.exhausted or memory.resets >= MAX_RESETS:
                     raise
                 # everything has been swept once; detections drop out, so a
                 # bounded number of fresh passes may still find the goal
@@ -373,6 +376,4 @@ def _remember(
 
 
 def export_plan_trace(memory: PlannerMemory) -> str:
-    import json
-
     return "\n".join(json.dumps(rec) for rec in memory.trace) + ("\n" if memory.trace else "")

@@ -8,29 +8,20 @@ restricted to a hop radius), the weight update scores how well the newest
 observation matches its cell while mismatching rival cells of similar label,
 and systematic resampling keeps the ensemble focused.
 
-Each hypothesis keeps per-cell tables: cell sizes, cell adjacency, each
-cell's unique ``(label, desc)`` pairs in first-seen order and a tag naming
-the cell by its first observation's place label.  A step folds only the
-newest observation into them, so proposing and weighting one hypothesis
-costs time in its number of cells, not in the length of the history: the
-proposal walks the cells within its radius, and the rival search hands every
-cell's tag to ``similar_labels``.
+Each hypothesis keeps one immutable cells object: cell sizes, cell adjacency,
+each cell's unique ``(label, desc)`` pairs in first-seen order and a tag
+naming the cell by its first observation's place label.  ``_Cells.child``
+folds one more observation into new cells that share every unchanged cell's
+value, so proposing and weighting one hypothesis costs time in its number of
+cells, not in the length of the history: the proposal walks the cells within
+its radius, and the rival search hands every cell's tag to ``similar_labels``.
 
-Resampling leaves many particles on one hypothesis, so a step shares work
-between them.  Each particle carries a hypothesis id and the tables stored
-with it: the particles of ``FilterState.create`` share one, a clone keeps its
-source's, and a step gives every (parent id, chosen cell) pair a new one;
-assignments replaced or extended outside ``step`` get a fresh id.  A step
-computes the proposal (cumulative cell masses) once per distinct parent id
-and the likelihood (one round of oracle questions) once per distinct child.
-Each child's tables are one copy of its parent's, extended by one
-assignment and one observation when the likelihood reads them; the copy
-shares every cell's immutable value with the parent's until it replaces that
-cell, so it costs O(cells).  Clones and the child's other particles hold a
-reference to the same tables.  Tables are never changed once shared: a
-particle extended or re-read against another stream copies them first.  Every particle still draws its own uniform
-number in particle order, so the states match a particle-by-particle loop
-exactly.
+Resampling leaves many particles on one hypothesis, so they share its cells
+object, and a step keys its work by it: the proposal (cumulative cell masses)
+once per distinct parent cells, the child cells and the likelihood (one round
+of oracle questions) once per distinct (parent cells, chosen cell).  Every
+particle still draws its own uniform number in particle order, so the states
+match a particle-by-particle loop exactly.
 
 The filter runs beside the deterministic mapper as a robustness/diagnostics
 layer; adopting its estimate is an explicit call (`suggest_merges`), never a
@@ -75,127 +66,108 @@ class ObsRecord:
     features: ObjectFeatures
 
 
-class _CellTables:
-    """Per-cell summaries of one hypothesis's assignments.
+class _Cells:
+    """Per-cell summaries of one hypothesis, never changed once built.
 
-    ``sizes`` and ``adjacency`` follow from the assignments alone; ``items``
-    (the cell's unique ``(label, desc)`` pairs in first-seen order) and
-    ``tags`` (``"<label of the cell's first observation>_<cell>"``) also need
-    the observation stream they were read from.  Every list is indexed by cell
-    and holds immutable values, so a copy of the lists shares each cell's
-    value with its source until one side replaces it.  Tables are extended
-    only between their creation (or copy) and the moment a particle stores
-    them; after that they may be shared and are never changed.
+    ``sizes`` and ``adjacency`` follow from the first ``length`` assignments
+    alone; ``items`` (each cell's unique ``(label, desc)`` pairs in first-seen
+    order) and ``tags`` (``"<label of the cell's first observation>_<cell>"``)
+    are read from ``observations`` and stay empty when that is ``None``.
+    Every field is a tuple indexed by cell.
     """
 
-    __slots__ = ("length", "sizes", "adjacency", "observations", "item_length", "items", "tags")
+    __slots__ = ("length", "observations", "sizes", "adjacency", "items", "tags")
 
-    def __init__(self) -> None:
-        self.length = 0  # assignments folded into sizes / adjacency
-        self.sizes: list[int] = []
-        self.adjacency: list[frozenset[int]] = []
-        self.observations: list[ObsRecord] | None = None
-        self.item_length = 0  # assignments folded into items / tags
-        self.items: list[tuple[tuple[str, str], ...]] = []
-        self.tags: list[str | None] = []
+    def __init__(self, length=0, observations=None, sizes=(), adjacency=(), items=(), tags=()):
+        self.length: int = length
+        self.observations: list[ObsRecord] | None = observations
+        self.sizes: tuple[int, ...] = sizes
+        self.adjacency: tuple[frozenset[int], ...] = adjacency
+        self.items: tuple[tuple[tuple[str, str], ...], ...] = items
+        self.tags: tuple[str | None, ...] = tags
 
-    def copy(self) -> "_CellTables":
-        twin = _CellTables()
-        twin.length = self.length
-        twin.sizes = list(self.sizes)
-        twin.adjacency = list(self.adjacency)
-        twin.observations = self.observations
-        twin.item_length = self.item_length
-        twin.items = list(self.items)
-        twin.tags = list(self.tags)
-        return twin
+    def child(
+        self, prev: int | None, node: int, observations: list[ObsRecord] | None
+    ) -> "_Cells":
+        """These cells with observation ``length`` assigned to ``node`` after
+        ``prev``; every cell value not replaced is shared with these.
 
-    def extend(self, assignments: list[int]) -> None:
-        """Fold the assignments appended since the last call."""
-        sizes, adjacency = self.sizes, self.adjacency
-        for idx in range(self.length, len(assignments)):
-            node = assignments[idx]
-            while len(sizes) <= node:
-                sizes.append(0)
-                adjacency.append(frozenset())
-            sizes[node] += 1
-            prev = assignments[idx - 1] if idx else node
-            if prev != node and node not in adjacency[prev]:
-                adjacency[prev] = adjacency[prev] | {node}
-                adjacency[node] = adjacency[node] | {prev}
-        self.length = len(assignments)
-
-    def extend_items(self, assignments: list[int], observations: list[ObsRecord]) -> None:
-        """Fold the observations of the assignments folded since the last call."""
-        if observations is not self.observations:
-            self.observations = observations
-            self.item_length = 0
-            self.items = []
-            self.tags = []
+        ``observations`` is ``None`` or the stream these cells were read from
+        (any stream while they hold no observation).
+        """
+        sizes, adjacency = list(self.sizes), self.adjacency
+        opened = node + 1 - len(sizes)
+        if opened > 0:
+            sizes += [0] * opened
+            adjacency += (frozenset(),) * opened
+        sizes[node] += 1
+        if prev is not None and prev != node and node not in adjacency[prev]:
+            linked = list(adjacency)
+            linked[prev] = linked[prev] | {node}
+            linked[node] = linked[node] | {prev}
+            adjacency = tuple(linked)
+        if observations is None:
+            return _Cells(self.length + 1, None, tuple(sizes), adjacency)
+        obs = observations[self.length]
         items, tags = self.items, self.tags
-        for idx in range(self.item_length, self.length):
-            node = assignments[idx]
-            while len(items) <= node:
-                items.append(())
-                tags.append(None)
-            if tags[node] is None:
-                tags[node] = f"{observations[idx].place_label}_{node}"
-            cell = items[node]
-            seen = set(cell)
-            extra = []
-            for pair in observations[idx].features.items:
-                if pair not in seen:
-                    seen.add(pair)
-                    extra.append(pair)
-            if extra:
-                items[node] = cell + tuple(extra)
-        self.item_length = self.length
+        if opened > 0:
+            items += ((),) * opened
+            tags += (None,) * opened
+        if tags[node] is None:
+            tags = tags[:node] + (f"{obs.place_label}_{node}",) + tags[node + 1 :]
+        cell = items[node]
+        seen = set(cell)
+        extra = []
+        for pair in obs.features.items:
+            if pair not in seen:
+                seen.add(pair)
+                extra.append(pair)
+        if extra:
+            items = items[:node] + (cell + tuple(extra),) + items[node + 1 :]
+        return _Cells(self.length + 1, observations, tuple(sizes), adjacency, items, tags)
+
+
+_EMPTY = _Cells()
 
 
 @dataclass
 class TopologyParticle:
     """One topology hypothesis: cell assignment per observation index.
 
-    The particle stores its hypothesis as ``(id, the assignments list it
-    names, cell tables)``; particles holding one hypothesis share the id and
-    the tables.  Appending to ``assignments`` or replacing the list outside
-    ``step`` gives the particle a fresh id and tables of its own on next use.
-    Editing an earlier entry in place does neither.
+    The particle stores ``(the assignments list, its cells)``; particles
+    holding one hypothesis share the cells.  Appending to ``assignments``
+    folds the new entries into new cells on next use; replacing the list
+    starts over.  Editing an earlier entry in place does neither.
     """
 
     assignments: list[int] = field(default_factory=list)
     weight: float = 1.0
-    # an id is a plain ``object()``, compared by identity
-    _hypothesis: tuple[object, list[int], _CellTables] | None = field(
+    _hypothesis: tuple[list[int], _Cells] | None = field(
         default=None, init=False, repr=False, compare=False
     )
 
-    def _synced(self, observations: list[ObsRecord] | None = None) -> _CellTables:
-        """The hypothesis's cell tables, current with ``assignments`` (and
-        ``observations``); stored tables may be shared, so they are copied
-        before any change."""
-        hypothesis_id, named, tables = self._hypothesis or (None, None, None)
+    def _cells(self, observations: list[ObsRecord] | None = None) -> _Cells:
+        """The cells of ``assignments``, with items and tags read from
+        ``observations`` unless that is ``None``."""
+        named, cells = self._hypothesis or (None, _EMPTY)
         assignments = self.assignments
-        length = len(assignments)
-        if named is not assignments or tables.length > length:
-            hypothesis_id, tables = object(), _CellTables()
-        elif tables.length < length:
-            hypothesis_id, tables = object(), tables.copy()
-        elif observations is None or (
-            tables.item_length == length and tables.observations is observations
+        if (
+            named is not assignments
+            or cells.length > len(assignments)
+            or (observations is not None and cells.observations is not observations)
         ):
-            return tables
-        else:
-            tables = tables.copy()
-        tables.extend(assignments)
-        if observations is not None:
-            tables.extend_items(assignments, observations)
-        self._hypothesis = (hypothesis_id, assignments, tables)
-        return tables
+            cells = _EMPTY
+        elif cells.length == len(assignments):
+            return cells
+        for idx in range(cells.length, len(assignments)):
+            prev = assignments[idx - 1] if idx else None
+            cells = cells.child(prev, assignments[idx], observations)
+        self._hypothesis = (assignments, cells)
+        return cells
 
     @property
     def num_nodes(self) -> int:
-        return len(self._synced().sizes)
+        return len(self._cells().sizes)
 
     @property
     def last_node(self) -> int | None:
@@ -211,13 +183,12 @@ class TopologyParticle:
         return tuple(tuple(sorted(cell)) for cell in self.partition())
 
     def adjacency(self) -> dict[int, set[int]]:
-        return {n: set(nbrs) for n, nbrs in enumerate(self._synced().adjacency)}
+        return {n: set(nbrs) for n, nbrs in enumerate(self._cells().adjacency)}
 
     def clone(self) -> "TopologyParticle":
-        """Copy with its own assignments and the same hypothesis and tables."""
+        """Copy with its own assignments and the same cells."""
         twin = TopologyParticle(assignments=list(self.assignments), weight=self.weight)
-        tables = self._synced()
-        twin._hypothesis = (self._hypothesis[0], twin.assignments, tables)
+        twin._hypothesis = (twin.assignments, self._cells())
         return twin
 
 
@@ -256,13 +227,10 @@ class FilterState:
             TopologyParticle(weight=1.0 / config.num_particles)
             for _ in range(config.num_particles)
         ]
-        root, tables = object(), _CellTables()
-        for particle in particles:
-            particle._hypothesis = (root, particle.assignments, tables)
         return cls(config=config, rng=rng, particles=particles)
 
 
-def _nearby_nodes(adjacency: list[frozenset[int]], source: int, radius: int) -> set[int]:
+def _nearby_nodes(adjacency: tuple[frozenset[int], ...], source: int, radius: int) -> set[int]:
     seen = {source}
     frontier = deque([(source, 0)])
     while frontier:
@@ -290,9 +258,9 @@ def proposal_distribution(
     """
     if prev_state_node is None or not particle.assignments:
         return [], 1.0
-    tables = particle._synced()
-    sizes = tables.sizes
-    reachable = sorted(_nearby_nodes(tables.adjacency, prev_state_node, radius))
+    cells = particle._cells()
+    sizes = cells.sizes
+    reachable = sorted(_nearby_nodes(cells.adjacency, prev_state_node, radius))
     total = float(sum(sizes[n] for n in reachable))
     denom = total + alpha
     existing = [(n, sizes[n] / denom) for n in reachable]
@@ -334,18 +302,18 @@ def likelihood(
     assigned = particle.last_node
     if assigned is None:
         return 1.0
-    tables = particle._synced(observations)
+    cells = particle._cells(observations)
     p_assigned = oracle.match_place(
-        ObjectFeatures(items=tables.items[assigned]), obs.features
+        ObjectFeatures(items=cells.items[assigned]), obs.features
     ).confidence
-    similar = oracle.similar_labels(obs.place_label, list(tables.tags))
+    similar = oracle.similar_labels(obs.place_label, list(cells.tags))
     value = p_assigned
     for tag in similar:
         node = int(tag.rsplit("_", 1)[1])
         if node == assigned:
             continue
         p_rival = oracle.match_place(
-            ObjectFeatures(items=tables.items[node]), obs.features
+            ObjectFeatures(items=cells.items[node]), obs.features
         ).confidence
         value *= 1.0 - p_rival
     return value
@@ -355,39 +323,37 @@ def step(state: FilterState, obs: ObsRecord, oracle: SemanticOracle) -> FilterSt
     """Advance the filter by one observation: propose, weight, resample.
 
     Each particle draws its cell from its own uniform number, taken in particle
-    order.  The proposal is computed once per distinct parent hypothesis and
-    the likelihood once per distinct (parent, chosen cell); that child's tables
-    are one copy of the parent's, and its other particles share them.
+    order.  The proposal is computed once per distinct parent cells and the
+    likelihood once per distinct (parent cells, chosen cell); that child's
+    cells are built once and shared by all its particles.
     """
     config = state.config
     observations = state.observations
     observations.append(obs)
     particles = state.particles
     draws = state.rng.random(len(particles)).tolist()
-    proposals: dict[object, tuple[list[int], list[float], int]] = {}
-    children: dict[tuple[object, int], tuple[object, _CellTables, float]] = {}
+    proposals: dict[_Cells, tuple[list[int], list[float], int]] = {}
+    children: dict[tuple[_Cells, int], tuple[_Cells, float]] = {}
     unnormalised = []
-    for i, particle in enumerate(particles):
-        tables = particle._synced()
-        parent = particle._hypothesis[0]
+    for particle, draw in zip(particles, draws):
+        parent = particle._cells(observations)
+        prev = particle.last_node
         proposal = proposals.get(parent)
         if proposal is None:
-            existing, _ = proposal_distribution(
-                particle, particle.last_node, config.alpha, config.radius
-            )
-            proposal = proposals[parent] = (*_masses(existing), len(tables.sizes))
-        chosen = _select(*proposal, draws[i])
+            existing, _ = proposal_distribution(particle, prev, config.alpha, config.radius)
+            proposal = proposals[parent] = (*_masses(existing), len(parent.sizes))
+        chosen = _select(*proposal, draw)
         assignments = particle.assignments
         assignments.append(chosen)
         child = children.get((parent, chosen))
         if child is None:
-            # the append left the parent's tables behind, so the likelihood
-            # reads one copy of them, extended, under a fresh id
+            cells = parent.child(prev, chosen, observations)
+            particle._hypothesis = (assignments, cells)
             like = likelihood(obs, particle, oracle, observations)
-            tables = particle._synced(observations)
-            child = children[parent, chosen] = (particle._hypothesis[0], tables, like)
-        particle._hypothesis = (child[0], assignments, child[1])
-        particle.weight *= child[2]
+            child = children[parent, chosen] = (cells, like)
+        else:
+            particle._hypothesis = (assignments, child[0])
+        particle.weight *= child[1]
         unnormalised.append(particle.weight)
 
     weights = np.array(unnormalised)
@@ -434,15 +400,10 @@ def _systematic_resample(state: FilterState, weights: np.ndarray) -> None:
 
 
 def _map_particle(state: FilterState) -> TopologyParticle:
+    """The first of the heaviest particles."""
     if not state.particles:
         raise ValueError("filter holds no particles")
-    best_idx = 0
-    best_weight = state.particles[0].weight
-    for i, particle in enumerate(state.particles[1:], start=1):
-        if particle.weight > best_weight:
-            best_weight = particle.weight
-            best_idx = i
-    return state.particles[best_idx]
+    return max(state.particles, key=lambda particle: particle.weight)
 
 
 def map_estimate(state: FilterState) -> list[set[int]]:

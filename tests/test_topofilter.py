@@ -189,6 +189,12 @@ class TestMapEstimate:
         state.particles[1].weight = 0.7
         assert map_estimate(state) == [{0, 1}]  # tie -> lowest index
 
+    def test_empty_filter_is_rejected(self):
+        state = FilterState.create(FilterConfig(num_particles=1), seed=0)
+        state.particles = []
+        with pytest.raises(ValueError, match="filter holds no particles"):
+            map_estimate(state)
+
 
 def _brute_force_posterior(observations, oracle, alpha, radius):
     """Enumerate every assignment sequence; exact posterior over partitions."""
@@ -291,11 +297,11 @@ def test_config_accepts_boundary_values(field_name, value):
     assert getattr(FilterConfig(**{field_name: value}), field_name) == value
 
 
-# -- incremental cell tables ----------------------------------------------------
+# -- incremental cells -----------------------------------------------------------
 #
 # The brute-force helpers below rescan the whole assignment history, as the
-# filter did before it kept per-cell tables; they are the reference the
-# tables must agree with.
+# filter did before it kept per-cell summaries; they are the reference the
+# cells must agree with.
 
 
 def _brute_cell_label(assignments, node, observations):
@@ -323,26 +329,28 @@ def _brute_adjacency(assignments):
     return adj
 
 
-def _tables(particle):
-    """The cell tables stored with the particle's hypothesis."""
-    return particle._hypothesis[2]
+def _cells(particle):
+    """The cells stored with the particle, as the filter left them."""
+    named, cells = particle._hypothesis
+    assert named is particle.assignments
+    return cells
 
 
-def _assert_tables_match(particle, observations):
+def _assert_cells_match(particle, observations):
     assignments = particle.assignments
-    tables = _tables(particle)
-    # the tables were kept current by the filter itself, not rebuilt here
-    assert particle._hypothesis[1] is assignments
-    assert tables.length == tables.item_length == len(assignments)
-    cells = range(max(assignments) + 1)
-    assert tables.sizes == [assignments.count(n) for n in cells]
-    assert {n: set(nbrs) for n, nbrs in enumerate(tables.adjacency)} == _brute_adjacency(
+    cells = _cells(particle)
+    # the cells were kept current by the filter itself, not rebuilt here
+    assert cells.length == len(assignments)
+    assert cells.observations is observations
+    nodes = range(max(assignments) + 1)
+    assert cells.sizes == tuple(assignments.count(n) for n in nodes)
+    assert {n: set(nbrs) for n, nbrs in enumerate(cells.adjacency)} == _brute_adjacency(
         assignments
     )
-    assert tables.items == [_brute_cell_items(assignments, n, observations) for n in cells]
-    assert tables.tags == [
-        f"{_brute_cell_label(assignments, n, observations)}_{n}" for n in cells
-    ]
+    assert cells.items == tuple(_brute_cell_items(assignments, n, observations) for n in nodes)
+    assert cells.tags == tuple(
+        f"{_brute_cell_label(assignments, n, observations)}_{n}" for n in nodes
+    )
 
 
 def _random_stream(seed, length):
@@ -369,11 +377,15 @@ def test_cell_tables_match_brute_force_over_a_seeded_stream():
     for obs in _random_stream(seed=4, length=40):
         state = step(state, obs, oracle)
         for particle in state.particles:
-            _assert_tables_match(particle, state.observations)
+            _assert_cells_match(particle, state.observations)
     assert sum(rec["resampled"] for rec in state.trace) >= 5
 
 
-TABLE_FIELDS = ("sizes", "adjacency", "items", "tags")
+CELL_FIELDS = ("length", "observations", "sizes", "adjacency", "items", "tags")
+
+
+def _snapshot(cells):
+    return [getattr(cells, name) for name in CELL_FIELDS]
 
 
 def test_extending_a_clone_leaves_its_source_untouched():
@@ -381,20 +393,22 @@ def test_extending_a_clone_leaves_its_source_untouched():
     observations = [ROOM, CORRIDOR]
     source = TopologyParticle(assignments=[0, 1])
     likelihood(CORRIDOR, source, oracle, observations)
-    snapshot = [list(getattr(_tables(source), name)) for name in TABLE_FIELDS]
+    snapshot = _snapshot(_cells(source))
 
     twin = source.clone()
-    assert _tables(twin) is _tables(source)
+    assert _cells(twin) is _cells(source)
     for node, obs in ((0, rec("bedroom", "bed", "wardrobe")), (2, rec("kitchen", "sink"))):
         observations.append(obs)
         twin.assignments.append(node)
         likelihood(obs, twin, oracle, observations)
-    _assert_tables_match(twin, observations)
-    assert _tables(twin).items[0] != _tables(source).items[0]
+    _assert_cells_match(twin, observations)
+    assert _cells(twin).items[0] != _cells(source).items[0]
+    # the fold shares the cell it did not replace
+    assert _cells(twin).items[1] is _cells(source).items[1]
 
     assert source.assignments == [0, 1]
-    assert [list(getattr(_tables(source), name)) for name in TABLE_FIELDS] == snapshot
-    _assert_tables_match(source, observations)
+    assert _snapshot(_cells(source)) == snapshot
+    _assert_cells_match(source, observations)
 
 
 def test_replaced_assignments_behave_like_a_fresh_particle():
@@ -522,7 +536,7 @@ def _replace_some_assignments(state, t):
     n = len(particles)
     if t % 5 == 2:  # a copy of another particle's list
         particles[t % n].assignments = list(particles[(3 * t + 1) % n].assignments)
-    if t % 7 == 4:  # an equal list of its own: a new id, the same hypothesis
+    if t % 7 == 4:  # an equal list of its own: the same hypothesis, rebuilt
         particles[(t + 2) % n].assignments = list(particles[(t + 2) % n].assignments)
     if t % 11 == 6:  # one cell holding every observation so far
         particles[(5 * t) % n].assignments = [0] * len(state.observations)
@@ -559,7 +573,7 @@ def test_step_matches_the_per_particle_loop(equivalence_streams, num_particles, 
             ]
             assert export_trace(shared) == export_trace(reference)
         for particle in shared.particles:
-            _assert_tables_match(particle, shared.observations)
+            _assert_cells_match(particle, shared.observations)
 
 
 def _count_scored_hypotheses(monkeypatch):
@@ -607,87 +621,92 @@ def test_resampled_particles_share_their_scoring(monkeypatch):
     assert sum(calls) < 50 * len(calls)
 
 
-# -- tables shared between the particles of one hypothesis ------------------------
+# -- cells shared between the particles of one hypothesis -------------------------
 
 
 def _shared_siblings(seed):
-    """A resampled filter state and two of its particles holding one tables object."""
+    """A resampled filter state and two of its particles holding one cells object."""
     state = FilterState.create(FilterConfig(num_particles=30, resample_threshold=1.0), seed=seed)
     oracle = RuleOracle()
     for obs in _random_stream(seed=seed, length=12):
         state = step(state, obs, oracle)
-    by_tables = {}
+    by_cells = {}
     for particle in state.particles:
-        by_tables.setdefault(id(_tables(particle)), []).append(particle)
-    siblings = max(by_tables.values(), key=len)
+        by_cells.setdefault(id(_cells(particle)), []).append(particle)
+    siblings = max(by_cells.values(), key=len)
     assert len(siblings) >= 2
     return state, oracle, siblings
 
 
 def test_appending_to_one_sibling_leaves_the_shared_tables_alone():
     state, oracle, siblings = _shared_siblings(seed=5)
-    shared = _tables(siblings[0])
-    snapshot = [list(getattr(shared, name)) for name in TABLE_FIELDS]
+    shared = _cells(siblings[0])
+    snapshot = _snapshot(shared)
     obs = rec("kitchen", "sink", "oven")
     state.observations.append(obs)
     appended = siblings[0]
     appended.assignments.append(appended.num_nodes)  # a fresh cell
     likelihood(obs, appended, oracle, state.observations)
 
-    assert _tables(appended) is not shared
-    assert appended._hypothesis[0] is not siblings[1]._hypothesis[0]
-    _assert_tables_match(appended, state.observations)
-    assert [list(getattr(shared, name)) for name in TABLE_FIELDS] == snapshot
+    folded = _cells(appended)
+    assert folded is not shared
+    _assert_cells_match(appended, state.observations)
+    # one fold onto the shared cells, not a rebuild: every old cell is shared
+    assert all(a is b for a, b in zip(folded.items, shared.items))
+    assert len(folded.items) == len(shared.items) + 1
+    assert _snapshot(shared) == snapshot
     for sibling in siblings[1:]:
-        assert _tables(sibling) is shared
+        assert _cells(sibling) is shared
     for particle in state.particles:
-        _assert_tables_match(particle, state.observations)
+        _assert_cells_match(particle, state.observations)
 
 
 def test_rescoring_one_sibling_on_another_stream_leaves_the_shared_tables_alone():
     state, oracle, siblings = _shared_siblings(seed=7)
-    shared = _tables(siblings[0])
+    shared = _cells(siblings[0])
+    snapshot = _snapshot(shared)
     rescored = siblings[0]
     other = list(state.observations)
     other[0] = rec("garage", "car", "bike")
     other[-1] = rec("bedroom", "bed", "wardrobe", "rug")
     likelihood(other[-1], rescored, oracle, other)
 
-    assert _tables(rescored) is not shared
-    assert rescored._hypothesis[0] is siblings[1]._hypothesis[0]  # the same assignments
-    _assert_tables_match(rescored, other)
+    assert _cells(rescored) is not shared
+    assert rescored.assignments == siblings[1].assignments
+    _assert_cells_match(rescored, other)
+    assert _snapshot(shared) == snapshot
     for sibling in siblings[1:]:
-        assert _tables(sibling) is shared
-        _assert_tables_match(sibling, state.observations)
+        assert _cells(sibling) is shared
+        _assert_cells_match(sibling, state.observations)
 
     # the next step reads the filter's own stream again for every particle
     state = step(state, rec("corridor", "plant", "bench"), oracle)
     for particle in state.particles:
-        _assert_tables_match(particle, state.observations)
+        _assert_cells_match(particle, state.observations)
 
 
-def test_tables_are_copied_once_per_distinct_child(monkeypatch):
+def test_cells_are_built_once_per_distinct_child(monkeypatch):
     import scenenav.topofilter as topofilter
 
-    copies = []
-    real_copy = topofilter._CellTables.copy
+    folds = []
+    real_child = topofilter._Cells.child
 
-    def counting_copy(tables):
-        copies.append(tables)
-        return real_copy(tables)
+    def counting_child(cells, prev, node, observations):
+        folds.append((cells, node))
+        return real_child(cells, prev, node, observations)
 
-    monkeypatch.setattr(topofilter._CellTables, "copy", counting_copy)
+    monkeypatch.setattr(topofilter._Cells, "child", counting_child)
     scored = _count_scored_hypotheses(monkeypatch)
     oracle = RuleOracle()
     state = FilterState.create(FilterConfig(num_particles=50, resample_threshold=1.0), seed=6)
     for obs in _random_stream(seed=3, length=30):
-        copies.clear()
+        folds.clear()
         scored.clear()
         state = step(state, obs, oracle)
-        # adopters and resampled clones take a reference, no copy
-        assert len(copies) <= len(scored) < 50
+        # one fold per scored child; adopters and resampled clones take a reference
+        assert len(folds) == len(set(folds)) == len(scored) < 50
     assert sum(rec["resampled"] for rec in state.trace) >= 5
 
-    copies.clear()
+    folds.clear()
     twin = state.particles[0].clone()
-    assert not copies and _tables(twin) is _tables(state.particles[0])
+    assert not folds and _cells(twin) is _cells(state.particles[0])
