@@ -213,8 +213,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"--scene-seed must be a non-negative integer, got {args.scene_seed}",
               file=sys.stderr)
         return EXIT_INVALID
-    goals = args.goal.split(",") if args.goal else list(GOAL_CATEGORIES)
-    if not all(goal.strip() for goal in goals):
+    goals = args.goal.split(",") if args.goal else GOAL_CATEGORIES
+    goals = [goal.strip() for goal in goals]
+    if not all(goals):
         print(f"--goal entries must not be empty, got {args.goal!r}", file=sys.stderr)
         return EXIT_INVALID
     if min(args.horizon_factor, args.horizon_slack) < 0 or not (

@@ -134,7 +134,7 @@ class SceneGraph:
     detect staleness cheaply.
 
     The derived views are maintained on write, not rebuilt on read: the
-    weighted place/connector adjacency, the node lists per concept kind and
+    place/connector adjacency, the node lists per concept kind and
     per layer, each place's and region's summary (``summary``), each
     connector's count of place-side neighbours (``connector_place_counts``),
     each node's ``(label, desc)`` pair and the ``image_ref`` -> node index.
@@ -157,9 +157,8 @@ class SceneGraph:
         self._counters: dict[str, int] = {}
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}
-        self._weights: dict[tuple[str, str, EdgeKind], float] = {}
+        self._edges: set[tuple[str, str, EdgeKind]] = set()
         self._adj: dict[str, dict[str, float]] = {}
-        self._unit_weights = True
         self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
         self._by_layer: dict[int, list[Node]] = {}
         self._summaries: dict[str, str] = {}
@@ -272,15 +271,15 @@ class SceneGraph:
     # -- edges ---------------------------------------------------------------
 
     def has_edge(self, src: str, dst: str, kind: EdgeKind) -> bool:
-        return (src, dst, kind) in self._weights
+        return (src, dst, kind) in self._edges
 
-    def add_edge(self, src: str, dst: str, kind: EdgeKind, weight: float = 1.0) -> None:
+    def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
         if not self._admits(src, dst, kind):
             return
-        self._insert(src, dst, kind, weight)
+        self._insert(src, dst, kind)
         # connectivity is stored both ways, so the reverse is missing too
         if kind is EdgeKind.CONNECTS_TO:
-            self._insert(dst, src, kind, weight)
+            self._insert(dst, src, kind)
         self.version += 1
 
     def _admits(self, src: str, dst: str, kind: EdgeKind) -> bool:
@@ -288,7 +287,7 @@ class SceneGraph:
 
         Returns False when the edge is already stored: it was admitted then.
         """
-        if (src, dst, kind) in self._weights:
+        if (src, dst, kind) in self._edges:
             return False
         src_node = self.node(src)
         dst_node = self.node(dst)
@@ -307,15 +306,13 @@ class SceneGraph:
                 )
         return True
 
-    def _insert(self, src: str, dst: str, kind: EdgeKind, weight: float) -> None:
+    def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
         targets = self._out[src].setdefault(kind, [])
         targets.append(dst)
         self._in[dst].setdefault(kind, []).append(src)
-        self._weights[(src, dst, kind)] = weight
+        self._edges.add((src, dst, kind))
         if kind is EdgeKind.CONNECTS_TO and src in self._adj and dst in self._adj:
-            self._adj[src][dst] = weight
-            if weight != 1.0:
-                self._unit_weights = False
+            self._adj[src][dst] = 1.0
             if src in self._place_counts and isinstance(self._nodes[dst], PlaceNode):
                 self._place_counts[src] += 1
         if kind is EdgeKind.IS_NEAR or kind is EdgeKind.HAS:
@@ -397,19 +394,15 @@ class SceneGraph:
         return self._place_counts
 
     def connectivity_subgraph(self) -> dict[str, dict[str, float]]:
-        """Weighted undirected adjacency over the place/connector layer.
+        """Undirected adjacency over the place/connector layer.
 
-        Key order follows node insertion order and neighbour order follows
-        edge insertion order, keeping downstream tie-breaks reproducible
-        across processes.  The mapping is the graph's own, kept up to date by
-        every write: read it, never modify it.
+        Each neighbour maps to its hop cost, always 1.0: connectivity is
+        unit-cost.  Key order follows node insertion order and neighbour
+        order follows edge insertion order, keeping downstream tie-breaks
+        reproducible across processes.  The mapping is the graph's own, kept
+        up to date by every write: read it, never modify it.
         """
         return self._adj
-
-    @property
-    def unit_weights(self) -> bool:
-        """True while every connectivity weight ever stored is 1.0."""
-        return self._unit_weights
 
     def hop_tree(self, source: str) -> tuple[Mapping[str, int], Mapping[str, str]]:
         """Breadth-first tree over the connectivity layer from ``source``.
@@ -477,13 +470,9 @@ class SceneGraph:
             if aliases:
                 entry["aliases"] = list(aliases)
             nodes.append(entry)
-        edges = []
-        for src, dst, kind in self.edges():
-            entry = {"src": src, "dst": dst, "kind": kind.value}
-            weight = self._weights[(src, dst, kind)]
-            if weight != 1.0:
-                entry["weight"] = weight
-            edges.append(entry)
+        edges = [
+            {"src": src, "dst": dst, "kind": kind.value} for src, dst, kind in self.edges()
+        ]
         return json.dumps({"nodes": nodes, "edges": edges}, indent=2, ensure_ascii=False) + "\n"
 
     def _export_dot(self) -> str:
@@ -527,9 +516,11 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
     """Rebuild a graph from its structured export.
 
     Edges are inserted one triple at a time in file order, so every out-list,
-    the adjacency's neighbour order, the weights and the maintained views
-    come back as exported; in-neighbour order is not part of the export.  A
-    connectivity edge whose reverse is missing raises ``GraphCorruptionError``.
+    the adjacency's neighbour order and the maintained views come back as
+    exported; in-neighbour order is not part of the export.  Every edge is
+    unit-cost, so an edge entry whose ``weight`` is present and not 1 raises
+    ``GraphCorruptionError``, as does a connectivity edge whose reverse is
+    missing.
     """
     raw = json.loads(document)
     graph = SceneGraph(schema)
@@ -562,12 +553,17 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
         src = id_map.get(entry["src"], entry["src"])
         dst = id_map.get(entry["dst"], entry["dst"])
         kind = EdgeKind(entry["kind"])
+        if entry.get("weight", 1) != 1:
+            raise GraphCorruptionError(
+                f"{kind.value} edge {entry['src']} -> {entry['dst']} has weight "
+                f"{entry['weight']!r}; edges are unit-cost"
+            )
         if not graph._admits(src, dst, kind):
             continue
         # one mutation per connection, as add_edge counts it with its reverse
         if not (kind is EdgeKind.CONNECTS_TO and graph.has_edge(dst, src, kind)):
             graph.version += 1
-        graph._insert(src, dst, kind, float(entry.get("weight", 1.0)))
+        graph._insert(src, dst, kind)
     for src, dst, kind in graph.edges():
         if kind is EdgeKind.CONNECTS_TO and not graph.has_edge(dst, src, kind):
             raise GraphCorruptionError(f"connectivity edge {src} -> {dst} lacks its reverse")

@@ -12,12 +12,11 @@ summaries the oracle sees (``SceneGraph.summary``; a connector's reads its
 memoised nearby objects), the frontier from each connector's count of
 place-side neighbours, and one breadth-first tree per graph version and
 source (``SceneGraph.hop_tree``), which gives both the hop order of the
-candidates and, while every weight is 1.0, the route to the target.
+candidates and the route to the target.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import logging
 from collections.abc import Mapping
@@ -65,49 +64,20 @@ class PlannerMemory:
 
 
 def find_path(graph: SceneGraph, frm: str, to: str) -> list[str] | None:
-    """Cheapest route in the connectivity layer, excluding the start node.
+    """Fewest-hop route in the connectivity layer, excluding the start node.
 
-    Returns ``[]`` when already there and ``None`` when unreachable.  While
-    every weight is 1.0 the route is read off the graph's kept breadth-first
-    tree from ``frm``: its first-discoverer parents are exactly the
-    ``(distance, push order)`` tie-breaks of the Dijkstra pass that weighted
-    graphs take.
+    Returns ``[]`` when already there and ``None`` when unreachable.  The
+    route is read off the graph's kept breadth-first tree from ``frm``,
+    following first-discoverer parents back from ``to``.
     """
     adj = graph.connectivity_subgraph()
     if frm not in adj or to not in adj:
         return None
     if frm == to:
         return []
-    if graph.unit_weights:
-        _, prev = graph.hop_tree(frm)
-        if to not in prev:
-            return None
-        return _route(prev, frm, to)
-    dist: dict[str, float] = {frm: 0.0}
-    prev: dict[str, str] = {}
-    counter = 0
-    heap: list[tuple[float, int, str]] = [(0.0, counter, frm)]
-    visited: set[str] = set()
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in visited:
-            continue
-        visited.add(node)
-        if node == to:
-            break
-        for nb, weight in adj[node].items():
-            nd = d + weight
-            if nd < dist.get(nb, float("inf")):
-                dist[nb] = nd
-                prev[nb] = node
-                counter += 1
-                heapq.heappush(heap, (nd, counter, nb))
-    if to not in visited:
+    _, prev = graph.hop_tree(frm)
+    if to not in prev:
         return None
-    return _route(prev, frm, to)
-
-
-def _route(prev: Mapping[str, str], frm: str, to: str) -> list[str]:
     path = [to]
     while path[-1] != frm:
         path.append(prev[path[-1]])

@@ -34,10 +34,6 @@ class BenchmarkProtocol:
     horizon_slack: int = 4
     goals: tuple[str, ...] = tuple(GOAL_CATEGORIES)
 
-    @property
-    def num_episodes(self) -> int:
-        return self.num_scenes * self.episodes_per_scene
-
 
 def build_episodes(
     protocol: BenchmarkProtocol, scene: GroundTruthScene | None = None
@@ -47,7 +43,8 @@ def build_episodes(
     The episodes run on ``num_scenes`` homes generated from ``scene_seed``,
     or, when ``scene`` is given, all on that scene (``num_scenes`` and
     ``scene_seed`` then play no part).  Goals are the protocol's goals the
-    scene holds, or every object label in the scene when it holds none.  A
+    scene holds, compared without regard to case and spelled as the scene
+    spells them, or every object label in the scene when it holds none.  A
     scene with no objects at all, or a drawn goal that cannot be reached
     from the drawn start, raises ``ValueError``.
     """
@@ -61,8 +58,9 @@ def build_episodes(
         ]
     specs: list[EpisodeSpec] = []
     for world in scenes:
-        labels = sorted({o.label for p in world.places.values() for o in p.objects})
-        usable = [g for g in protocol.goals if g in labels] or labels
+        labels = sorted(set(world.object_labels()))
+        named = {label.lower(): label for label in labels}
+        usable = [named[g.lower()] for g in protocol.goals if g.lower() in named] or labels
         if not usable:
             raise ValueError(f"scene {world.env_label!r} holds no objects to search for")
         places = list(world.places)

@@ -365,6 +365,24 @@ class TestRun:
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCENE_RUN_SHA256[case]
 
+    def test_goal_matches_a_capitalised_scene_label(self, tmp_path, home_path):
+        scene = json.loads(scene_to_json(generate_home_scene(np.random.default_rng(12))))
+        for place in scene["places"]:
+            for obj in place["objects"]:
+                if obj["label"] == "sofa":
+                    obj["label"] = "Sofa"
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(json.dumps(scene))
+        runs = []
+        for i, goal in enumerate(["Sofa", "sofa", "unicorn"]):
+            out = tmp_path / f"c{i}.csv"
+            code = main(["run", "--schema", home_path, "--scene", str(scene_path),
+                         "--episodes", "5", "--seed", "5", "--goal", goal, "--out", str(out)])
+            assert code == 0
+            runs.append(out.read_bytes())
+        # both spellings run sofa episodes; an absent goal falls back to every label
+        assert runs[0] == runs[1] != runs[2]
+
     def test_goal_list_applies_to_generated_scenes(self, tmp_path, home_path, monkeypatch):
         goals = []
 
@@ -377,6 +395,14 @@ class TestRun:
         code, _ = self._run(tmp_path, home_path, "g.csv", ["--goal", "sink,unicorn"])
         assert code == 0
         assert goals == ["sink"] * 6
+
+    def test_goal_entries_are_stripped_and_match_any_case(self, tmp_path, home_path):
+        runs = []
+        for i, goal in enumerate(["tv,sofa", "tv, sofa", " TV,Sofa"]):
+            code, out = self._run(tmp_path, home_path, f"g{i}.csv", ["--goal", goal])
+            assert code == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("episodes,scenes", [
         ("200", "30"), ("1", "2"), ("6", "0"), ("0", "2"), ("-4", "2"),

@@ -158,7 +158,7 @@ def test_second_parent_rejected_then_corruption_detected(graph):
     with pytest.raises(EdgeRuleError):
         graph.add_edge(f2, room, EdgeKind.CONTAINS)
     # bypass the guard to simulate corruption
-    graph._insert(f2, room, EdgeKind.CONTAINS, 1.0)
+    graph._insert(f2, room, EdgeKind.CONTAINS)
     with pytest.raises(GraphCorruptionError):
         graph.parent_region(room)
 
@@ -242,7 +242,7 @@ def _rebuilt_connectivity(graph):
     for nid in layer2:
         for nb in graph._out[nid].get(EdgeKind.CONNECTS_TO, ()):
             if nb in members:
-                adj[nid][nb] = graph._weights[(nid, nb, EdgeKind.CONNECTS_TO)]
+                adj[nid][nb] = 1.0
     return adj
 
 
@@ -258,8 +258,8 @@ def _assert_has_edge_matches_scan(graph, src, dst):
 
 
 def _assert_views_match_rebuild(graph):
-    # has_edge answers from the weight keys: they must be exactly the stored edges
-    assert set(graph._weights) == set(graph.edges())
+    # has_edge answers from the edge set: it must be exactly the stored edges
+    assert graph._edges == set(graph.edges())
     adj, ref = graph.connectivity_subgraph(), _rebuilt_connectivity(graph)
     assert list(adj) == list(ref)
     for nid in ref:
@@ -308,20 +308,22 @@ def test_maintained_views_equal_rebuild(schema_name, seed):
             if node is not None:
                 ids.append(graph.add_node(node))
         elif added and rng.random() < 0.2:
-            # repeat an edge, or ask for its reverse, with another weight
+            # repeat an edge, or ask for its reverse
             src, dst, kind = rng.choice(added)
             if rng.random() < 0.5:
                 src, dst = dst, src
+            rng.randrange(2)  # where a weight was once drawn: each seed keeps its walk
             try:
-                graph.add_edge(src, dst, kind, weight=rng.choice([0.5, 3.0]))
+                graph.add_edge(src, dst, kind)
             except EdgeRuleError:
                 pass
             _assert_has_edge_matches_scan(graph, src, dst)
         else:
             src, dst = rng.choice(ids), rng.choice(ids)
             kind = rng.choice(list(EdgeKind))
+            rng.randrange(4)  # as above
             try:
-                graph.add_edge(src, dst, kind, weight=rng.choice([1.0, 0.25, 2.5, 7.0]))
+                graph.add_edge(src, dst, kind)
             except EdgeRuleError:
                 continue
             finally:
@@ -331,7 +333,6 @@ def test_maintained_views_equal_rebuild(schema_name, seed):
             _assert_views_match_rebuild(graph)
     _assert_views_match_rebuild(graph)
     adj = graph.connectivity_subgraph()
-    assert any(w != 1.0 for nbs in adj.values() for w in nbs.values())
     assert sum(map(len, adj.values())) > 10
     reloaded = import_graph(graph.export(), graph.schema)
     _assert_views_match_rebuild(reloaded)
@@ -410,25 +411,6 @@ def test_maintained_summaries_and_frontier_equal_full_scan(schema_name, seed, mo
     assert reloaded.connector_place_counts() == original.connector_place_counts()
 
 
-def test_weighted_export_round_trips_exactly(graph):
-    rooms = [graph.add_node(PlaceNode(cls="Room", label=l)) for l in ("kitchen", "hall", "den")]
-    door = graph.add_node(ConnectorNode(cls="Entrance", label="door"))
-    graph.add_edge(rooms[0], rooms[1], EdgeKind.CONNECTS_TO, weight=10.0)
-    graph.add_edge(rooms[2], door, EdgeKind.CONNECTS_TO, weight=0.1)
-    graph.add_edge(rooms[1], rooms[2], EdgeKind.CONNECTS_TO)
-    graph.add_edge(rooms[0], rooms[2], EdgeKind.CONNECTS_TO)
-    graph.add_edge(rooms[0], graph.add_node(ObjectNode(label="sink")), EdgeKind.HAS)
-    export = graph.export()
-    assert export.count('"weight": 10.0') == 2 and export.count('"weight": 0.1') == 2
-    reloaded = import_graph(export, graph.schema)
-    assert reloaded.export() == export
-    assert reloaded._weights == graph._weights
-    for nid, nbs in graph.connectivity_subgraph().items():
-        assert list(reloaded.connectivity_subgraph()[nid].items()) == list(nbs.items())
-    assert reloaded.summary(rooms[0]) == "sink"
-    assert reloaded.connector_place_counts() == {door: 1}
-
-
 def test_unit_weight_export_names_no_weight(graph):
     _home_fixture(graph)
     assert '"weight"' not in graph.export()
@@ -444,6 +426,31 @@ def test_import_rejects_connectivity_without_reverse(graph):
     ]
     with pytest.raises(GraphCorruptionError, match="lacks its reverse"):
         import_graph(json.dumps(raw), graph.schema)
+
+
+@pytest.mark.parametrize("weight", [10.0, 0.5, 0, "1"])
+def test_import_rejects_a_non_unit_weight(graph, weight):
+    import json
+
+    _home_fixture(graph)
+    raw = json.loads(graph.export())
+    edge = raw["edges"][0]
+    edge["weight"] = weight
+    with pytest.raises(GraphCorruptionError) as info:
+        import_graph(json.dumps(raw), graph.schema)
+    assert f"{edge['src']} -> {edge['dst']}" in str(info.value)
+    assert repr(weight) in str(info.value)
+
+
+@pytest.mark.parametrize("weight", [1, 1.0])
+def test_import_accepts_an_explicit_unit_weight(graph, weight):
+    import json
+
+    _home_fixture(graph)
+    raw = json.loads(graph.export())
+    for edge in raw["edges"]:
+        edge["weight"] = weight
+    assert import_graph(json.dumps(raw), graph.schema).export() == graph.export()
 
 
 def test_connector_place_counts_ignore_connector_neighbours():
@@ -664,7 +671,7 @@ def _reference_hops(graph, source):
     return dist
 
 
-def _random_layer2_graph(rng, n_nodes, n_edges, weights=(1.0,)):
+def _random_layer2_graph(rng, n_nodes, n_edges):
     graph = SceneGraph(builtin_schema("home"))
     ids = []
     for i in range(n_nodes):
@@ -678,7 +685,7 @@ def _random_layer2_graph(rng, n_nodes, n_edges, weights=(1.0,)):
         if rng.random() < 0.5:
             a, b = b, a
         try:
-            graph.add_edge(a, b, EdgeKind.CONNECTS_TO, weight=rng.choice(weights))
+            graph.add_edge(a, b, EdgeKind.CONNECTS_TO)
         except EdgeRuleError:
             pass
     return graph, ids
@@ -695,27 +702,11 @@ def test_find_path_equals_dijkstra_on_unit_weight_graphs(seed):
     for _ in range(25):
         n = rng.randint(2, 14)
         graph, ids = _random_layer2_graph(rng, n, rng.randint(0, 2 * n))
-        assert graph.unit_weights
         sources = rng.sample(ids, min(len(ids), 4))
         for src in sources:
             assert dict(hop_distances(graph, src)) == _reference_hops(graph, src)
             for dst in ids:
                 assert find_path(graph, src, dst) == _reference_dijkstra(graph, src, dst)
-
-
-def test_imported_non_unit_weight_takes_the_weighted_route(graph):
-    from scenenav.graph import hop_distances
-    from scenenav.planner import find_path
-
-    a, b, c = (graph.add_node(PlaceNode(cls="Room", label=l)) for l in ("a", "b", "c"))
-    graph.add_edge(a, c, EdgeKind.CONNECTS_TO, weight=10.0)
-    graph.add_edge(a, b, EdgeKind.CONNECTS_TO)
-    graph.add_edge(b, c, EdgeKind.CONNECTS_TO)
-    reloaded = import_graph(graph.export(), graph.schema)
-    assert not reloaded.unit_weights
-    assert hop_distances(reloaded, a)[c] == 1
-    assert find_path(reloaded, a, c) == [b, c] == _reference_dijkstra(reloaded, a, c)
-    assert find_path(graph, a, c) == [b, c]
 
 
 def test_a_write_between_two_reads_renews_the_tree(graph):

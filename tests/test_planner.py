@@ -75,14 +75,6 @@ class TestFindPath:
                 assert y in adj[x]
             assert len(got) == _bfs_distance(adj, src, dst)
 
-    def test_weighted_edges_respected(self, home):
-        graph = SceneGraph(home)
-        a, b, c = (graph.add_node(PlaceNode(cls="Room", label=l)) for l in "abc")
-        graph.add_edge(a, c, EdgeKind.CONNECTS_TO, weight=10.0)
-        graph.add_edge(a, b, EdgeKind.CONNECTS_TO, weight=1.0)
-        graph.add_edge(b, c, EdgeKind.CONNECTS_TO, weight=1.0)
-        assert find_path(graph, a, c) == [b, c]
-
 
 def _bfs_distance(adj, src, dst):
     from collections import deque
