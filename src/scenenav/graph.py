@@ -520,42 +520,49 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
     exported; in-neighbour order is not part of the export.  Every edge is
     unit-cost, so an edge entry whose ``weight`` is present and not 1 raises
     ``GraphCorruptionError``, as does a connectivity edge whose reverse is
-    missing.
+    missing, a document that is not a JSON object, a node or edge entry
+    without a required field and an edge of unknown kind.
     """
     raw = json.loads(document)
+    if not isinstance(raw, dict):
+        raise GraphCorruptionError(f"a graph export is a JSON object, not {type(raw).__name__}")
     graph = SceneGraph(schema)
     id_map: dict[str, str] = {}
     for entry in raw.get("nodes", ()):
-        cls = entry["cls"]
+        cls, label, node_id = _fields(entry, "node", "cls", "label", "id")
         concept = schema.concepts.get(cls)
         if concept is None:
             raise EdgeRuleError(f"import references unknown concept {cls!r}")
         if concept.kind is ConceptKind.OBJECT_ROLE:
             node: Node = ObjectNode(
-                label=entry["label"],
+                label=label,
                 desc=entry.get("desc", ""),
                 image_ref=entry.get("image_ref", ""),
             )
         elif concept.kind is ConceptKind.PLACE:
-            node = PlaceNode(cls=cls, label=entry["label"])
+            node = PlaceNode(cls=cls, label=label)
             node.aliases = list(entry.get("aliases", []))
         elif concept.kind is ConceptKind.CONNECTOR:
             node = ConnectorNode(
                 cls=cls,
-                label=entry["label"],
+                label=label,
                 desc=entry.get("desc", ""),
                 image_ref=entry.get("image_ref", ""),
             )
         else:
-            node = RegionNode(cls=cls, label=entry["label"])
-        id_map[entry["id"]] = graph.add_node(node)
+            node = RegionNode(cls=cls, label=label)
+        id_map[node_id] = graph.add_node(node)
     for entry in raw.get("edges", ()):
-        src = id_map.get(entry["src"], entry["src"])
-        dst = id_map.get(entry["dst"], entry["dst"])
-        kind = EdgeKind(entry["kind"])
+        raw_src, raw_dst, raw_kind = _fields(entry, "edge", "src", "dst", "kind")
+        try:
+            kind = EdgeKind(raw_kind)
+        except ValueError:
+            raise GraphCorruptionError(f"edge entry {entry!r} has unknown kind") from None
+        src = id_map.get(raw_src, raw_src)
+        dst = id_map.get(raw_dst, raw_dst)
         if entry.get("weight", 1) != 1:
             raise GraphCorruptionError(
-                f"{kind.value} edge {entry['src']} -> {entry['dst']} has weight "
+                f"{kind.value} edge {raw_src} -> {raw_dst} has weight "
                 f"{entry['weight']!r}; edges are unit-cost"
             )
         if not graph._admits(src, dst, kind):
@@ -568,6 +575,16 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
         if kind is EdgeKind.CONNECTS_TO and not graph.has_edge(dst, src, kind):
             raise GraphCorruptionError(f"connectivity edge {src} -> {dst} lacks its reverse")
     return graph
+
+
+def _fields(entry: object, what: str, *keys: str) -> list:
+    """The values of ``keys`` in an export entry; a missing one is corruption."""
+    if not isinstance(entry, dict):
+        raise GraphCorruptionError(f"{what} entry {entry!r} is not a JSON object")
+    for key in keys:
+        if key not in entry:
+            raise GraphCorruptionError(f"{what} entry {entry!r} has no {key!r}")
+    return [entry[key] for key in keys]
 
 
 def validate_graph(graph: SceneGraph) -> list[str]:

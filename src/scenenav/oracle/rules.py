@@ -303,6 +303,11 @@ class RuleOracle(SemanticOracle):
         return False
 
     def select_region(self, candidates: list[tuple[str, str, str]], goal: str) -> Proposal:
+        """Take the first candidate of the highest score tier.
+
+        The loop stops at the first candidate whose contents name the goal:
+        nothing can outrank it and ties go to the earlier candidate.
+        """
         if not candidates:
             raise ValueError("select_region needs at least one candidate")
         want_places = self.tables.cooccurs(goal)
@@ -312,10 +317,12 @@ class RuleOracle(SemanticOracle):
         for cand in candidates:
             cand_id, label, summary = cand
             summary_labels = self._summary_labels(summary)
-            score = 0.0
             if goal_canon in summary_labels:
-                score = 3.0
-            elif not summary_labels.isdisjoint(want_places):
+                best_score = 3.0
+                best = cand
+                break
+            score = 0.0
+            if not summary_labels.isdisjoint(want_places):
                 # a coarse region whose children include a likely place
                 score = 2.5
             elif self._canon(label) in want_places:

@@ -149,8 +149,10 @@ def propose_region(
 
 
 def _order(ids: list[str], distances: Mapping[str, int]) -> list[str]:
-    index = {node_id: i for i, node_id in enumerate(ids)}
-    return sorted(ids, key=lambda n: (distances.get(n, float("inf")), index[n]))
+    # sorted() is stable: ids at equal hop counts, and unreachable ones, keep input order
+    get = distances.get
+    inf = float("inf")
+    return sorted(ids, key=lambda n: get(n, inf))
 
 
 def _descend(
@@ -180,10 +182,11 @@ def _descend(
             level = sorted(children, key=region_key)
             continue
         places = _order([c for c in children if c not in exhausted], distances)
+        child_set = set(children)
         nearby_frontier = [
             f
             for f in frontier
-            if any(not _is_connector(graph, nb) and nb in children
+            if any(nb in child_set and not _is_connector(graph, nb)
                    for nb in graph.out_neighbors(f, EdgeKind.CONNECTS_TO))
         ]
         candidates = places + nearby_frontier
@@ -221,9 +224,6 @@ def propose_object(
         return (toward, getattr(t, "image_ref", ""), "this passage continues the planned path")
     leaves = objects + connectors
     if not leaves:
-        if connectors:
-            entry = graph.node(connectors[0])
-            return (connectors[0], getattr(entry, "image_ref", ""), "empty place; using its entry")
         raise ExhaustedError(f"{region} holds no leaf to steer toward")
     proposal = oracle.select_object(
         [(l, graph.node(l).label, getattr(graph.node(l), "desc", "")) for l in leaves],

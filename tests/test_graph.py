@@ -453,6 +453,46 @@ def test_import_accepts_an_explicit_unit_weight(graph, weight):
     assert import_graph(json.dumps(raw), graph.schema).export() == graph.export()
 
 
+def test_import_rejects_a_document_that_is_not_an_object(home):
+    with pytest.raises(GraphCorruptionError, match="JSON object, not list"):
+        import_graph("[]", home)
+
+
+def test_import_rejects_a_node_without_cls(graph):
+    import json
+
+    _home_fixture(graph)
+    raw = json.loads(graph.export())
+    node = raw["nodes"][1]
+    del node["cls"]
+    with pytest.raises(GraphCorruptionError, match="has no 'cls'") as info:
+        import_graph(json.dumps(raw), graph.schema)
+    assert repr(node["id"]) in str(info.value)
+
+
+def test_import_rejects_an_edge_without_dst(graph):
+    import json
+
+    _home_fixture(graph)
+    raw = json.loads(graph.export())
+    edge = raw["edges"][0]
+    del edge["dst"]
+    with pytest.raises(GraphCorruptionError, match="has no 'dst'") as info:
+        import_graph(json.dumps(raw), graph.schema)
+    assert repr(edge["src"]) in str(info.value)
+
+
+def test_import_rejects_an_unknown_edge_kind(graph):
+    import json
+
+    _home_fixture(graph)
+    raw = json.loads(graph.export())
+    raw["edges"][0]["kind"] = "is_under"
+    with pytest.raises(GraphCorruptionError, match="unknown kind") as info:
+        import_graph(json.dumps(raw), graph.schema)
+    assert "'is_under'" in str(info.value)
+
+
 def test_connector_place_counts_ignore_connector_neighbours():
     import json
 

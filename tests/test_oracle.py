@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenenav.graph import ObjectFeatures
+from scenenav.oracle.base import Proposal
 from scenenav.oracle.rules import RuleConfig, RuleOracle, strip_suffix
 from scenenav.oracle.tables import OracleTables, SynonymTable, default_tables
 from scenenav.schema import builtin_schema
@@ -207,6 +208,32 @@ def test_select_region_direct_evidence_wins(oracle):
     assert got.chosen == "bedroom_1"
 
 
+def test_select_region_first_goal_naming_candidate_wins(oracle):
+    got = oracle.select_region(
+        [
+            ("bedroom_1", "bedroom", "bed, sink"),
+            ("bathroom_2", "bathroom", "sink, towel"),
+            ("kitchen_3", "kitchen", "oven, sink"),
+        ],
+        "sink",
+    )
+    assert got == Proposal(chosen="bedroom_1", reasoning="its contents mention the goal")
+    # nothing after the first goal-naming candidate is read
+    assert "sink, towel" not in oracle._summary_memo
+
+
+def test_select_region_goal_naming_candidate_outranks_earlier_tiers(oracle):
+    got = oracle.select_region(
+        [
+            ("floor_1", "floor", "bedroom, bathroom"),  # 2.5: holds a likely place
+            ("bathroom_2", "bathroom", "mirror"),  # 2.0: a likely place
+            ("bedroom_3", "bedroom", "bed, sink"),  # 3.0: names the goal
+        ],
+        "sink",
+    )
+    assert got == Proposal(chosen="bedroom_3", reasoning="its contents mention the goal")
+
+
 def test_select_object_nearness(oracle):
     objects = [
         ("mirror_2", "mirror", ""),
@@ -272,6 +299,77 @@ def test_select_closure_fuzz(goal, candidates):
     match_candidates = [(cid, label, desc, feats(desc)) for cid, label, desc in cands]
     got = oracle.match_object(probe, match_candidates)
     assert got is None or got in ids
+
+
+def _select_region_full_scan(oracle, candidates, goal):
+    """select_region as a loop that scores every candidate, the reference for its early stop."""
+    want_places = oracle.tables.cooccurs(goal)
+    goal_canon = oracle._canon(goal)
+    best = candidates[0]
+    best_score = -1.0
+    for cand in candidates:
+        cand_id, label, summary = cand
+        summary_labels = oracle._summary_labels(summary)
+        score = 0.0
+        if goal_canon in summary_labels:
+            score = 3.0
+        elif not summary_labels.isdisjoint(want_places):
+            score = 2.5
+        elif oracle._canon(label) in want_places:
+            score = 2.0
+        elif oracle.tables.is_connector_label(strip_suffix(label)):
+            score = 1.0
+        if score > best_score:
+            best_score = score
+            best = cand
+    reasons = {
+        3.0: "its contents mention the goal",
+        2.5: "it holds a place where the goal is typical",
+        2.0: "the goal is typical for this kind of place",
+        1.0: "an unexplored passage may lead to the goal",
+    }
+    return Proposal(
+        chosen=best[0],
+        reasoning=reasons.get(best_score, "no candidate stood out; taking the first"),
+    )
+
+
+# labels and summary entries that reach every score tier for the goals below,
+# with synonyms so that equal canonical labels are spelt differently
+_region_label = st.sampled_from(
+    ["kitchen", "bathroom", "washroom", "bedroom", "lounge", "office", "floor",
+     "door", "doorway", "stairs", "sofa"]
+)
+_summary_entry = st.sampled_from(
+    ["sink", "towel", "bed", "sofa", "couch", "lamp", "mirror", "oven",
+     "kitchen", "bathroom", "restroom", "bedroom", "lounge", "hallway", ""]
+)
+
+
+@st.composite
+def _region_query(draw):
+    goal = draw(st.sampled_from(["sink", "towel", "bed", "couch", "lamp", "plant"]))
+    rows = draw(st.lists(
+        st.tuples(_region_label, st.lists(_summary_entry, max_size=4)),
+        min_size=1, max_size=12,
+    ))
+    # plant the goal in one summary at any position, or nowhere beyond the draws
+    planted = draw(st.none() | st.integers(0, len(rows) - 1))
+    candidates = []
+    for i, (label, entries) in enumerate(rows):
+        if i == planted:
+            entries = entries + [goal]
+        candidates.append((f"{label}_{i}", label, ", ".join(entries)))
+    return candidates, goal
+
+
+@settings(max_examples=300, deadline=None)
+@given(query=_region_query())
+def test_select_region_early_stop_matches_a_full_scan(query):
+    candidates, goal = query
+    assert RuleOracle().select_region(candidates, goal) == _select_region_full_scan(
+        RuleOracle(), candidates, goal
+    )
 
 
 @settings(max_examples=60, deadline=None)

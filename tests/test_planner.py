@@ -1,11 +1,14 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenenav.graph import ConnectorNode, ObjectNode, PlaceNode, RegionNode, SceneGraph
 from scenenav.oracle.rules import RuleOracle
 from scenenav.planner import (
     ExhaustedError,
+    _order,
     PlannerMemory,
     SubgoalPlan,
     find_path,
@@ -99,6 +102,23 @@ def _furnish(graph, place, labels):
         graph.add_edge(place, obj, EdgeKind.HAS)
         ids.append(obj)
     return ids
+
+
+_node_id = st.sampled_from([f"n{i}" for i in range(12)])
+
+
+# few hop counts so that ties are common; ids missing from the map are unreachable
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(_node_id, unique=True), hops=st.dictionaries(_node_id, st.integers(0, 3)))
+def test_order_matches_a_distance_then_input_index_key(ids, hops):
+    index = {node_id: i for i, node_id in enumerate(ids)}
+    want = sorted(ids, key=lambda n: (hops.get(n, float("inf")), index[n]))
+    got = _order(ids, hops)
+    assert got == want
+    reachable = [n for n in got if n in hops]
+    assert got[len(reachable):] == [n for n in ids if n not in hops]
+    for d in set(hops.values()):
+        assert [n for n in got if hops.get(n) == d] == [n for n in ids if hops.get(n) == d]
 
 
 class TestProposeRegion:
