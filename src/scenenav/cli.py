@@ -1,8 +1,9 @@
 """Command-line entry points: verify, generate, replay-map and evaluate.
 
-Exit codes: 0 success, 1 validation failure, 2 I/O failure, 3 remote-backend
-failure.  Output files are written to a temporary sibling and renamed into
-place, so a failing command never leaves a partial artifact behind.
+Exit codes: 0 success, 1 validation failure (a usage error included), 2 I/O
+failure, 3 remote-backend failure.  Output files are written to a temporary
+sibling and renamed into place, so a failing command never leaves a partial
+artifact behind.
 """
 
 from __future__ import annotations
@@ -236,11 +237,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not report.valid:
         print(f"invalid schema: {report.text('; ')}", file=sys.stderr)
         return EXIT_INVALID
-    if args.backend != "rule":
-        print("episode evaluation currently runs on the rule backend only",
-              file=sys.stderr)
-        return EXIT_INVALID
-
     if args.noiseless:
         noise = noiseless()
     else:
@@ -340,8 +336,20 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error (unknown flag, bad value, missing flag) like other
+    invalid input: one line on stderr and exit code 1; subcommands inherit it."""
+
+    def error(self, message: str):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scenenav",
         description="Schema-driven scene-graph mapping and object-goal search.",
     )
@@ -379,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=200)
     p.add_argument("--seed", type=int, default=31337)
     p.add_argument("--goal", default="", help="comma-separated goal list")
-    p.add_argument("--backend", choices=["rule", "remote"], default="rule")
     p.add_argument("--baseline", action="store_true", help="also run reference walkers")
     p.add_argument("--particles", type=int, default=0,
                    help="enable the topology filter with this many particles (0: off)")
@@ -396,7 +403,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
     logging.basicConfig(
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",

@@ -7,7 +7,7 @@ from .base import (
     SemanticOracle,
 )
 from .remote import RemoteChatOracle, RemoteConfig
-from .rules import RuleConfig, RuleOracle
+from .rules import RuleOracle
 from .tables import OracleTables, SynonymTable, default_tables
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "RegionChoice",
     "RemoteChatOracle",
     "RemoteConfig",
-    "RuleConfig",
     "RuleOracle",
     "SemanticOracle",
     "SynonymTable",

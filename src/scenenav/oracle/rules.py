@@ -1,21 +1,21 @@
 """Deterministic rule backend: table lookups instead of generative calls.
 
-Every decision is a pure function of the inputs and the loaded tables, so
-replays are reproducible bit-for-bit across runs and platforms.
+Every decision is a pure function of the inputs, the oracle's tables (fixed
+when it is built) and the module constants below, so replays are
+reproducible bit-for-bit across runs and platforms.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
 from ..graph import ObjectFeatures
 from ..schema import ConceptKind, EdgeKind, Schema
 from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice, SemanticOracle
 from .tables import OracleTables, default_tables
 
-__all__ = ["RuleOracle", "RuleConfig"]
+__all__ = ["RuleOracle"]
 
 _SUFFIX = re.compile(r"_\d+$")
 
@@ -24,23 +24,13 @@ def strip_suffix(label: str) -> str:
     return _SUFFIX.sub("", label).strip()
 
 
-@dataclass(frozen=True)
-class RuleConfig:
-    match_threshold: float = 0.5
-    large_weight: float = 3.0
-    confidence_steepness: float = 4.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.match_threshold <= 1.0:  # also rejects NaN
-            raise ValueError(f"match_threshold must lie in [0, 1], got {self.match_threshold}")
-        # the weighted bags of RuleOracle rely on a positive weight
-        if not (math.isfinite(self.large_weight) and self.large_weight > 0):
-            raise ValueError(f"large_weight must be positive and finite, got {self.large_weight}")
-        if not (math.isfinite(self.confidence_steepness) and self.confidence_steepness > 0):
-            raise ValueError(
-                "confidence_steepness must be positive and finite, "
-                f"got {self.confidence_steepness}"
-            )
+# place-match rule: weighted label overlap at or above MATCH_THRESHOLD matches;
+# a large object counts LARGE_WEIGHT times (positive, as _overlap requires);
+# confidence is a logistic of the overlap around 0.5 with slope
+# CONFIDENCE_STEEPNESS
+MATCH_THRESHOLD = 0.5
+LARGE_WEIGHT = 3.0
+CONFIDENCE_STEEPNESS = 4.0
 
 
 # Bounds of the per-oracle memos; each is cleared when full.  Labels repeat
@@ -61,38 +51,12 @@ _MATCH_MEMO_SIZE = 64
 class RuleOracle(SemanticOracle):
     """Rule decisions, memoised where the same question recurs.
 
-    Every decision is a pure function of its inputs, ``tables`` and
-    ``config``, so the memos are exact; assigning either attribute empties
-    them.
+    Every decision is a pure function of its inputs and ``tables``, which is
+    fixed at construction, so the memos are exact for the oracle's lifetime.
     """
 
-    def __init__(
-        self,
-        tables: OracleTables | None = None,
-        config: RuleConfig | None = None,
-    ):
-        self.tables = tables if tables is not None else default_tables()
-        self.config = config if config is not None else RuleConfig()
-
-    @property
-    def tables(self) -> OracleTables:
-        return self._tables
-
-    @tables.setter
-    def tables(self, value: OracleTables) -> None:
-        self._tables = value
-        self._forget()
-
-    @property
-    def config(self) -> RuleConfig:
-        return self._config
-
-    @config.setter
-    def config(self, value: RuleConfig) -> None:
-        self._config = value
-        self._forget()
-
-    def _forget(self) -> None:
+    def __init__(self, tables: OracleTables | None = None):
+        self._tables = tables if tables is not None else default_tables()
         # raw label -> canonical label, canonical label -> overlap weight
         self._canon_memo: dict[str, str] = {}
         self._weight_memo: dict[str, float] = {}
@@ -102,6 +66,10 @@ class RuleOracle(SemanticOracle):
         self._summary_memo: dict[str, frozenset[str]] = {}
         # features items -> canonical label -> weight x count
         self._bag_memo: dict[tuple, dict[str, float]] = {}
+
+    @property
+    def tables(self) -> OracleTables:
+        return self._tables
 
     # -- label handling --------------------------------------------------------
 
@@ -121,7 +89,7 @@ class RuleOracle(SemanticOracle):
             if len(memo) >= _LABEL_MEMO_SIZE:
                 memo.clear()
             large = self.tables.is_large(canon_label)
-            weight = memo[canon_label] = self.config.large_weight if large else 1.0
+            weight = memo[canon_label] = LARGE_WEIGHT if large else 1.0
         return weight
 
     def _summary_labels(self, summary: str) -> frozenset[str]:
@@ -193,15 +161,10 @@ class RuleOracle(SemanticOracle):
 
     def _decide_match(self, a: ObjectFeatures, b: ObjectFeatures) -> MatchDecision:
         overlap = self._overlap(self._bag(a), self._bag(b))
-        confidence = 1.0 / (
-            1.0 + math.exp(-self.config.confidence_steepness * (overlap - 0.5))
-        )
-        matched = overlap >= self.config.match_threshold
         return MatchDecision(
-            matched=matched,
-            confidence=confidence,
-            reasoning=f"weighted label overlap {overlap:.3f} vs threshold "
-            f"{self.config.match_threshold}",
+            matched=overlap >= MATCH_THRESHOLD,
+            confidence=1.0 / (1.0 + math.exp(-CONFIDENCE_STEEPNESS * (overlap - 0.5))),
+            reasoning=f"weighted label overlap {overlap:.3f} vs threshold {MATCH_THRESHOLD}",
         )
 
     def classify_elements(self, labels: list[str], schema: Schema) -> ClassifiedElements:

@@ -3,13 +3,12 @@
 The tables stand in for generative semantic judgement: synonym groups for
 label equivalence, a connector lexicon for leaf classification, co-occurrence
 priors for region selection and a nearness prior for object selection.  All
-tables load from JSON and ship with home/market defaults.
+tables build from a JSON-shaped dict and ship with home/market defaults.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 __all__ = ["SynonymTable", "OracleTables", "default_tables"]
@@ -245,11 +244,6 @@ class OracleTables:
                 for k, vs in raw.get("nearness", DEFAULT_NEARNESS).items()
             },
         )
-
-    @classmethod
-    def from_file(cls, path: str) -> "OracleTables":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
 
 
 @functools.cache

@@ -273,42 +273,28 @@ def reason_step(
                 target = propose_region(
                     schema, graph, goal, oracle, current=current, exhausted=memory.exhausted
                 )
-        if _reached(graph, target, current):
-            node_id, image_ref, why = propose_object(graph, target, goal, oracle)
-            result = SubgoalPlan(
-                target_region=None, waypoint=None, object_goal=(node_id, image_ref)
-            )
-            memory.exhausted.add(target)
-            if _is_repeat(memory, graph, result):
-                target = None
-                continue
-            _remember(memory, graph, result, [], why)
-            return result
-        path = find_path(graph, current, target) if current is not None else None
-        if current is not None and path is None:
+        reached = _reached(graph, target, current)
+        path = [] if reached or current is None else find_path(graph, current, target)
+        if path is None:
             logger.debug("target %s unreachable from %s; re-proposing", target, current)
             memory.exhausted.add(target)
             target = None
             continue
-        if current is None or not path:
-            node_id, image_ref, why = propose_object(graph, target, goal, oracle)
-            result = SubgoalPlan(
-                target_region=target, waypoint=None, object_goal=(node_id, image_ref)
-            )
-            if _is_repeat(memory, graph, result):
-                memory.exhausted.add(target)
-                target = None
-                continue
-            _remember(memory, graph, result, [], why)
-            return result
-        waypoint = path[0]
+        # ground the next hop, or the target itself once there or when lost
+        waypoint = path[0] if path else None
         toward = path[1] if len(path) > 1 else None
-        node_id, image_ref, why = propose_object(graph, waypoint, goal, oracle, toward=toward)
-        result = SubgoalPlan(
-            target_region=target, waypoint=waypoint, object_goal=(node_id, image_ref)
+        node_id, image_ref, why = propose_object(
+            graph, waypoint or target, goal, oracle, toward=toward
         )
-        if _is_repeat(memory, graph, result):
+        result = SubgoalPlan(
+            target_region=None if reached else target,
+            waypoint=waypoint,
+            object_goal=(node_id, image_ref),
+        )
+        repeat = _is_repeat(memory, graph, result)
+        if reached or repeat:
             memory.exhausted.add(target)
+        if repeat:
             target = None
             continue
         _remember(memory, graph, result, path, why)

@@ -89,9 +89,9 @@ def _graph_multisets(graph: SceneGraph, canon) -> tuple[Counter, Counter]:
     return nodes, edges
 
 
-def layer2_quality(graph: SceneGraph, scene: GroundTruthScene, canon=None) -> LayerQuality:
+def layer2_quality(graph: SceneGraph, scene: GroundTruthScene) -> LayerQuality:
     """Precision/recall of place-layer structure against the scene."""
-    canon = canon if canon is not None else default_tables().canonical
+    canon = default_tables().canonical
     pred_nodes, pred_edges = _graph_multisets(graph, canon)
     true_nodes, true_edges = _scene_multisets(scene, canon)
     node_p, node_r = _overlap_scores(pred_nodes, true_nodes)

@@ -20,6 +20,14 @@ _PLACE_GROUPS = [
     ["office", "study"],
 ]
 
+# lowercased label -> the other labels of its synonym group, for synonym swaps
+_PEERS: dict[str, list[str]] = {
+    label.lower(): [l for l in group if l != label]
+    for group in DEFAULT_SYNONYM_GROUPS
+    for label in group
+    if len(group) > 1
+}
+
 
 @dataclass
 class NoiseModel:
@@ -28,25 +36,18 @@ class NoiseModel:
     detect_recall: float = 1.0
     synonym_rate: float = 0.0
     place_confusion: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
-    synonym_groups: list[list[str]] = field(default_factory=lambda: [list(g) for g in DEFAULT_SYNONYM_GROUPS])
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.detect_recall <= 1.0:
             raise ValueError(f"detect_recall must lie in [0, 1], got {self.detect_recall}")
         if not 0.0 <= self.synonym_rate <= 1.0:
             raise ValueError(f"synonym_rate must lie in [0, 1], got {self.synonym_rate}")
-        self._peers: dict[str, list[str]] = {}
-        for group in self.synonym_groups:
-            for label in group:
-                peers = [l for l in group if l != label]
-                if peers:
-                    self._peers[label.lower()] = peers
 
     def detected(self, rng: np.random.Generator) -> bool:
         return bool(rng.random() < self.detect_recall)
 
     def observe_label(self, label: str, rng: np.random.Generator) -> str:
-        peers = self._peers.get(label.lower())
+        peers = _PEERS.get(label.lower())
         if peers and rng.random() < self.synonym_rate:
             return peers[int(rng.integers(len(peers)))]
         return label

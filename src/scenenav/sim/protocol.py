@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..oracle.tables import default_tables
 from .episode import EpisodeSpec
 from .scene import GroundTruthScene, generate_home_scene
 
@@ -45,8 +46,11 @@ def build_episodes(
     ``scene_seed`` then play no part).  Goals are the protocol's goals the
     scene holds, compared without regard to case and spelled as the scene
     spells them, or every object label in the scene when it holds none.  A
-    scene with no objects at all, or a drawn goal that cannot be reached
-    from the drawn start, raises ``ValueError``.
+    start avoids the places that hold the goal, and the horizon counts hops
+    to the nearest of them; both compare canonical labels, as episodes score
+    success, so a couch counts for a sofa.  A scene with no objects at all,
+    or a drawn goal that cannot be reached from the drawn start, raises
+    ``ValueError``.
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
@@ -56,6 +60,7 @@ def build_episodes(
             generate_home_scene(np.random.default_rng(protocol.scene_seed + s))
             for s in range(protocol.num_scenes)
         ]
+    canon = default_tables().canonical
     specs: list[EpisodeSpec] = []
     for world in scenes:
         labels = sorted(set(world.object_labels()))
@@ -66,7 +71,7 @@ def build_episodes(
         places = list(world.places)
         for _ in range(protocol.episodes_per_scene):
             goal = usable[int(rng.integers(len(usable)))]
-            hosts = world.hosts(goal)
+            hosts = world.hosts(goal, canon)
             start = places[0]
             for _ in range(30):
                 start = places[int(rng.integers(len(places)))]

@@ -168,9 +168,9 @@ def _sample_objects(
     return [SceneObject(label=l, desc=_desc(rng)) for l in labels]
 
 
-def generate_home_scene(rng: np.random.Generator, env_label: str = "home") -> GroundTruthScene:
+def generate_home_scene(rng: np.random.Generator) -> GroundTruthScene:
     """A 2-3 floor home: rooms joined by doors, floors joined by stairs."""
-    scene = GroundTruthScene(env_label=env_label)
+    scene = GroundTruthScene(env_label="home")
     n_floors = int(rng.integers(2, 4))
     n_rooms = int(rng.integers(max(4, n_floors * 2), 11))
     per_floor = [n_rooms // n_floors] * n_floors
@@ -231,9 +231,9 @@ def generate_home_scene(rng: np.random.Generator, env_label: str = "home") -> Gr
     return scene
 
 
-def generate_market_scene(rng: np.random.Generator, env_label: str = "supermarket") -> GroundTruthScene:
+def generate_market_scene(rng: np.random.Generator) -> GroundTruthScene:
     """A strip of themed aisles with direct adjacency; no connectors."""
-    scene = GroundTruthScene(env_label=env_label)
+    scene = GroundTruthScene(env_label="supermarket")
     themes = list(AISLE_POOLS)
     n_aisles = int(rng.integers(4, min(len(themes), 8) + 1))
     order = rng.permutation(len(themes))[:n_aisles]

@@ -331,7 +331,8 @@ class TestRun:
         assert len(err.splitlines()) == 1
         assert "'fridge'" in err and "'bedroom_1'" in err and "'home'" in err
 
-    def test_remote_backend_rejected_for_run(self, tmp_path, home_path):
+    def test_remote_backend_rejected_for_run(self, tmp_path, home_path, capsys):
+        # episodes run on the rule oracle only; `run` has no --backend flag
         out = tmp_path / "x.csv"
         code = main([
             "run", "--schema", home_path, "--backend", "remote",
@@ -339,6 +340,8 @@ class TestRun:
         ])
         assert code == 1
         assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "--backend" in err and len(err.splitlines()) == 1
 
     def test_fixed_run_csv_golden(self, tmp_path, home_path):
         out = tmp_path / "fixed.csv"
@@ -499,6 +502,34 @@ class TestFlagBounds:
         argv = ["run", "--schema", home_path, "--scene", str(scene_path), "--episodes", "1",
                 "--scene-seed", "-1", "--out", str(out)]
         assert main(argv) == 0 and out.exists()
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--bogus", "1"], "--bogus"),
+            (["--episodes", "1.5"], "--episodes"),
+            (["--jobs", "two"], "--jobs"),
+            (["--recall", "high"], "--recall"),
+            (["--backend", "rule"], "--backend"),
+            (["--out"], "--out"),
+        ],
+    )
+    def test_run_usage_error(self, tmp_path, home_path, capsys, extra, flag):
+        # argparse's own errors share the one-line, exit-1 contract
+        out = tmp_path / "m.csv"
+        argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
+                "--out", str(out)] + extra
+        self._rejected(capsys, argv, flag, out)
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["run", "--schema", "home.json"], "--out"),
+        (["map", "--log", "t.jsonl", "--schema", "home.json", "--out", "g", "--format", "svg"],
+         "--format"),
+        (["frobnicate"], "frobnicate"),
+        ([], "command"),
+    ])
+    def test_usage_error_is_one_line_and_exit_1(self, tmp_path, capsys, argv, needle):
+        self._rejected(capsys, argv, needle, tmp_path / "absent")
 
     @pytest.mark.parametrize("flag", ["--beta-pix", "--beta-iou", "--min-obj-area"])
     @pytest.mark.parametrize("value", ["-5", "nan", "inf"])

@@ -1,7 +1,7 @@
 """Fuzzed input at the CLI boundary: trajectory logs, schemas, scene files, flags.
 
 Every input is a valid document with a few parts deleted or replaced by
-arbitrary JSON, or a flag list with arbitrary numbers.  Whatever the input,
+arbitrary JSON, or a flag list with arbitrary numbers and non-numeric values.  Whatever the input,
 a command ends in a documented exit code (0 ok, 1 invalid, 2 I/O, 3 remote),
 at most one line on standard error and no traceback.
 """
@@ -165,6 +165,8 @@ def test_fuzzed_scene_file(doc):
 
 _SMALL = st.integers(-2, 3).map(str)
 _RATE = (st.floats() | st.floats(-0.5, 1.5)).map(repr)
+# no digits, so a count flag never parses to a large workload; argparse rejects these
+_NOT_A_NUMBER = st.text(alphabet="abcex.-+ _,", max_size=5) | st.sampled_from(["1.5", "two"])
 _FLAGS = {
     "run": {
         "--scenes": _SMALL, "--episodes": _SMALL, "--jobs": st.integers(-2, 1).map(str),
@@ -181,7 +183,8 @@ _FLAGS = {
 def _flags(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     names = draw(st.lists(st.sampled_from(sorted(_FLAGS[command])), unique=True, max_size=4))
-    return command, [f"{name}={draw(_FLAGS[command][name])}" for name in names]
+    values = [draw(_FLAGS[command][name] | _NOT_A_NUMBER) for name in names]
+    return command, [f"{name}={value}" for name, value in zip(names, values)]
 
 
 @FUZZ

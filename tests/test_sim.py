@@ -30,6 +30,7 @@ from scenenav.sim import (
     validate_scene,
     walk_to_frames,
 )
+from scenenav.sim.protocol import BenchmarkProtocol, build_episodes
 
 
 @pytest.fixture
@@ -417,3 +418,32 @@ class TestBaselines:
             spec = EpisodeSpec(scene=scene, start=ids[0], goal="trophy", horizon=100, seed=seed)
             total_random += baseline_random(spec).hops_traversed
         assert total_random / n > frontier.hops_traversed
+
+
+class TestBuildEpisodes:
+    def test_goal_hosts_include_synonyms(self):
+        # the couch in livingroom_2 is a sofa to the agent and the baselines,
+        # so no episode may start there and horizons count hops to either room
+        scene = GroundTruthScene(env_label="home")
+        rooms = [("kitchen_1", "kitchen", "sink"), ("livingroom_2", "livingroom", "couch"),
+                 ("hallway_4", "hallway", "plant"), ("livingroom_3", "livingroom", "sofa"),
+                 ("bedroom_5", "bedroom", "bed")]
+        for pid, label, obj in rooms:
+            scene.places[pid] = ScenePlace(pid, "Room", label, [SceneObject(obj, "gray")])
+        for (a, *_), (b, *_) in zip(rooms, rooms[1:]):
+            scene.links.append((a, b, None))
+        exact = scene.hosts("sofa")
+        hosts = scene.hosts("sofa", default_tables().canonical)
+        assert exact == ["livingroom_3"] and hosts == ["livingroom_2", "livingroom_3"]
+        protocol = BenchmarkProtocol(episodes_per_scene=12, goals=("sofa",))
+        specs = build_episodes(protocol, scene)
+        assert len(specs) == 12
+        for spec in specs:
+            assert spec.goal == "sofa" and spec.start not in hosts
+            shortest = scene.shortest_hops(spec.start, hosts)
+            assert spec.horizon == 2 * max(shortest, 1) + 4
+        # the scene tells the predicates apart: some start is nearer a couch
+        assert any(
+            scene.shortest_hops(s.start, exact) != scene.shortest_hops(s.start, hosts)
+            for s in specs
+        )
