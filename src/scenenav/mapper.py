@@ -13,7 +13,6 @@ association.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -26,10 +25,8 @@ from .graph import (
     hop_distances,
 )
 from .oracle.base import SemanticOracle
-from .oracle.rules import strip_suffix
+from .oracle.tables import strip_suffix
 from .schema import ConceptKind, EdgeKind, Schema
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "Detection",
@@ -105,7 +102,6 @@ class MapperState:
     graph: SceneGraph
     current_place: str | None = None
     place_history: list[str] = field(default_factory=list)
-    pending_links: list[tuple[str, str]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -248,19 +244,18 @@ def _add_leaves(
     place_id: str,
     obs: ParsedObservation,
     assoc: dict[int, str],
-    skip: set[int],
 ) -> None:
     """Create nodes for unassociated leaf detections and attach them to the place."""
     n_objects = len(obs.objects)
     for idx, (label, desc, image_ref) in enumerate(obs.objects):
-        if idx in assoc or idx in skip:
+        if idx in assoc:
             continue
         node_id = graph.add_node(ObjectNode(label=label, desc=desc, image_ref=image_ref))
         graph.add_edge(place_id, node_id, EdgeKind.HAS)
         assoc[idx] = node_id
     for k, (label, desc, image_ref) in enumerate(obs.connectors):
         idx = n_objects + k
-        if idx in assoc or idx in skip:
+        if idx in assoc:
             continue
         node_id = None
         if image_ref:
@@ -329,7 +324,6 @@ def _merge_near_edges(graph: SceneGraph, obs: ParsedObservation, assoc: dict[int
 
 def _wire_previous(
     graph: SceneGraph,
-    state: MapperState,
     prev_place: str | None,
     new_place: str,
     subgoal: str | None,
@@ -352,25 +346,6 @@ def _wire_previous(
         graph.node(prev_place).cls, EdgeKind.CONNECTS_TO, graph.node(new_place).cls
     ):
         graph.add_edge(prev_place, new_place, EdgeKind.CONNECTS_TO)
-        return
-    pair = (prev_place, new_place)
-    if pair not in state.pending_links:
-        state.pending_links.append(pair)
-        logger.debug("connectivity %s -> %s pending a connector observation", *pair)
-
-
-def _retry_pending(graph: SceneGraph, state: MapperState) -> None:
-    still: list[tuple[str, str]] = []
-    layer2 = graph.connectivity_subgraph()
-    for a, b in state.pending_links:
-        linked = False
-        for conn in layer2.get(a, ()):
-            if graph.node(conn).kind is ConceptKind.CONNECTOR and b in layer2.get(conn, ()):
-                linked = True
-                break
-        if not linked:
-            still.append((a, b))
-    state.pending_links[:] = still
 
 
 def _region_layers(schema: Schema) -> list[int]:
@@ -463,9 +438,9 @@ def update_graph(
                 graph.node(place_id).cls, EdgeKind.CONNECTS_TO, graph.node(node_id).cls
             ):
                 graph.add_edge(place_id, node_id, EdgeKind.CONNECTS_TO)
-        _add_leaves(graph, place_id, obs, assoc, skip=set())
+        _add_leaves(graph, place_id, obs, assoc)
         _merge_near_edges(graph, obs, assoc)
-        _wire_previous(graph, state, prev_place, place_id, subgoal)
+        _wire_previous(graph, prev_place, place_id, subgoal)
         _update_regions(graph, schema, oracle, place_id, prev_place, subgoal_label)
     else:
         place_id = est
@@ -473,11 +448,10 @@ def update_graph(
         if obs.place[1] != node.label and obs.place[1] not in node.aliases:
             node.aliases.append(obs.place[1])
         assoc = _associate_leaves(graph, place_id, obs, oracle)
-        _add_leaves(graph, place_id, obs, assoc, skip=set())
+        _add_leaves(graph, place_id, obs, assoc)
         _merge_near_edges(graph, obs, assoc)
-        _wire_previous(graph, state, prev_place, place_id, subgoal)
+        _wire_previous(graph, prev_place, place_id, subgoal)
 
-    _retry_pending(graph, state)
     state.current_place = place_id
     state.place_history.append(place_id)
     return state

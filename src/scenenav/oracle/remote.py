@@ -29,7 +29,7 @@ from .base import (
     RegionChoice,
     SemanticOracle,
 )
-from .rules import strip_suffix
+from .tables import strip_suffix
 
 logger = logging.getLogger(__name__)
 

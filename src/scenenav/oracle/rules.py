@@ -8,20 +8,13 @@ reproducible bit-for-bit across runs and platforms.
 from __future__ import annotations
 
 import math
-import re
 
 from ..graph import ObjectFeatures
 from ..schema import ConceptKind, EdgeKind, Schema
 from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice, SemanticOracle
-from .tables import OracleTables, default_tables
+from .tables import OracleTables, default_tables, strip_suffix
 
 __all__ = ["RuleOracle"]
-
-_SUFFIX = re.compile(r"_\d+$")
-
-
-def strip_suffix(label: str) -> str:
-    return _SUFFIX.sub("", label).strip()
 
 
 # place-match rule: weighted label overlap at or above MATCH_THRESHOLD matches;
@@ -324,24 +317,5 @@ class RuleOracle(SemanticOracle):
     def goal_match(
         self, detections: list[tuple[str, str]], goal: str
     ) -> tuple[str, str] | None:
-        goal_tokens = [t for t in goal.lower().split() if t]
-        if not goal_tokens:
-            return None
-        for label, desc in detections:
-            if self._goal_hits(goal_tokens, label, desc):
-                return (label, desc)
-        return None
-
-    def _goal_hits(self, goal_tokens: list[str], label: str, desc: str) -> bool:
-        # longest suffix of the goal that names the object; the leading tokens
-        # are descriptors that must all appear in the label or description
-        label_canon = self._canon(label)
-        for split in range(len(goal_tokens)):
-            noun = " ".join(goal_tokens[split:])
-            if self.tables.canonical(noun) != label_canon:
-                continue
-            descriptors = goal_tokens[:split]
-            haystack = set((label.lower() + " " + desc.lower()).split())
-            if all(d in haystack for d in descriptors):
-                return True
-        return False
+        is_goal = self.tables.goal_test(goal)
+        return next(((label, desc) for label, desc in detections if is_goal(label, desc)), None)

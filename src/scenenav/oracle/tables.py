@@ -4,14 +4,25 @@ The tables stand in for generative semantic judgement: synonym groups for
 label equivalence, a connector lexicon for leaf classification, co-occurrence
 priors for region selection and a nearness prior for object selection.  All
 tables build from a JSON-shaped dict and ship with home/market defaults.
+``OracleTables.goal_test`` is the one test of whether an object is a goal.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
+from typing import Callable
 
-__all__ = ["SynonymTable", "OracleTables", "default_tables"]
+__all__ = ["SynonymTable", "OracleTables", "default_tables", "strip_suffix"]
+
+_SUFFIX = re.compile(r"_\d+$")
+
+
+def strip_suffix(label: str) -> str:
+    """A label without its instance suffix: ``sofa_2`` -> ``sofa``."""
+    return _SUFFIX.sub("", label).strip()
+
 
 DEFAULT_SYNONYM_GROUPS: list[list[str]] = [
     ["livingroom", "living room", "familyroom", "family room", "lounge", "sitting room"],
@@ -214,6 +225,30 @@ class OracleTables:
 
     def near_labels(self, goal: str) -> frozenset[str]:
         return frozenset(self._near_canon.get(self.canonical(goal), frozenset()))
+
+    def goal_test(self, goal: str) -> Callable[[str, str], bool]:
+        """The one goal predicate: whether an object ``(label, desc)`` is a ``goal``.
+
+        Some split of the goal into leading descriptors and a trailing noun
+        must name the object by canonical label (a sofa is a "couch") and find
+        every descriptor among the words of its label and description.  The
+        goal is split here, once; the test it returns runs once per object.
+        """
+        tokens = goal.lower().split()
+        # each spelling of a noun the goal may end in -> its descriptor lists
+        splits: dict[str, list[list[str]]] = {}
+        for i in range(len(tokens)):
+            for spelling in self.synonyms.group_of(" ".join(tokens[i:])):
+                splits.setdefault(spelling, []).append(tokens[:i])
+
+        def test(label: str, desc: str) -> bool:
+            key = strip_suffix(label).lower()
+            if key not in splits:
+                return False
+            words = set(f"{label} {desc}".lower().split())
+            return any(all(d in words for d in ds) for ds in splits[key])
+
+        return test
 
     @classmethod
     def from_dict(cls, raw: dict) -> "OracleTables":

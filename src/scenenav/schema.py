@@ -25,6 +25,7 @@ from typing import TypeVar
 __all__ = [
     "ConceptKind",
     "EdgeKind",
+    "EDGE_KIND_ORDER",
     "ConceptDef",
     "Schema",
     "VerifierReport",
@@ -70,11 +71,15 @@ _EDGE_FIELDS: dict[str, EdgeKind] = {
     "is near": EdgeKind.IS_NEAR,
 }
 
+# The order of a concept's edge kinds in its parsed and serialized forms.
+EDGE_KIND_ORDER = (EdgeKind.CONTAINS, EdgeKind.CONNECTS_TO, EdgeKind.HAS, EdgeKind.IS_NEAR)
+
 _LAYER_TYPES: dict[str, ConceptKind] = {
     "Region": ConceptKind.REGION,
     "Place": ConceptKind.PLACE,
     "Connector": ConceptKind.CONNECTOR,
 }
+_LAYER_TYPE_NAMES = {kind: name for name, kind in _LAYER_TYPES.items()}
 
 _LOCATION_KINDS = frozenset(
     {ConceptKind.PLACE, ConceptKind.CONNECTOR, ConceptKind.REGION}
@@ -263,7 +268,6 @@ def parse_schema(document: str) -> Schema:
         edge_lists[name] = edges
 
     concepts: dict[str, ConceptDef] = {}
-    kind_order = [EdgeKind.CONTAINS, EdgeKind.CONNECTS_TO, EdgeKind.HAS, EdgeKind.IS_NEAR]
     for name, kind in kinds.items():
         edges = []
         for edge_kind, target in edge_lists[name]:
@@ -278,7 +282,7 @@ def parse_schema(document: str) -> Schema:
             if pair not in edges:
                 edges.append(pair)
         # canonical ordering: group by kind so parse(serialize(x)) == x
-        edges.sort(key=lambda pair: kind_order.index(pair[0]))
+        edges.sort(key=lambda pair: EDGE_KIND_ORDER.index(pair[0]))
         concepts[name] = ConceptDef(
             name=name, kind=kind, layer_id=layer_ids[name], allowed_edges=tuple(edges)
         )
@@ -291,13 +295,9 @@ def serialize_schema(schema: Schema) -> str:
     for name, concept in schema.concepts.items():
         body: dict = {}
         if concept.kind is not ConceptKind.OBJECT_ROLE:
-            body["layer_type"] = {
-                ConceptKind.REGION: "Region",
-                ConceptKind.PLACE: "Place",
-                ConceptKind.CONNECTOR: "Connector",
-            }[concept.kind]
+            body["layer_type"] = _LAYER_TYPE_NAMES[concept.kind]
         body["layer_id"] = concept.layer_id
-        for kind in (EdgeKind.CONTAINS, EdgeKind.CONNECTS_TO, EdgeKind.HAS, EdgeKind.IS_NEAR):
+        for kind in EDGE_KIND_ORDER:
             targets = list(concept.targets(kind))
             if targets:
                 body[kind.value] = targets

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .schema import (
+    EDGE_KIND_ORDER,
     ConceptDef,
     ConceptKind,
     EdgeKind,
@@ -300,11 +301,10 @@ def assemble_schema(
         elif t.relation == "is near":
             add(t.subject, EdgeKind.IS_NEAR, t.object)
 
-    kind_order = [EdgeKind.CONTAINS, EdgeKind.CONNECTS_TO, EdgeKind.HAS, EdgeKind.IS_NEAR]
     concepts: dict[str, ConceptDef] = {}
     ordered = sorted(kinds, key=lambda e: (-layers[e], list(kinds).index(e)))
     for entity in ordered:
-        entity_edges = sorted(edges[entity], key=lambda pair: kind_order.index(pair[0]))
+        entity_edges = sorted(edges[entity], key=lambda pair: EDGE_KIND_ORDER.index(pair[0]))
         concepts[_concept_name(entity)] = ConceptDef(
             name=_concept_name(entity),
             kind=kinds[entity],

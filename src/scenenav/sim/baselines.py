@@ -8,20 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..oracle.tables import default_tables
+from ..oracle.tables import default_tables  # unused; bench/tracing.py wraps it by this name
 from .episode import EpisodeResult, EpisodeSpec
 from .noise import NoiseModel, noiseless
 
 __all__ = ["baseline_random", "baseline_greedy_frontier"]
 
 
-def _canon():
-    return default_tables().canonical
-
-
 def _finish(spec: EpisodeSpec, place: str, hops: int, success: bool, hosts: list[str],
             shortest: float) -> EpisodeResult:
-    dtg = 0.0 if success else (spec.scene.shortest_hops(place, hosts) if hosts else float("inf"))
+    dtg = 0.0 if success else spec.scene.shortest_hops(place, hosts)
     return EpisodeResult(
         success=success,
         hops_traversed=hops,
@@ -43,8 +39,8 @@ def baseline_random(
     """Move to a uniformly random adjacent place each step."""
     noise = noise if noise is not None else noiseless()
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    hosts = spec.scene.hosts(spec.goal, _canon())
-    shortest = spec.scene.shortest_hops(spec.start, hosts) if hosts else float("inf")
+    hosts = spec.scene.hosts(spec.goal)
+    shortest = spec.scene.shortest_hops(spec.start, hosts)
     place = spec.start
     hops = 0
     if _goal_seen(place, hosts, noise, rng):
@@ -72,8 +68,8 @@ def baseline_greedy_frontier(
     """
     noise = noise if noise is not None else noiseless()
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    hosts = spec.scene.hosts(spec.goal, _canon())
-    shortest = spec.scene.shortest_hops(spec.start, hosts) if hosts else float("inf")
+    hosts = spec.scene.hosts(spec.goal)
+    shortest = spec.scene.shortest_hops(spec.start, hosts)
     place = spec.start
     visited = {place}
     hops = 0

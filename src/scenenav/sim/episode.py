@@ -196,8 +196,8 @@ def run_episode(
         else None
     )
 
-    goal_hosts = spec.scene.hosts(spec.goal, canon_fn)
-    shortest = spec.scene.shortest_hops(spec.start, goal_hosts) if goal_hosts else float("inf")
+    goal_hosts = spec.scene.hosts(spec.goal)
+    shortest = spec.scene.shortest_hops(spec.start, goal_hosts)
 
     gt_place = spec.start
     hops = 0
@@ -262,7 +262,7 @@ def run_episode(
         prev_subgoal = node_id if moved.moved else None
         gt_place = moved.place
 
-    dtg = spec.scene.shortest_hops(gt_place, goal_hosts) if goal_hosts else float("inf")
+    dtg = spec.scene.shortest_hops(gt_place, goal_hosts)
     return EpisodeResult(
         success=success,
         hops_traversed=hops,

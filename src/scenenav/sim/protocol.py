@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..oracle.tables import default_tables
 from .episode import EpisodeSpec
 from .scene import GroundTruthScene, generate_home_scene
 
@@ -43,14 +42,15 @@ def build_episodes(
 
     The episodes run on ``num_scenes`` homes generated from ``scene_seed``,
     or, when ``scene`` is given, all on that scene (``num_scenes`` and
-    ``scene_seed`` then play no part).  Goals are the protocol's goals the
-    scene holds, compared without regard to case and spelled as the scene
-    spells them, or every object label in the scene when it holds none.  A
-    start avoids the places that hold the goal, and the horizon counts hops
-    to the nearest of them; both compare canonical labels, as episodes score
-    success, so a couch counts for a sofa.  A scene with no objects at all,
-    or a drawn goal that cannot be reached from the drawn start, raises
-    ``ValueError``.
+    ``scene_seed`` then play no part).  Goals are the protocol's goals, as
+    the protocol spells them, that some object of the scene satisfies, or
+    every object label in the scene when it satisfies none.  Whether an
+    object satisfies a goal is the rule oracle's goal test, which scores
+    success too: a sofa is a "couch", and only a sink described as white
+    fabric is a "white fabric sink".  A start avoids the places holding such
+    an object, and the horizon counts hops to the nearest of them.  A scene
+    with no objects at all, or a drawn goal that cannot be reached from the
+    drawn start, raises ``ValueError``.
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
@@ -60,18 +60,17 @@ def build_episodes(
             generate_home_scene(np.random.default_rng(protocol.scene_seed + s))
             for s in range(protocol.num_scenes)
         ]
-    canon = default_tables().canonical
     specs: list[EpisodeSpec] = []
     for world in scenes:
         labels = sorted(set(world.object_labels()))
-        named = {label.lower(): label for label in labels}
-        usable = [named[g.lower()] for g in protocol.goals if g.lower() in named] or labels
+        found = {goal: world.hosts(goal) for goal in protocol.goals}
+        usable = [goal for goal in protocol.goals if found[goal]] or labels
         if not usable:
             raise ValueError(f"scene {world.env_label!r} holds no objects to search for")
         places = list(world.places)
         for _ in range(protocol.episodes_per_scene):
             goal = usable[int(rng.integers(len(usable)))]
-            hosts = world.hosts(goal, canon)
+            hosts = found.get(goal) or world.hosts(goal)
             start = places[0]
             for _ in range(30):
                 start = places[int(rng.integers(len(places)))]

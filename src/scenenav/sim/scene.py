@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..oracle.tables import default_tables
+
 __all__ = [
     "SceneObject",
     "ScenePlace",
@@ -99,12 +101,13 @@ class GroundTruthScene:
                 out.append((a, via))
         return out
 
-    def hosts(self, goal: str, canon=lambda s: s) -> list[str]:
-        want = canon(goal)
+    def hosts(self, goal: str) -> list[str]:
+        """The places holding an object that satisfies ``goal``, by the rule oracle's test."""
+        is_goal = default_tables().goal_test(goal)
         return [
             pid
             for pid, place in self.places.items()
-            if any(canon(obj.label) == want for obj in place.objects)
+            if any(is_goal(obj.label, obj.desc) for obj in place.objects)
         ]
 
     def route(self, start: str, is_goal: Callable[[str], bool]) -> list[str] | None:

@@ -386,6 +386,19 @@ class TestRun:
         # both spellings run sofa episodes; an absent goal falls back to every label
         assert runs[0] == runs[1] != runs[2]
 
+    def test_synonym_goal_runs_the_same_episodes(self, tmp_path, home_path):
+        # the seed-12 home holds a sofa, never a couch
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(scene_to_json(generate_home_scene(np.random.default_rng(12))))
+        runs = []
+        for i, goal in enumerate(["couch", "sofa", "unicorn"]):
+            out = tmp_path / f"s{i}.csv"
+            code = main(["run", "--schema", home_path, "--scene", str(scene_path),
+                         "--episodes", "5", "--seed", "5", "--goal", goal, "--out", str(out)])
+            assert code == 0
+            runs.append(out.read_bytes())
+        assert runs[0] == runs[1] != runs[2]
+
     def test_goal_list_applies_to_generated_scenes(self, tmp_path, home_path, monkeypatch):
         goals = []
 

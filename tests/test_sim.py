@@ -4,7 +4,7 @@ import pytest
 from scenenav.graph import ConnectorNode, PlaceNode, SceneGraph, validate_graph
 from scenenav.mapper import MapperConfig, MapperState, mapper_step
 from scenenav.oracle.rules import RuleOracle
-from scenenav.oracle.tables import default_tables
+from scenenav.oracle.tables import DEFAULT_SYNONYM_GROUPS, default_tables
 from scenenav.schema import builtin_schema
 from scenenav.sim import (
     EpisodeResult,
@@ -31,6 +31,7 @@ from scenenav.sim import (
     walk_to_frames,
 )
 from scenenav.sim.protocol import BenchmarkProtocol, build_episodes
+from scenenav.sim.scene import AISLE_POOLS, COLORS, MATERIALS, ROOM_POOLS
 
 
 @pytest.fixture
@@ -420,6 +421,31 @@ class TestBaselines:
         assert total_random / n > frontier.hops_traversed
 
 
+def test_oracle_and_simulator_agree_on_goals():
+    # the agent's goal check and the simulator's goal hosts are one predicate:
+    # an object is detected as the goal exactly where the scene hosts it
+    pool = {label for labels in [*ROOM_POOLS.values(), *AISLE_POOLS.values()] for label in labels}
+    labels = sorted(pool | {s for group in DEFAULT_SYNONYM_GROUPS if pool & set(group)
+                            for s in group})
+    descs = [f"{colour} {material}" for colour in COLORS for material in MATERIALS]
+    goals = labels + [f"{desc} {label}" for label in labels for desc in descs[::18]]
+    objects = []
+    for label in labels:
+        for desc in descs[::9]:
+            scene = GroundTruthScene(env_label="probe")
+            scene.places["room_1"] = ScenePlace("room_1", "Room", "room", [SceneObject(label, desc)])
+            objects.append((label, desc, scene))
+    oracle = RuleOracle()
+    hits = 0
+    for goal in goals:
+        for label, desc, scene in objects:
+            detected = oracle.goal_match([(label, desc)], goal) is not None
+            assert detected == (scene.hosts(goal) == ["room_1"]), (label, desc, goal)
+            hits += detected
+    # synonyms and descriptors both fire: more hits than bare self-matches
+    assert len(objects) < hits < len(objects) * len(goals) / 10
+
+
 class TestBuildEpisodes:
     def test_goal_hosts_include_synonyms(self):
         # the couch in livingroom_2 is a sofa to the agent and the baselines,
@@ -432,8 +458,9 @@ class TestBuildEpisodes:
             scene.places[pid] = ScenePlace(pid, "Room", label, [SceneObject(obj, "gray")])
         for (a, *_), (b, *_) in zip(rooms, rooms[1:]):
             scene.links.append((a, b, None))
-        exact = scene.hosts("sofa")
-        hosts = scene.hosts("sofa", default_tables().canonical)
+        exact = [pid for pid, place in scene.places.items()
+                 if any(obj.label == "sofa" for obj in place.objects)]
+        hosts = scene.hosts("sofa")
         assert exact == ["livingroom_3"] and hosts == ["livingroom_2", "livingroom_3"]
         protocol = BenchmarkProtocol(episodes_per_scene=12, goals=("sofa",))
         specs = build_episodes(protocol, scene)
@@ -447,3 +474,30 @@ class TestBuildEpisodes:
             scene.shortest_hops(s.start, exact) != scene.shortest_hops(s.start, hosts)
             for s in specs
         )
+
+    def test_synonym_goal_draws_its_own_episodes(self):
+        # generated homes hold sofas, never couches; a couch goal still runs
+        # couch episodes there, and falls back to every label elsewhere
+        protocol = BenchmarkProtocol(num_scenes=6, episodes_per_scene=5, goals=("couch",))
+        specs = build_episodes(protocol)
+        drawn = set()
+        for spec in specs:
+            hosts = spec.scene.hosts("couch")
+            assert hosts == spec.scene.hosts("sofa")
+            assert (spec.goal == "couch") == bool(hosts)
+            assert spec.start not in hosts
+            drawn.add(spec.goal == "couch")
+        assert drawn == {True, False}
+
+    def test_descriptor_goal_draws_its_own_episodes(self):
+        # the seed-12 home holds a white fabric sink in kitchen_1 and a black
+        # wicker one in bathroom_4; only the first is a "white fabric sink"
+        scene = generate_home_scene(np.random.default_rng(12))
+        assert scene.hosts("sink") == ["kitchen_1", "bathroom_4"]
+        protocol = BenchmarkProtocol(episodes_per_scene=5, goals=("white fabric sink",))
+        specs = build_episodes(protocol, scene)
+        assert len(specs) == 5
+        for spec in specs:
+            assert spec.goal == "white fabric sink" and spec.start != "kitchen_1"
+            shortest = scene.shortest_hops(spec.start, ["kitchen_1"])
+            assert spec.horizon == 2 * max(shortest, 1) + 4
