@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from collections import Counter, deque
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -135,20 +135,26 @@ class SceneGraph:
 
     The derived views are maintained on write, not rebuilt on read: the
     place/connector adjacency, the node lists per concept kind and
-    per layer, each place's and region's summary (``summary``), each
-    connector's count of place-side neighbours (``connector_place_counts``),
-    each node's ``(label, desc)`` pair and the ``image_ref`` -> node index.
-    Nodes and edges are never removed, and a node's kind, class and label
-    never change after ``add_node``.  A leaf's ``desc`` and ``image_ref``
-    change only through ``set_leaf``, never by assignment.
+    per layer, each place's and region's candidate row (``candidate_rows``:
+    id, label and ``summary``, replaced by each ``HAS`` or ``CONTAINS``
+    insert from it), each connector's count of place-side neighbours
+    (``connector_place_counts``), each node's ``(label, desc)`` pair and the
+    ``image_ref`` -> node index.  Nodes and edges are never removed, and a
+    node's kind, class and label never change after ``add_node``.  A leaf's
+    ``desc`` and ``image_ref`` change only through ``set_leaf``, never by
+    assignment.
 
-    Two views are kept on read instead.  ``object_features`` of objects,
+    Three views are kept on read instead.  ``object_features`` of objects,
     connectors and places is memoised per node; an entry is dropped when an
     ``IS_NEAR`` or ``HAS`` insert touches the node or ``set_leaf`` changes a
-    neighbour's ``desc``.  ``hop_tree`` keeps one breadth-first tree, for the
-    latest ``(version, source)``.  ``connectivity_subgraph()``,
-    ``connector_place_counts()``, the features and the tree are the graph's
-    own objects: read them, never modify them.
+    neighbour's ``desc``.  A connector's candidate row is built from its
+    memoised features on its first read and dropped when an ``IS_NEAR``
+    insert touches the connector; ``set_leaf`` changes no label, so it keeps
+    the row.  An object is never a candidate and keeps no row.  ``hop_tree``
+    keeps one breadth-first tree, for the latest ``(version, source)``.
+    ``connectivity_subgraph()``, ``connector_place_counts()``,
+    ``out_targets``, the features, the rows and the tree are the graph's own
+    objects: read them, never modify them.
     """
 
     def __init__(self, schema: Schema):
@@ -161,7 +167,9 @@ class SceneGraph:
         self._adj: dict[str, dict[str, float]] = {}
         self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
         self._by_layer: dict[int, list[Node]] = {}
-        self._summaries: dict[str, str] = {}
+        # place, region or connector id -> (id, label, summary), the row a
+        # planning query hands the oracle
+        self._rows: dict[str, tuple[str, str, str]] = {}
         self._place_counts: dict[str, int] = {}
         self._pairs: dict[str, tuple[str, str]] = {}
         self._features: dict[str, ObjectFeatures] = {}
@@ -197,7 +205,7 @@ class SceneGraph:
         if isinstance(node, (PlaceNode, ConnectorNode)):
             self._adj[node.id] = {}
         if node.kind in _SUMMARY_EDGE:
-            self._summaries[node.id] = ""
+            self._rows[node.id] = (node.id, node.label, "")
         if isinstance(node, ConnectorNode):
             self._place_counts[node.id] = 0
         self._by_kind[node.kind].append(node)
@@ -261,6 +269,10 @@ class SceneGraph:
     def places(self) -> list[PlaceNode]:
         return list(self._by_kind[ConceptKind.PLACE])
 
+    def count(self, kind: ConceptKind) -> int:
+        """How many nodes of a concept kind the graph holds."""
+        return len(self._by_kind[kind])
+
     def layer_nodes(self, layer: int) -> list[Node]:
         return list(self._by_layer.get(layer, ()))
 
@@ -318,11 +330,14 @@ class SceneGraph:
         if kind is EdgeKind.IS_NEAR or kind is EdgeKind.HAS:
             self._features.pop(src, None)
             self._features.pop(dst, None)
-        if kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
+        if kind is EdgeKind.IS_NEAR:
+            for end in (src, dst):
+                if self._nodes[end].kind is ConceptKind.CONNECTOR:
+                    self._rows.pop(end, None)
+        elif kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
+            _, name, summary = self._rows[src]
             label = self._nodes[dst].label
-            self._summaries[src] = (
-                f"{self._summaries[src]}, {label}" if len(targets) > 1 else label
-            )
+            self._rows[src] = (src, name, f"{summary}, {label}" if len(targets) > 1 else label)
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         out = []
@@ -339,6 +354,13 @@ class SceneGraph:
     def in_neighbors(self, node_id: str, kind: EdgeKind) -> list[str]:
         self.node(node_id)
         return list(self._in[node_id].get(kind, ()))
+
+    def out_targets(self, node_id: str, kind: EdgeKind) -> Sequence[str]:
+        """``out_neighbors`` without the copy: the graph's own sequence."""
+        try:
+            return self._out[node_id].get(kind, ())
+        except KeyError:
+            raise UnknownNodeError(f"no node {node_id!r}") from None
 
     # -- derived views ---------------------------------------------------------
 
@@ -376,14 +398,28 @@ class SceneGraph:
         """Labels of a node's contents, joined with ``", "``.
 
         A place's contents are its ``HAS`` targets and a region's its
-        ``CONTAINS`` children, in edge insertion order; both are kept on
-        write.  A connector's or object's are its ``IS_NEAR`` neighbours, as
-        its memoised ``object_features`` orders them.
+        ``CONTAINS`` children, in edge insertion order.  A connector's or
+        object's are its ``IS_NEAR`` neighbours, as its memoised
+        ``object_features`` orders them.  It is the last field of the node's
+        candidate row.
         """
-        summary = self._summaries.get(node_id)
-        if summary is None:
-            return ", ".join(self.object_features(node_id).labels())
-        return summary
+        return (self._rows.get(node_id) or self._leaf_row(node_id))[2]
+
+    def candidate_rows(self, node_ids: Iterable[str]) -> list[tuple[str, str, str]]:
+        """The ``(id, label, summary)`` row of each node, in the order given.
+
+        The rows are the graph's own tuples (see the class docstring for when
+        each is kept); the list is new.
+        """
+        rows = self._rows
+        return [rows.get(n) or self._leaf_row(n) for n in node_ids]
+
+    def _leaf_row(self, node_id: str) -> tuple[str, str, str]:
+        node = self.node(node_id)
+        row = (node_id, node.label, ", ".join(self.object_features(node_id).labels()))
+        if node.kind is ConceptKind.CONNECTOR:
+            self._rows[node_id] = row
+        return row
 
     def connector_place_counts(self) -> dict[str, int]:
         """Connector id -> number of places it ``CONNECTS_TO``, in node insertion order.
@@ -592,7 +628,11 @@ def validate_graph(graph: SceneGraph) -> list[str]:
 
     Checks edge simplicity, schema conformance of every stored triple,
     connectivity symmetry, the single-parent containment forest and that
-    containment never skips layers.
+    containment never skips layers.  It also rebuilds the maintained views
+    from the edge lists and reports any that differ: the candidate row (and
+    so the summary) of every place, region and connector,
+    ``connector_place_counts()`` and
+    ``connectivity_subgraph()``, key and neighbour order included.
     """
     problems: list[str] = []
     all_edges = graph.edges()
@@ -613,8 +653,48 @@ def validate_graph(graph: SceneGraph) -> list[str]:
         if kind is EdgeKind.CONTAINS:
             if graph.node_layer(src) != graph.node_layer(dst) + 1:
                 problems.append(f"containment {src} -> {dst} skips a layer")
-    for node in graph.nodes():
+    nodes = graph.nodes()
+    for node in nodes:
         parents = graph.in_neighbors(node.id, EdgeKind.CONTAINS)
         if len(parents) > 1:
             problems.append(f"{node.id} has multiple parents {parents}")
+    candidates = [n for n in nodes if n.kind is not ConceptKind.OBJECT_ROLE]
+    for node, row in zip(candidates, graph.candidate_rows(n.id for n in candidates)):
+        rebuilt = (node.id, node.label, _rebuilt_summary(graph, node))
+        if row != rebuilt:
+            problems.append(f"candidate row {row!r} differs from its rebuild {rebuilt!r}")
+    linked = (ConceptKind.PLACE, ConceptKind.CONNECTOR)
+    adj = {
+        n.id: {
+            nb: 1.0
+            for nb in graph.out_neighbors(n.id, EdgeKind.CONNECTS_TO)
+            if graph.node(nb).kind in linked
+        }
+        for n in nodes
+        if n.kind in linked
+    }
+    if _ordered(graph.connectivity_subgraph()) != _ordered(adj):
+        problems.append("the connectivity adjacency differs from its rebuild")
+    counts = {
+        c.id: sum(graph.node(nb).kind is ConceptKind.PLACE for nb in adj[c.id])
+        for c in graph.nodes(ConceptKind.CONNECTOR)
+    }
+    if list(graph.connector_place_counts().items()) != list(counts.items()):
+        problems.append("the connector place counts differ from their rebuild")
     return problems
+
+
+def _rebuilt_summary(graph: SceneGraph, node: Node) -> str:
+    kind = _SUMMARY_EDGE.get(node.kind)
+    if kind is not None:
+        contents = graph.out_neighbors(node.id, kind)
+    else:
+        near = EdgeKind.IS_NEAR
+        contents = dict.fromkeys(
+            graph.out_neighbors(node.id, near) + graph.in_neighbors(node.id, near)
+        )
+    return ", ".join(graph.node(c).label for c in contents)
+
+
+def _ordered(adj: Mapping[str, Mapping[str, float]]) -> list:
+    return [(k, list(v.items())) for k, v in adj.items()]

@@ -8,6 +8,7 @@ reproducible bit-for-bit across runs and platforms.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 from ..graph import ObjectFeatures
 from ..schema import ConceptKind, EdgeKind, Schema
@@ -59,6 +60,9 @@ class RuleOracle(SemanticOracle):
         self._summary_memo: dict[str, frozenset[str]] = {}
         # features items -> canonical label -> weight x count
         self._bag_memo: dict[tuple, dict[str, float]] = {}
+        # the last goal asked of goal_match and its test: an episode asks the
+        # same goal frame after frame
+        self._last_goal: tuple[str, Callable[[str, str], bool]] | None = None
 
     @property
     def tables(self) -> OracleTables:
@@ -317,5 +321,8 @@ class RuleOracle(SemanticOracle):
     def goal_match(
         self, detections: list[tuple[str, str]], goal: str
     ) -> tuple[str, str] | None:
-        is_goal = self.tables.goal_test(goal)
+        entry = self._last_goal
+        if entry is None or entry[0] != goal:
+            entry = self._last_goal = (goal, self.tables.goal_test(goal))
+        is_goal = entry[1]
         return next(((label, desc) for label, desc in detections if is_goal(label, desc)), None)

@@ -8,11 +8,13 @@ connectivity turns the chosen target into a next waypoint, and object
 proposal grounds that waypoint into a concrete leaf to steer toward.
 
 Each query reads what the graph keeps rather than rebuilding it: the
-summaries the oracle sees (``SceneGraph.summary``; a connector's reads its
-memoised nearby objects), the frontier from each connector's count of
-place-side neighbours, and one breadth-first tree per graph version and
-source (``SceneGraph.hop_tree``), which gives both the hop order of the
-candidates and the route to the target.
+``(id, label, summary)`` rows the oracle sees (``SceneGraph.candidate_rows``;
+a place's and region's are replaced on each ``HAS`` or ``CONTAINS`` insert,
+a connector's is built from its memoised nearby objects on its first read
+and dropped by any ``IS_NEAR`` insert that touches it), the frontier from each
+connector's count of place-side neighbours, and one breadth-first tree per
+graph version and source (``SceneGraph.hop_tree``), which gives both the hop
+order of the candidates and the route to the target.
 """
 
 from __future__ import annotations
@@ -94,10 +96,6 @@ def _frontier_connectors(graph: SceneGraph) -> list[str]:
     return [c for c, places in graph.connector_place_counts().items() if places <= 1]
 
 
-def _candidate_tuple(graph: SceneGraph, node_id: str) -> tuple[str, str, str]:
-    return (node_id, graph.node(node_id).label, graph.summary(node_id))
-
-
 def propose_region(
     schema: Schema,
     graph: SceneGraph,
@@ -114,7 +112,7 @@ def propose_region(
     target is the unexplored connector fewest hops away (ties: first mapped).
     """
     exhausted = exhausted or set()
-    if not graph.places():
+    if not graph.count(ConceptKind.PLACE):
         raise ExhaustedError("the graph holds no places yet")
 
     region_layers = sorted(
@@ -136,9 +134,7 @@ def propose_region(
             [p.id for p in graph.places() if p.id not in exhausted], distances
         ) + frontier
         if candidates:
-            return oracle.select_region(
-                [_candidate_tuple(graph, c) for c in candidates], goal
-            ).chosen
+            return oracle.select_region(graph.candidate_rows(candidates), goal).chosen
     else:
         chosen = _descend(graph, goal, oracle, start_nodes, frontier, exhausted, distances)
         if chosen is not None:
@@ -167,35 +163,33 @@ def _descend(
     """Walk containment downward; every pick is a child of the previous pick."""
 
     def region_key(region_id: str) -> tuple[float, str]:
-        children = graph.out_neighbors(region_id, EdgeKind.CONTAINS)
+        children = graph.out_targets(region_id, EdgeKind.CONTAINS)
         reach = [distances[c] for c in children if c in distances]
         return (min(reach) if reach else float("inf"), region_id)
 
     level = sorted(start_nodes, key=region_key)
     while level:
-        proposal = oracle.select_region([_candidate_tuple(graph, n) for n in level], goal)
+        proposal = oracle.select_region(graph.candidate_rows(level), goal)
         node = graph.node(proposal.chosen)
         if node.kind is not ConceptKind.REGION:
             return proposal.chosen
-        children = graph.out_neighbors(node.id, EdgeKind.CONTAINS)
+        children = graph.out_targets(node.id, EdgeKind.CONTAINS)
         if all(graph.node(c).kind is ConceptKind.REGION for c in children) and children:
             level = sorted(children, key=region_key)
             continue
         places = _order([c for c in children if c not in exhausted], distances)
-        child_set = set(children)
+        # a frontier connector is nearby when it connects to a non-connector
+        # child; every connector, and only a connector, has a place count
+        counts = graph.connector_place_counts()
+        inside = {c for c in children if c not in counts}
         nearby_frontier = [
-            f
-            for f in frontier
-            if any(nb in child_set and not _is_connector(graph, nb)
-                   for nb in graph.out_neighbors(f, EdgeKind.CONNECTS_TO))
+            f for f in frontier
+            if not inside.isdisjoint(graph.out_targets(f, EdgeKind.CONNECTS_TO))
         ]
         candidates = places + nearby_frontier
         if not candidates:
             return None
-        proposal = oracle.select_region(
-            [_candidate_tuple(graph, c) for c in candidates], goal
-        )
-        return proposal.chosen
+        return oracle.select_region(graph.candidate_rows(candidates), goal).chosen
     return None
 
 
@@ -254,7 +248,8 @@ def reason_step(
 ) -> SubgoalPlan:
     """Advance the plan one decision: pick/approach/search the target region."""
     memory = memory if memory is not None else PlannerMemory()
-    attempts = len(graph.places()) + len(_frontier_connectors(graph)) + 2
+    frontier_size = sum(places <= 1 for places in graph.connector_place_counts().values())
+    attempts = graph.count(ConceptKind.PLACE) + frontier_size + 2
     target = plan.target_region
     for _ in range(attempts):
         if target is None:

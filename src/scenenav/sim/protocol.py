@@ -8,6 +8,7 @@ same expansion serves generated homes and a scene loaded from a file.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,8 @@ def build_episodes(
     or, when ``scene`` is given, all on that scene (``num_scenes`` and
     ``scene_seed`` then play no part).  Goals are the protocol's goals, as
     the protocol spells them, that some object of the scene satisfies, or
-    every object label in the scene when it satisfies none.  Whether an
+    every object label in the scene when it satisfies none; that fallback
+    prints one line on stderr naming the home and the goals.  Whether an
     object satisfies a goal is the rule oracle's goal test, which scores
     success too: a sofa is a "couch", and only a sink described as white
     fabric is a "white fabric sink".  A start avoids the places holding such
@@ -54,19 +56,25 @@ def build_episodes(
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
-        scenes = [scene]
+        scenes = [(f"scene {scene.env_label!r}", scene)]
     else:
+        seeds = range(protocol.scene_seed, protocol.scene_seed + protocol.num_scenes)
         scenes = [
-            generate_home_scene(np.random.default_rng(protocol.scene_seed + s))
-            for s in range(protocol.num_scenes)
+            (f"generated home {seed}", generate_home_scene(np.random.default_rng(seed)))
+            for seed in seeds
         ]
     specs: list[EpisodeSpec] = []
-    for world in scenes:
+    for name, world in scenes:
         labels = sorted(set(world.object_labels()))
         found = {goal: world.hosts(goal) for goal in protocol.goals}
-        usable = [goal for goal in protocol.goals if found[goal]] or labels
+        usable = [goal for goal in protocol.goals if found[goal]]
         if not usable:
-            raise ValueError(f"scene {world.env_label!r} holds no objects to search for")
+            if not labels:
+                raise ValueError(f"scene {world.env_label!r} holds no objects to search for")
+            goals = ", ".join(map(repr, protocol.goals))
+            print(f"{name}: no object satisfies the goals {goals}; "
+                  f"searching for every object label instead", file=sys.stderr)
+            usable = labels
         places = list(world.places)
         for _ in range(protocol.episodes_per_scene):
             goal = usable[int(rng.integers(len(usable)))]

@@ -343,7 +343,7 @@ class TestRun:
         err = capsys.readouterr().err.strip()
         assert "--backend" in err and len(err.splitlines()) == 1
 
-    def test_fixed_run_csv_golden(self, tmp_path, home_path):
+    def test_fixed_run_csv_golden(self, tmp_path, home_path, capsys):
         out = tmp_path / "fixed.csv"
         code = main([
             "run", "--schema", home_path, "--scenes", "20", "--episodes", "200",
@@ -351,13 +351,15 @@ class TestRun:
         ])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_RUN_SHA256
+        # every generated home holds some protocol goal: no fallback line
+        assert "every object label" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("case,extra", [
         ("noise", ["--recall", "0.8", "--synonym", "0.25", "--confusion", "0.3"]),
         # no listed goal is in the scene: every object label becomes a goal
         ("absent-goal", ["--goal", "unicorn"]),
     ])
-    def test_scene_file_run_csv_golden(self, tmp_path, home_path, case, extra):
+    def test_scene_file_run_csv_golden(self, tmp_path, home_path, capsys, case, extra):
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(scene_to_json(generate_home_scene(np.random.default_rng(12))))
         out = tmp_path / "scene.csv"
@@ -367,6 +369,12 @@ class TestRun:
         ])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCENE_RUN_SHA256[case]
+        # a run that falls back says so
+        fallback = [
+            "scene 'home': no object satisfies the goals 'unicorn'; "
+            "searching for every object label instead"
+        ]
+        assert capsys.readouterr().err.splitlines() == (fallback if case == "absent-goal" else [])
 
     def test_goal_matches_a_capitalised_scene_label(self, tmp_path, home_path):
         scene = json.loads(scene_to_json(generate_home_scene(np.random.default_rng(12))))

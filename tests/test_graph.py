@@ -194,6 +194,39 @@ def test_validate_graph_clean_fixture(graph):
     assert validate_graph(graph) == []
 
 
+def _tampered_fixture(graph, what):
+    rooms, doors = _home_fixture(graph)
+    floor = graph.add_node(RegionNode(cls="Floor", label="floor"))
+    graph.add_edge(floor, rooms[0], EdgeKind.CONTAINS)
+    sofa = graph.add_node(ObjectNode(label="sofa"))
+    graph.add_edge(rooms[0], sofa, EdgeKind.HAS)
+    graph.add_edge(doors[0], sofa, EdgeKind.IS_NEAR)
+    assert validate_graph(graph) == []  # which also builds the door's row
+    if what == "place row":
+        graph._rows[rooms[0]] = (rooms[0], "room0", "sofa, tv")
+    elif what == "region row":
+        graph._rows[floor] = (floor, "floor", "")
+    elif what == "connector row":
+        graph._rows[doors[0]] = (doors[0], "door", "")
+    elif what == "place count":
+        graph._place_counts[doors[1]] = 0
+    else:
+        del graph._adj[rooms[2]][doors[1]]
+    return validate_graph(graph)
+
+
+@pytest.mark.parametrize("what,needle", [
+    ("place row", "candidate row ('room0_1', 'room0', 'sofa, tv')"),
+    ("region row", "candidate row ('floor_1', 'floor', '')"),
+    ("connector row", "candidate row ('door_1', 'door', '')"),
+    ("place count", "the connector place counts"),
+    ("adjacency", "the connectivity adjacency"),
+])
+def test_validate_graph_reports_a_tampered_view(graph, what, needle):
+    problems = _tampered_fixture(graph, what)
+    assert len(problems) == 1 and problems[0].startswith(needle)
+
+
 @st.composite
 def _random_home_graph(draw):
     graph = SceneGraph(builtin_schema("home"))
@@ -370,11 +403,23 @@ def _full_scan_frontier(graph):
     return out
 
 
+def _assert_rows_match_full_scan(graph):
+    """Every place's, region's and connector's row, in the order asked for."""
+    ids = [
+        n.id for n in graph.nodes()
+        if n.kind in (ConceptKind.PLACE, ConceptKind.REGION, ConceptKind.CONNECTOR)
+    ]
+    expected = [(n, graph.node(n).label, _full_scan_summary(graph, n)) for n in ids]
+    assert graph.candidate_rows(ids) == expected
+    assert graph.candidate_rows(reversed(ids)) == expected[::-1]
+
+
 def _assert_summaries_and_frontier_match_full_scan(graph):
     from scenenav.planner import _frontier_connectors
 
     for node in graph.nodes():
         assert graph.summary(node.id) == _full_scan_summary(graph, node.id)
+    _assert_rows_match_full_scan(graph)
     adj = _rebuilt_connectivity(graph)
     assert graph.connector_place_counts() == {
         c.id: sum(isinstance(graph.node(nb), PlaceNode) for nb in adj[c.id])
@@ -407,7 +452,12 @@ def test_maintained_summaries_and_frontier_equal_full_scan(schema_name, seed, mo
     assert [(k, list(v.items())) for k, v in adj.items()] == [
         (k, list(v.items())) for k, v in ref.items()
     ]
-    assert reloaded._summaries == original._summaries
+    # connector rows follow in-neighbour order, which the export does not keep
+    def written_rows(graph):
+        kinds = (ConceptKind.PLACE, ConceptKind.REGION)
+        return {n: row for n, row in graph._rows.items() if graph.node(n).kind in kinds}
+
+    assert written_rows(reloaded) == written_rows(original)
     assert reloaded.connector_place_counts() == original.connector_place_counts()
 
 
@@ -569,6 +619,9 @@ def _assert_leaf_views_match_full_scan(graph):
         else:
             labels = [label for label, _ in items]
         assert graph.summary(node.id) == ", ".join(labels)
+        if node.kind is not ConceptKind.OBJECT_ROLE:
+            row = (node.id, node.label, ", ".join(labels))
+            assert graph.candidate_rows([node.id]) == [row]
     for ref in _REFS:
         assert graph.find_by_image_ref(ref) == _full_scan_find_by_image_ref(graph, ref)
 

@@ -281,6 +281,20 @@ def test_goal_match_no_detections(oracle):
     assert oracle.goal_match([], "bed") is None
 
 
+def test_goal_match_alternating_goals_answers_as_a_fresh_test(oracle):
+    objects = [("bed", "red cotton floral"), ("couch", "gray fabric"), ("sofa_2", "red leather"),
+               ("bed", "blue plain"), ("sink", "white ceramic"), ("lamp", "")]
+    goals = ["bed", "red floral bed", "settee", "red sofa", "bed", "white sink", "settee"]
+    for goal in goals * 2:
+        is_goal = default_tables().goal_test(goal)
+        for obj in objects:
+            expected = obj if is_goal(*obj) else None
+            assert oracle.goal_match([obj], goal) == expected
+        assert oracle.goal_match(objects, goal) == next(
+            (obj for obj in objects if is_goal(*obj)), None
+        )
+
+
 _label = st.sampled_from(
     ["bed", "sofa", "lamp", "mirror", "door", "sink", "chair", "table", "vase", "plant"]
 )

@@ -16,7 +16,7 @@ from scenenav.planner import (
     propose_region,
     reason_step,
 )
-from scenenav.schema import EdgeKind, builtin_schema
+from scenenav.schema import ConceptKind, EdgeKind, builtin_schema
 
 
 @pytest.fixture
@@ -356,6 +356,90 @@ class TestPlanGoldens:
     def test_per_frame_sweep_plans_and_export(self, home, oracle, sweep, n):
         digest, export = _sweep_plans(home, oracle, sweep, n)
         assert (digest, hashlib.sha256(export.encode()).hexdigest()) == SWEEP_SHA256[n]
+
+
+class _RecordingOracle(RuleOracle):
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def select_region(self, candidates, goal):
+        self.calls.append((list(candidates), goal))
+        return super().select_region(candidates, goal)
+
+
+def _full_scan_rows(graph, ids):
+    """Candidate rows rebuilt from the edge lists, as the planner once built them per query."""
+    rows = []
+    for node_id in ids:
+        node = graph.node(node_id)
+        if node.kind is ConceptKind.PLACE:
+            contents = graph.out_neighbors(node_id, EdgeKind.HAS)
+        elif node.kind is ConceptKind.REGION:
+            contents = graph.out_neighbors(node_id, EdgeKind.CONTAINS)
+        else:
+            contents = dict.fromkeys(graph.out_neighbors(node_id, EdgeKind.IS_NEAR)
+                                     + graph.in_neighbors(node_id, EdgeKind.IS_NEAR))
+        rows.append((node_id, node.label, ", ".join(graph.node(c).label for c in contents)))
+    return rows
+
+
+def _full_scan_descend(graph, goal, oracle, start_nodes, frontier, exhausted, distances):
+    """``planner._descend`` with copied neighbour lists and a per-neighbour frontier test."""
+
+    def region_key(region_id):
+        children = graph.out_neighbors(region_id, EdgeKind.CONTAINS)
+        reach = [distances[c] for c in children if c in distances]
+        return (min(reach) if reach else float("inf"), region_id)
+
+    level = sorted(start_nodes, key=region_key)
+    while level:
+        chosen = oracle.select_region(_full_scan_rows(graph, level), goal).chosen
+        if graph.node(chosen).kind is not ConceptKind.REGION:
+            return chosen
+        children = graph.out_neighbors(chosen, EdgeKind.CONTAINS)
+        if children and all(graph.node(c).kind is ConceptKind.REGION for c in children):
+            level = sorted(children, key=region_key)
+            continue
+        places = _order([c for c in children if c not in exhausted], distances)
+        nearby_frontier = [
+            f for f in frontier
+            if any(nb in children and graph.node(nb).kind is not ConceptKind.CONNECTOR
+                   for nb in graph.out_neighbors(f, EdgeKind.CONNECTS_TO))
+        ]
+        candidates = places + nearby_frontier
+        if not candidates:
+            return None
+        return oracle.select_region(_full_scan_rows(graph, candidates), goal).chosen
+    return None
+
+
+def test_select_region_sees_the_full_scan_candidate_lists(home, sweep, monkeypatch):
+    from scenenav import planner
+    from scenenav.mapper import MapperConfig, MapperState, mapper_step
+    from scenenav.sim.protocol import GOAL_CATEGORIES
+
+    state = MapperState(graph=SceneGraph(home))
+    for frame in sweep.sweep_frames(sweep.sweep_home(40, 0), 0):
+        state = mapper_step(frame, home, state, RuleOracle(), MapperConfig()).state
+    graph = state.graph
+
+    def plan_all(oracle):
+        for place in graph.places():
+            for goal in GOAL_CATEGORIES:
+                _plan_text(lambda: reason_step(
+                    home, graph, place.id, SubgoalPlan(), goal, oracle, PlannerMemory()
+                ))
+        return oracle.calls
+
+    kept = plan_all(_RecordingOracle())
+    monkeypatch.setattr(planner, "_descend", _full_scan_descend)
+    monkeypatch.setattr(SceneGraph, "candidate_rows", _full_scan_rows)
+    reference = plan_all(_RecordingOracle())
+    assert kept == reference
+    # the lists cover regions, places and frontier connectors
+    kinds = {graph.node(row[0]).kind for rows, _ in kept for row in rows}
+    assert kinds == {ConceptKind.REGION, ConceptKind.PLACE, ConceptKind.CONNECTOR}
 
 
 def _sweep_plans(home, oracle, sweep, n):

@@ -447,6 +447,18 @@ def test_oracle_and_simulator_agree_on_goals():
 
 
 class TestBuildEpisodes:
+    def test_fallback_names_each_generated_home(self, capsys):
+        protocol = BenchmarkProtocol(num_scenes=2, episodes_per_scene=1, goals=("unicorn", "bed"))
+        assert [spec.goal for spec in build_episodes(protocol)] == ["bed", "bed"]
+        assert capsys.readouterr().err == ""
+        protocol = BenchmarkProtocol(num_scenes=2, episodes_per_scene=1, goals=("unicorn",))
+        assert all(spec.goal != "unicorn" for spec in build_episodes(protocol))
+        assert capsys.readouterr().err.splitlines() == [
+            f"generated home {seed}: no object satisfies the goals 'unicorn'; "
+            "searching for every object label instead"
+            for seed in (2500, 2501)
+        ]
+
     def test_goal_hosts_include_synonyms(self):
         # the couch in livingroom_2 is a sofa to the agent and the baselines,
         # so no episode may start there and horizons count hops to either room
