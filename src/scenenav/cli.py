@@ -170,13 +170,27 @@ def cmd_map(args: argparse.Namespace) -> int:
 _CHUNK_SIZE = 4  # episodes per task handed to a `run --jobs` worker
 
 
-def _episode_worker(payload: tuple) -> tuple[int, str, EpisodeResult]:
+# the rule oracle of a `run --jobs` worker process, one for all its episodes
+_worker_oracle: RuleOracle | None = None
+
+
+def _start_worker() -> None:
+    global _worker_oracle
+    _worker_oracle = RuleOracle()
+
+
+def _pool_episode(payload: tuple) -> tuple[int, str, EpisodeResult]:
+    return _episode_worker(payload, _worker_oracle)
+
+
+def _episode_worker(payload: tuple, oracle: RuleOracle) -> tuple[int, str, EpisodeResult]:
+    # the oracle's decisions are pure and its memos exact: sharing it changes no answer
     index, agent, spec, schema, noise, particles = payload
     if agent == "full":
         config = RunnerConfig(
             noise=noise, filter=FilterConfig(num_particles=particles) if particles else None
         )
-        return index, agent, run_episode(spec, schema, RuleOracle(), config)
+        return index, agent, run_episode(spec, schema, oracle, config)
     if agent == "random":
         return index, agent, baseline_random(spec, noise)
     return index, agent, baseline_greedy_frontier(spec, noise)
@@ -225,6 +239,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"--horizon-factor and --horizon-slack must be at least 0 and not both 0, "
               f"got {args.horizon_factor} and {args.horizon_slack}", file=sys.stderr)
         return EXIT_INVALID
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        print(f"--out {args.out!r}: no directory {out_dir!r} to write it in", file=sys.stderr)
+        return EXIT_IO
     try:
         schema = load_schema_file(args.schema)
     except OSError as exc:
@@ -298,13 +316,16 @@ def cmd_run(args: argparse.Namespace) -> int:
             # the cores or the chunks of work can keep busy
             chunks = -(-len(jobs) // _CHUNK_SIZE)
             workers = min(args.jobs, os.cpu_count() or 1, chunks)
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                for index, agent, result in pool.map(_episode_worker, jobs,
+            with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_start_worker
+            ) as pool:
+                for index, agent, result in pool.map(_pool_episode, jobs,
                                                      chunksize=_CHUNK_SIZE):
                     results[(agent, index)] = result
         else:
+            oracle = RuleOracle()
             for payload in jobs:
-                index, agent, result = _episode_worker(payload)
+                index, agent, result = _episode_worker(payload, oracle)
                 results[(agent, index)] = result
     except (EdgeRuleError, FrameError) as exc:
         print(f"the schema does not fit the scenes: {exc}", file=sys.stderr)

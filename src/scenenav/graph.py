@@ -155,6 +155,10 @@ class SceneGraph:
     ``connectivity_subgraph()``, ``connector_place_counts()``,
     ``out_targets``, the features, the rows and the tree are the graph's own
     objects: read them, never modify them.
+
+    ``add_near_pairs`` writes a frame's proximity pairs in one call.  It
+    drops each touched node's features and connector row once, after its
+    inserts, also when an edge is refused part-way.
     """
 
     def __init__(self, schema: Schema):
@@ -317,6 +321,53 @@ class SceneGraph:
                     f"{dst!r} already has a containing parent {parents[0]!r}"
                 )
         return True
+
+    def add_near_pairs(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Store ``IS_NEAR`` both ways for each ``(a, b)`` pair, as one write.
+
+        The same edges, versions and errors as ``add_edge(a, b, IS_NEAR)``
+        then ``add_edge(b, a, IS_NEAR)`` per pair, in order: a stored edge is
+        skipped and each inserted one advances ``version``; a forbidden edge
+        raises with the edges before it stored.  Each node's class is resolved
+        and each class pair checked against the schema once per call, and each
+        touched node's features and connector row are dropped once.
+        """
+        near = EdgeKind.IS_NEAR
+        edges, out, into = self._edges, self._out, self._in
+        cls_of: dict[str, str] = {}
+        permitted: dict[tuple[str, str], bool] = {}
+        touched: dict[str, None] = {}
+        try:
+            for a, b in pairs:
+                for src, dst in ((a, b), (b, a)):
+                    triple = (src, dst, near)
+                    if triple in edges:
+                        continue
+                    for end in triple[:2]:
+                        if end not in cls_of:
+                            cls_of[end] = self.node_cls(self.node(end))
+                    if src == dst:
+                        raise EdgeRuleError(f"self-loop on {src!r} rejected")
+                    classes = (cls_of[src], cls_of[dst])
+                    allowed = permitted.get(classes)
+                    if allowed is None:
+                        allowed = permitted[classes] = self.schema.permits(
+                            classes[0], near, classes[1]
+                        )
+                    if not allowed:
+                        raise EdgeRuleError(
+                            f"schema forbids {near.value} edge {classes[0]} -> {classes[1]}"
+                        )
+                    out[src].setdefault(near, []).append(dst)
+                    into[dst].setdefault(near, []).append(src)
+                    edges.add(triple)
+                    touched[src] = touched[dst] = None
+                    self.version += 1
+        finally:
+            for end in touched:
+                self._features.pop(end, None)
+                if self._nodes[end].kind is ConceptKind.CONNECTOR:
+                    self._rows.pop(end, None)
 
     def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
         targets = self._out[src].setdefault(kind, [])
@@ -632,32 +683,48 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     from the edge lists and reports any that differ: the candidate row (and
     so the summary) of every place, region and connector,
     ``connector_place_counts()`` and
-    ``connectivity_subgraph()``, key and neighbour order included.
+    ``connectivity_subgraph()``, key and neighbour order included.  Each
+    node's class is resolved, and each distinct class triple checked against
+    the schema, once per audit.
     """
     problems: list[str] = []
     all_edges = graph.edges()
-    edge_set: set[tuple[str, str, EdgeKind]] = set()
-    for triple in all_edges:
-        if triple in edge_set:
-            problems.append(f"duplicate edge {triple}")
-        edge_set.add(triple)
-    for src, dst, kind in all_edges:
-        if src == dst:
-            problems.append(f"self-loop on {src}")
-        src_cls = graph.node_cls(graph.node(src))
-        dst_cls = graph.node_cls(graph.node(dst))
-        if not graph.schema.permits(src_cls, kind, dst_cls):
-            problems.append(f"edge {(src, dst, kind)} violates schema ({src_cls} -> {dst_cls})")
-        if kind is EdgeKind.CONNECTS_TO and (dst, src, kind) not in edge_set:
-            problems.append(f"connectivity edge {src} -> {dst} lacks its reverse")
-        if kind is EdgeKind.CONTAINS:
-            if graph.node_layer(src) != graph.node_layer(dst) + 1:
-                problems.append(f"containment {src} -> {dst} skips a layer")
-    nodes = graph.nodes()
+    edge_set = set(all_edges)
+    if len(edge_set) < len(all_edges):
+        seen: set[tuple[str, str, EdgeKind]] = set()
+        for triple in all_edges:
+            if triple in seen:
+                problems.append(f"duplicate edge {triple}")
+            seen.add(triple)
+    cls_of = _Classes(graph)
+    concepts = graph.schema.concepts
+    permitted: dict[tuple[str, EdgeKind, str], bool] = {}
+    for src, by_kind in graph._out.items():  # the edges in edges() order
+        for kind, targets in by_kind.items():
+            connects, contains = kind is EdgeKind.CONNECTS_TO, kind is EdgeKind.CONTAINS
+            for dst in targets:
+                if src == dst:
+                    problems.append(f"self-loop on {src}")
+                src_cls, dst_cls = cls_of[src], cls_of[dst]
+                triple = (src_cls, kind, dst_cls)
+                allowed = permitted.get(triple)
+                if allowed is None:
+                    allowed = permitted[triple] = graph.schema.permits(*triple)
+                if not allowed:
+                    problems.append(
+                        f"edge {(src, dst, kind)} violates schema ({src_cls} -> {dst_cls})"
+                    )
+                if connects and (dst, src, kind) not in edge_set:
+                    problems.append(f"connectivity edge {src} -> {dst} lacks its reverse")
+                if contains and concepts[src_cls].layer_id != concepts[dst_cls].layer_id + 1:
+                    problems.append(f"containment {src} -> {dst} skips a layer")
+    # every edge's ends are known nodes from here on: the loop above resolved them
+    by_id = graph._nodes
+    nodes = list(by_id.values())
     for node in nodes:
-        parents = graph.in_neighbors(node.id, EdgeKind.CONTAINS)
+        parents = graph._in[node.id].get(EdgeKind.CONTAINS, ())
         if len(parents) > 1:
-            problems.append(f"{node.id} has multiple parents {parents}")
+            problems.append(f"{node.id} has multiple parents {list(parents)}")
     candidates = [n for n in nodes if n.kind is not ConceptKind.OBJECT_ROLE]
     for node, row in zip(candidates, graph.candidate_rows(n.id for n in candidates)):
         rebuilt = (node.id, node.label, _rebuilt_summary(graph, node))
@@ -667,8 +734,8 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     adj = {
         n.id: {
             nb: 1.0
-            for nb in graph.out_neighbors(n.id, EdgeKind.CONNECTS_TO)
-            if graph.node(nb).kind in linked
+            for nb in graph.out_targets(n.id, EdgeKind.CONNECTS_TO)
+            if by_id[nb].kind in linked
         }
         for n in nodes
         if n.kind in linked
@@ -676,24 +743,38 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     if _ordered(graph.connectivity_subgraph()) != _ordered(adj):
         problems.append("the connectivity adjacency differs from its rebuild")
     counts = {
-        c.id: sum(graph.node(nb).kind is ConceptKind.PLACE for nb in adj[c.id])
-        for c in graph.nodes(ConceptKind.CONNECTOR)
+        c.id: sum(by_id[nb].kind is ConceptKind.PLACE for nb in adj[c.id])
+        for c in nodes
+        if c.kind is ConceptKind.CONNECTOR
     }
     if list(graph.connector_place_counts().items()) != list(counts.items()):
         problems.append("the connector place counts differ from their rebuild")
     return problems
 
 
+class _Classes(dict):
+    """Node id -> class, resolved on first lookup; an unknown id raises ``UnknownNodeError``."""
+
+    def __init__(self, graph: SceneGraph):
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, node_id: str) -> str:
+        cls = self[node_id] = self.graph.node_cls(self.graph.node(node_id))
+        return cls
+
+
 def _rebuilt_summary(graph: SceneGraph, node: Node) -> str:
     kind = _SUMMARY_EDGE.get(node.kind)
     if kind is not None:
-        contents = graph.out_neighbors(node.id, kind)
+        contents = graph.out_targets(node.id, kind)
     else:
         near = EdgeKind.IS_NEAR
         contents = dict.fromkeys(
-            graph.out_neighbors(node.id, near) + graph.in_neighbors(node.id, near)
+            [*graph.out_targets(node.id, near), *graph._in[node.id].get(near, ())]
         )
-    return ", ".join(graph.node(c).label for c in contents)
+    by_id = graph._nodes
+    return ", ".join([by_id[c].label for c in contents])
 
 
 def _ordered(adj: Mapping[str, Mapping[str, float]]) -> list:

@@ -122,12 +122,6 @@ def _iou(a: Detection, b: Detection) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def _near(a: Detection, b: Detection, config: MapperConfig) -> bool:
-    (ax, ay), (bx, by) = a.centroid, b.centroid
-    dist = ((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5
-    return dist < config.beta_pix or _iou(a, b) > config.beta_iou
-
-
 def parse_frame(
     frame: DetectionFrame, schema: Schema, oracle: SemanticOracle, config: MapperConfig
 ) -> ParsedObservation:
@@ -158,10 +152,15 @@ def parse_frame(
     object_dets = _resolve(classified.objects)
     connector_dets = _resolve(classified.connectors)
     ordered = object_dets + connector_dets
+    # a pair is near when its centroids are closer than beta_pix or its boxes
+    # overlap by more than beta_iou
+    centroids = [d.centroid for d in ordered]
     near_pairs = []
-    for i in range(len(ordered)):
+    for i, (ax, ay) in enumerate(centroids):
         for j in range(i + 1, len(ordered)):
-            if _near(ordered[i], ordered[j], config):
+            bx, by = centroids[j]
+            if (((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5 < config.beta_pix
+                    or _iou(ordered[i], ordered[j]) > config.beta_iou):
                 near_pairs.append((i, j))
 
     goal_hit = None
@@ -312,14 +311,18 @@ def _associate_traversed_connector(
 
 
 def _merge_near_edges(graph: SceneGraph, obs: ParsedObservation, assoc: dict[int, str]) -> None:
+    # a detection associated with a place, or with no node, gets no proximity edge
+    leaves = {
+        idx: node_id
+        for idx, node_id in assoc.items()
+        if graph.node(node_id).kind is not ConceptKind.PLACE
+    }
+    pairs = []
     for i, j in obs.near_pairs:
-        a, b = assoc.get(i), assoc.get(j)
-        if a is None or b is None or a == b:
-            continue
-        if graph.node(a).kind is ConceptKind.PLACE or graph.node(b).kind is ConceptKind.PLACE:
-            continue
-        graph.add_edge(a, b, EdgeKind.IS_NEAR)
-        graph.add_edge(b, a, EdgeKind.IS_NEAR)
+        a, b = leaves.get(i), leaves.get(j)
+        if a is not None and b is not None and a != b:
+            pairs.append((a, b))
+    graph.add_near_pairs(pairs)
 
 
 def _wire_previous(

@@ -27,26 +27,34 @@ LARGE_WEIGHT = 3.0
 CONFIDENCE_STEEPNESS = 4.0
 
 
-# Bounds of the per-oracle memos; each is cleared when full.  Labels repeat
-# across a run, but mapper place ids ("bedroom_12") and filter cell tags grow
-# with the map.  The summary memo shares the label bound: a frozen map offers
-# one summary per place, region and frontier connector.  So does the bag memo:
-# the mapper compares the same candidates' features frame after frame, and the
-# graph hands it the same features tuple each time.  A bag maps each canonical
-# label to its overlap weight times its count, so an overlap reads no weight
-# and the memo saves the weighting as well as the canonicalising.  Repeated
-# place-match questions come from the filter's particles within one step
-# (about a dozen distinct ones per step), so a small memo catches nearly all
-# of them; a larger one mostly keeps mapper feature tuples alive.
+# Bounds of the per-oracle memos; each is cleared when full.  `scenenav run`
+# builds one oracle per run (one per worker process under --jobs), so the
+# memos carry from episode to episode.  Labels repeat across a run, but mapper
+# place ids ("bedroom_12") and filter cell tags grow with the map.  The
+# element memo shares the label bound: a frame tags each detection with its
+# index ("sofa_3"); the fixed protocol run meets 178 distinct tags.  So does the
+# summary memo: a frozen map offers one summary per place, region and
+# frontier connector.  So does the bag memo: the mapper compares the same
+# candidates' features frame after frame, and the graph hands it the same
+# features tuple each time.  A bag maps each canonical label to its overlap
+# weight times its count, so an overlap reads no weight and the memo saves
+# the weighting as well as the canonicalising.  Repeated place-match
+# questions come from the filter's particles within one step (about a dozen
+# distinct ones per step), so a small memo catches nearly all of them; a
+# larger one mostly keeps mapper feature tuples alive.
 _LABEL_MEMO_SIZE = 1024
 _MATCH_MEMO_SIZE = 64
+
+# classes of a raw element tag, as classify_elements memoises them
+_STRUCTURAL, _PLACE, _CONNECTOR, _OBJECT = "structural", "place", "connector", "object"
 
 
 class RuleOracle(SemanticOracle):
     """Rule decisions, memoised where the same question recurs.
 
     Every decision is a pure function of its inputs and ``tables``, which is
-    fixed at construction, so the memos are exact for the oracle's lifetime.
+    fixed at construction, so the memos are exact for the oracle's lifetime
+    and one oracle can serve every episode of a run.
     """
 
     def __init__(self, tables: OracleTables | None = None):
@@ -60,6 +68,8 @@ class RuleOracle(SemanticOracle):
         self._summary_memo: dict[str, frozenset[str]] = {}
         # features items -> canonical label -> weight x count
         self._bag_memo: dict[tuple, dict[str, float]] = {}
+        # raw element tag -> (cleaned label, class)
+        self._element_memo: dict[str, tuple[str, str]] = {}
         # the last goal asked of goal_match and its test: an episode asks the
         # same goal frame after frame
         self._last_goal: tuple[str, Callable[[str, str], bool]] | None = None
@@ -168,27 +178,45 @@ class RuleOracle(SemanticOracle):
         place_label: str | None = None
         connectors: list[str] = []
         objects: list[str] = []
+        # whether the schema has connectors is asked per call, never memoised
         has_connector_concepts = bool(schema.by_kind(ConceptKind.CONNECTOR))
         seen: set[str] = set()
+        memo = self._element_memo
         for raw in labels:
-            cleaned = self._strip_place_prefix(raw)
+            entry = memo.get(raw)
+            if entry is None:
+                if len(memo) >= _LABEL_MEMO_SIZE:
+                    memo.clear()
+                entry = memo[raw] = self._element_class(raw)
+            cleaned, cls = entry
             if cleaned in seen:
                 continue
             seen.add(cleaned)
-            base = strip_suffix(cleaned).lower()
-            if self.tables.is_structural(base):
+            if cls is _STRUCTURAL:
                 continue
-            if self.tables.is_place_term(base):
+            if cls is _PLACE:
                 if place_label is None:
                     place_label = cleaned
                 continue
-            if has_connector_concepts and self.tables.is_connector_label(base):
+            if has_connector_concepts and cls is _CONNECTOR:
                 connectors.append(cleaned)
             else:
                 objects.append(cleaned)
         return ClassifiedElements(
             place_label=place_label, connectors=tuple(connectors), objects=tuple(objects)
         )
+
+    def _element_class(self, raw: str) -> tuple[str, str]:
+        """A raw tag's cleaned label and its schema-free class."""
+        cleaned = self._strip_place_prefix(raw)
+        base = strip_suffix(cleaned).lower()
+        if self.tables.is_structural(base):
+            return cleaned, _STRUCTURAL
+        if self.tables.is_place_term(base):
+            return cleaned, _PLACE
+        if self.tables.is_connector_label(base):
+            return cleaned, _CONNECTOR
+        return cleaned, _OBJECT
 
     def _strip_place_prefix(self, label: str) -> str:
         # detectors sometimes emit "livingroom sofa"; drop the place word

@@ -15,19 +15,20 @@ from .noise import NoiseModel, noiseless
 __all__ = ["baseline_random", "baseline_greedy_frontier"]
 
 
-def _finish(spec: EpisodeSpec, place: str, hops: int, success: bool, hosts: list[str],
-            shortest: float) -> EpisodeResult:
-    dtg = 0.0 if success else spec.scene.shortest_hops(place, hosts)
+def _finish(spec: EpisodeSpec, place: str, hops: int, success: bool) -> EpisodeResult:
+    dtg = 0.0 if success else spec.scene.shortest_hops(place, spec.goal_hosts)
     return EpisodeResult(
         success=success,
         hops_traversed=hops,
-        shortest_hops=shortest,
+        shortest_hops=spec.shortest_hops,
         final_goal_distance=dtg,
         failure=None if success else "horizon exhausted",
     )
 
 
-def _goal_seen(place: str, hosts: list[str], noise: NoiseModel, rng: np.random.Generator) -> bool:
+def _goal_seen(
+    place: str, hosts: tuple[str, ...], noise: NoiseModel, rng: np.random.Generator
+) -> bool:
     return place in hosts and noise.detected(rng)
 
 
@@ -39,12 +40,11 @@ def baseline_random(
     """Move to a uniformly random adjacent place each step."""
     noise = noise if noise is not None else noiseless()
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    hosts = spec.scene.hosts(spec.goal)
-    shortest = spec.scene.shortest_hops(spec.start, hosts)
+    hosts = spec.goal_hosts
     place = spec.start
     hops = 0
     if _goal_seen(place, hosts, noise, rng):
-        return _finish(spec, place, 0, True, hosts, shortest)
+        return _finish(spec, place, 0, True)
     for _ in range(spec.horizon):
         neighbors = [nb for nb, _ in spec.scene.neighbors(place)]
         if not neighbors:
@@ -52,8 +52,8 @@ def baseline_random(
         place = neighbors[int(rng.integers(len(neighbors)))]
         hops += 1
         if _goal_seen(place, hosts, noise, rng):
-            return _finish(spec, place, hops, True, hosts, shortest)
-    return _finish(spec, place, hops, False, hosts, shortest)
+            return _finish(spec, place, hops, True)
+    return _finish(spec, place, hops, False)
 
 
 def baseline_greedy_frontier(
@@ -68,13 +68,12 @@ def baseline_greedy_frontier(
     """
     noise = noise if noise is not None else noiseless()
     rng = rng if rng is not None else np.random.default_rng(spec.seed)
-    hosts = spec.scene.hosts(spec.goal)
-    shortest = spec.scene.shortest_hops(spec.start, hosts)
+    hosts = spec.goal_hosts
     place = spec.start
     visited = {place}
     hops = 0
     if _goal_seen(place, hosts, noise, rng):
-        return _finish(spec, place, 0, True, hosts, shortest)
+        return _finish(spec, place, 0, True)
     while hops < spec.horizon:
         # the route ends at the first unvisited place, so it crosses only visited ones
         path = spec.scene.route(place, lambda p: p not in visited)
@@ -85,7 +84,7 @@ def baseline_greedy_frontier(
             visited.add(place)
             hops += 1
             if _goal_seen(place, hosts, noise, rng):
-                return _finish(spec, place, hops, True, hosts, shortest)
+                return _finish(spec, place, hops, True)
             if hops >= spec.horizon:
                 break
-    return _finish(spec, place, hops, False, hosts, shortest)
+    return _finish(spec, place, hops, False)

@@ -8,6 +8,7 @@ detection fires; path lengths are hop counts.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -49,6 +50,10 @@ _RING_RADIUS = 38.0
 
 @dataclass(frozen=True)
 class EpisodeSpec:
+    """One episode.  ``goal_hosts`` and ``shortest_hops`` are computed on
+    first read and kept, so every agent that runs the spec shares them; the
+    scene must not change once they are read."""
+
     scene: GroundTruthScene
     start: str
     goal: str
@@ -60,6 +65,16 @@ class EpisodeSpec:
             raise ValueError(f"start place {self.start!r} is not in the scene")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
+
+    @functools.cached_property
+    def goal_hosts(self) -> tuple[str, ...]:
+        """The places holding an object that satisfies the goal."""
+        return tuple(self.scene.hosts(self.goal))
+
+    @functools.cached_property
+    def shortest_hops(self) -> float:
+        """The fewest hops from the start to a goal host; infinite when none is reachable."""
+        return self.scene.shortest_hops(self.start, self.goal_hosts)
 
 
 @dataclass(frozen=True)
@@ -196,8 +211,7 @@ def run_episode(
         else None
     )
 
-    goal_hosts = spec.scene.hosts(spec.goal)
-    shortest = spec.scene.shortest_hops(spec.start, goal_hosts)
+    goal_hosts = spec.goal_hosts
 
     gt_place = spec.start
     hops = 0
@@ -262,12 +276,11 @@ def run_episode(
         prev_subgoal = node_id if moved.moved else None
         gt_place = moved.place
 
-    dtg = spec.scene.shortest_hops(gt_place, goal_hosts)
     return EpisodeResult(
         success=success,
         hops_traversed=hops,
-        shortest_hops=shortest,
-        final_goal_distance=0.0 if success else dtg,
+        shortest_hops=spec.shortest_hops,
+        final_goal_distance=0.0 if success else spec.scene.shortest_hops(gt_place, goal_hosts),
         steps=tuple(steps),
         failure=failure,
     )

@@ -251,8 +251,9 @@ class TestRun:
         sizes = []
 
         class InlineExecutor:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
+                initializer()
 
             def __enter__(self):
                 return self
@@ -270,6 +271,43 @@ class TestRun:
         _, par = self._run(tmp_path, home_path, "par.csv", ["--baseline", "--jobs", "5000"])
         assert sizes == [expected]
         assert seq.read_bytes() == par.read_bytes()
+
+    def test_one_oracle_per_run_writes_what_fresh_ones_per_episode_write(
+        self, tmp_path, home_path, monkeypatch
+    ):
+        from scenenav.oracle.rules import RuleOracle
+
+        extra = ["--baseline", "--particles", "5"]
+        run_episode = cli.run_episode
+        oracles = []
+
+        def shared(spec, schema, oracle, config):
+            oracles.append(oracle)
+            return run_episode(spec, schema, oracle, config)
+
+        monkeypatch.setattr(cli, "run_episode", shared)
+        _, one = self._run(tmp_path, home_path, "one.csv", extra)
+        assert len(oracles) == 6 and all(o is oracles[0] for o in oracles)
+        monkeypatch.setattr(cli, "run_episode", lambda spec, schema, _, config: run_episode(
+            spec, schema, RuleOracle(), config))
+        _, fresh = self._run(tmp_path, home_path, "fresh.csv", extra)
+        monkeypatch.undo()
+        _, pooled = self._run(tmp_path, home_path, "pooled.csv", extra + ["--jobs", "2"])
+        assert one.read_bytes() == fresh.read_bytes() == pooled.read_bytes()
+
+    def test_missing_out_directory_fails_before_any_episode(
+        self, tmp_path, home_path, monkeypatch, capsys
+    ):
+        ran = []
+        monkeypatch.setattr(cli, "run_episode", lambda *args: ran.append(args))
+        out = tmp_path / "nonexistent" / "dir" / "o.csv"
+        code = main(["run", "--schema", home_path, "--scenes", "2", "--episodes", "6",
+                     "--out", str(out)])
+        assert code == 2
+        assert ran == []
+        err = capsys.readouterr().err.strip()
+        assert "--out" in err and len(err.splitlines()) == 1
+        assert not out.parent.exists()
 
     def test_negative_particles_rejected(self, tmp_path, home_path, capsys):
         out = tmp_path / "n.csv"

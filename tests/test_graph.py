@@ -227,6 +227,34 @@ def test_validate_graph_reports_a_tampered_view(graph, what, needle):
     assert len(problems) == 1 and problems[0].startswith(needle)
 
 
+def test_validate_graph_reports_every_edge_fault_in_edge_order(graph):
+    rooms, doors = _home_fixture(graph)
+    floors = [graph.add_node(RegionNode(cls="Floor", label="floor")) for _ in range(2)]
+    graph.add_edge(floors[0], rooms[0], EdgeKind.CONTAINS)
+    sofa = graph.add_node(ObjectNode(label="sofa"))
+    graph.add_edge(rooms[0], sofa, EdgeKind.HAS)
+    # bypass the guards to simulate corruption
+    graph._out[rooms[0]][EdgeKind.CONNECTS_TO].append(doors[0])
+    graph._insert(sofa, sofa, EdgeKind.IS_NEAR)
+    graph._insert(sofa, rooms[1], EdgeKind.HAS)
+    graph._insert(rooms[0], rooms[2], EdgeKind.CONNECTS_TO)
+    graph._insert(floors[1], sofa, EdgeKind.CONTAINS)
+    graph._insert(floors[1], rooms[0], EdgeKind.CONTAINS)
+    assert validate_graph(graph) == [
+        "duplicate edge ('room0_1', 'door_1', <EdgeKind.CONNECTS_TO: 'connects_to'>)",
+        "connectivity edge room0_1 -> room2_1 lacks its reverse",
+        "edge ('floor_2', 'sofa_1', <EdgeKind.CONTAINS: 'contains'>) violates schema"
+        " (Floor -> Object)",
+        "containment floor_2 -> sofa_1 skips a layer",
+        "self-loop on sofa_1",
+        "edge ('sofa_1', 'room1_1', <EdgeKind.HAS: 'has'>) violates schema (Object -> Room)",
+        "room0_1 has multiple parents ['floor_1', 'floor_2']",
+    ]
+    graph._out[sofa][EdgeKind.HAS].append("ghost_1")
+    with pytest.raises(UnknownNodeError):
+        validate_graph(graph)
+
+
 @st.composite
 def _random_home_graph(draw):
     graph = SceneGraph(builtin_schema("home"))
@@ -823,3 +851,95 @@ def test_a_write_between_two_reads_renews_the_tree(graph):
     assert find_path(graph, rooms[0], late) == [rooms[3], late]
     assert hop_distances(graph, rooms[2]) == _reference_hops(graph, rooms[2])
     assert find_path(graph, rooms[0], late) == [rooms[3], late]
+
+
+def _leafy_graph(seed):
+    """Rooms, doors, a stairs place and objects, some already ``IS_NEAR`` one
+    way, with every feature and candidate row read so both are memoised."""
+    import random
+
+    rng = random.Random(seed)
+    graph = SceneGraph(builtin_schema("home"))
+    rooms, doors = _home_fixture(graph)
+    stairs = graph.add_node(PlaceNode(cls="Stairs", label="stairs"))
+    leaves = list(doors)
+    for i in range(10):
+        obj = graph.add_node(ObjectNode(label=rng.choice(["sofa", "tv", "sink"]), desc=f"d{i % 3}"))
+        graph.add_edge(rng.choice(rooms), obj, EdgeKind.HAS)
+        leaves.append(obj)
+    for _ in range(8):
+        a, b = rng.sample(leaves, 2)
+        graph.add_edge(a, b, EdgeKind.IS_NEAR)
+    for node in graph.nodes():
+        graph.object_features(node.id)
+    graph.candidate_rows(n.id for n in graph.nodes() if n.kind is not ConceptKind.OBJECT_ROLE)
+    pairs = [tuple(rng.sample(leaves, 2)) for _ in range(30)]
+    pairs += [pair[::-1] for pair in rng.sample(pairs, 5)] + rng.sample(pairs, 5)
+    return graph, rooms, stairs, leaves, pairs
+
+
+def _near_loop(graph, pairs):
+    for a, b in pairs:
+        graph.add_edge(a, b, EdgeKind.IS_NEAR)
+        graph.add_edge(b, a, EdgeKind.IS_NEAR)
+
+
+def _near_state(graph):
+    memoised = (list(graph._features), list(graph._rows))  # before the reads below refill them
+    ids = [n.id for n in graph.nodes()]
+    return (
+        memoised,
+        graph.export(),
+        graph.version,
+        {n: graph.object_features(n).items for n in ids},
+        graph.candidate_rows(n for n in ids if graph.node(n).kind is not ConceptKind.OBJECT_ROLE),
+        list(graph.connector_place_counts().items()),
+        {n: graph.in_neighbors(n, EdgeKind.IS_NEAR) for n in ids},
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_near_pairs_equals_the_add_edge_loop(seed):
+    loop, *_, pairs = _leafy_graph(seed)
+    batch, *_ = _leafy_graph(seed)
+    before = batch.version
+    _near_loop(loop, pairs)
+    batch.add_near_pairs(pairs)
+    assert batch.version > before
+    assert _near_state(batch) == _near_state(loop)
+    assert validate_graph(batch) == []
+
+
+@pytest.mark.parametrize("bad", ["forbidden-reverse", "forbidden", "self-loop", "unknown-node"])
+def test_add_near_pairs_fails_where_the_loop_fails(bad):
+    graphs = []
+    for _ in range(2):
+        graph, rooms, stairs, leaves, pairs = _leafy_graph(3)
+        # a Stairs place may be near an object, but an object not near a Stairs place
+        pair = {"forbidden-reverse": (stairs, leaves[4]), "forbidden": (rooms[0], leaves[4]),
+                "self-loop": (leaves[4], leaves[4]), "unknown-node": (leaves[4], "ghost_1")}[bad]
+        graphs.append((graph, pairs[:20] + [pair] + pairs[20:]))
+    (loop, pairs), (batch, _) = graphs
+    with pytest.raises(GraphError) as loop_error:
+        _near_loop(loop, pairs)
+    with pytest.raises(GraphError) as batch_error:
+        batch.add_near_pairs(pairs)
+    assert type(batch_error.value) is type(loop_error.value)
+    assert str(batch_error.value) == str(loop_error.value)
+    assert _near_state(batch) == _near_state(loop)
+
+
+def test_add_near_pairs_drops_the_memos_of_an_end_it_only_points_to():
+    graphs = []
+    for _ in range(2):
+        graph, _, _, leaves, _ = _leafy_graph(0)
+        door, obj = leaves[1], leaves[2]
+        graph.add_edge(door, obj, EdgeKind.IS_NEAR)
+        graph.object_features(door)
+        graph.candidate_rows([door])
+        graphs.append(graph)
+    loop, batch = graphs
+    _near_loop(loop, [(obj, door)])
+    batch.add_near_pairs([(obj, door)])
+    assert door not in batch._features and door not in batch._rows
+    assert _near_state(batch) == _near_state(loop)

@@ -119,6 +119,39 @@ def test_classify_without_connector_concepts(oracle):
     assert got.objects == ("milk", "gate")
 
 
+def test_classify_memo_leaves_the_connector_test_to_each_schema(oracle, home):
+    # the memo keeps a tag's class, not the schema's answer: one oracle asked
+    # under a schema with connector concepts, then under one without, classes
+    # doors as objects the second time
+    tags = ["door_0", "milk_1", "stairs_2"]
+    first = oracle.classify_elements(tags, home)
+    assert first.connectors == ("door_0", "stairs_2") and first.objects == ("milk_1",)
+    second = oracle.classify_elements(tags, builtin_schema("supermarket"))
+    assert second.connectors == () and second.objects == ("door_0", "milk_1", "stairs_2")
+    assert oracle.classify_elements(tags, home) == first
+
+
+def test_classify_memo_answers_as_a_fresh_oracle(oracle, home):
+    frames = [
+        ["livingroom_0", "window_1", "door_2", "wall_3", "livingroom sofa_4"],
+        ["bedroom_0", "door_1", "bed_2", "livingroom sofa_3", "sofa_4"],
+        ["sofa_0", "kitchen fridge_1", "doorway_2", "ceiling_3"],
+    ]
+    for labels in frames * 2:
+        for schema in (home, builtin_schema("supermarket")):
+            assert oracle.classify_elements(labels, schema) == RuleOracle().classify_elements(
+                labels, schema
+            )
+
+
+def test_classify_memo_stays_bounded(oracle, home):
+    from scenenav.oracle.rules import _LABEL_MEMO_SIZE
+
+    for i in range(3 * _LABEL_MEMO_SIZE):
+        oracle.classify_elements([f"lamp_{i}", f"door_{i}"], home)
+    assert 0 < len(oracle._element_memo) <= _LABEL_MEMO_SIZE
+
+
 def test_classify_strips_place_prefix(oracle, home):
     got = oracle.classify_elements(["livingroom sofa_6", "bathroom mirror_1"], home)
     assert got.objects == ("sofa_6", "mirror_1")

@@ -421,6 +421,23 @@ class TestBaselines:
         assert total_random / n > frontier.hops_traversed
 
 
+def test_every_agent_reads_the_goal_hosts_the_spec_computed_once(home, monkeypatch):
+    scene = small_scene()
+    spec = EpisodeSpec(scene=scene, start="livingroom_1", goal="sink", horizon=10, seed=3)
+    calls = []
+    hosts = GroundTruthScene.hosts
+    monkeypatch.setattr(GroundTruthScene, "hosts",
+                        lambda self, goal: calls.append(goal) or hosts(self, goal))
+    results = [
+        run_episode(spec, home, RuleOracle()),
+        baseline_random(spec),
+        baseline_greedy_frontier(spec),
+    ]
+    assert calls == ["sink"]
+    assert spec.goal_hosts == ("kitchen_3",) and spec.shortest_hops == 2
+    assert all(r.shortest_hops == 2 for r in results)
+
+
 def test_oracle_and_simulator_agree_on_goals():
     # the agent's goal check and the simulator's goal hosts are one predicate:
     # an object is detected as the goal exactly where the scene hosts it
