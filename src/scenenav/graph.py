@@ -116,6 +116,8 @@ class ObjectFeatures:
 
 # the edge kind whose targets make up a node's maintained summary
 _SUMMARY_EDGE = {ConceptKind.PLACE: EdgeKind.HAS, ConceptKind.REGION: EdgeKind.CONTAINS}
+# the kinds stored both ways, with the name an audit gives their edges
+_SYMMETRIC = {EdgeKind.CONNECTS_TO: "connectivity", EdgeKind.IS_NEAR: "proximity"}
 
 
 def _id_prefix(node: Node) -> str:
@@ -130,8 +132,10 @@ class SceneGraph:
     """Mutable layered scene graph bound to a schema.
 
     One writer at a time; readers may interleave between mutations.  The
-    ``version`` counter increments on every mutation, which lets planners
-    detect staleness cheaply.
+    ``version`` counter advances once per added node, edge or symmetric
+    pair, which lets planners detect staleness cheaply.  Connectivity
+    (``CONNECTS_TO``) and proximity (``IS_NEAR``) are symmetric: ``add_edge``
+    stores either both ways, as one mutation.
 
     The derived views are maintained on write, not rebuilt on read: the
     place/connector adjacency, the node lists per concept kind and
@@ -145,20 +149,16 @@ class SceneGraph:
     assignment.
 
     Three views are kept on read instead.  ``object_features`` of objects,
-    connectors and places is memoised per node; an entry is dropped when an
-    ``IS_NEAR`` or ``HAS`` insert touches the node or ``set_leaf`` changes a
-    neighbour's ``desc``.  A connector's candidate row is built from its
-    memoised features on its first read and dropped when an ``IS_NEAR``
-    insert touches the connector; ``set_leaf`` changes no label, so it keeps
-    the row.  An object is never a candidate and keeps no row.  ``hop_tree``
-    keeps one breadth-first tree, for the latest ``(version, source)``.
-    ``connectivity_subgraph()``, ``connector_place_counts()``,
-    ``out_targets``, the features, the rows and the tree are the graph's own
-    objects: read them, never modify them.
-
-    ``add_near_pairs`` writes a frame's proximity pairs in one call.  It
-    drops each touched node's features and connector row once, after its
-    inserts, also when an edge is refused part-way.
+    connectors and places reads the node's own out-list and is memoised per
+    node; an entry is dropped when an ``IS_NEAR`` or ``HAS`` edge from the
+    node is stored or ``set_leaf`` changes a neighbour's ``desc``.  A
+    connector's candidate row is built from its memoised features on its
+    first read and dropped with them when an ``IS_NEAR`` edge is stored;
+    ``set_leaf`` changes no label, so it keeps the row.  An object is never
+    a candidate and keeps no row.  ``hop_tree`` keeps one breadth-first
+    tree, for the latest ``(version, source)``.  ``connectivity_subgraph()``,
+    ``connector_place_counts()``, ``out_targets``, the features, the rows
+    and the tree are the graph's own objects: read them, never modify them.
     """
 
     def __init__(self, schema: Schema):
@@ -235,11 +235,10 @@ class SceneGraph:
         if desc is not None and desc != node.desc:
             node.desc = desc
             self._pairs[node_id] = (node.label, desc)
-            out, into = self._out[node_id], self._in[node_id]
+            # proximity is stored both ways: the leaf's neighbours are its out-list
             for holders in (
-                out.get(EdgeKind.IS_NEAR, ()),
-                into.get(EdgeKind.IS_NEAR, ()),
-                into.get(EdgeKind.HAS, ()),
+                self._out[node_id].get(EdgeKind.IS_NEAR, ()),
+                self._in[node_id].get(EdgeKind.HAS, ()),
             ):
                 for holder in holders:
                     self._features.pop(holder, None)
@@ -293,8 +292,8 @@ class SceneGraph:
         if not self._admits(src, dst, kind):
             return
         self._insert(src, dst, kind)
-        # connectivity is stored both ways, so the reverse is missing too
-        if kind is EdgeKind.CONNECTS_TO:
+        # a symmetric kind is stored both ways, so the reverse is missing too
+        if kind in _SYMMETRIC:
             self._insert(dst, src, kind)
         self.version += 1
 
@@ -322,53 +321,6 @@ class SceneGraph:
                 )
         return True
 
-    def add_near_pairs(self, pairs: Iterable[tuple[str, str]]) -> None:
-        """Store ``IS_NEAR`` both ways for each ``(a, b)`` pair, as one write.
-
-        The same edges, versions and errors as ``add_edge(a, b, IS_NEAR)``
-        then ``add_edge(b, a, IS_NEAR)`` per pair, in order: a stored edge is
-        skipped and each inserted one advances ``version``; a forbidden edge
-        raises with the edges before it stored.  Each node's class is resolved
-        and each class pair checked against the schema once per call, and each
-        touched node's features and connector row are dropped once.
-        """
-        near = EdgeKind.IS_NEAR
-        edges, out, into = self._edges, self._out, self._in
-        cls_of: dict[str, str] = {}
-        permitted: dict[tuple[str, str], bool] = {}
-        touched: dict[str, None] = {}
-        try:
-            for a, b in pairs:
-                for src, dst in ((a, b), (b, a)):
-                    triple = (src, dst, near)
-                    if triple in edges:
-                        continue
-                    for end in triple[:2]:
-                        if end not in cls_of:
-                            cls_of[end] = self.node_cls(self.node(end))
-                    if src == dst:
-                        raise EdgeRuleError(f"self-loop on {src!r} rejected")
-                    classes = (cls_of[src], cls_of[dst])
-                    allowed = permitted.get(classes)
-                    if allowed is None:
-                        allowed = permitted[classes] = self.schema.permits(
-                            classes[0], near, classes[1]
-                        )
-                    if not allowed:
-                        raise EdgeRuleError(
-                            f"schema forbids {near.value} edge {classes[0]} -> {classes[1]}"
-                        )
-                    out[src].setdefault(near, []).append(dst)
-                    into[dst].setdefault(near, []).append(src)
-                    edges.add(triple)
-                    touched[src] = touched[dst] = None
-                    self.version += 1
-        finally:
-            for end in touched:
-                self._features.pop(end, None)
-                if self._nodes[end].kind is ConceptKind.CONNECTOR:
-                    self._rows.pop(end, None)
-
     def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
         targets = self._out[src].setdefault(kind, [])
         targets.append(dst)
@@ -378,13 +330,12 @@ class SceneGraph:
             self._adj[src][dst] = 1.0
             if src in self._place_counts and isinstance(self._nodes[dst], PlaceNode):
                 self._place_counts[src] += 1
+        # a node's features, and a connector's row, read its own out-list only
         if kind is EdgeKind.IS_NEAR or kind is EdgeKind.HAS:
             self._features.pop(src, None)
-            self._features.pop(dst, None)
         if kind is EdgeKind.IS_NEAR:
-            for end in (src, dst):
-                if self._nodes[end].kind is ConceptKind.CONNECTOR:
-                    self._rows.pop(end, None)
+            if self._nodes[src].kind is ConceptKind.CONNECTOR:
+                self._rows.pop(src, None)
         elif kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
             _, name, summary = self._rows[src]
             label = self._nodes[dst].label
@@ -433,15 +384,9 @@ class SceneGraph:
             for child in self._out[node_id].get(EdgeKind.CONTAINS, ()):
                 items.extend(self.object_features(child).items)
             return ObjectFeatures(items=tuple(items))
-        if isinstance(node, PlaceNode):
-            near = self._out[node_id].get(EdgeKind.HAS, ())
-        else:
-            near = dict.fromkeys(
-                [*self._out[node_id].get(EdgeKind.IS_NEAR, ()),
-                 *self._in[node_id].get(EdgeKind.IS_NEAR, ())]
-            )
+        kind = EdgeKind.HAS if isinstance(node, PlaceNode) else EdgeKind.IS_NEAR
         features = self._features[node_id] = ObjectFeatures(
-            items=tuple([pairs[nb] for nb in near])
+            items=tuple([pairs[nb] for nb in self._out[node_id].get(kind, ())])
         )
         return features
 
@@ -604,11 +549,13 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
 
     Edges are inserted one triple at a time in file order, so every out-list,
     the adjacency's neighbour order and the maintained views come back as
-    exported; in-neighbour order is not part of the export.  Every edge is
-    unit-cost, so an edge entry whose ``weight`` is present and not 1 raises
-    ``GraphCorruptionError``, as does a connectivity edge whose reverse is
-    missing, a document that is not a JSON object, a node or edge entry
-    without a required field and an edge of unknown kind.
+    exported; in-neighbour order is not part of the export.  An edge binds
+    to the nodes by their ids in the document.  Every edge is unit-cost, so
+    an edge entry whose ``weight`` is present and not 1 raises
+    ``GraphCorruptionError``, as does a connectivity or proximity edge whose
+    reverse is missing, a document that is not a JSON object, a node or edge
+    entry without a required field, a node id that repeats, an edge naming
+    an id no node holds and an edge of unknown kind.
     """
     raw = json.loads(document)
     if not isinstance(raw, dict):
@@ -638,6 +585,8 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
             )
         else:
             node = RegionNode(cls=cls, label=label)
+        if node_id in id_map:
+            raise GraphCorruptionError(f"node entry {entry!r} repeats the id {node_id!r}")
         id_map[node_id] = graph.add_node(node)
     for entry in raw.get("edges", ()):
         raw_src, raw_dst, raw_kind = _fields(entry, "edge", "src", "dst", "kind")
@@ -645,8 +594,12 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
             kind = EdgeKind(raw_kind)
         except ValueError:
             raise GraphCorruptionError(f"edge entry {entry!r} has unknown kind") from None
-        src = id_map.get(raw_src, raw_src)
-        dst = id_map.get(raw_dst, raw_dst)
+        try:
+            src, dst = id_map[raw_src], id_map[raw_dst]
+        except KeyError as missing:
+            raise GraphCorruptionError(
+                f"edge entry {entry!r} names {missing.args[0]!r}, the id of no node"
+            ) from None
         if entry.get("weight", 1) != 1:
             raise GraphCorruptionError(
                 f"{kind.value} edge {raw_src} -> {raw_dst} has weight "
@@ -654,13 +607,14 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
             )
         if not graph._admits(src, dst, kind):
             continue
-        # one mutation per connection, as add_edge counts it with its reverse
-        if not (kind is EdgeKind.CONNECTS_TO and graph.has_edge(dst, src, kind)):
+        # one mutation per symmetric pair, as add_edge counts it with its reverse
+        if not (kind in _SYMMETRIC and graph.has_edge(dst, src, kind)):
             graph.version += 1
         graph._insert(src, dst, kind)
     for src, dst, kind in graph.edges():
-        if kind is EdgeKind.CONNECTS_TO and not graph.has_edge(dst, src, kind):
-            raise GraphCorruptionError(f"connectivity edge {src} -> {dst} lacks its reverse")
+        if kind in _SYMMETRIC and not graph.has_edge(dst, src, kind):
+            relation = _SYMMETRIC[kind]
+            raise GraphCorruptionError(f"{relation} edge {src} -> {dst} lacks its reverse")
     return graph
 
 
@@ -678,14 +632,13 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     """Full-scan structural audit; returns human-readable violations.
 
     Checks edge simplicity, schema conformance of every stored triple,
-    connectivity symmetry, the single-parent containment forest and that
-    containment never skips layers.  It also rebuilds the maintained views
-    from the edge lists and reports any that differ: the candidate row (and
-    so the summary) of every place, region and connector,
-    ``connector_place_counts()`` and
-    ``connectivity_subgraph()``, key and neighbour order included.  Each
-    node's class is resolved, and each distinct class triple checked against
-    the schema, once per audit.
+    connectivity and proximity symmetry, the single-parent containment
+    forest and that containment never skips layers.  It also rebuilds the
+    maintained views from the edge lists and reports any that differ: the
+    candidate row (and so the summary) of every place, region and connector,
+    ``connector_place_counts()`` and ``connectivity_subgraph()``, key and
+    neighbour order included.  Each node's class is resolved, and each
+    distinct class triple checked against the schema, once per audit.
     """
     problems: list[str] = []
     all_edges = graph.edges()
@@ -701,7 +654,7 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     permitted: dict[tuple[str, EdgeKind, str], bool] = {}
     for src, by_kind in graph._out.items():  # the edges in edges() order
         for kind, targets in by_kind.items():
-            connects, contains = kind is EdgeKind.CONNECTS_TO, kind is EdgeKind.CONTAINS
+            symmetric, contains = _SYMMETRIC.get(kind), kind is EdgeKind.CONTAINS
             for dst in targets:
                 if src == dst:
                     problems.append(f"self-loop on {src}")
@@ -714,8 +667,8 @@ def validate_graph(graph: SceneGraph) -> list[str]:
                     problems.append(
                         f"edge {(src, dst, kind)} violates schema ({src_cls} -> {dst_cls})"
                     )
-                if connects and (dst, src, kind) not in edge_set:
-                    problems.append(f"connectivity edge {src} -> {dst} lacks its reverse")
+                if symmetric and (dst, src, kind) not in edge_set:
+                    problems.append(f"{symmetric} edge {src} -> {dst} lacks its reverse")
                 if contains and concepts[src_cls].layer_id != concepts[dst_cls].layer_id + 1:
                     problems.append(f"containment {src} -> {dst} skips a layer")
     # every edge's ends are known nodes from here on: the loop above resolved them
@@ -765,14 +718,7 @@ class _Classes(dict):
 
 
 def _rebuilt_summary(graph: SceneGraph, node: Node) -> str:
-    kind = _SUMMARY_EDGE.get(node.kind)
-    if kind is not None:
-        contents = graph.out_targets(node.id, kind)
-    else:
-        near = EdgeKind.IS_NEAR
-        contents = dict.fromkeys(
-            [*graph.out_targets(node.id, near), *graph._in[node.id].get(near, ())]
-        )
+    contents = graph.out_targets(node.id, _SUMMARY_EDGE.get(node.kind, EdgeKind.IS_NEAR))
     by_id = graph._nodes
     return ", ".join([by_id[c].label for c in contents])
 

@@ -275,10 +275,7 @@ def _add_leaves(
             node_id = graph.add_node(
                 ConnectorNode(cls=cls, label=label, desc=desc, image_ref=image_ref)
             )
-        if graph.schema.permits(
-            graph.node(place_id).cls, EdgeKind.CONNECTS_TO, graph.node(node_id).cls
-        ):
-            graph.add_edge(place_id, node_id, EdgeKind.CONNECTS_TO)
+        _connect(graph, place_id, node_id)
         assoc[idx] = node_id
 
 
@@ -317,12 +314,10 @@ def _merge_near_edges(graph: SceneGraph, obs: ParsedObservation, assoc: dict[int
         for idx, node_id in assoc.items()
         if graph.node(node_id).kind is not ConceptKind.PLACE
     }
-    pairs = []
     for i, j in obs.near_pairs:
         a, b = leaves.get(i), leaves.get(j)
         if a is not None and b is not None and a != b:
-            pairs.append((a, b))
-    graph.add_near_pairs(pairs)
+            graph.add_edge(a, b, EdgeKind.IS_NEAR)
 
 
 def _wire_previous(
@@ -334,21 +329,20 @@ def _wire_previous(
     """Record traversability between the previous place and the new one."""
     if prev_place is None or prev_place == new_place:
         return
-    connector = None
-    resolved = _resolve_subgoal(graph, subgoal)
-    if resolved is not None and graph.node(resolved).kind is ConceptKind.CONNECTOR:
-        connector = resolved
-    if connector is not None:
-        conn_cls = graph.node(connector).cls
-        if graph.schema.permits(graph.node(prev_place).cls, EdgeKind.CONNECTS_TO, conn_cls):
-            graph.add_edge(prev_place, connector, EdgeKind.CONNECTS_TO)
-        if graph.schema.permits(conn_cls, EdgeKind.CONNECTS_TO, graph.node(new_place).cls):
-            graph.add_edge(connector, new_place, EdgeKind.CONNECTS_TO)
+    connector = _resolve_subgoal(graph, subgoal)
+    if connector is not None and graph.node(connector).kind is ConceptKind.CONNECTOR:
+        _connect(graph, prev_place, connector)
+        if _connect(graph, connector, new_place):
             return
-    if graph.schema.permits(
-        graph.node(prev_place).cls, EdgeKind.CONNECTS_TO, graph.node(new_place).cls
-    ):
-        graph.add_edge(prev_place, new_place, EdgeKind.CONNECTS_TO)
+    _connect(graph, prev_place, new_place)
+
+
+def _connect(graph: SceneGraph, a: str, b: str) -> bool:
+    """Store ``a CONNECTS_TO b`` if the schema permits it; say whether it does."""
+    if not graph.schema.permits(graph.node(a).cls, EdgeKind.CONNECTS_TO, graph.node(b).cls):
+        return False
+    graph.add_edge(a, b, EdgeKind.CONNECTS_TO)
+    return True
 
 
 def _region_layers(schema: Schema) -> list[int]:
@@ -436,11 +430,8 @@ def update_graph(
         place_id = graph.add_node(PlaceNode(cls=obs.place[0], label=obs.place[1]))
         assoc: dict[int, str] = {}
         _associate_traversed_connector(graph, obs, subgoal_node, assoc)
-        for idx, node_id in assoc.items():
-            if graph.schema.permits(
-                graph.node(place_id).cls, EdgeKind.CONNECTS_TO, graph.node(node_id).cls
-            ):
-                graph.add_edge(place_id, node_id, EdgeKind.CONNECTS_TO)
+        for node_id in assoc.values():
+            _connect(graph, place_id, node_id)
         _add_leaves(graph, place_id, obs, assoc)
         _merge_near_edges(graph, obs, assoc)
         _wire_previous(graph, prev_place, place_id, subgoal)

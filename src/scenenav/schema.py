@@ -168,7 +168,7 @@ class Schema:
                 if dst is None:
                     continue
                 triples.add((src.name, kind, dst.name))
-                if kind is EdgeKind.CONNECTS_TO:
+                if kind is EdgeKind.CONNECTS_TO or kind is EdgeKind.IS_NEAR:
                     triples.add((dst.name, kind, src.name))
         leaf = (ConceptKind.OBJECT_ROLE, ConceptKind.CONNECTOR)
         leaves = [c.name for c in self.concepts.values() if c.kind in leaf]
@@ -179,8 +179,9 @@ class Schema:
         """Whether an instance edge (src_cls -[kind]-> dst_cls) is allowed.
 
         Proximity between leaf concepts (object role / connectors) is
-        implicitly allowed; connectivity rules are read as undirected
-        permissions because connectivity is stored bidirectionally.
+        implicitly allowed.  Connectivity and proximity rules are read as
+        undirected permissions, because a scene graph stores both relations
+        both ways: one check admits an edge and the reverse stored with it.
         """
         return (src_cls, kind, dst_cls) in self._permitted
 

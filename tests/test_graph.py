@@ -392,11 +392,14 @@ def test_maintained_views_equal_rebuild(schema_name, seed):
             added.append((src, dst, kind))
         if step % 50 == 0:
             _assert_views_match_rebuild(graph)
+            assert validate_graph(graph) == []
     _assert_views_match_rebuild(graph)
+    assert validate_graph(graph) == []
     adj = graph.connectivity_subgraph()
     assert sum(map(len, adj.values())) > 10
     reloaded = import_graph(graph.export(), graph.schema)
     _assert_views_match_rebuild(reloaded)
+    assert validate_graph(reloaded) == []
 
 
 def test_node_views_are_copies(graph):
@@ -494,16 +497,46 @@ def test_unit_weight_export_names_no_weight(graph):
     assert '"weight"' not in graph.export()
 
 
-def test_import_rejects_connectivity_without_reverse(graph):
+def _import_without(graph, src, dst, relation):
+    """Import the graph's export with its ``src -> dst`` entry left out."""
     import json
 
-    rooms, doors = _home_fixture(graph)
     raw = json.loads(graph.export())
-    raw["edges"] = [
-        e for e in raw["edges"] if (e["src"], e["dst"]) != (doors[0], rooms[0])
-    ]
-    with pytest.raises(GraphCorruptionError, match="lacks its reverse"):
+    raw["edges"] = [e for e in raw["edges"] if (e["src"], e["dst"]) != (src, dst)]
+    with pytest.raises(GraphCorruptionError, match=f"{relation} edge .* lacks its reverse"):
         import_graph(json.dumps(raw), graph.schema)
+
+
+def test_import_rejects_connectivity_without_reverse(graph):
+    rooms, doors = _home_fixture(graph)
+    _import_without(graph, doors[0], rooms[0], "connectivity")
+
+
+def test_import_rejects_proximity_without_reverse(graph):
+    room, door, sofa, tv = _near_fixture(graph)
+    _import_without(graph, sofa, door, "proximity")
+
+
+@pytest.mark.parametrize("case", ["renumbered-id", "unknown-id", "repeated-id"])
+def test_import_binds_edges_by_document_id_only(home, case):
+    import json
+
+    kitchen = {"id": "a", "cls": "Room", "label": "kitchen"}
+    oven = {"id": "b", "cls": "Object", "label": "oven"}
+    sink = {"id": "a", "cls": "Object", "label": "sink"}
+    # kitchen_1 and oven_1 are the ids the rebuilt graph gives the nodes, not
+    # ids of the document
+    renumbered = {"src": "kitchen_1", "dst": "oven_1", "kind": "has"}
+    unknown = {"src": "a", "dst": "ghost", "kind": "has"}
+    nodes, edge, bad = {
+        "renumbered-id": ([kitchen, oven], renumbered, renumbered),
+        "unknown-id": ([kitchen, oven], unknown, unknown),
+        "repeated-id": ([kitchen, oven, sink], {"src": "a", "dst": "b", "kind": "has"}, sink),
+    }[case]
+    document = json.dumps({"nodes": nodes, "edges": [edge]})
+    with pytest.raises(GraphCorruptionError) as info:
+        import_graph(document, home)
+    assert repr(bad) in str(info.value)
 
 
 @pytest.mark.parametrize("weight", [10.0, 0.5, 0, "1"])
@@ -853,93 +886,77 @@ def test_a_write_between_two_reads_renews_the_tree(graph):
     assert find_path(graph, rooms[0], late) == [rooms[3], late]
 
 
-def _leafy_graph(seed):
-    """Rooms, doors, a stairs place and objects, some already ``IS_NEAR`` one
-    way, with every feature and candidate row read so both are memoised."""
-    import random
+# -- proximity is stored both ways, like connectivity --------------------------
 
-    rng = random.Random(seed)
-    graph = SceneGraph(builtin_schema("home"))
-    rooms, doors = _home_fixture(graph)
-    stairs = graph.add_node(PlaceNode(cls="Stairs", label="stairs"))
-    leaves = list(doors)
-    for i in range(10):
-        obj = graph.add_node(ObjectNode(label=rng.choice(["sofa", "tv", "sink"]), desc=f"d{i % 3}"))
-        graph.add_edge(rng.choice(rooms), obj, EdgeKind.HAS)
-        leaves.append(obj)
-    for _ in range(8):
-        a, b = rng.sample(leaves, 2)
-        graph.add_edge(a, b, EdgeKind.IS_NEAR)
+
+def _near_fixture(graph):
+    """A room holding a sofa and a tv, its door near the sofa; every feature
+    and candidate row read, so both are memoised."""
+    room = graph.add_node(PlaceNode(cls="Room", label="livingroom"))
+    door = graph.add_node(ConnectorNode(cls="Entrance", label="door"))
+    graph.add_edge(room, door, EdgeKind.CONNECTS_TO)
+    sofa, tv = (graph.add_node(ObjectNode(label=l, desc="red")) for l in ("sofa", "tv"))
+    for obj in (sofa, tv):
+        graph.add_edge(room, obj, EdgeKind.HAS)
+    graph.add_edge(door, sofa, EdgeKind.IS_NEAR)
     for node in graph.nodes():
         graph.object_features(node.id)
-    graph.candidate_rows(n.id for n in graph.nodes() if n.kind is not ConceptKind.OBJECT_ROLE)
-    pairs = [tuple(rng.sample(leaves, 2)) for _ in range(30)]
-    pairs += [pair[::-1] for pair in rng.sample(pairs, 5)] + rng.sample(pairs, 5)
-    return graph, rooms, stairs, leaves, pairs
+    graph.candidate_rows([room, door])
+    return room, door, sofa, tv
 
 
-def _near_loop(graph, pairs):
-    for a, b in pairs:
-        graph.add_edge(a, b, EdgeKind.IS_NEAR)
-        graph.add_edge(b, a, EdgeKind.IS_NEAR)
+def _write_state(graph):
+    """What a write may change: the edges, the version and which memos are kept."""
+    return graph.export(), graph.version, list(graph._features), list(graph._rows)
 
 
-def _near_state(graph):
-    memoised = (list(graph._features), list(graph._rows))  # before the reads below refill them
-    ids = [n.id for n in graph.nodes()]
-    return (
-        memoised,
-        graph.export(),
-        graph.version,
-        {n: graph.object_features(n).items for n in ids},
-        graph.candidate_rows(n for n in ids if graph.node(n).kind is not ConceptKind.OBJECT_ROLE),
-        list(graph.connector_place_counts().items()),
-        {n: graph.in_neighbors(n, EdgeKind.IS_NEAR) for n in ids},
-    )
+def test_is_near_is_stored_both_ways_as_one_mutation(graph):
+    room, door, sofa, tv = _near_fixture(graph)
+    before = graph.version
+    graph.add_edge(tv, door, EdgeKind.IS_NEAR)
+    assert graph.version == before + 1
+    assert graph.has_edge(tv, door, EdgeKind.IS_NEAR)
+    assert graph.has_edge(door, tv, EdgeKind.IS_NEAR)
+    assert graph.out_neighbors(door, EdgeKind.IS_NEAR) == [sofa, tv]
+    assert graph.in_neighbors(door, EdgeKind.IS_NEAR) == [sofa, tv]
+    assert graph.out_neighbors(tv, EdgeKind.IS_NEAR) == [door]
+    assert graph.out_neighbors(sofa, EdgeKind.IS_NEAR) == [door]
+    assert validate_graph(graph) == []
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_add_near_pairs_equals_the_add_edge_loop(seed):
-    loop, *_, pairs = _leafy_graph(seed)
-    batch, *_ = _leafy_graph(seed)
-    before = batch.version
-    _near_loop(loop, pairs)
-    batch.add_near_pairs(pairs)
-    assert batch.version > before
-    assert _near_state(batch) == _near_state(loop)
-    assert validate_graph(batch) == []
+@pytest.mark.parametrize("reverse", [False, True], ids=["as-stored", "reversed"])
+def test_offering_a_stored_near_pair_again_is_a_noop(graph, reverse):
+    room, door, sofa, tv = _near_fixture(graph)
+    state = _write_state(graph)
+    graph.add_edge(*((sofa, door) if reverse else (door, sofa)), EdgeKind.IS_NEAR)
+    assert _write_state(graph) == state
 
 
-@pytest.mark.parametrize("bad", ["forbidden-reverse", "forbidden", "self-loop", "unknown-node"])
-def test_add_near_pairs_fails_where_the_loop_fails(bad):
-    graphs = []
-    for _ in range(2):
-        graph, rooms, stairs, leaves, pairs = _leafy_graph(3)
-        # a Stairs place may be near an object, but an object not near a Stairs place
-        pair = {"forbidden-reverse": (stairs, leaves[4]), "forbidden": (rooms[0], leaves[4]),
-                "self-loop": (leaves[4], leaves[4]), "unknown-node": (leaves[4], "ghost_1")}[bad]
-        graphs.append((graph, pairs[:20] + [pair] + pairs[20:]))
-    (loop, pairs), (batch, _) = graphs
-    with pytest.raises(GraphError) as loop_error:
-        _near_loop(loop, pairs)
-    with pytest.raises(GraphError) as batch_error:
-        batch.add_near_pairs(pairs)
-    assert type(batch_error.value) is type(loop_error.value)
-    assert str(batch_error.value) == str(loop_error.value)
-    assert _near_state(batch) == _near_state(loop)
+@pytest.mark.parametrize("reverse", [False, True], ids=["object-first", "door-first"])
+def test_a_near_pair_drops_both_ends_features_and_the_connector_row(graph, reverse):
+    room, door, sofa, tv = _near_fixture(graph)
+    graph.add_edge(*((door, tv) if reverse else (tv, door)), EdgeKind.IS_NEAR)
+    assert tv not in graph._features and door not in graph._features
+    assert door not in graph._rows
+    assert room in graph._features and sofa in graph._features and room in graph._rows
+    assert graph.object_features(door).items == (("sofa", "red"), ("tv", "red"))
+    assert graph.object_features(tv).items == (("door", ""),)
+    assert graph.candidate_rows([door]) == [(door, "door", "sofa, tv")]
 
 
-def test_add_near_pairs_drops_the_memos_of_an_end_it_only_points_to():
-    graphs = []
-    for _ in range(2):
-        graph, _, _, leaves, _ = _leafy_graph(0)
-        door, obj = leaves[1], leaves[2]
-        graph.add_edge(door, obj, EdgeKind.IS_NEAR)
-        graph.object_features(door)
-        graph.candidate_rows([door])
-        graphs.append(graph)
-    loop, batch = graphs
-    _near_loop(loop, [(obj, door)])
-    batch.add_near_pairs([(obj, door)])
-    assert door not in batch._features and door not in batch._rows
-    assert _near_state(batch) == _near_state(loop)
+@pytest.mark.parametrize("bad", ["forbidden", "self-loop", "unknown-node"])
+def test_a_refused_near_pair_stores_nothing(graph, bad):
+    room, door, sofa, tv = _near_fixture(graph)
+    a, b = {"forbidden": (room, tv), "self-loop": (tv, tv), "unknown-node": (tv, "ghost_1")}[bad]
+    error = UnknownNodeError if bad == "unknown-node" else EdgeRuleError
+    state = _write_state(graph)
+    for src, dst in ((a, b), (b, a)):
+        with pytest.raises(error):
+            graph.add_edge(src, dst, EdgeKind.IS_NEAR)
+        assert _write_state(graph) == state
+
+
+def test_validate_graph_reports_a_one_way_proximity_edge(graph):
+    room, door, sofa, tv = _near_fixture(graph)
+    graph._insert(tv, sofa, EdgeKind.IS_NEAR)  # bypass add_edge, which stores the reverse too
+    assert validate_graph(graph) == ["proximity edge tv_1 -> sofa_1 lacks its reverse"]

@@ -215,11 +215,18 @@ PLURAL_DOC = {
     "Object": {"layer_id": 1},
 }
 NO_OBJECT_DOC = {"Room": {"layer_type": "Place", "layer_id": 2, "connects_to": ["Rooms"]}}
-COMPILED_CASES = LISTINGS + ["plural", "no-object"]
+# proximity declared from a connector to a place, which R6 rejects: the rule
+# still reads both ways, as a connectivity rule does
+NEAR_PLACE_DOC = {
+    "Room": {"layer_type": "Place", "layer_id": 2, "has": ["Object"]},
+    "Door": {"layer_type": "Connector", "layer_id": 2, "is_near": ["Room"]},
+    "Object": {"layer_id": 1},
+}
+COMPILED_CASES = LISTINGS + ["plural", "no-object", "near-place"]
 
 
 def _case_schema(name):
-    docs = {"plural": PLURAL_DOC, "no-object": NO_OBJECT_DOC}
+    docs = {"plural": PLURAL_DOC, "no-object": NO_OBJECT_DOC, "near-place": NEAR_PLACE_DOC}
     return parse_schema(json.dumps(docs[name])) if name in docs else builtin_schema(name)
 
 
@@ -251,7 +258,8 @@ def _walked_permits(schema, src_cls, kind, dst_cls):
                 return True
         return False
 
-    return declares(src, dst) or (kind is EdgeKind.CONNECTS_TO and declares(dst, src))
+    symmetric = kind in (EdgeKind.CONNECTS_TO, EdgeKind.IS_NEAR)
+    return declares(src, dst) or (symmetric and declares(dst, src))
 
 
 @pytest.mark.parametrize("name", COMPILED_CASES)
