@@ -553,17 +553,28 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
     to the nodes by their ids in the document.  Every edge is unit-cost, so
     an edge entry whose ``weight`` is present and not 1 raises
     ``GraphCorruptionError``, as does a connectivity or proximity edge whose
-    reverse is missing, a document that is not a JSON object, a node or edge
-    entry without a required field, a node id that repeats, an edge naming
-    an id no node holds and an edge of unknown kind.
+    reverse is missing, a document that is not a JSON object, ``nodes`` or
+    ``edges`` that is not a list, a node or edge entry without a required
+    field or with a required field that is not a string, a node whose
+    ``desc`` or ``image_ref`` is not a string or whose ``aliases`` is not a
+    list of strings, a node id that repeats, an edge naming an id no node
+    holds and an edge of unknown kind.
     """
     raw = json.loads(document)
     if not isinstance(raw, dict):
         raise GraphCorruptionError(f"a graph export is a JSON object, not {type(raw).__name__}")
+    for key in ("nodes", "edges"):
+        if not isinstance(raw.get(key, []), list):
+            raise GraphCorruptionError(f"a graph export's {key!r} is a JSON list, not {raw[key]!r}")
     graph = SceneGraph(schema)
     id_map: dict[str, str] = {}
     for entry in raw.get("nodes", ()):
         cls, label, node_id = _fields(entry, "node", "cls", "label", "id")
+        if not all(isinstance(entry.get(key, ""), str) for key in ("desc", "image_ref")):
+            raise GraphCorruptionError(f"node entry {entry!r} has a non-string desc or image_ref")
+        aliases = entry.get("aliases", [])
+        if not (isinstance(aliases, list) and all(isinstance(a, str) for a in aliases)):
+            raise GraphCorruptionError(f"node entry {entry!r} has aliases that are not strings")
         concept = schema.concepts.get(cls)
         if concept is None:
             raise EdgeRuleError(f"import references unknown concept {cls!r}")
@@ -575,7 +586,7 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
             )
         elif concept.kind is ConceptKind.PLACE:
             node = PlaceNode(cls=cls, label=label)
-            node.aliases = list(entry.get("aliases", []))
+            node.aliases = list(aliases)
         elif concept.kind is ConceptKind.CONNECTOR:
             node = ConnectorNode(
                 cls=cls,
@@ -619,12 +630,14 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
 
 
 def _fields(entry: object, what: str, *keys: str) -> list:
-    """The values of ``keys`` in an export entry; a missing one is corruption."""
+    """The string values of ``keys`` in an export entry; a missing or other one is corruption."""
     if not isinstance(entry, dict):
         raise GraphCorruptionError(f"{what} entry {entry!r} is not a JSON object")
     for key in keys:
         if key not in entry:
             raise GraphCorruptionError(f"{what} entry {entry!r} has no {key!r}")
+        if not isinstance(entry[key], str):
+            raise GraphCorruptionError(f"{what} entry {entry!r} has a non-string {key!r}")
     return [entry[key] for key in keys]
 
 

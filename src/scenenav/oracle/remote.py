@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -42,6 +43,26 @@ _CONFIDENCE_RE = re.compile(r"confidence\s*:\s*([0-9]*\.?[0-9]+)", re.IGNORECASE
 _REASONING_RE = re.compile(r"reasoning\s*:\s*(.+)", re.IGNORECASE | re.DOTALL)
 
 
+def _number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# remote config field -> (what its value must be, the test of it)
+_FIELD_CHECKS: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "endpoint": ("a string", lambda v: isinstance(v, str)),
+    "model": ("a string", lambda v: isinstance(v, str)),
+    "api_key_env": ("a string", lambda v: isinstance(v, str)),
+    "temperature": ("a finite number >= 0", lambda v: _number(v) and v >= 0),
+    "timeout": ("a finite number > 0", lambda v: _number(v) and v > 0),
+    "max_retries": ("an integer >= 0", lambda v: _integer(v) and v >= 0),
+    "max_in_flight": ("an integer >= 1", lambda v: _integer(v) and v >= 1),
+}
+
+
 @dataclass(frozen=True)
 class RemoteConfig:
     endpoint: str
@@ -52,9 +73,17 @@ class RemoteConfig:
     max_retries: int = 2
     max_in_flight: int = 4
 
+    def __post_init__(self) -> None:
+        """Reject a wrongly typed or out-of-range field with a ``ValueError`` naming it."""
+        for f in fields(self):
+            want, ok = _FIELD_CHECKS[f.name]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"remote config key {f.name!r} must be {want}, not {value!r}")
+
     @classmethod
     def from_file(cls, path: str) -> "RemoteConfig":
-        """Load a config; anything but an object of known keys raises ``ValueError``."""
+        """Load a config; anything but an object of known, valid keys raises ``ValueError``."""
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
         if not isinstance(raw, dict):
@@ -66,7 +95,10 @@ class RemoteConfig:
         for name, f in known.items():
             if f.default is MISSING and name not in raw:
                 raise ValueError(f"{path}: remote config lacks required key {name!r}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
     def from_env(cls, prefix: str = "SCENENAV") -> "RemoteConfig":
@@ -76,12 +108,20 @@ class RemoteConfig:
             raise OracleError(
                 f"remote backend needs {prefix}_ENDPOINT and {prefix}_MODEL set"
             )
+
+        def number(name: str, default: str) -> float:
+            raw = os.environ.get(f"{prefix}_{name}", default)
+            try:
+                return float(raw)
+            except ValueError:
+                raise ValueError(f"{prefix}_{name}={raw!r} is not a number") from None
+
         return cls(
             endpoint=endpoint,
             model=model,
             api_key_env=os.environ.get(f"{prefix}_API_KEY_ENV", f"{prefix}_API_KEY"),
-            temperature=float(os.environ.get(f"{prefix}_TEMPERATURE", "0.3")),
-            timeout=float(os.environ.get(f"{prefix}_TIMEOUT", "30")),
+            temperature=number("TEMPERATURE", "0.3"),
+            timeout=number("TIMEOUT", "30"),
         )
 
 
@@ -110,7 +150,7 @@ class RemoteChatOracle(SemanticOracle):
     def __init__(self, config: RemoteConfig, transport: Transport | None = None):
         self.config = config
         self._transport = transport if transport is not None else _requests_transport
-        self._gate = threading.Semaphore(max(1, config.max_in_flight))
+        self._gate = threading.Semaphore(config.max_in_flight)
 
     # -- plumbing ---------------------------------------------------------------
 

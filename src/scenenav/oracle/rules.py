@@ -8,6 +8,7 @@ reproducible bit-for-bit across runs and platforms.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Callable
 
 from ..graph import ObjectFeatures
@@ -30,23 +31,38 @@ CONFIDENCE_STEEPNESS = 4.0
 # Bounds of the per-oracle memos; each is cleared when full.  `scenenav run`
 # builds one oracle per run (one per worker process under --jobs), so the
 # memos carry from episode to episode.  Labels repeat across a run, but mapper
-# place ids ("bedroom_12") and filter cell tags grow with the map.  The
-# element memo shares the label bound: a frame tags each detection with its
-# index ("sofa_3"); the fixed protocol run meets 178 distinct tags.  So does the
-# summary memo: a frozen map offers one summary per place, region and
-# frontier connector.  So does the bag memo: the mapper compares the same
-# candidates' features frame after frame, and the graph hands it the same
-# features tuple each time.  A bag maps each canonical label to its overlap
-# weight times its count, so an overlap reads no weight and the memo saves
-# the weighting as well as the canonicalising.  Repeated place-match
-# questions come from the filter's particles within one step (about a dozen
-# distinct ones per step), so a small memo catches nearly all of them; a
-# larger one mostly keeps mapper feature tuples alive.
+# place ids ("bedroom_12"), filter cell tags and frame element tags ("sofa_3")
+# grow with the map.  Repeated place-match questions come from the filter's
+# particles within one step (about a dozen distinct ones per step), so a small
+# memo catches nearly all of them; a larger one mostly keeps mapper feature
+# tuples alive.
 _LABEL_MEMO_SIZE = 1024
 _MATCH_MEMO_SIZE = 64
 
 # classes of a raw element tag, as classify_elements memoises them
 _STRUCTURAL, _PLACE, _CONNECTOR, _OBJECT = "structural", "place", "connector", "object"
+
+
+class _Memo(dict):
+    """``memo[key]`` is ``compute(key)``, kept until the memo is full and cleared.
+
+    ``compute`` must not hold the oracle that owns the memo: the oracle would
+    then sit in a reference cycle and outlive its last use until a full
+    garbage collection.
+    """
+
+    __slots__ = ("_compute", "_size")
+
+    def __init__(self, compute: Callable, size: int):
+        super().__init__()
+        self._compute = compute
+        self._size = size
+
+    def __missing__(self, key):
+        if len(self) >= self._size:
+            self.clear()
+        value = self[key] = self._compute(key)
+        return value
 
 
 class RuleOracle(SemanticOracle):
@@ -58,21 +74,40 @@ class RuleOracle(SemanticOracle):
     """
 
     def __init__(self, tables: OracleTables | None = None):
-        self._tables = tables if tables is not None else default_tables()
+        tables = self._tables = tables if tables is not None else default_tables()
+        # the computes reach overridable methods through a proxy, never self
+        oracle = weakref.proxy(self)
         # raw label -> canonical label, canonical label -> overlap weight
-        self._canon_memo: dict[str, str] = {}
-        self._weight_memo: dict[str, float] = {}
-        # (items a, items b) -> match_place decision
-        self._match_memo: dict[tuple, MatchDecision] = {}
-        # candidate summary -> the canonical labels it lists
-        self._summary_memo: dict[str, frozenset[str]] = {}
+        canon = self._canon = _Memo(
+            lambda label: tables.canonical(strip_suffix(label)), _LABEL_MEMO_SIZE
+        )
+        weight = self._weights = _Memo(
+            lambda label: LARGE_WEIGHT if tables.is_large(label) else 1.0, _LABEL_MEMO_SIZE
+        )
+        # candidate summary -> the set of canonical labels it lists
+        self._summaries = _Memo(
+            lambda summary: frozenset(canon[s] for s in summary.split(",") if s.strip()),
+            _LABEL_MEMO_SIZE,
+        )
+
+        def bag(items: tuple[tuple[str, str], ...]) -> dict[str, float]:
+            counts: dict[str, int] = {}
+            for label, _ in items:
+                label = canon[label]
+                counts[label] = counts.get(label, 0) + 1
+            return {label: weight[label] * count for label, count in counts.items()}
+
         # features items -> canonical label -> weight x count
-        self._bag_memo: dict[tuple, dict[str, float]] = {}
+        self._bags = _Memo(bag, _LABEL_MEMO_SIZE)
+        # (items a, items b) -> match_place decision
+        self._matches = _Memo(
+            lambda key: oracle._decide_match(ObjectFeatures(key[0]), ObjectFeatures(key[1])),
+            _MATCH_MEMO_SIZE,
+        )
         # raw element tag -> (cleaned label, class)
-        self._element_memo: dict[str, tuple[str, str]] = {}
-        # the last goal asked of goal_match and its test: an episode asks the
-        # same goal frame after frame
-        self._last_goal: tuple[str, Callable[[str, str], bool]] | None = None
+        self._elements = _Memo(lambda raw: oracle._element_class(raw), _LABEL_MEMO_SIZE)
+        # goal -> its test: an episode asks the same goal frame after frame
+        self._goal_tests = _Memo(tables.goal_test, 1)
 
     @property
     def tables(self) -> OracleTables:
@@ -80,54 +115,9 @@ class RuleOracle(SemanticOracle):
 
     # -- label handling --------------------------------------------------------
 
-    def _canon(self, label: str) -> str:
-        memo = self._canon_memo
-        canon = memo.get(label)
-        if canon is None:
-            if len(memo) >= _LABEL_MEMO_SIZE:
-                memo.clear()
-            canon = memo[label] = self.tables.canonical(strip_suffix(label))
-        return canon
-
-    def _weight(self, canon_label: str) -> float:
-        memo = self._weight_memo
-        weight = memo.get(canon_label)
-        if weight is None:
-            if len(memo) >= _LABEL_MEMO_SIZE:
-                memo.clear()
-            large = self.tables.is_large(canon_label)
-            weight = memo[canon_label] = LARGE_WEIGHT if large else 1.0
-        return weight
-
-    def _summary_labels(self, summary: str) -> frozenset[str]:
-        """Canonical labels of a comma-separated summary; select_region only tests membership."""
-        memo = self._summary_memo
-        labels = memo.get(summary)
-        if labels is None:
-            if len(memo) >= _LABEL_MEMO_SIZE:
-                memo.clear()
-            labels = memo[summary] = frozenset(
-                self._canon(s) for s in summary.split(",") if s.strip()
-            )
-        return labels
-
     def _bag(self, features: ObjectFeatures) -> dict[str, float]:
         """Canonical label -> overlap weight x count over ``features``; shared, read it only."""
-        memo = self._bag_memo
-        bag = memo.get(features.items)
-        if bag is None:
-            if len(memo) >= _LABEL_MEMO_SIZE:
-                memo.clear()
-            canon, weight = self._canon_memo.get, self._weight_memo.get
-            counts: dict[str, int] = {}
-            for label, _ in features.items:
-                label = canon(label) or self._canon(label)
-                counts[label] = counts.get(label, 0) + 1
-            bag = memo[features.items] = {
-                label: (weight(label) or self._weight(label)) * count
-                for label, count in counts.items()
-            }
-        return bag
+        return self._bags[features.items]
 
     def _overlap(self, a: dict[str, float], b: dict[str, float]) -> float:
         """Weighted Jaccard on canonical label multisets; empty-vs-empty is 1.
@@ -152,19 +142,12 @@ class RuleOracle(SemanticOracle):
     # -- decisions ---------------------------------------------------------------
 
     def similar_labels(self, query: str, candidates: list[str]) -> list[str]:
-        want = self._canon(query)
-        canon = self._canon_memo.get
-        return [c for c in candidates if (canon(c) or self._canon(c)) == want]
+        canon = self._canon
+        want = canon[query]
+        return [c for c in candidates if canon[c] == want]
 
     def match_place(self, features_a: ObjectFeatures, features_b: ObjectFeatures) -> MatchDecision:
-        key = (features_a.items, features_b.items)
-        memo = self._match_memo
-        decision = memo.get(key)
-        if decision is None:
-            if len(memo) >= _MATCH_MEMO_SIZE:
-                memo.clear()
-            decision = memo[key] = self._decide_match(features_a, features_b)
-        return decision
+        return self._matches[features_a.items, features_b.items]
 
     def _decide_match(self, a: ObjectFeatures, b: ObjectFeatures) -> MatchDecision:
         overlap = self._overlap(self._bag(a), self._bag(b))
@@ -181,14 +164,9 @@ class RuleOracle(SemanticOracle):
         # whether the schema has connectors is asked per call, never memoised
         has_connector_concepts = bool(schema.by_kind(ConceptKind.CONNECTOR))
         seen: set[str] = set()
-        memo = self._element_memo
+        elements = self._elements
         for raw in labels:
-            entry = memo.get(raw)
-            if entry is None:
-                if len(memo) >= _LABEL_MEMO_SIZE:
-                    memo.clear()
-                entry = memo[raw] = self._element_class(raw)
-            cleaned, cls = entry
+            cleaned, cls = elements[raw]
             if cleaned in seen:
                 continue
             seen.add(cleaned)
@@ -231,12 +209,12 @@ class RuleOracle(SemanticOracle):
         candidates: list[tuple[str, str, str, ObjectFeatures]],
     ) -> str | None:
         probe_label, _, probe_features = probe
-        want = self._canon(probe_label)
+        want = self._canon[probe_label]
         best_id: str | None = None
         best_score = -1.0
         probe_bag: dict[str, float] | None = None
         for cand_id, label, _, features in candidates:
-            if self._canon(label) != want:
+            if self._canon[label] != want:
                 continue
             if probe_bag is None:
                 probe_bag = self._bag(probe_features)
@@ -299,12 +277,12 @@ class RuleOracle(SemanticOracle):
         if not candidates:
             raise ValueError("select_region needs at least one candidate")
         want_places = self.tables.cooccurs(goal)
-        goal_canon = self._canon(goal)
+        goal_canon = self._canon[goal]
         best = candidates[0]
         best_score = -1.0
         for cand in candidates:
             cand_id, label, summary = cand
-            summary_labels = self._summary_labels(summary)
+            summary_labels = self._summaries[summary]
             if goal_canon in summary_labels:
                 best_score = 3.0
                 best = cand
@@ -313,7 +291,7 @@ class RuleOracle(SemanticOracle):
             if not summary_labels.isdisjoint(want_places):
                 # a coarse region whose children include a likely place
                 score = 2.5
-            elif self._canon(label) in want_places:
+            elif self._canon[label] in want_places:
                 score = 2.0
             elif self.tables.is_connector_label(strip_suffix(label)):
                 score = 1.0
@@ -334,13 +312,13 @@ class RuleOracle(SemanticOracle):
     def select_object(self, objects: list[tuple[str, str, str]], goal: str) -> Proposal:
         if not objects:
             raise ValueError("select_object needs at least one candidate")
-        goal_canon = self._canon(goal)
+        goal_canon = self._canon[goal]
         for obj_id, label, _ in objects:
-            if self._canon(label) == goal_canon:
+            if self._canon[label] == goal_canon:
                 return Proposal(chosen=obj_id, reasoning="the object is the goal itself")
         near = self.tables.near_labels(goal)
         for obj_id, label, _ in objects:
-            if self._canon(label) in near:
+            if self._canon[label] in near:
                 return Proposal(
                     chosen=obj_id, reasoning=f"a {strip_suffix(label)} is usually next to a {goal}"
                 )
@@ -349,8 +327,5 @@ class RuleOracle(SemanticOracle):
     def goal_match(
         self, detections: list[tuple[str, str]], goal: str
     ) -> tuple[str, str] | None:
-        entry = self._last_goal
-        if entry is None or entry[0] != goal:
-            entry = self._last_goal = (goal, self.tables.goal_test(goal))
-        is_goal = entry[1]
+        is_goal = self._goal_tests[goal]
         return next(((label, desc) for label, desc in detections if is_goal(label, desc)), None)

@@ -87,7 +87,32 @@ class TestGenSchema:
          "'temprature'"),
         ('{"endpoint": "https://example.invalid"}', "'model'"),
         ('["https://example.invalid", "m"]', "JSON object"),
-    ], ids=["unknown-key", "missing-key", "not-an-object"])
+        ('{"endpoint": "https://example.invalid", "model": "m", "max_in_flight": "4"}',
+         "'max_in_flight'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "max_in_flight": 0}',
+         "'max_in_flight'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "max_in_flight": true}',
+         "'max_in_flight'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "max_retries": "two"}',
+         "'max_retries'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "max_retries": -1}',
+         "'max_retries'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "max_retries": 1.5}',
+         "'max_retries'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "temperature": -0.1}',
+         "'temperature'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "temperature": NaN}',
+         "'temperature'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "timeout": 0}', "'timeout'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "timeout": "30"}', "'timeout'"),
+        ('{"endpoint": ["https://example.invalid"], "model": "m"}', "'endpoint'"),
+        ('{"endpoint": "https://example.invalid", "model": 7}', "'model'"),
+        ('{"endpoint": "https://example.invalid", "model": "m", "api_key_env": null}',
+         "'api_key_env'"),
+    ], ids=["unknown-key", "missing-key", "not-an-object", "in-flight-string", "in-flight-zero",
+            "in-flight-bool", "retries-string", "retries-negative", "retries-float",
+            "temperature-negative", "temperature-nan", "timeout-zero", "timeout-string",
+            "endpoint-list", "model-number", "api-key-env-null"])
     def test_malformed_remote_config_rejected(self, tmp_path, capsys, doc, needle):
         config = tmp_path / "remote.json"
         config.write_text(doc)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -602,6 +604,34 @@ def test_import_rejects_an_unknown_edge_kind(graph):
     with pytest.raises(GraphCorruptionError, match="unknown kind") as info:
         import_graph(json.dumps(raw), graph.schema)
     assert "'is_under'" in str(info.value)
+
+
+@pytest.mark.parametrize("section,index,key,value,needle", [
+    ("nodes", 0, "id", ["room0"], "non-string 'id'"),
+    ("nodes", 0, "cls", ["Room"], "non-string 'cls'"),
+    ("nodes", 0, "label", 5, "non-string 'label'"),
+    ("nodes", 0, "desc", 3, "non-string desc or image_ref"),
+    ("nodes", 3, "image_ref", 3, "non-string desc or image_ref"),
+    ("nodes", 0, "aliases", 5, "aliases that are not strings"),
+    ("nodes", 0, "aliases", ["den", 5], "aliases that are not strings"),
+    ("edges", 0, "src", ["room0"], "non-string 'src'"),
+    ("edges", 0, "dst", 1, "non-string 'dst'"),
+    ("edges", 0, "kind", ["connects_to"], "non-string 'kind'"),
+    (None, None, "nodes", "abc", "'nodes' is a JSON list, not 'abc'"),
+    (None, None, "edges", {"src": "a"}, "'edges' is a JSON list, not"),
+], ids=["node-id-list", "node-cls-list", "node-label-number", "node-desc-number",
+        "node-image-ref-number", "node-aliases-number", "node-aliases-mixed", "edge-src-list",
+        "edge-dst-number", "edge-kind-list", "nodes-string", "edges-object"])
+def test_import_rejects_a_wrongly_typed_field(graph, section, index, key, value, needle):
+    import json
+
+    _home_fixture(graph)
+    raw = json.loads(graph.export())
+    entry = raw if section is None else raw[section][index]
+    entry[key] = value
+    with pytest.raises(GraphCorruptionError, match=re.escape(needle)) as info:
+        import_graph(json.dumps(raw), graph.schema)
+    assert repr(entry if section is not None else value) in str(info.value)
 
 
 def test_connector_place_counts_ignore_connector_neighbours():

@@ -149,7 +149,7 @@ def test_classify_memo_stays_bounded(oracle, home):
 
     for i in range(3 * _LABEL_MEMO_SIZE):
         oracle.classify_elements([f"lamp_{i}", f"door_{i}"], home)
-    assert 0 < len(oracle._element_memo) <= _LABEL_MEMO_SIZE
+    assert 0 < len(oracle._elements) <= _LABEL_MEMO_SIZE
 
 
 def test_classify_strips_place_prefix(oracle, home):
@@ -254,7 +254,7 @@ def test_select_region_first_goal_naming_candidate_wins(oracle):
     )
     assert got == Proposal(chosen="bedroom_1", reasoning="its contents mention the goal")
     # nothing after the first goal-naming candidate is read
-    assert "sink, towel" not in oracle._summary_memo
+    assert "sink, towel" not in oracle._summaries
 
 
 def test_select_region_goal_naming_candidate_outranks_earlier_tiers(oracle):
@@ -353,18 +353,18 @@ def test_select_closure_fuzz(goal, candidates):
 def _select_region_full_scan(oracle, candidates, goal):
     """select_region as a loop that scores every candidate, the reference for its early stop."""
     want_places = oracle.tables.cooccurs(goal)
-    goal_canon = oracle._canon(goal)
+    goal_canon = oracle._canon[goal]
     best = candidates[0]
     best_score = -1.0
     for cand in candidates:
         cand_id, label, summary = cand
-        summary_labels = oracle._summary_labels(summary)
+        summary_labels = oracle._summaries[summary]
         score = 0.0
         if goal_canon in summary_labels:
             score = 3.0
         elif not summary_labels.isdisjoint(want_places):
             score = 2.5
-        elif oracle._canon(label) in want_places:
+        elif oracle._canon[label] in want_places:
             score = 2.0
         elif oracle.tables.is_connector_label(strip_suffix(label)):
             score = 1.0
@@ -492,9 +492,9 @@ def test_memos_stay_bounded(oracle):
     oracle.similar_labels("room0", candidates)
     for i in range(1000):
         oracle.match_place(feats(f"thing{i}"), feats("thing0"))
-    assert len(oracle._canon_memo) <= _LABEL_MEMO_SIZE
-    assert len(oracle._weight_memo) <= _LABEL_MEMO_SIZE
-    assert len(oracle._match_memo) <= _MATCH_MEMO_SIZE
+    assert len(oracle._canon) <= _LABEL_MEMO_SIZE
+    assert len(oracle._weights) <= _LABEL_MEMO_SIZE
+    assert len(oracle._matches) <= _MATCH_MEMO_SIZE
 
 
 def test_summary_memo_stays_bounded(oracle):
@@ -502,7 +502,7 @@ def test_summary_memo_stays_bounded(oracle):
 
     for i in range(3 * _LABEL_MEMO_SIZE):
         oracle.select_region([(f"den_{i}", "den", f"lamp, rug_{i}")], "sink")
-    assert 0 < len(oracle._summary_memo) <= _LABEL_MEMO_SIZE
+    assert 0 < len(oracle._summaries) <= _LABEL_MEMO_SIZE
 
 
 def test_default_tables_built_once_per_process():
@@ -529,7 +529,63 @@ def test_bag_memo_stays_bounded(oracle):
     stored = [("lamp_1", "lamp", "", feats("lamp", "rug"))]
     for i in range(3 * _LABEL_MEMO_SIZE):
         oracle.match_object(("lamp", "", feats("lamp", f"rug{i}")), stored)
-    assert 0 < len(oracle._bag_memo) <= _LABEL_MEMO_SIZE
+    assert 0 < len(oracle._bags) <= _LABEL_MEMO_SIZE
+
+
+def test_full_memo_clears_then_recomputes_an_equal_answer(oracle):
+    from scenenav.oracle.rules import _LABEL_MEMO_SIZE, _Memo
+
+    computed = []
+    memo = _Memo(lambda key: computed.append(key) or [key], 2)
+    first = memo["a"]
+    assert memo["b"] == ["b"] and memo["a"] is first and computed == ["a", "b"]
+    assert memo["c"] == ["c"] and dict(memo) == {"c": ["c"]}  # full: cleared, then stored
+    again = memo["a"]
+    assert again == first and again is not first and computed == ["a", "b", "c", "a"]
+
+    couch = oracle._canon["couch_1"]
+    for i in range(_LABEL_MEMO_SIZE):
+        oracle._canon[f"rug_{i}"]
+    assert "couch_1" not in oracle._canon
+    assert oracle._canon["couch_1"] == couch == RuleOracle()._canon["couch_1"]
+
+
+def test_oracles_on_different_tables_never_share_an_answer():
+    custom = RuleOracle(OracleTables.from_dict({"synonyms": [["zorb", "blip"]]}))
+    default = RuleOracle()
+    for _ in range(2):
+        assert default.similar_labels("zorb", ["blip_1", "zorb_2"]) == ["zorb_2"]
+        assert custom.similar_labels("zorb", ["blip_1", "zorb_2"]) == ["blip_1", "zorb_2"]
+        assert default.goal_match([("blip_1", "")], "zorb") is None
+        assert custom.goal_match([("blip_1", "")], "zorb") == ("blip_1", "")
+        assert default.match_place(feats("zorb"), feats("blip")).matched is False
+        assert custom.match_place(feats("zorb"), feats("blip")).matched is True
+
+
+def test_an_oracle_that_answered_every_decision_is_freed_by_reference_count(home):
+    import gc
+    import weakref
+
+    oracle = RuleOracle()
+    a, b = feats("bed", "lamp"), feats("bed", "rug")
+    oracle.similar_labels("sofa", ["couch_1", "bed_2"])
+    oracle.match_place(a, b)
+    oracle.classify_elements(["bedroom_0", "door_1", "bed_2"], home)
+    oracle.match_object(("bed", "", a), [("bed_1", "bed", "", b)])
+    oracle.infer_region(home, "Floor", [("floor_0", "Floor")], ("bedroom_0", "bedroom"), None)
+    oracle.select_region([("bedroom_1", "bedroom", "bed, sink")], "sink")
+    oracle.select_object([("bed_1", "bed", "")], "bed")
+    oracle.goal_match([("bed_2", "")], "bed")
+    memos = (oracle._canon, oracle._weights, oracle._summaries, oracle._bags,
+             oracle._matches, oracle._elements, oracle._goal_tests)
+    assert all(memos)
+    ref = weakref.ref(oracle)
+    gc.disable()  # only reference counting may free it
+    try:
+        del oracle
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 class _MemoFree(RuleOracle):
@@ -581,7 +637,7 @@ def test_memoised_decisions_equal_memo_free_ones_on_a_sweep(home, sweep):
         assert getattr(reference, method)(*args) == answer, (method, args)
     asked = Counter(method for method, _, _ in recording.asked)
     assert asked["match_object"] > 1000 and asked["match_place"] > 500
-    assert recording._bag_memo
+    assert recording._bags
 
 
 def _counter_overlap(oracle, a, b):

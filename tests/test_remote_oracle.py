@@ -174,6 +174,15 @@ def test_config_from_file_rejects_malformed(tmp_path, doc, needle):
         RemoteConfig.from_file(str(path))
 
 
+@pytest.mark.parametrize("variable", ["SCENENAV_TEMPERATURE", "SCENENAV_TIMEOUT"])
+def test_config_from_env_names_an_unparsable_number(monkeypatch, variable):
+    monkeypatch.setenv("SCENENAV_ENDPOINT", "https://example.invalid")
+    monkeypatch.setenv("SCENENAV_MODEL", "m")
+    monkeypatch.setenv(variable, "soon")
+    with pytest.raises(ValueError, match=f"{variable}='soon' is not a number"):
+        RemoteConfig.from_env()
+
+
 def test_schema_pipeline_can_use_remote_backend():
     from scenenav.schemagen import run_pipeline
 
