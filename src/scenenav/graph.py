@@ -142,11 +142,11 @@ class SceneGraph:
     per layer, each place's and region's candidate row (``candidate_rows``:
     id, label and ``summary``, replaced by each ``HAS`` or ``CONTAINS``
     insert from it), each connector's count of place-side neighbours
-    (``connector_place_counts``), each node's ``(label, desc)`` pair and the
-    ``image_ref`` -> node index.  Nodes and edges are never removed, and a
-    node's kind, class and label never change after ``add_node``.  A leaf's
-    ``desc`` and ``image_ref`` change only through ``set_leaf``, never by
-    assignment.
+    (``connector_place_counts``), each node's class and ``(label, desc)``
+    pair and the ``image_ref`` -> node index.  Nodes and edges are never
+    removed, and a node's kind, class and label never change after
+    ``add_node``.  A leaf's ``desc`` and ``image_ref`` change only through
+    ``set_leaf``, never by assignment.
 
     Three views are kept on read instead.  ``object_features`` of objects,
     connectors and places reads the node's own out-list and is memoised per
@@ -164,6 +164,7 @@ class SceneGraph:
     def __init__(self, schema: Schema):
         self.schema = schema
         self._nodes: dict[str, Node] = {}
+        self._cls: dict[str, str] = {}  # node id -> its schema class
         self._counters: dict[str, int] = {}
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}
@@ -204,6 +205,7 @@ class SceneGraph:
         self._counters[prefix] = count
         node.id = f"{prefix}_{count}"
         self._nodes[node.id] = node
+        self._cls[node.id] = cls
         self._out[node.id] = {}
         self._in[node.id] = {}
         if isinstance(node, (PlaceNode, ConnectorNode)):
@@ -304,15 +306,14 @@ class SceneGraph:
         """
         if (src, dst, kind) in self._edges:
             return False
-        src_node = self.node(src)
-        dst_node = self.node(dst)
+        try:
+            src_cls, dst_cls = self._cls[src], self._cls[dst]
+        except KeyError as missing:
+            raise UnknownNodeError(f"no node {missing.args[0]!r}") from None
         if src == dst:
             raise EdgeRuleError(f"self-loop on {src!r} rejected")
-        if not self.schema.permits(self.node_cls(src_node), kind, self.node_cls(dst_node)):
-            raise EdgeRuleError(
-                f"schema forbids {kind.value} edge "
-                f"{self.node_cls(src_node)} -> {self.node_cls(dst_node)}"
-            )
+        if not self.schema.permits(src_cls, kind, dst_cls):
+            raise EdgeRuleError(f"schema forbids {kind.value} edge {src_cls} -> {dst_cls}")
         if kind is EdgeKind.CONTAINS:
             parents = self._in[dst].get(kind)
             if parents:
@@ -551,10 +552,11 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
     the adjacency's neighbour order and the maintained views come back as
     exported; in-neighbour order is not part of the export.  An edge binds
     to the nodes by their ids in the document.  Every edge is unit-cost, so
-    an edge entry whose ``weight`` is present and not 1 raises
-    ``GraphCorruptionError``, as does a connectivity or proximity edge whose
-    reverse is missing, a document that is not a JSON object, ``nodes`` or
-    ``edges`` that is not a list, a node or edge entry without a required
+    an edge entry whose ``weight`` is present and not the number 1 raises
+    ``GraphCorruptionError``, as does a node entry whose ``layer`` is present
+    and not the schema layer of its ``cls``, a connectivity or proximity edge
+    whose reverse is missing, a document that is not a JSON object, ``nodes``
+    or ``edges`` that is not a list, a node or edge entry without a required
     field or with a required field that is not a string, a node whose
     ``desc`` or ``image_ref`` is not a string or whose ``aliases`` is not a
     list of strings, a node id that repeats, an edge naming an id no node
@@ -578,6 +580,12 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
         concept = schema.concepts.get(cls)
         if concept is None:
             raise EdgeRuleError(f"import references unknown concept {cls!r}")
+        layer = entry.get("layer", concept.layer_id)
+        if isinstance(layer, bool) or layer != concept.layer_id:
+            raise GraphCorruptionError(
+                f"node entry {entry!r} puts a {cls} at layer {layer!r}, "
+                f"not at its schema layer {concept.layer_id}"
+            )
         if concept.kind is ConceptKind.OBJECT_ROLE:
             node: Node = ObjectNode(
                 label=label,
@@ -611,7 +619,8 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
             raise GraphCorruptionError(
                 f"edge entry {entry!r} names {missing.args[0]!r}, the id of no node"
             ) from None
-        if entry.get("weight", 1) != 1:
+        weight = entry.get("weight", 1)
+        if isinstance(weight, bool) or weight != 1:
             raise GraphCorruptionError(
                 f"{kind.value} edge {raw_src} -> {raw_dst} has weight "
                 f"{entry['weight']!r}; edges are unit-cost"
@@ -650,8 +659,9 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     maintained views from the edge lists and reports any that differ: the
     candidate row (and so the summary) of every place, region and connector,
     ``connector_place_counts()`` and ``connectivity_subgraph()``, key and
-    neighbour order included.  Each node's class is resolved, and each
-    distinct class triple checked against the schema, once per audit.
+    neighbour order included, and compares each node's kept class with
+    ``node_cls``.  Each node's class is resolved, and each distinct class
+    triple checked against the schema, once per audit.
     """
     problems: list[str] = []
     all_edges = graph.edges()
@@ -691,6 +701,8 @@ def validate_graph(graph: SceneGraph) -> list[str]:
         parents = graph._in[node.id].get(EdgeKind.CONTAINS, ())
         if len(parents) > 1:
             problems.append(f"{node.id} has multiple parents {list(parents)}")
+    if graph._cls != {n.id: cls_of[n.id] for n in nodes}:
+        problems.append("the node class index differs from its rebuild")
     candidates = [n for n in nodes if n.kind is not ConceptKind.OBJECT_ROLE]
     for node, row in zip(candidates, graph.candidate_rows(n.id for n in candidates)):
         rebuilt = (node.id, node.label, _rebuilt_summary(graph, node))

@@ -132,9 +132,13 @@ def parse_frame(
             f"frame {frame.frame_id}: {frame.place_type_answer!r} is not a place "
             f"concept of the active schema"
         )
+    if not frame.place_label_answer.strip():
+        raise FrameError(
+            f"frame {frame.frame_id}: blank place label {frame.place_label_answer!r}"
+        )
     for det in frame.detections:
-        if not det.label:
-            raise FrameError(f"frame {frame.frame_id}: empty detection label")
+        if not det.label.strip():
+            raise FrameError(f"frame {frame.frame_id}: blank detection label {det.label!r}")
         if min(det.bbox) < 0:
             raise FrameError(f"frame {frame.frame_id}: negative bbox coordinate")
 
@@ -345,24 +349,6 @@ def _connect(graph: SceneGraph, a: str, b: str) -> bool:
     return True
 
 
-def _region_layers(schema: Schema) -> list[int]:
-    layers = sorted(
-        {c.layer_id for c in schema.by_kind(ConceptKind.REGION)}
-    )
-    return layers
-
-
-def _region_concept_for(schema: Schema, layer: int, child_cls: str) -> str | None:
-    for concept in schema.by_kind(ConceptKind.REGION):
-        if concept.layer_id != layer:
-            continue
-        for target in concept.targets(EdgeKind.CONTAINS):
-            resolved = schema.resolve(target)
-            if resolved is not None and resolved.name == child_cls:
-                return concept.name
-    return None
-
-
 def _update_regions(
     graph: SceneGraph,
     schema: Schema,
@@ -374,8 +360,8 @@ def _update_regions(
     """Climb the region layers, attaching the new place to abstractions."""
     v_t = new_place
     v_prev = prev_place
-    for layer in _region_layers(schema):
-        region_cls = _region_concept_for(schema, layer, graph.node_cls(graph.node(v_t)))
+    for layer in schema.region_layers:
+        region_cls = schema.region_for(layer, graph.node_cls(graph.node(v_t)))
         if region_cls is None:
             break
         existing = [

@@ -12,7 +12,7 @@ import weakref
 from collections.abc import Callable
 
 from ..graph import ObjectFeatures
-from ..schema import ConceptKind, EdgeKind, Schema
+from ..schema import ConceptKind, Schema
 from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice, SemanticOracle
 from .tables import OracleTables, default_tables, strip_suffix
 
@@ -106,8 +106,12 @@ class RuleOracle(SemanticOracle):
         )
         # raw element tag -> (cleaned label, class)
         self._elements = _Memo(lambda raw: oracle._element_class(raw), _LABEL_MEMO_SIZE)
-        # goal -> its test: an episode asks the same goal frame after frame
-        self._goal_tests = _Memo(tables.goal_test, 1)
+        # goal -> its test, split once per run (a run asks a few goals);
+        # (goal, label, desc) -> whether that detection is the goal
+        goal_tests = self._goal_tests = _Memo(tables.goal_test, _MATCH_MEMO_SIZE)
+        self._goal_hits = _Memo(
+            lambda key: goal_tests[key[0]](key[1], key[2]), _LABEL_MEMO_SIZE
+        )
 
     @property
     def tables(self) -> OracleTables:
@@ -244,29 +248,14 @@ class RuleOracle(SemanticOracle):
         return RegionChoice(is_new=True, value=region_cls.lower())
 
     def _crosses_region_boundary(self, schema: Schema, region_cls: str, via_label: str) -> bool:
-        """True when the traversed element's concept links regions of this class."""
+        """True when the traversed element names a location concept linked to this region class."""
         base = strip_suffix(via_label)
-        region = schema.concepts.get(region_cls)
-        if region is None:
-            return False
-        for concept in schema.concepts.values():
-            if concept.kind not in (ConceptKind.PLACE, ConceptKind.CONNECTOR):
-                continue
-            name = concept.name.lower()
-            if not (self.tables.canonical(name) == self.tables.canonical(base)
-                    or name == base.lower()):
-                continue
-            linked = any(
-                (resolved := schema.resolve(t)) is not None and resolved.name == region_cls
-                for t in concept.targets(EdgeKind.CONNECTS_TO)
-            )
-            linked_back = any(
-                (resolved := schema.resolve(t)) is not None and resolved.name == concept.name
-                for t in region.targets(EdgeKind.CONNECTS_TO)
-            )
-            if linked or linked_back:
-                return True
-        return False
+        canon, lower = self._canon[via_label], base.lower()
+        canonical = self.tables.canonical
+        return any(
+            canonical(name) == canon or name.lower() == lower
+            for name in schema.linked_locations(region_cls)
+        )
 
     def select_region(self, candidates: list[tuple[str, str, str]], goal: str) -> Proposal:
         """Take the first candidate of the highest score tier.
@@ -327,5 +316,5 @@ class RuleOracle(SemanticOracle):
     def goal_match(
         self, detections: list[tuple[str, str]], goal: str
     ) -> tuple[str, str] | None:
-        is_goal = self._goal_tests[goal]
-        return next(((label, desc) for label, desc in detections if is_goal(label, desc)), None)
+        hits = self._goal_hits
+        return next(((label, desc) for label, desc in detections if hits[goal, label, desc]), None)

@@ -21,7 +21,8 @@ _SUFFIX = re.compile(r"_\d+$")
 
 def strip_suffix(label: str) -> str:
     """A label without its instance suffix: ``sofa_2`` -> ``sofa``."""
-    return _SUFFIX.sub("", label).strip()
+    # a suffix starts with "_": most labels have none and skip the regex
+    return _SUFFIX.sub("", label).strip() if "_" in label else label.strip()
 
 
 DEFAULT_SYNONYM_GROUPS: list[list[str]] = [

@@ -115,11 +115,8 @@ def propose_region(
     if not graph.count(ConceptKind.PLACE):
         raise ExhaustedError("the graph holds no places yet")
 
-    region_layers = sorted(
-        {c.layer_id for c in schema.by_kind(ConceptKind.REGION)}, reverse=True
-    )
     start_nodes: list[str] = []
-    for layer in region_layers:
+    for layer in reversed(schema.region_layers):
         start_nodes = [n.id for n in graph.layer_nodes(layer) if n.kind is ConceptKind.REGION]
         if start_nodes:
             break

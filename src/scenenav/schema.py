@@ -127,8 +127,11 @@ class Schema:
 
     ``concepts`` maps each concept's name to its definition.  Nothing mutates
     it after construction, so the permission triples, the concepts grouped by
-    kind and the object concept are compiled once, on first use, and every
-    later ``permits``, ``by_kind`` and ``object_concept`` is a lookup.
+    kind, the object concept, the region layers, the region class that
+    contains each (layer, child class) pair and the locations that connect to
+    each class are compiled once, on first use, and every later ``permits``,
+    ``by_kind``, ``object_concept``, ``region_layers``, ``region_for`` and
+    ``linked_locations`` is a lookup.
     """
 
     concepts: dict[str, ConceptDef]
@@ -184,6 +187,39 @@ class Schema:
         both ways: one check admits an edge and the reverse stored with it.
         """
         return (src_cls, kind, dst_cls) in self._permitted
+
+    @cached_property
+    def region_layers(self) -> tuple[int, ...]:
+        """The layers holding a region concept, lowest first."""
+        return tuple(sorted({c.layer_id for c in self.by_kind(ConceptKind.REGION)}))
+
+    @cached_property
+    def _region_of(self) -> dict[tuple[int, str], str]:
+        region_of: dict[tuple[int, str], str] = {}
+        for region in self.by_kind(ConceptKind.REGION):
+            for target in region.targets(EdgeKind.CONTAINS):
+                child = self.resolve(target)
+                if child is not None:
+                    region_of.setdefault((region.layer_id, child.name), region.name)
+        return region_of
+
+    def region_for(self, layer: int, child_cls: str) -> str | None:
+        """The first region concept at ``layer``, in document order, that contains ``child_cls``."""
+        return self._region_of.get((layer, child_cls))
+
+    @cached_property
+    def _linked(self) -> dict[str, tuple[str, ...]]:
+        locations = self.by_kind(ConceptKind.PLACE) + self.by_kind(ConceptKind.CONNECTOR)
+        return {
+            name: tuple(
+                c.name for c in locations if self.permits(c.name, EdgeKind.CONNECTS_TO, name)
+            )
+            for name in self.concepts
+        }
+
+    def linked_locations(self, cls: str) -> tuple[str, ...]:
+        """The place and connector concepts a ``connects_to`` rule joins to ``cls``, either way."""
+        return self._linked.get(cls, ())
 
 
 @dataclass

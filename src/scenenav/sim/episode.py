@@ -52,7 +52,8 @@ _RING_RADIUS = 38.0
 class EpisodeSpec:
     """One episode.  ``goal_hosts`` and ``shortest_hops`` are computed on
     first read and kept, so every agent that runs the spec shares them; the
-    scene must not change once they are read."""
+    scene must not change once they are read.  ``build_episodes`` computes
+    both while it draws the spec and hands them over as already read."""
 
     scene: GroundTruthScene
     start: str
@@ -101,11 +102,16 @@ class ActResult:
     ok: bool
 
 
-def _ring_bbox(index: int, total: int) -> tuple[float, float, float, float]:
-    angle = 2.0 * math.pi * index / max(total, 1)
-    cx = _RING_CENTER + _RING_RADIUS * math.cos(angle)
-    cy = _RING_CENTER + _RING_RADIUS * math.sin(angle)
-    return (cx - _BOX / 2.0, cy - _BOX / 2.0, _BOX, _BOX)
+@functools.lru_cache(maxsize=64)
+def _ring(total: int) -> tuple[tuple[float, float, float, float], ...]:
+    """The boxes of a frame's ``total`` detections, evenly spaced on the ring."""
+    boxes = []
+    for index in range(total):
+        angle = 2.0 * math.pi * index / total
+        cx = _RING_CENTER + _RING_RADIUS * math.cos(angle)
+        cy = _RING_CENTER + _RING_RADIUS * math.sin(angle)
+        boxes.append((cx - _BOX / 2.0, cy - _BOX / 2.0, _BOX, _BOX))
+    return tuple(boxes)
 
 
 def observe(
@@ -138,8 +144,8 @@ def observe(
         label = noise.observe_label(conn.label, rng)
         raw.append((label, "", f"gt:conn:{conn.id}"))
     detections = tuple(
-        Detection(label=label, desc=desc, bbox=_ring_bbox(i, len(raw)), image_ref=ref)
-        for i, (label, desc, ref) in enumerate(raw)
+        Detection(label=label, desc=desc, bbox=bbox, image_ref=ref)
+        for (label, desc, ref), bbox in zip(raw, _ring(len(raw)))
     )
     return DetectionFrame(
         frame_id=frame_id,

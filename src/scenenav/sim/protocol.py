@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..oracle.tables import default_tables
 from .episode import EpisodeSpec
 from .scene import GroundTruthScene, generate_home_scene
 
@@ -52,7 +53,8 @@ def build_episodes(
     fabric is a "white fabric sink".  A start avoids the places holding such
     an object, and the horizon counts hops to the nearest of them.  A scene
     with no objects at all, or a drawn goal that cannot be reached from the
-    drawn start, raises ``ValueError``.
+    drawn start, raises ``ValueError``.  Each spec comes with its goal hosts
+    and shortest hop count, scanned once per drawn goal and home.
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
@@ -64,11 +66,13 @@ def build_episodes(
             for seed in seeds
         ]
     specs: list[EpisodeSpec] = []
+    tests = {goal: default_tables().goal_test(goal) for goal in protocol.goals}
     for name, world in scenes:
-        labels = sorted(set(world.object_labels()))
-        found = {goal: world.hosts(goal) for goal in protocol.goals}
-        usable = [goal for goal in protocol.goals if found[goal]]
+        objects = [(o.label, o.desc) for place in world.places.values() for o in place.objects]
+        # whether some object satisfies a goal; the hosts wait for its first draw
+        usable = [goal for goal in protocol.goals if any(tests[goal](*obj) for obj in objects)]
         if not usable:
+            labels = sorted(set(world.object_labels()))
             if not labels:
                 raise ValueError(f"scene {world.env_label!r} holds no objects to search for")
             goals = ", ".join(map(repr, protocol.goals))
@@ -76,9 +80,12 @@ def build_episodes(
                   f"searching for every object label instead", file=sys.stderr)
             usable = labels
         places = list(world.places)
+        hosts_of: dict[str, tuple[str, ...]] = {}
         for _ in range(protocol.episodes_per_scene):
             goal = usable[int(rng.integers(len(usable)))]
-            hosts = found.get(goal) or world.hosts(goal)
+            hosts = hosts_of.get(goal)
+            if hosts is None:
+                hosts = hosts_of[goal] = tuple(world.hosts(goal))
             start = places[0]
             for _ in range(30):
                 start = places[int(rng.integers(len(places)))]
@@ -93,13 +100,11 @@ def build_episodes(
             horizon = int(
                 protocol.horizon_factor * max(shortest, 1) + protocol.horizon_slack
             )
-            specs.append(
-                EpisodeSpec(
-                    scene=world,
-                    start=start,
-                    goal=goal,
-                    horizon=horizon,
-                    seed=int(rng.integers(1 << 31)),
-                )
+            spec = EpisodeSpec(
+                scene=world, start=start, goal=goal, horizon=horizon,
+                seed=int(rng.integers(1 << 31)),
             )
+            # the spec's answers are known already: set them as read, for every agent
+            vars(spec).update(goal_hosts=hosts, shortest_hops=shortest)
+            specs.append(spec)
     return specs

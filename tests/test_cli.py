@@ -22,6 +22,8 @@ HOME = "src/scenenav/assets/schemas/home.json"
 # SHA-256 of metrics CSVs recorded before the simulator's BFS, episode builder
 # and noise table were each reduced to one implementation
 FIXED_RUN_SHA256 = "915d33c82476f92592079c0892820180042b8568d7f32442850592a9d1943cca"
+# the same run with --noiseless
+FIXED_NOISELESS_RUN_SHA256 = "5156264fe742a483ebfa1bf563eb168b184c03fa352eba606bc5d88a75ccfbc6"
 SCENE_RUN_SHA256 = {
     "noise": "41a15e49d1064c4192ffd69afd33e7777acb2df1a2b192a0af7b8211ff0b7689",
     "absent-goal": "fcdcc59f36c2b20464ac4f31567395f506a2922c4c2112a85a06dde7bc4988d7",
@@ -208,6 +210,24 @@ class TestMap:
         assert not out.exists()
         err = capsys.readouterr().err.strip()
         assert "'Object' is not a place concept" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("field,needle", [
+        ("detection", "blank detection label '   '"),
+        ("place", "blank place label '  '"),
+    ])
+    def test_blank_label_rejected(self, tmp_path, home_path, capsys, field, needle):
+        frame = self._first_frame()
+        if field == "detection":
+            frame["detections"][0]["label"] = "   "
+        else:
+            frame["place_label_answer"] = "  "
+        log = tmp_path / "traj.jsonl"
+        log.write_text(json.dumps(frame) + "\n")
+        out = tmp_path / "graph.json"
+        assert main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
 
     def test_valid_schema_that_does_not_fit_the_frames_rejected(self, tmp_path, capsys):
         # a place concept with no has rule passes verify-schema, but a frame
@@ -416,6 +436,15 @@ class TestRun:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_RUN_SHA256
         # every generated home holds some protocol goal: no fallback line
         assert "every object label" not in capsys.readouterr().err
+
+    def test_fixed_noiseless_run_csv_golden(self, tmp_path, home_path):
+        out = tmp_path / "fixed.csv"
+        code = main([
+            "run", "--schema", home_path, "--scenes", "20", "--episodes", "200",
+            "--baseline", "--noiseless", "--out", str(out),
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_NOISELESS_RUN_SHA256
 
     @pytest.mark.parametrize("case,extra", [
         ("noise", ["--recall", "0.8", "--synonym", "0.25", "--confusion", "0.3"]),

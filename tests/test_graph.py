@@ -212,6 +212,8 @@ def _tampered_fixture(graph, what):
         graph._rows[doors[0]] = (doors[0], "door", "")
     elif what == "place count":
         graph._place_counts[doors[1]] = 0
+    elif what == "class index":
+        graph._cls[rooms[1]] = "Corridor"
     else:
         del graph._adj[rooms[2]][doors[1]]
     return validate_graph(graph)
@@ -222,6 +224,7 @@ def _tampered_fixture(graph, what):
     ("region row", "candidate row ('floor_1', 'floor', '')"),
     ("connector row", "candidate row ('door_1', 'door', '')"),
     ("place count", "the connector place counts"),
+    ("class index", "the node class index"),
     ("adjacency", "the connectivity adjacency"),
 ])
 def test_validate_graph_reports_a_tampered_view(graph, what, needle):
@@ -541,7 +544,7 @@ def test_import_binds_edges_by_document_id_only(home, case):
     assert repr(bad) in str(info.value)
 
 
-@pytest.mark.parametrize("weight", [10.0, 0.5, 0, "1"])
+@pytest.mark.parametrize("weight", [10.0, 0.5, 0, "1", True])
 def test_import_rejects_a_non_unit_weight(graph, weight):
     import json
 
@@ -619,9 +622,10 @@ def test_import_rejects_an_unknown_edge_kind(graph):
     ("edges", 0, "kind", ["connects_to"], "non-string 'kind'"),
     (None, None, "nodes", "abc", "'nodes' is a JSON list, not 'abc'"),
     (None, None, "edges", {"src": "a"}, "'edges' is a JSON list, not"),
+    ("nodes", 0, "layer", 7, "puts a Room at layer 7, not at its schema layer 2"),
 ], ids=["node-id-list", "node-cls-list", "node-label-number", "node-desc-number",
         "node-image-ref-number", "node-aliases-number", "node-aliases-mixed", "edge-src-list",
-        "edge-dst-number", "edge-kind-list", "nodes-string", "edges-object"])
+        "edge-dst-number", "edge-kind-list", "nodes-string", "edges-object", "node-layer-other"])
 def test_import_rejects_a_wrongly_typed_field(graph, section, index, key, value, needle):
     import json
 
@@ -632,6 +636,21 @@ def test_import_rejects_a_wrongly_typed_field(graph, section, index, key, value,
     with pytest.raises(GraphCorruptionError, match=re.escape(needle)) as info:
         import_graph(json.dumps(raw), graph.schema)
     assert repr(entry if section is not None else value) in str(info.value)
+
+
+def test_import_rejects_a_boolean_layer(graph):
+    import json
+
+    rooms, _ = _home_fixture(graph)
+    sofa = graph.add_node(ObjectNode(label="sofa"))
+    graph.add_edge(rooms[0], sofa, EdgeKind.HAS)
+    raw = json.loads(graph.export())
+    entry = next(e for e in raw["nodes"] if e["id"] == sofa)
+    assert entry["layer"] == 1
+    entry["layer"] = True
+    with pytest.raises(GraphCorruptionError, match="at layer True") as info:
+        import_graph(json.dumps(raw), graph.schema)
+    assert repr(entry) in str(info.value)
 
 
 def test_connector_place_counts_ignore_connector_neighbours():

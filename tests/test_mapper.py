@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from scenenav.graph import ObjectNode, PlaceNode, SceneGraph, validate_graph
@@ -97,6 +99,16 @@ class TestParseFrame:
     def test_unknown_place_type_rejected(self, home, oracle, config):
         with pytest.raises(FrameError):
             parse_frame(frame(0, cls="Aisle"), home, oracle, config)
+
+    @pytest.mark.parametrize("label", ["", "   ", "\t"])
+    def test_blank_detection_label_rejected(self, home, oracle, config, label):
+        with pytest.raises(FrameError, match=re.escape(f"frame 0: blank detection label {label!r}")):
+            parse_frame(frame(0, dets=[det("bed"), det(label)]), home, oracle, config)
+
+    @pytest.mark.parametrize("label", ["", "  "])
+    def test_blank_place_label_rejected(self, home, oracle, config, label):
+        with pytest.raises(FrameError, match=re.escape(f"frame 0: blank place label {label!r}")):
+            parse_frame(frame(0, label=label, dets=[det("bed")]), home, oracle, config)
 
 
 class TestEstimateState:

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -328,6 +329,88 @@ def test_goal_match_alternating_goals_answers_as_a_fresh_test(oracle):
         )
 
 
+def test_memoised_goal_match_answers_as_a_fresh_test_on_the_fixed_run_homes():
+    from scenenav.oracle.rules import _LABEL_MEMO_SIZE, _MATCH_MEMO_SIZE
+    from scenenav.sim.protocol import GOAL_CATEGORIES, BenchmarkProtocol
+
+    protocol = BenchmarkProtocol()
+    seeds = range(protocol.scene_seed, protocol.scene_seed + protocol.num_scenes)
+    homes = [generate_home_scene(np.random.default_rng(seed)) for seed in seeds]
+    objects = sorted({(obj.label, obj.desc) for home in homes
+                      for place in home.places.values() for obj in place.objects})
+    objects += [(f"{label}_3", desc) for label, desc in objects[::5]]
+    synonyms = ["couch", "settee", "refrigerator", "television", "closet", "tub", "houseplant"]
+    described = sorted({f"{desc} {label}" for label, desc in objects[::11]}
+                       | {f"{desc.split()[0]} {label}" for label, desc in objects[::13]})
+    goals = list(GOAL_CATEGORIES) + synonyms + described
+    oracle = RuleOracle()
+    hits = 0
+    for _ in range(2):  # the second pass answers from the memos
+        for goal in goals:
+            is_goal = default_tables().goal_test(goal)
+            for obj in objects:
+                expected = is_goal(*obj)
+                assert (oracle.goal_match([obj], goal) == obj) is expected, (goal, obj)
+                hits += expected
+        assert len(oracle._goal_hits) <= _LABEL_MEMO_SIZE
+        assert len(oracle._goal_tests) <= _MATCH_MEMO_SIZE
+    assert 0 < hits < len(goals) * len(objects)
+
+
+@pytest.mark.parametrize("label", ["sofa_2", "sofa", " sofa ", "sofa_", "a_b", "bed_12 ",
+                                   "_3", "x__4", "dining table_7", "", " _1"])
+def test_strip_suffix_equals_the_regex_on_every_label(label):
+    assert strip_suffix(label) == rules.strip_suffix(label) == re.sub(r"_\d+$", "", label).strip()
+
+
+def _scanned_crossing(tables, schema, region_cls, via_label):
+    """The rule oracle's region-boundary test as it once scanned every concept (reference)."""
+    from scenenav.schema import ConceptKind, EdgeKind
+
+    base = strip_suffix(via_label)
+    region = schema.concepts.get(region_cls)
+    if region is None:
+        return False
+    for concept in schema.concepts.values():
+        if concept.kind not in (ConceptKind.PLACE, ConceptKind.CONNECTOR):
+            continue
+        name = concept.name.lower()
+        if not (tables.canonical(name) == tables.canonical(base) or name == base.lower()):
+            continue
+        linked = any(
+            (resolved := schema.resolve(t)) is not None and resolved.name == region_cls
+            for t in concept.targets(EdgeKind.CONNECTS_TO)
+        )
+        linked_back = any(
+            (resolved := schema.resolve(t)) is not None and resolved.name == concept.name
+            for t in region.targets(EdgeKind.CONNECTS_TO)
+        )
+        if linked or linked_back:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("name", ["home", "studio", "supermarket", "office", "mall",
+                                  "apartment", "hospital", "airport"])
+def test_region_boundary_answers_as_the_full_concept_scan(name):
+    schema = builtin_schema(name)
+    oracle = RuleOracle()
+    names = list(schema.concepts)
+    labels = names + [f"{n.lower()}_2" for n in names] + [
+        "doorway_4", "staircase", "Stairway_1", "hall_2", "elevator", "sofa_1", "", "  "]
+    crossings = 0
+    for region_cls in names + ["Nowhere"]:
+        for label in labels:
+            want = _scanned_crossing(oracle.tables, schema, region_cls, label)
+            # a known previous region is kept unless the traversal crosses a boundary
+            choice = oracle.infer_region(schema, region_cls, [("r_1", "r")], ("p_2", "p"),
+                                         ("p_1", "p"), previous_region="r_1", via_label=label)
+            assert choice.is_new is want, (region_cls, label)
+            crossings += want
+    if name in ("home", "office", "mall"):  # a Floor linked to its stairs or escalators
+        assert crossings > 0
+
+
 _label = st.sampled_from(
     ["bed", "sofa", "lamp", "mirror", "door", "sink", "chair", "table", "vase", "plant"]
 )
@@ -572,12 +655,13 @@ def test_an_oracle_that_answered_every_decision_is_freed_by_reference_count(home
     oracle.match_place(a, b)
     oracle.classify_elements(["bedroom_0", "door_1", "bed_2"], home)
     oracle.match_object(("bed", "", a), [("bed_1", "bed", "", b)])
-    oracle.infer_region(home, "Floor", [("floor_0", "Floor")], ("bedroom_0", "bedroom"), None)
+    oracle.infer_region(home, "Floor", [("floor_0", "Floor")], ("bedroom_0", "bedroom"), None,
+                        via_label="stairs_3")
     oracle.select_region([("bedroom_1", "bedroom", "bed, sink")], "sink")
     oracle.select_object([("bed_1", "bed", "")], "bed")
     oracle.goal_match([("bed_2", "")], "bed")
     memos = (oracle._canon, oracle._weights, oracle._summaries, oracle._bags,
-             oracle._matches, oracle._elements, oracle._goal_tests)
+             oracle._matches, oracle._elements, oracle._goal_tests, oracle._goal_hits)
     assert all(memos)
     ref = weakref.ref(oracle)
     gc.disable()  # only reference counting may free it

@@ -223,10 +223,19 @@ NEAR_PLACE_DOC = {
     "Object": {"layer_id": 1},
 }
 COMPILED_CASES = LISTINGS + ["plural", "no-object", "near-place"]
+# two region concepts of one layer contain the same place: the first in
+# document order is its region
+TWIN_REGION_DOC = {
+    "Room": {"layer_type": "Place", "layer_id": 2, "has": ["Object"]},
+    "Wing": {"layer_type": "Region", "layer_id": 3, "contains": ["Rooms"]},
+    "Floor": {"layer_type": "Region", "layer_id": 3, "contains": ["Room"]},
+    "Object": {"layer_id": 1},
+}
 
 
 def _case_schema(name):
-    docs = {"plural": PLURAL_DOC, "no-object": NO_OBJECT_DOC, "near-place": NEAR_PLACE_DOC}
+    docs = {"plural": PLURAL_DOC, "no-object": NO_OBJECT_DOC, "near-place": NEAR_PLACE_DOC,
+            "twin-region": TWIN_REGION_DOC}
     return parse_schema(json.dumps(docs[name])) if name in docs else builtin_schema(name)
 
 
@@ -289,6 +298,76 @@ def test_compiled_groups_equal_a_scan(name):
     assert schema.object_concept is (roles[0] if roles else None)
     for target in ["Nowhere", "Objects", "Rooms", "Halls", "Floor", "Stair", "s", ""]:
         assert schema.resolve(target) is _walked_resolve(schema, target)
+
+
+def _scanned_region_layers(schema):
+    """The region layers as the mapper once sorted them for every new place (reference)."""
+    return sorted({c.layer_id for c in schema.by_kind(ConceptKind.REGION)})
+
+
+def _scanned_region_for(schema, layer, child_cls):
+    """The region class of a child as the mapper once scanned for it (reference)."""
+    for concept in schema.by_kind(ConceptKind.REGION):
+        if concept.layer_id != layer:
+            continue
+        for target in concept.targets(EdgeKind.CONTAINS):
+            resolved = schema.resolve(target)
+            if resolved is not None and resolved.name == child_cls:
+                return concept.name
+    return None
+
+
+def _scanned_links(schema, region_cls):
+    """The concepts the rule oracle once scanned for a region boundary (reference)."""
+    region = schema.concepts.get(region_cls)
+    if region is None:
+        return set()
+    linked = set()
+    for concept in schema.concepts.values():
+        if concept.kind not in (ConceptKind.PLACE, ConceptKind.CONNECTOR):
+            continue
+        to_region = any(
+            (resolved := schema.resolve(t)) is not None and resolved.name == region_cls
+            for t in concept.targets(EdgeKind.CONNECTS_TO)
+        )
+        from_region = any(
+            (resolved := schema.resolve(t)) is not None and resolved.name == concept.name
+            for t in region.targets(EdgeKind.CONNECTS_TO)
+        )
+        if to_region or from_region:
+            linked.add(concept.name)
+    return linked
+
+
+@pytest.mark.parametrize("name", COMPILED_CASES + ["twin-region"])
+def test_compiled_region_tables_equal_the_old_scans(name):
+    schema = _case_schema(name)
+    if name == "twin-region":
+        assert schema.region_for(3, "Room") == "Wing"
+    assert list(schema.region_layers) == _scanned_region_layers(schema)
+    classes = list(schema.concepts) + ["Nowhere", "", "Objects", "Rooms", "room"]
+    layers = sorted({c.layer_id for c in schema.concepts.values()} | {0, 9})
+    for layer in layers:
+        for child in classes:
+            assert schema.region_for(layer, child) == _scanned_region_for(schema, layer, child)
+    for cls in classes:
+        linked = schema.linked_locations(cls)
+        assert len(set(linked)) == len(linked)
+        assert set(linked) == _scanned_links(schema, cls), cls
+
+
+def test_compiled_region_tables_are_not_empty_on_the_shipped_schemas():
+    # the comparison above is not vacuous: some listing has every kind of answer
+    answers = {"layers": 0, "regions": 0, "links": 0}
+    for name in LISTINGS:
+        schema = builtin_schema(name)
+        answers["layers"] += len(schema.region_layers)
+        answers["regions"] += sum(
+            schema.region_for(layer, child) is not None
+            for layer in schema.region_layers for child in schema.concepts
+        )
+        answers["links"] += sum(len(schema.linked_locations(c)) for c in schema.concepts)
+    assert all(answers.values()), answers
 
 
 def test_parser_and_schema_resolve_plurals_alike():

@@ -30,7 +30,7 @@ from scenenav.sim import (
     validate_scene,
     walk_to_frames,
 )
-from scenenav.sim.protocol import BenchmarkProtocol, build_episodes
+from scenenav.sim.protocol import GOAL_CATEGORIES, BenchmarkProtocol, build_episodes
 from scenenav.sim.scene import AISLE_POOLS, COLORS, MATERIALS, ROOM_POOLS
 
 
@@ -155,6 +155,26 @@ class TestObserve:
         obs = parse_frame(frame, home, RuleOracle(), MapperConfig())
         n = len(obs.objects) + len(obs.connectors)
         assert len(obs.near_pairs) == n * (n - 1) // 2
+
+    def test_ring_boxes_are_the_per_slot_formula(self):
+        # each frame size reads its boxes from one table; the boxes are those
+        # the per-detection formula gives (reference)
+        import math
+
+        def slot(index, total):
+            angle = 2.0 * math.pi * index / max(total, 1)
+            cx = 400.0 + 38.0 * math.cos(angle)
+            cy = 400.0 + 38.0 * math.sin(angle)
+            return (cx - 11.0, cy - 11.0, 22.0, 22.0)
+
+        scene = GroundTruthScene(env_label="home")
+        for n in range(1, 12):
+            pid = f"room_{n}"
+            scene.places[pid] = ScenePlace(pid, "Room", "den", [SceneObject(f"o{i}")
+                                                                for i in range(n)])
+            for _ in range(2):
+                frame = observe(scene, pid, noiseless(), np.random.default_rng(0))
+                assert [d.bbox for d in frame.detections] == [slot(i, n) for i in range(n)]
 
     def test_detection_anchors_are_stable(self):
         scene = small_scene()
@@ -436,6 +456,42 @@ def test_every_agent_reads_the_goal_hosts_the_spec_computed_once(home, monkeypat
     assert calls == ["sink"]
     assert spec.goal_hosts == ("kitchen_3",) and spec.shortest_hops == 2
     assert all(r.shortest_hops == 2 for r in results)
+
+    # the draw scans each (home, goal) it draws once and hands the answers to
+    # its specs: no agent scans again
+    scanned = []
+    monkeypatch.setattr(GroundTruthScene, "hosts",
+                        lambda self, goal: scanned.append((id(self), goal)) or hosts(self, goal))
+    specs = build_episodes(BenchmarkProtocol(num_scenes=2, episodes_per_scene=6))
+    assert sorted(scanned) == sorted({(id(s.scene), s.goal) for s in specs})
+    assert len(scanned) < len(specs)  # some home draws a goal twice
+    scanned.clear()
+    for spec in specs:
+        run_episode(spec, home, RuleOracle())
+        baseline_random(spec)
+        baseline_greedy_frontier(spec)
+    assert scanned == []
+
+
+def test_every_fixed_protocol_spec_holds_fresh_answers():
+    specs = build_episodes(BenchmarkProtocol())
+    assert len(specs) == 200
+    homes = {id(spec.scene): spec.scene for spec in specs}
+    for spec in specs:
+        # handed over by the draw, not computed on this read
+        assert {"goal_hosts", "shortest_hops"} <= vars(spec).keys()
+        hosts = spec.scene.hosts(spec.goal)
+        assert spec.goal_hosts == tuple(hosts)
+        assert spec.shortest_hops == spec.scene.shortest_hops(spec.start, hosts)
+    # a home draws exactly the protocol goals it hosts
+    for scene in homes.values():
+        drawn = {spec.goal for spec in specs if spec.scene is scene}
+        assert drawn <= {goal for goal in GOAL_CATEGORIES if scene.hosts(goal)}
+    # a spec built elsewhere computes its answers on first read
+    spec = EpisodeSpec(scene=specs[0].scene, start=specs[0].start, goal=specs[0].goal,
+                       horizon=5)
+    assert "goal_hosts" not in vars(spec)
+    assert (spec.goal_hosts, spec.shortest_hops) == (specs[0].goal_hosts, specs[0].shortest_hops)
 
 
 def test_oracle_and_simulator_agree_on_goals():
