@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import logging
-import math
 import os
 import sys
 import tempfile
@@ -118,11 +117,6 @@ def cmd_gen_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
-    for flag, value in (("--beta-pix", args.beta_pix), ("--beta-iou", args.beta_iou),
-                        ("--min-obj-area", args.min_obj_area)):
-        if not (math.isfinite(value) and value >= 0):
-            print(f"{flag} must be a finite number of at least 0, got {value}", file=sys.stderr)
-            return EXIT_INVALID
     try:
         schema = load_schema_file(args.schema)
         log_text = _read(args.log)
@@ -143,9 +137,7 @@ def cmd_map(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     oracle = RuleOracle()
     state = MapperState(graph=SceneGraph(schema))
-    config = MapperConfig(
-        beta_pix=args.beta_pix, beta_iou=args.beta_iou, min_obj_area=args.min_obj_area
-    )
+    config = MapperConfig()
     for frame in frames:
         before = state.current_place
         try:
@@ -233,12 +225,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not all(goals):
         print(f"--goal entries must not be empty, got {args.goal!r}", file=sys.stderr)
         return EXIT_INVALID
-    if min(args.horizon_factor, args.horizon_slack) < 0 or not (
-        args.horizon_factor or args.horizon_slack
-    ):
-        print(f"--horizon-factor and --horizon-slack must be at least 0 and not both 0, "
-              f"got {args.horizon_factor} and {args.horizon_slack}", file=sys.stderr)
-        return EXIT_INVALID
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir):
         print(f"--out {args.out!r}: no directory {out_dir!r} to write it in", file=sys.stderr)
@@ -255,14 +241,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not report.valid:
         print(f"invalid schema: {report.text('; ')}", file=sys.stderr)
         return EXIT_INVALID
-    if args.noiseless:
-        noise = noiseless()
-    else:
-        try:
-            noise = default_noise(args.recall, args.synonym, args.confusion)
-        except ValueError as exc:
-            print(f"invalid noise setting: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+    noise = noiseless() if args.noiseless else default_noise()
     scene = None
     if args.scene:
         try:
@@ -285,8 +264,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         episodes_per_scene=per_scene,
         scene_seed=args.scene_seed,
         episode_seed=args.seed,
-        horizon_factor=args.horizon_factor,
-        horizon_slack=args.horizon_slack,
         goals=tuple(goals),
     )
     try:
@@ -395,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["structured", "dot"], default="structured")
-    p.add_argument("--beta-pix", type=float, default=100.0)
-    p.add_argument("--beta-iou", type=float, default=0.1)
-    p.add_argument("--min-obj-area", type=float, default=200.0)
     p.set_defaults(func=cmd_map)
 
     p = sub.add_parser("run", help="evaluate episodes and write a metrics CSV")
@@ -412,12 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=0,
                    help="enable the topology filter with this many particles (0: off)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--recall", type=float, default=0.9)
-    p.add_argument("--synonym", type=float, default=0.1)
-    p.add_argument("--confusion", type=float, default=0.1)
     p.add_argument("--noiseless", action="store_true")
-    p.add_argument("--horizon-factor", type=int, default=2)
-    p.add_argument("--horizon-slack", type=int, default=4)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_run)
     return parser

@@ -115,7 +115,8 @@ class ObjectFeatures:
 
 
 # the edge kind whose targets make up a node's maintained summary
-_SUMMARY_EDGE = {ConceptKind.PLACE: EdgeKind.HAS, ConceptKind.REGION: EdgeKind.CONTAINS}
+_SUMMARY_EDGE = {ConceptKind.PLACE: EdgeKind.HAS, ConceptKind.REGION: EdgeKind.CONTAINS,
+                 ConceptKind.CONNECTOR: EdgeKind.IS_NEAR}
 # the kinds stored both ways, with the name an audit gives their edges
 _SYMMETRIC = {EdgeKind.CONNECTS_TO: "connectivity", EdgeKind.IS_NEAR: "proximity"}
 
@@ -139,26 +140,24 @@ class SceneGraph:
 
     The derived views are maintained on write, not rebuilt on read: the
     place/connector adjacency, the node lists per concept kind and
-    per layer, each place's and region's candidate row (``candidate_rows``:
-    id, label and ``summary``, replaced by each ``HAS`` or ``CONTAINS``
-    insert from it), each connector's count of place-side neighbours
-    (``connector_place_counts``), each node's class and ``(label, desc)``
-    pair and the ``image_ref`` -> node index.  Nodes and edges are never
-    removed, and a node's kind, class and label never change after
+    per layer, each place's, region's and connector's candidate row
+    (``candidate_rows``: id, label and ``summary``, replaced by each ``HAS``,
+    ``CONTAINS`` or ``IS_NEAR`` insert from it; an object is never a
+    candidate and keeps no row), each connector's count of place-side
+    neighbours (``connector_place_counts``), each node's class and ``(label,
+    desc)`` pair and the ``image_ref`` -> node index.  Nodes and edges are
+    never removed, and a node's kind, class and label never change after
     ``add_node``.  A leaf's ``desc`` and ``image_ref`` change only through
     ``set_leaf``, never by assignment.
 
-    Three views are kept on read instead.  ``object_features`` of objects,
+    Two views are kept on read instead.  ``object_features`` of objects,
     connectors and places reads the node's own out-list and is memoised per
     node; an entry is dropped when an ``IS_NEAR`` or ``HAS`` edge from the
-    node is stored or ``set_leaf`` changes a neighbour's ``desc``.  A
-    connector's candidate row is built from its memoised features on its
-    first read and dropped with them when an ``IS_NEAR`` edge is stored;
-    ``set_leaf`` changes no label, so it keeps the row.  An object is never
-    a candidate and keeps no row.  ``hop_tree`` keeps one breadth-first
-    tree, for the latest ``(version, source)``.  ``connectivity_subgraph()``,
-    ``connector_place_counts()``, ``out_targets``, the features, the rows
-    and the tree are the graph's own objects: read them, never modify them.
+    node is stored or ``set_leaf`` changes a neighbour's ``desc``.
+    ``hop_tree`` keeps one breadth-first tree, for the latest ``(version,
+    source)``.  ``connectivity_subgraph()``, ``connector_place_counts()``,
+    ``out_targets``, the features, the rows and the tree are the graph's own
+    objects: read them, never modify them.
     """
 
     def __init__(self, schema: Schema):
@@ -331,13 +330,10 @@ class SceneGraph:
             self._adj[src][dst] = 1.0
             if src in self._place_counts and isinstance(self._nodes[dst], PlaceNode):
                 self._place_counts[src] += 1
-        # a node's features, and a connector's row, read its own out-list only
+        # a node's features read its own out-list only
         if kind is EdgeKind.IS_NEAR or kind is EdgeKind.HAS:
             self._features.pop(src, None)
-        if kind is EdgeKind.IS_NEAR:
-            if self._nodes[src].kind is ConceptKind.CONNECTOR:
-                self._rows.pop(src, None)
-        elif kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
+        if kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
             _, name, summary = self._rows[src]
             label = self._nodes[dst].label
             self._rows[src] = (src, name, f"{summary}, {label}" if len(targets) > 1 else label)
@@ -394,11 +390,10 @@ class SceneGraph:
     def summary(self, node_id: str) -> str:
         """Labels of a node's contents, joined with ``", "``.
 
-        A place's contents are its ``HAS`` targets and a region's its
-        ``CONTAINS`` children, in edge insertion order.  A connector's or
-        object's are its ``IS_NEAR`` neighbours, as its memoised
-        ``object_features`` orders them.  It is the last field of the node's
-        candidate row.
+        A place's contents are its ``HAS`` targets, a region's its
+        ``CONTAINS`` children and a connector's or object's its ``IS_NEAR``
+        neighbours, in edge insertion order.  It is the last field of the
+        node's candidate row.
         """
         return (self._rows.get(node_id) or self._leaf_row(node_id))[2]
 
@@ -413,10 +408,7 @@ class SceneGraph:
 
     def _leaf_row(self, node_id: str) -> tuple[str, str, str]:
         node = self.node(node_id)
-        row = (node_id, node.label, ", ".join(self.object_features(node_id).labels()))
-        if node.kind is ConceptKind.CONNECTOR:
-            self._rows[node_id] = row
-        return row
+        return (node_id, node.label, ", ".join(self.object_features(node_id).labels()))
 
     def connector_place_counts(self) -> dict[str, int]:
         """Connector id -> number of places it ``CONNECTS_TO``, in node insertion order.
@@ -743,7 +735,7 @@ class _Classes(dict):
 
 
 def _rebuilt_summary(graph: SceneGraph, node: Node) -> str:
-    contents = graph.out_targets(node.id, _SUMMARY_EDGE.get(node.kind, EdgeKind.IS_NEAR))
+    contents = graph.out_targets(node.id, _SUMMARY_EDGE[node.kind])
     by_id = graph._nodes
     return ", ".join([by_id[c].label for c in contents])
 

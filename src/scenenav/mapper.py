@@ -13,6 +13,7 @@ association.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .graph import (
@@ -43,6 +44,14 @@ __all__ = [
     "frames_to_jsonl",
     "frames_from_jsonl",
 ]
+
+
+# a detection smaller than MIN_OBJ_AREA square pixels is dropped; two kept
+# ones are near when their centroids lie closer than BETA_PIX pixels or their
+# boxes overlap by more than BETA_IOU
+MIN_OBJ_AREA = 200.0
+BETA_PIX = 100.0
+BETA_IOU = 0.1
 
 
 class FrameError(ValueError):
@@ -91,9 +100,6 @@ class ParsedObservation:
 
 @dataclass(frozen=True)
 class MapperConfig:
-    beta_pix: float = 100.0
-    beta_iou: float = 0.1
-    min_obj_area: float = 200.0
     goal: str | None = None
 
 
@@ -142,7 +148,7 @@ def parse_frame(
         if min(det.bbox) < 0:
             raise FrameError(f"frame {frame.frame_id}: negative bbox coordinate")
 
-    kept = [d for d in frame.detections if d.area >= config.min_obj_area]
+    kept = [d for d in frame.detections if d.area >= MIN_OBJ_AREA]
     tagged = [f"{d.label}_{i}" for i, d in enumerate(kept)]
     classified = oracle.classify_elements(tagged, schema)
 
@@ -156,15 +162,13 @@ def parse_frame(
     object_dets = _resolve(classified.objects)
     connector_dets = _resolve(classified.connectors)
     ordered = object_dets + connector_dets
-    # a pair is near when its centroids are closer than beta_pix or its boxes
-    # overlap by more than beta_iou
     centroids = [d.centroid for d in ordered]
     near_pairs = []
     for i, (ax, ay) in enumerate(centroids):
         for j in range(i + 1, len(ordered)):
             bx, by = centroids[j]
-            if (((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5 < config.beta_pix
-                    or _iou(ordered[i], ordered[j]) > config.beta_iou):
+            if (((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5 < BETA_PIX
+                    or _iou(ordered[i], ordered[j]) > BETA_IOU):
                 near_pairs.append((i, j))
 
     goal_hit = None
@@ -541,13 +545,19 @@ def frames_to_jsonl(frames: list[DetectionFrame]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _finite_number(value: object) -> bool:
+    """A number that is a finite float: no bool, NaN, infinity (JSON's 1e999) or huge int."""
+    try:
+        return not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
 def _bbox(raw: object, frame_id: object) -> tuple[float, float, float, float]:
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 4
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-    ):
-        raise ValueError(f"frame {frame_id}: bbox must be 4 numbers (x, y, w, h), got {raw!r}")
+    if not isinstance(raw, (list, tuple)) or len(raw) != 4 or not all(map(_finite_number, raw)):
+        raise ValueError(
+            f"frame {frame_id}: bbox must be 4 finite numbers (x, y, w, h), got {raw!r}"
+        )
     return tuple(raw)
 
 

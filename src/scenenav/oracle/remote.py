@@ -101,25 +101,23 @@ class RemoteConfig:
             raise ValueError(f"{path}: {exc}") from None
 
     @classmethod
-    def from_env(cls, prefix: str = "SCENENAV") -> "RemoteConfig":
-        endpoint = os.environ.get(f"{prefix}_ENDPOINT")
-        model = os.environ.get(f"{prefix}_MODEL")
+    def from_env(cls) -> "RemoteConfig":
+        endpoint = os.environ.get("SCENENAV_ENDPOINT")
+        model = os.environ.get("SCENENAV_MODEL")
         if not endpoint or not model:
-            raise OracleError(
-                f"remote backend needs {prefix}_ENDPOINT and {prefix}_MODEL set"
-            )
+            raise OracleError("remote backend needs SCENENAV_ENDPOINT and SCENENAV_MODEL set")
 
         def number(name: str, default: str) -> float:
-            raw = os.environ.get(f"{prefix}_{name}", default)
+            raw = os.environ.get(f"SCENENAV_{name}", default)
             try:
                 return float(raw)
             except ValueError:
-                raise ValueError(f"{prefix}_{name}={raw!r} is not a number") from None
+                raise ValueError(f"SCENENAV_{name}={raw!r} is not a number") from None
 
         return cls(
             endpoint=endpoint,
             model=model,
-            api_key_env=os.environ.get(f"{prefix}_API_KEY_ENV", f"{prefix}_API_KEY"),
+            api_key_env=os.environ.get("SCENENAV_API_KEY_ENV", "SCENENAV_API_KEY"),
             temperature=number("TEMPERATURE", "0.3"),
             timeout=number("TIMEOUT", "30"),
         )

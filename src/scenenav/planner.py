@@ -9,12 +9,11 @@ proposal grounds that waypoint into a concrete leaf to steer toward.
 
 Each query reads what the graph keeps rather than rebuilding it: the
 ``(id, label, summary)`` rows the oracle sees (``SceneGraph.candidate_rows``;
-a place's and region's are replaced on each ``HAS`` or ``CONTAINS`` insert,
-a connector's is built from its memoised nearby objects on its first read
-and dropped by any ``IS_NEAR`` insert that touches it), the frontier from each
-connector's count of place-side neighbours, and one breadth-first tree per
-graph version and source (``SceneGraph.hop_tree``), which gives both the hop
-order of the candidates and the route to the target.
+a place's, region's and connector's is replaced on each ``HAS``, ``CONTAINS``
+or ``IS_NEAR`` insert from it), the frontier from each connector's count of
+place-side neighbours, and one breadth-first tree per graph version and source
+(``SceneGraph.hop_tree``), which gives both the hop order of the candidates
+and the route to the target.
 """
 
 from __future__ import annotations

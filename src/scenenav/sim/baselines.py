@@ -32,14 +32,10 @@ def _goal_seen(
     return place in hosts and noise.detected(rng)
 
 
-def baseline_random(
-    spec: EpisodeSpec,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> EpisodeResult:
+def baseline_random(spec: EpisodeSpec, noise: NoiseModel | None = None) -> EpisodeResult:
     """Move to a uniformly random adjacent place each step."""
     noise = noise if noise is not None else noiseless()
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     hosts = spec.goal_hosts
     place = spec.start
     hops = 0
@@ -56,18 +52,14 @@ def baseline_random(
     return _finish(spec, place, hops, False)
 
 
-def baseline_greedy_frontier(
-    spec: EpisodeSpec,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> EpisodeResult:
+def baseline_greedy_frontier(spec: EpisodeSpec, noise: NoiseModel | None = None) -> EpisodeResult:
     """Always walk to the nearest place not yet visited.
 
     Routing stays inside known space: the sweep may only cross territory it
     has already covered, stepping one hop beyond it onto the frontier.
     """
     noise = noise if noise is not None else noiseless()
-    rng = rng if rng is not None else np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(spec.seed)
     hosts = spec.goal_hosts
     place = spec.start
     visited = {place}

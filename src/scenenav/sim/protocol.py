@@ -25,6 +25,10 @@ GOAL_CATEGORIES: list[str] = [
     "dining table", "bathtub", "wardrobe", "mirror", "plant", "guitar",
 ]
 
+# an episode's horizon in steps: HORIZON_FACTOR * max(shortest hops, 1) + HORIZON_SLACK
+HORIZON_FACTOR = 2
+HORIZON_SLACK = 4
+
 
 @dataclass(frozen=True)
 class BenchmarkProtocol:
@@ -32,8 +36,6 @@ class BenchmarkProtocol:
     episodes_per_scene: int = 10
     scene_seed: int = 2500
     episode_seed: int = 31337
-    horizon_factor: int = 2
-    horizon_slack: int = 4
     goals: tuple[str, ...] = tuple(GOAL_CATEGORIES)
 
 
@@ -51,10 +53,11 @@ def build_episodes(
     object satisfies a goal is the rule oracle's goal test, which scores
     success too: a sofa is a "couch", and only a sink described as white
     fabric is a "white fabric sink".  A start avoids the places holding such
-    an object, and the horizon counts hops to the nearest of them.  A scene
-    with no objects at all, or a drawn goal that cannot be reached from the
-    drawn start, raises ``ValueError``.  Each spec comes with its goal hosts
-    and shortest hop count, scanned once per drawn goal and home.
+    an object, and the horizon is ``2 * max(L, 1) + 4`` steps, ``L`` being the
+    hops to the nearest of them.  A scene with no objects at all, or a drawn
+    goal that cannot be reached from the drawn start, raises ``ValueError``.
+    Each spec comes with its goal hosts and shortest hop count, scanned once
+    per drawn goal and home.
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
@@ -97,9 +100,7 @@ def build_episodes(
                     f"scene {world.env_label!r}: goal {goal!r} cannot be reached "
                     f"from start {start!r}"
                 )
-            horizon = int(
-                protocol.horizon_factor * max(shortest, 1) + protocol.horizon_slack
-            )
+            horizon = int(HORIZON_FACTOR * max(shortest, 1) + HORIZON_SLACK)
             spec = EpisodeSpec(
                 scene=world, start=start, goal=goal, horizon=horizon,
                 seed=int(rng.integers(1 << 31)),

@@ -312,7 +312,7 @@ def scene_to_json(scene: GroundTruthScene) -> str:
 
 
 def scene_from_json(text: str) -> GroundTruthScene:
-    """Load a scene; malformed JSON or a missing key raises ``ValueError``."""
+    """Load a scene; malformed JSON, a missing key or a repeated id raises ``ValueError``."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError(f"a scene must be a JSON object, not {type(raw).__name__}")
@@ -349,10 +349,16 @@ def _texts(value: object, count: int | None = None) -> list[str]:
     return value
 
 
+def _add(table: dict, what: str, entry: ScenePlace | SceneConnector | SceneRegion) -> None:
+    if entry.id in table:
+        raise ValueError(f"repeated {what} id {entry.id!r}")
+    table[entry.id] = entry
+
+
 def _scene_from_dict(raw: dict) -> GroundTruthScene:
     scene = GroundTruthScene(env_label=_text(raw, "env_label"))
     for p in _entries(raw, "places"):
-        scene.places[_text(p, "id")] = ScenePlace(
+        _add(scene.places, "place", ScenePlace(
             id=_text(p, "id"),
             cls=_text(p, "cls"),
             label=_text(p, "label"),
@@ -360,16 +366,16 @@ def _scene_from_dict(raw: dict) -> GroundTruthScene:
                 SceneObject(label=_text(o, "label"), desc=_text(o, "desc", ""))
                 for o in _entries(p, "objects")
             ],
-        )
+        ))
     for c in _entries(raw, "connectors"):
-        scene.connectors[_text(c, "id")] = SceneConnector(
+        _add(scene.connectors, "connector", SceneConnector(
             id=_text(c, "id"), label=_text(c, "label"), endpoints=tuple(_texts(c["endpoints"], 2))
-        )
+        ))
     for r in _entries(raw, "regions"):
-        scene.regions[_text(r, "id")] = SceneRegion(
+        _add(scene.regions, "region", SceneRegion(
             id=_text(r, "id"), cls=_text(r, "cls"), label=_text(r, "label"),
             children=list(_texts(r["children"])),
-        )
+        ))
     links = raw.get("links", [])
     if not isinstance(links, list):
         raise TypeError("'links' must be a list")

@@ -1,12 +1,15 @@
+import argparse
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scenenav import cli
+from scenenav import cli, mapper
 from scenenav.cli import main
-from scenenav.mapper import frames_to_jsonl
+from scenenav.mapper import MapperConfig, frames_to_jsonl
 from scenenav.sim import (
     EpisodeResult,
     cover_walk,
@@ -16,6 +19,7 @@ from scenenav.sim import (
     scene_to_json,
     walk_to_frames,
 )
+from scenenav.sim.protocol import HORIZON_FACTOR, HORIZON_SLACK
 
 HOME = "src/scenenav/assets/schemas/home.json"
 
@@ -25,8 +29,9 @@ FIXED_RUN_SHA256 = "915d33c82476f92592079c0892820180042b8568d7f32442850592a9d194
 # the same run with --noiseless
 FIXED_NOISELESS_RUN_SHA256 = "5156264fe742a483ebfa1bf563eb168b184c03fa352eba606bc5d88a75ccfbc6"
 SCENE_RUN_SHA256 = {
-    "noise": "41a15e49d1064c4192ffd69afd33e7777acb2df1a2b192a0af7b8211ff0b7689",
+    "noise": "884c2dbd814bb64ba61a22535007976c847422e7d1bd395fff5e4fbedb6cce8a",
     "absent-goal": "fcdcc59f36c2b20464ac4f31567395f506a2922c4c2112a85a06dde7bc4988d7",
+    "noiseless": "18030420c7606d4a3225deb0ff883a81fbe0a7b44c8d990e924f0ee50ebec1ab",
 }
 
 
@@ -199,6 +204,21 @@ class TestMap:
         assert not out.exists()
         err = capsys.readouterr().err.strip()
         assert "bbox" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+                             ids=["nan", "infinity", "-infinity", "1e999", "huge-int"])
+    def test_bbox_not_finite_rejected(self, tmp_path, home_path, capsys, number):
+        # the JSON decoder reads these as floats (or an int no float holds); a
+        # non-finite box would silently drop the detection's proximity edges
+        frame = self._first_frame()
+        frame["detections"][0]["bbox"] = "BOX"
+        log = tmp_path / "traj.jsonl"
+        log.write_text(json.dumps(frame).replace('"BOX"', f"[{number}, 10, 30, 30]") + "\n")
+        out = tmp_path / "graph.json"
+        assert main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "frame 0: bbox must be 4 finite numbers" in err and len(err.splitlines()) == 1
 
     def test_frame_outside_schema_rejected(self, tmp_path, home_path, capsys):
         frame = self._first_frame()
@@ -447,9 +467,10 @@ class TestRun:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_NOISELESS_RUN_SHA256
 
     @pytest.mark.parametrize("case,extra", [
-        ("noise", ["--recall", "0.8", "--synonym", "0.25", "--confusion", "0.3"]),
+        ("noise", []),  # the default noise
         # no listed goal is in the scene: every object label becomes a goal
         ("absent-goal", ["--goal", "unicorn"]),
+        ("noiseless", ["--noiseless"]),
     ])
     def test_scene_file_run_csv_golden(self, tmp_path, home_path, capsys, case, extra):
         scene_path = tmp_path / "scene.json"
@@ -536,26 +557,9 @@ class TestRun:
         err = capsys.readouterr().err.strip()
         assert "--episodes" in err and "--scenes" in err and len(err.splitlines()) == 1
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--recall", "1.5"), ("--recall", "nan"), ("--synonym", "-0.1"),
-        ("--confusion", "1.2"), ("--confusion", "-0.5"),
-    ])
-    def test_noise_rate_outside_unit_interval_rejected(
-        self, tmp_path, home_path, capsys, flag, value
-    ):
-        out = tmp_path / "m.csv"
-        code = main([
-            "run", "--schema", home_path, "--scenes", "2", "--episodes", "2",
-            flag, value, "--out", str(out),
-        ])
-        assert code == 1
-        assert not out.exists()
-        err = capsys.readouterr().err.strip()
-        assert flag.lstrip("-") in err and len(err.splitlines()) == 1
-
 
 class TestFlagBounds:
-    """Out-of-range counts and thresholds end in one line naming the flag and exit 1."""
+    """Out-of-range counts and unknown flags end in one line naming the flag and exit 1."""
 
     @staticmethod
     def _rejected(capsys, argv, flag, out):
@@ -564,6 +568,7 @@ class TestFlagBounds:
         err = capsys.readouterr().err.strip()
         assert flag in err and len(err.splitlines()) == 1
         assert "Traceback" not in err
+        return err
 
     def test_gen_schema_max_iterations(self, tmp_path, capsys):
         out = tmp_path / "s.json"
@@ -579,16 +584,13 @@ class TestFlagBounds:
 
     @pytest.mark.parametrize("factor,slack", [("-1", "4"), ("2", "-3"), ("0", "0")])
     def test_run_horizon(self, tmp_path, home_path, capsys, factor, slack):
+        # the horizon is the fixed 2 * max(L, 1) + 4 rule: no flag value reaches it
         out = tmp_path / "m.csv"
         argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
                 "--horizon-factor", factor, "--horizon-slack", slack, "--out", str(out)]
-        self._rejected(capsys, argv, "--horizon-factor", out)
-
-    def test_run_zero_horizon_factor_still_runs(self, tmp_path, home_path):
-        out = tmp_path / "m.csv"
-        argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
-                "--horizon-factor", "0", "--out", str(out)]
-        assert main(argv) == 0 and out.exists()
+        err = self._rejected(capsys, argv, "--horizon-factor", out)
+        assert "unrecognized arguments" in err
+        assert (HORIZON_FACTOR, HORIZON_SLACK) == (2, 4)
 
     @pytest.mark.parametrize("goal", [",", "bed,,sofa", " ", "sink, "])
     def test_run_empty_goal_entry(self, tmp_path, home_path, capsys, goal):
@@ -622,7 +624,7 @@ class TestFlagBounds:
             (["--bogus", "1"], "--bogus"),
             (["--episodes", "1.5"], "--episodes"),
             (["--jobs", "two"], "--jobs"),
-            (["--recall", "high"], "--recall"),
+            (["--particles", "many"], "--particles"),
             (["--backend", "rule"], "--backend"),
             (["--out"], "--out"),
         ],
@@ -647,11 +649,38 @@ class TestFlagBounds:
     @pytest.mark.parametrize("flag", ["--beta-pix", "--beta-iou", "--min-obj-area"])
     @pytest.mark.parametrize("value", ["-5", "nan", "inf"])
     def test_map_thresholds(self, tmp_path, home_path, capsys, flag, value):
+        # the thresholds are mapper constants at the old flag defaults: no value reaches them
         log, out = tmp_path / "t.jsonl", tmp_path / "g.json"
         log.write_text("")
         argv = ["map", "--log", str(log), "--schema", home_path, "--out", str(out),
                 flag, value]
-        self._rejected(capsys, argv, flag, out)
+        err = self._rejected(capsys, argv, flag, out)
+        assert "unrecognized arguments" in err
+        name = flag[2:].replace("-", "_")
+        assert not hasattr(MapperConfig(), name)
+        old_default = {"beta_pix": 100.0, "beta_iou": 0.1, "min_obj_area": 200.0}[name]
+        assert getattr(mapper, name.upper()) == old_default
+
+    # each setting the program reads at one value only, with that value
+    _DELETED = {
+        "--recall": ("run", "0.9"), "--synonym": ("run", "0.1"), "--confusion": ("run", "0.1"),
+        "--horizon-factor": ("run", "2"), "--horizon-slack": ("run", "4"),
+        "--beta-pix": ("map", "100"), "--beta-iou": ("map", "0.1"),
+        "--min-obj-area": ("map", "200"),
+    }
+
+    @pytest.mark.parametrize("flag", sorted(_DELETED))
+    def test_deleted_setting_is_a_usage_error(self, tmp_path, home_path, capsys, flag):
+        command, value = self._DELETED[flag]
+        out = tmp_path / "out"
+        if command == "run":
+            argv = ["run", "--schema", home_path, "--scenes", "1", "--episodes", "1"]
+        else:
+            log = tmp_path / "t.jsonl"
+            log.write_text("")
+            argv = ["map", "--log", str(log), "--schema", home_path]
+        err = self._rejected(capsys, argv + ["--out", str(out), flag, value], flag, out)
+        assert err == f"scenenav: unrecognized arguments: {flag} {value}"
 
 
 class TestSceneFileShapes:
@@ -697,9 +726,58 @@ class TestSceneFileShapes:
          "2 strings"),
         ({"regions": [{"id": "floor_1", "cls": "Floor", "label": "floor",
                        "children": ["kitchen_1", "attic_1"]}]}, "unknown place attic_1"),
-    ], ids=["env-label", "places", "short-link", "link-type", "endpoints", "region-child"])
+        ({"places": [{"id": "kitchen_1", "cls": "Room", "label": "kitchen"},
+                     {"id": "bedroom_1", "cls": "Room", "label": "bedroom"},
+                     {"id": "kitchen_1", "cls": "Room", "label": "kitchen",
+                      "objects": [{"label": "sink"}]}]},
+         "repeated place id 'kitchen_1'"),
+        ({"connectors": [{"id": "door_1", "label": "door",
+                          "endpoints": ["kitchen_1", "bedroom_1"]}] * 2},
+         "repeated connector id 'door_1'"),
+        ({"regions": [{"id": "floor_1", "cls": "Floor", "label": "floor",
+                       "children": ["kitchen_1"]},
+                      {"id": "floor_1", "cls": "Floor", "label": "floor",
+                       "children": ["bedroom_1"]}]}, "repeated region id 'floor_1'"),
+    ], ids=["env-label", "places", "short-link", "link-type", "endpoints", "region-child",
+            "repeated-place", "repeated-connector", "repeated-region"])
     def test_malformed_scene_rejected(self, tmp_path, capsys, changes, needle):
         code, out = self._run(tmp_path, self._scene(**changes))
         assert code == 1 and not out.exists()
         err = capsys.readouterr().err.strip()
         assert needle in err and len(err.splitlines()) == 1
+
+
+def _readme_sections(*titles: str) -> str:
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = re.split(r"^## ", text, flags=re.MULTILINE)
+    found = [s for s in sections if s.split("\n", 1)[0].strip() in titles]
+    assert len(found) == len(titles)
+    return "\n".join(found)
+
+
+def _registered_long_options() -> set[str]:
+    parsers = [cli.build_parser()]
+    for action in parsers[0]._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            parsers += action.choices.values()
+    return {
+        option
+        for parser in parsers
+        for action in parser._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+
+
+_OPTION = re.compile(r"(?<![\w-])--[a-z][a-z-]*(?![\w-])")
+_CLI_SECTIONS = ("Command line", "Trajectory log format")
+
+
+def test_readme_documents_every_registered_option():
+    mentioned = set(_OPTION.findall(_readme_sections(*_CLI_SECTIONS)))
+    assert _registered_long_options() - mentioned == set()
+
+
+def test_readme_mentions_no_unregistered_option():
+    mentioned = set(_OPTION.findall(_readme_sections(*_CLI_SECTIONS)))
+    assert mentioned - _registered_long_options() == set()

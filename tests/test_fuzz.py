@@ -164,17 +164,14 @@ def test_fuzzed_scene_file(doc):
 
 
 _SMALL = st.integers(-2, 3).map(str)
-_RATE = (st.floats() | st.floats(-0.5, 1.5)).map(repr)
 # no digits, so a count flag never parses to a large workload; argparse rejects these
 _NOT_A_NUMBER = st.text(alphabet="abcex.-+ _,", max_size=5) | st.sampled_from(["1.5", "two"])
 _FLAGS = {
     "run": {
         "--scenes": _SMALL, "--episodes": _SMALL, "--jobs": st.integers(-2, 1).map(str),
-        "--particles": _SMALL, "--horizon-factor": _SMALL, "--horizon-slack": _SMALL,
-        "--recall": _RATE, "--synonym": _RATE, "--confusion": _RATE,
-        "--goal": st.text(max_size=8),
+        "--particles": _SMALL, "--goal": st.text(max_size=8),
     },
-    "map": {"--beta-pix": _RATE, "--beta-iou": _RATE, "--min-obj-area": _RATE},
+    "map": {"--format": st.sampled_from(["structured", "dot", "svg", ""])},
     "gen-schema": {"--max-iterations": _SMALL},
 }
 

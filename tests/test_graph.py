@@ -488,12 +488,11 @@ def test_maintained_summaries_and_frontier_equal_full_scan(schema_name, seed, mo
     assert [(k, list(v.items())) for k, v in adj.items()] == [
         (k, list(v.items())) for k, v in ref.items()
     ]
-    # connector rows follow in-neighbour order, which the export does not keep
-    def written_rows(graph):
-        kinds = (ConceptKind.PLACE, ConceptKind.REGION)
-        return {n: row for n, row in graph._rows.items() if graph.node(n).kind in kinds}
-
-    assert written_rows(reloaded) == written_rows(original)
+    # every place's, region's and connector's row is written on insert
+    assert reloaded._rows == original._rows
+    assert set(original._rows) == {
+        n.id for n in original.nodes() if n.kind is not ConceptKind.OBJECT_ROLE
+    }
     assert reloaded.connector_place_counts() == original.connector_place_counts()
 
 
@@ -940,7 +939,7 @@ def test_a_write_between_two_reads_renews_the_tree(graph):
 
 def _near_fixture(graph):
     """A room holding a sofa and a tv, its door near the sofa; every feature
-    and candidate row read, so both are memoised."""
+    read, so each is memoised."""
     room = graph.add_node(PlaceNode(cls="Room", label="livingroom"))
     door = graph.add_node(ConnectorNode(cls="Entrance", label="door"))
     graph.add_edge(room, door, EdgeKind.CONNECTS_TO)
@@ -950,7 +949,6 @@ def _near_fixture(graph):
     graph.add_edge(door, sofa, EdgeKind.IS_NEAR)
     for node in graph.nodes():
         graph.object_features(node.id)
-    graph.candidate_rows([room, door])
     return room, door, sofa, tv
 
 
@@ -982,15 +980,27 @@ def test_offering_a_stored_near_pair_again_is_a_noop(graph, reverse):
 
 
 @pytest.mark.parametrize("reverse", [False, True], ids=["object-first", "door-first"])
-def test_a_near_pair_drops_both_ends_features_and_the_connector_row(graph, reverse):
+def test_a_near_pair_drops_both_ends_features_and_writes_the_connector_row(graph, reverse):
     room, door, sofa, tv = _near_fixture(graph)
+
+    def rebuilt_row():
+        near = graph.out_neighbors(door, EdgeKind.IS_NEAR)
+        return (door, "door", ", ".join(graph.node(n).label for n in near))
+
+    assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa")
     graph.add_edge(*((door, tv) if reverse else (tv, door)), EdgeKind.IS_NEAR)
     assert tv not in graph._features and door not in graph._features
-    assert door not in graph._rows
     assert room in graph._features and sofa in graph._features and room in graph._rows
-    assert graph.object_features(door).items == (("sofa", "red"), ("tv", "red"))
+    assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa, tv")
+    lamp = graph.add_node(ObjectNode(label="lamp"))
+    graph.add_edge(*((door, lamp) if reverse else (lamp, door)), EdgeKind.IS_NEAR)
+    assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa, tv, lamp")
+    # an object is never a candidate and keeps no row; its summary is read from its features
+    assert tv not in graph._rows and graph.summary(tv) == "door"
+    assert graph.object_features(door).items == (("sofa", "red"), ("tv", "red"), ("lamp", ""))
     assert graph.object_features(tv).items == (("door", ""),)
-    assert graph.candidate_rows([door]) == [(door, "door", "sofa, tv")]
+    assert graph.candidate_rows([door]) == [(door, "door", "sofa, tv, lamp")]
+    assert validate_graph(graph) == []
 
 
 @pytest.mark.parametrize("bad", ["forbidden", "self-loop", "unknown-node"])

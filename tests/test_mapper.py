@@ -349,8 +349,15 @@ def test_leaf_refreshes_reach_the_kept_views(home, oracle, config):
      ' "detections": [{"label": "tv", "desc": 7}]}', "'desc'"),
     ('{"frame_id": 0, "place_type_answer": "Room", "place_label_answer": "hall",'
      ' "previous_subgoal": ["door_1"]}', "'previous_subgoal'"),
+    *[
+        ('{"frame_id": 3, "place_type_answer": "Room", "place_label_answer": "hall",'
+         f' "detections": [{{"label": "tv", "bbox": [{number}, 10, 30, 30]}}]}}',
+         "frame 3: bbox must be 4 finite numbers")
+        for number in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400)
+    ],
 ], ids=["not-an-object", "frame-id", "place-type", "detections", "detection",
-        "desc", "subgoal"])
+        "desc", "subgoal", "bbox-nan", "bbox-infinity", "bbox--infinity", "bbox-1e999",
+        "bbox-huge-int"])
 def test_frames_jsonl_rejects_wrong_types(line, needle):
     with pytest.raises(ValueError, match=needle):
         frames_from_jsonl(line)
