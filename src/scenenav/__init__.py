@@ -35,7 +35,7 @@ from .mapper import (
 from .oracle import (
     MatchDecision,
     OracleError,
-    RemoteChatOracle,
+    RemoteChatBackend,
     RemoteConfig,
     RuleOracle,
     SemanticOracle,

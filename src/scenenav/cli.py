@@ -18,7 +18,7 @@ import tempfile
 from .graph import EdgeRuleError, SceneGraph
 from .mapper import FrameError, MapperConfig, MapperState, frames_from_jsonl, mapper_step
 from .oracle.base import OracleError
-from .oracle.remote import RemoteChatOracle, RemoteConfig
+from .oracle.remote import RemoteChatBackend, RemoteConfig
 from .oracle.rules import RuleOracle
 from .schema import SchemaParseError, load_schema_file, serialize_schema, verify_schema
 from .schemagen import builtin_mock_backend, load_mock_backend, run_pipeline, trace_to_json
@@ -80,9 +80,9 @@ def _make_backend(spec: str):
             return load_mock_backend(name)
         return builtin_mock_backend(name)
     if spec == "remote":
-        return RemoteChatOracle(RemoteConfig.from_env())
+        return RemoteChatBackend(RemoteConfig.from_env())
     if spec.startswith("remote:"):
-        return RemoteChatOracle(RemoteConfig.from_file(spec[len("remote:"):]))
+        return RemoteChatBackend(RemoteConfig.from_file(spec[len("remote:"):]))
     raise ValueError(f"unknown backend {spec!r}; use mock:<name|path> or remote[:config]")
 
 
@@ -91,9 +91,12 @@ def cmd_gen_schema(args: argparse.Namespace) -> int:
         print(f"--max-iterations must be at least 1, got {args.max_iterations}",
               file=sys.stderr)
         return EXIT_INVALID
+    if not args.env.strip():
+        print(f"environment label must be non-empty, got {args.env!r}", file=sys.stderr)
+        return EXIT_INVALID
     try:
         backend = _make_backend(args.backend)
-    except (OSError, KeyError) as exc:
+    except OSError as exc:
         print(f"cannot set up backend: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
@@ -104,6 +107,9 @@ def cmd_gen_schema(args: argparse.Namespace) -> int:
     except OracleError as exc:
         print(f"remote backend failed: {exc}", file=sys.stderr)
         return EXIT_REMOTE
+    except ValueError as exc:  # a mock backend without a reply the pipeline asks for
+        print(str(exc), file=sys.stderr)
+        return EXIT_INVALID
     if args.trace:
         _atomic_write(args.trace, trace_to_json(trace))
     if not trace.succeeded:

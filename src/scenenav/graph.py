@@ -166,7 +166,7 @@ class SceneGraph:
         self._cls: dict[str, str] = {}  # node id -> its schema class
         self._counters: dict[str, int] = {}
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
-        self._in: dict[str, dict[EdgeKind, list[str]]] = {}
+        self._in: dict[str, dict[EdgeKind, list[str]]] = {}  # non-symmetric kinds only
         self._edges: set[tuple[str, str, EdgeKind]] = set()
         self._adj: dict[str, dict[str, float]] = {}
         self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
@@ -324,7 +324,9 @@ class SceneGraph:
     def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
         targets = self._out[src].setdefault(kind, [])
         targets.append(dst)
-        self._in[dst].setdefault(kind, []).append(src)
+        # a symmetric kind's in-list would repeat its out-list
+        if kind not in _SYMMETRIC:
+            self._in[dst].setdefault(kind, []).append(src)
         self._edges.add((src, dst, kind))
         if kind is EdgeKind.CONNECTS_TO and src in self._adj and dst in self._adj:
             self._adj[src][dst] = 1.0
@@ -352,7 +354,8 @@ class SceneGraph:
 
     def in_neighbors(self, node_id: str, kind: EdgeKind) -> list[str]:
         self.node(node_id)
-        return list(self._in[node_id].get(kind, ()))
+        by_kind = self._out if kind in _SYMMETRIC else self._in
+        return list(by_kind[node_id].get(kind, ()))
 
     def out_targets(self, node_id: str, kind: EdgeKind) -> Sequence[str]:
         """``out_neighbors`` without the copy: the graph's own sequence."""

@@ -6,7 +6,7 @@ from .base import (
     RegionChoice,
     SemanticOracle,
 )
-from .remote import RemoteChatOracle, RemoteConfig
+from .remote import RemoteChatBackend, RemoteConfig
 from .rules import RuleOracle
 from .tables import OracleTables, SynonymTable, default_tables
 
@@ -17,7 +17,7 @@ __all__ = [
     "OracleTables",
     "Proposal",
     "RegionChoice",
-    "RemoteChatOracle",
+    "RemoteChatBackend",
     "RemoteConfig",
     "RuleOracle",
     "SemanticOracle",

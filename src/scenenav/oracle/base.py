@@ -1,4 +1,9 @@
-"""Semantic decision interface shared by the rule-based and remote backends."""
+"""The semantic decisions the mapper and planner ask for, and ``OracleError``.
+
+``RuleOracle`` is the one backend that makes these decisions.  The remote
+chat backend serves schema generation only; it raises ``OracleError`` when
+the endpoint stays unusable.
+"""
 
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ __all__ = [
 
 
 class OracleError(Exception):
-    """A backend failed to produce a usable decision."""
+    """A backend failed to produce a usable answer."""
 
 
 @dataclass(frozen=True)

@@ -115,23 +115,38 @@ class MockChatBackend(ChatBackend):
         self.transcript.append((template_id, prompt))
         options = self._replies.get(template_id)
         if not options:
-            raise KeyError(f"mock backend has no reply for template {template_id!r}")
+            raise ValueError(f"mock backend has no reply for template {template_id!r}")
         index = self._cursor.get(template_id, 0)
         reply = options[min(index, len(options) - 1)]
         self._cursor[template_id] = index + 1
         return reply
 
 
+def _mock_from_json(text: str, source: str) -> MockChatBackend:
+    """A mock backend from ``{"replies": {template id: reply or non-empty reply list}}``."""
+    raw = json.loads(text)
+    replies = raw.get("replies") if isinstance(raw, dict) else None
+    if not isinstance(replies, dict):
+        raise ValueError(f"{source}: a mock backend must be an object with a 'replies' object")
+    for template_id, value in replies.items():
+        if not (isinstance(value, str) or (
+            isinstance(value, list) and value and all(isinstance(v, str) for v in value)
+        )):
+            raise ValueError(
+                f"{source}: mock replies for {template_id!r} must be a string "
+                f"or a non-empty list of strings"
+            )
+    return MockChatBackend(replies=replies)
+
+
 def load_mock_backend(path: str) -> MockChatBackend:
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    return MockChatBackend(replies=raw["replies"])
+        return _mock_from_json(handle.read(), path)
 
 
 def builtin_mock_backend(name: str) -> MockChatBackend:
     ref = resources.files("scenenav.assets.mocks").joinpath(f"{name}.json")
-    raw = json.loads(ref.read_text(encoding="utf-8"))
-    return MockChatBackend(replies=raw["replies"])
+    return _mock_from_json(ref.read_text(encoding="utf-8"), f"mock:{name}")
 
 
 def prompt_template(name: str) -> str:

@@ -130,6 +130,57 @@ class TestGenSchema:
         err = capsys.readouterr().err.strip()
         assert needle in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("doc,needle", [
+        ('[1,2]', "'replies' object"),
+        ('"x"', "'replies' object"),
+        ('{"replies": [1]}', "'replies' object"),
+        ('{"replies": null}', "'replies' object"),
+        ('{"replies": {"env_description": 5}}', "'env_description'"),
+        ('{"replies": {"env_description": [null]}}', "'env_description'"),
+        ('{"replies": {"env_description": []}}', "'env_description'"),
+        ('{"replies": {"env_description": "Text: rooms hold objects"}}',
+         "no reply for template 'triplet_extraction'"),
+    ], ids=["list", "string", "replies-list", "replies-null", "reply-number",
+            "reply-list-of-null", "reply-empty-list", "template-missing"])
+    def test_malformed_mock_backend_rejected(self, tmp_path, capsys, doc, needle):
+        mock = tmp_path / "mock.json"
+        mock.write_text(doc)
+        out = tmp_path / "schema.json"
+        code = main(["gen-schema", "home", "--backend", f"mock:{mock}", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert needle in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("label", ["", "  "], ids=["empty", "blank"])
+    def test_blank_env_label_rejected(self, tmp_path, capsys, label):
+        out = tmp_path / "schema.json"
+        code = main(["gen-schema", label, "--backend", "mock:home", "--out", str(out)])
+        assert code == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.strip()
+        assert "environment label" in err and len(err.splitlines()) == 1
+
+    def test_remote_reply_content_not_a_string_exits_3(self, tmp_path, capsys, monkeypatch):
+        from scenenav.oracle import remote
+
+        calls = []
+
+        def transport(url, payload, headers, timeout):
+            calls.append(payload)
+            return {"choices": [{"message": {"content": None}}]}
+
+        monkeypatch.setattr(remote, "_requests_transport", transport)
+        monkeypatch.setenv("SCENENAV_ENDPOINT", "https://example.invalid/v1/chat")
+        monkeypatch.setenv("SCENENAV_MODEL", "m")
+        out = tmp_path / "schema.json"
+        code = main(["gen-schema", "home", "--backend", "remote", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert len(calls) == 3  # the first attempt and the two default retries
+        err = capsys.readouterr().err.strip()
+        assert "not a string" in err and len(err.splitlines()) == 1
+
 
 class TestMap:
     def _write_log(self, tmp_path, scene):

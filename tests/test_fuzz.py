@@ -1,4 +1,4 @@
-"""Fuzzed input at the CLI boundary: trajectory logs, schemas, scene files, flags.
+"""Fuzzed input at the CLI boundary: trajectory logs, schemas, scene files, mock backends, flags.
 
 Every input is a valid document with a few parts deleted or replaced by
 arbitrary JSON, or a flag list with arbitrary numbers and non-numeric values.  Whatever the input,
@@ -29,6 +29,7 @@ from scenenav.sim import (
 )
 
 HOME = "src/scenenav/assets/schemas/home.json"
+HOME_MOCK = "src/scenenav/assets/mocks/home.json"
 
 FUZZ = settings(
     max_examples=50,
@@ -161,6 +162,16 @@ def test_fuzzed_scene_file(doc):
         path.write_text(json.dumps(doc), encoding="utf-8")
         _assert_clean_exit(["run", "--schema", HOME, "--scene", str(path), "--episodes", "2",
                             "--out", str(Path(tmp) / "m.csv")])
+
+
+@FUZZ
+@given(_mutated(json.loads(Path(HOME_MOCK).read_text(encoding="utf-8"))))
+def test_fuzzed_mock_backend(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mock.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        _assert_clean_exit(["gen-schema", "home", "--backend", f"mock:{path}",
+                            "--out", str(Path(tmp) / "s.json")])
 
 
 _SMALL = st.integers(-2, 3).map(str)
