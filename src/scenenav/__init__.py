@@ -38,7 +38,6 @@ from .oracle import (
     RemoteChatBackend,
     RemoteConfig,
     RuleOracle,
-    SemanticOracle,
     default_tables,
 )
 from .planner import (

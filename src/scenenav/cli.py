@@ -1,9 +1,10 @@
 """Command-line entry points: verify, generate, replay-map and evaluate.
 
 Exit codes: 0 success, 1 validation failure (a usage error included), 2 I/O
-failure, 3 remote-backend failure.  Output files are written to a temporary
-sibling and renamed into place, so a failing command never leaves a partial
-artifact behind.
+failure, 3 remote-backend failure.  Each output path's directory is checked
+before any input is read, and output files are written to a temporary sibling
+and renamed into place, so a failing command never leaves a partial artifact
+behind.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .mapper import FrameError, MapperConfig, MapperState, frames_from_jsonl, ma
 from .oracle.base import OracleError
 from .oracle.remote import RemoteChatBackend, RemoteConfig
 from .oracle.rules import RuleOracle
-from .schema import SchemaParseError, load_schema_file, serialize_schema, verify_schema
+from .schema import Schema, SchemaParseError, load_schema_file, serialize_schema, verify_schema
 from .schemagen import builtin_mock_backend, load_mock_backend, run_pipeline, trace_to_json
 from .sim.baselines import baseline_greedy_frontier, baseline_random
 from .sim.episode import EpisodeResult, RunnerConfig, metrics, run_episode, spl_term
@@ -55,22 +56,42 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def cmd_verify_schema(args: argparse.Namespace) -> int:
+class _Exit(Exception):
+    """Ends a command with one line on stderr and an exit code."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+def _check_outputs(**paths: str) -> None:
+    """Fail unless each given output path (keyed by its flag) names a file in a directory."""
+    for flag, path in paths.items():
+        directory = os.path.dirname(os.path.abspath(path))
+        if path and not os.path.isdir(directory):
+            raise _Exit(f"--{flag} {path!r}: no directory {directory!r} to write it in", EXIT_IO)
+        if path and os.path.isdir(path):
+            raise _Exit(f"--{flag} {path!r} is a directory, not a file", EXIT_IO)
+
+
+def _load_verified_schema(path: str) -> Schema:
+    """The schema at ``path``, or an exit: 2 if unreadable, 1 if unparsable or invalid."""
     try:
-        schema = load_schema_file(args.schema)
+        schema = load_schema_file(path)
     except OSError as exc:
-        print(f"cannot read schema: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Exit(f"cannot read schema: {exc}", EXIT_IO) from None
     except SchemaParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"schema parse error: {exc}", EXIT_INVALID) from None
     report = verify_schema(schema)
-    if report.valid:
-        print(f"{args.schema}: valid ({len(schema.concepts)} concepts, "
-              f"{schema.num_layers} layers)")
-        return EXIT_OK
-    print(f"{args.schema}: invalid: {report.text('; ')}", file=sys.stderr)
-    return EXIT_INVALID
+    if not report.valid:
+        raise _Exit(f"invalid schema: {report.text('; ')}", EXIT_INVALID)
+    return schema
+
+
+def cmd_verify_schema(args: argparse.Namespace) -> int:
+    schema = _load_verified_schema(args.schema)
+    print(f"{args.schema}: valid ({len(schema.concepts)} concepts, {schema.num_layers} layers)")
+    return EXIT_OK
 
 
 def _make_backend(spec: str):
@@ -94,6 +115,7 @@ def cmd_gen_schema(args: argparse.Namespace) -> int:
     if not args.env.strip():
         print(f"environment label must be non-empty, got {args.env!r}", file=sys.stderr)
         return EXIT_INVALID
+    _check_outputs(out=args.out, trace=args.trace)
     try:
         backend = _make_backend(args.backend)
     except OSError as exc:
@@ -123,19 +145,13 @@ def cmd_gen_schema(args: argparse.Namespace) -> int:
 
 
 def cmd_map(args: argparse.Namespace) -> int:
+    _check_outputs(out=args.out)
+    schema = _load_verified_schema(args.schema)
     try:
-        schema = load_schema_file(args.schema)
         log_text = _read(args.log)
     except OSError as exc:
-        print(f"cannot read input: {exc}", file=sys.stderr)
+        print(f"cannot read log: {exc}", file=sys.stderr)
         return EXIT_IO
-    except SchemaParseError as exc:
-        print(f"schema parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    report = verify_schema(schema)
-    if not report.valid:
-        print(f"invalid schema: {report.text('; ')}", file=sys.stderr)
-        return EXIT_INVALID
     try:
         frames = frames_from_jsonl(log_text)
     except (ValueError, KeyError) as exc:
@@ -231,22 +247,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not all(goals):
         print(f"--goal entries must not be empty, got {args.goal!r}", file=sys.stderr)
         return EXIT_INVALID
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    if not os.path.isdir(out_dir):
-        print(f"--out {args.out!r}: no directory {out_dir!r} to write it in", file=sys.stderr)
-        return EXIT_IO
-    try:
-        schema = load_schema_file(args.schema)
-    except OSError as exc:
-        print(f"cannot read schema: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except SchemaParseError as exc:
-        print(f"schema parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    report = verify_schema(schema)
-    if not report.valid:
-        print(f"invalid schema: {report.text('; ')}", file=sys.stderr)
-        return EXIT_INVALID
+    _check_outputs(out=args.out)
+    schema = _load_verified_schema(args.schema)
     noise = noiseless() if args.noiseless else default_noise()
     scene = None
     if args.scene:
@@ -340,16 +342,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """Ends a usage error (unknown flag, bad value, missing flag) like other
     invalid input: one line on stderr and exit code 1; subcommands inherit it."""
 
     def error(self, message: str):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise _Exit(f"{self.prog}: {message}", EXIT_INVALID)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,15 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_INVALID
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        logging.basicConfig(
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except OracleError as exc:
         print(f"remote backend failure: {exc}", file=sys.stderr)
         return EXIT_REMOTE

@@ -25,7 +25,7 @@ from .graph import (
     SceneGraph,
     hop_distances,
 )
-from .oracle.base import SemanticOracle
+from .oracle.rules import RuleOracle
 from .oracle.tables import strip_suffix
 from .schema import ConceptKind, EdgeKind, Schema
 
@@ -129,7 +129,7 @@ def _iou(a: Detection, b: Detection) -> float:
 
 
 def parse_frame(
-    frame: DetectionFrame, schema: Schema, oracle: SemanticOracle, config: MapperConfig
+    frame: DetectionFrame, schema: Schema, oracle: RuleOracle, config: MapperConfig
 ) -> ParsedObservation:
     """Structure one detection frame: classify leaves, wire proximity, spot the goal."""
     place_concept = schema.concepts.get(frame.place_type_answer)
@@ -205,7 +205,7 @@ def estimate_state(
     graph: SceneGraph,
     prev_state: str | None,
     obs: ParsedObservation,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
 ) -> str | None:
     """Recognise the currently occupied place, or none if it looks unvisited."""
     place_ids = [p.id for p in graph.places()]
@@ -356,7 +356,7 @@ def _connect(graph: SceneGraph, a: str, b: str) -> bool:
 def _update_regions(
     graph: SceneGraph,
     schema: Schema,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     new_place: str,
     prev_place: str | None,
     subgoal_label: str | None,
@@ -407,7 +407,7 @@ def update_graph(
     state: MapperState,
     est: str | None,
     obs: ParsedObservation,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     subgoal: str | None = None,
 ) -> MapperState:
     """Integrate one parsed observation, as a new place or a revisit."""
@@ -445,7 +445,7 @@ def _associate_leaves(
     graph: SceneGraph,
     place_id: str,
     obs: ParsedObservation,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
 ) -> dict[int, str]:
     """Match observed leaves against the place's known leaves; refresh matches."""
     object_ids = graph.out_neighbors(place_id, EdgeKind.HAS)
@@ -504,7 +504,7 @@ def mapper_step(
     frame: DetectionFrame,
     schema: Schema,
     state: MapperState,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     config: MapperConfig,
 ) -> StepResult:
     """One full mapping cycle; short-circuits without mutating on a goal hit."""

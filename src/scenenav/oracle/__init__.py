@@ -4,7 +4,6 @@ from .base import (
     OracleError,
     Proposal,
     RegionChoice,
-    SemanticOracle,
 )
 from .remote import RemoteChatBackend, RemoteConfig
 from .rules import RuleOracle
@@ -20,7 +19,6 @@ __all__ = [
     "RemoteChatBackend",
     "RemoteConfig",
     "RuleOracle",
-    "SemanticOracle",
     "SynonymTable",
     "default_tables",
 ]

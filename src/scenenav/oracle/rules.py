@@ -1,4 +1,5 @@
-"""Deterministic rule backend: table lookups instead of generative calls.
+"""The navigation oracle: the semantic decisions the mapper, planner and
+filter ask for, made by table lookups instead of generative calls.
 
 Every decision is a pure function of the inputs, the oracle's tables (fixed
 when it is built) and the module constants below, so replays are
@@ -13,7 +14,7 @@ from collections.abc import Callable
 
 from ..graph import ObjectFeatures
 from ..schema import ConceptKind, Schema
-from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice, SemanticOracle
+from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice
 from .tables import OracleTables, default_tables, strip_suffix
 
 __all__ = ["RuleOracle"]
@@ -65,8 +66,8 @@ class _Memo(dict):
         return value
 
 
-class RuleOracle(SemanticOracle):
-    """Rule decisions, memoised where the same question recurs.
+class RuleOracle:
+    """The open-vocabulary judgement calls, memoised where the same question recurs.
 
     Every decision is a pure function of its inputs and ``tables``, which is
     fixed at construction, so the memos are exact for the oracle's lifetime
@@ -146,11 +147,13 @@ class RuleOracle(SemanticOracle):
     # -- decisions ---------------------------------------------------------------
 
     def similar_labels(self, query: str, candidates: list[str]) -> list[str]:
+        """Subset of ``candidates`` naming the same kind of place as ``query``."""
         canon = self._canon
         want = canon[query]
         return [c for c in candidates if canon[c] == want]
 
     def match_place(self, features_a: ObjectFeatures, features_b: ObjectFeatures) -> MatchDecision:
+        """Do two object-feature sets describe the same place?"""
         return self._matches[features_a.items, features_b.items]
 
     def _decide_match(self, a: ObjectFeatures, b: ObjectFeatures) -> MatchDecision:
@@ -162,6 +165,7 @@ class RuleOracle(SemanticOracle):
         )
 
     def classify_elements(self, labels: list[str], schema: Schema) -> ClassifiedElements:
+        """Partition detection labels into place / connectors / objects."""
         place_label: str | None = None
         connectors: list[str] = []
         objects: list[str] = []
@@ -212,6 +216,7 @@ class RuleOracle(SemanticOracle):
         probe: tuple[str, str, ObjectFeatures],
         candidates: list[tuple[str, str, str, ObjectFeatures]],
     ) -> str | None:
+        """Associate an observed leaf with at most one candidate node id."""
         probe_label, _, probe_features = probe
         want = self._canon[probe_label]
         best_id: str | None = None
@@ -238,6 +243,7 @@ class RuleOracle(SemanticOracle):
         previous_region: str | None = None,
         via_label: str | None = None,
     ) -> RegionChoice:
+        """Assign the current place to an existing abstraction or a new one."""
         if not existing:
             return RegionChoice(is_new=True, value=region_cls.lower())
         if via_label and self._crosses_region_boundary(schema, region_cls, via_label):
@@ -258,7 +264,9 @@ class RuleOracle(SemanticOracle):
         )
 
     def select_region(self, candidates: list[tuple[str, str, str]], goal: str) -> Proposal:
-        """Take the first candidate of the highest score tier.
+        """Pick the candidate (id, label, summary) most worth searching.
+
+        Takes the first candidate of the highest score tier.
 
         The loop stops at the first candidate whose contents name the goal:
         nothing can outrank it and ties go to the earlier candidate.
@@ -299,6 +307,7 @@ class RuleOracle(SemanticOracle):
         )
 
     def select_object(self, objects: list[tuple[str, str, str]], goal: str) -> Proposal:
+        """Pick the object (id, label, desc) most likely near the goal."""
         if not objects:
             raise ValueError("select_object needs at least one candidate")
         goal_canon = self._canon[goal]
@@ -316,5 +325,6 @@ class RuleOracle(SemanticOracle):
     def goal_match(
         self, detections: list[tuple[str, str]], goal: str
     ) -> tuple[str, str] | None:
+        """Return the detection satisfying the goal description, if any."""
         hits = self._goal_hits
         return next(((label, desc) for label, desc in detections if hits[goal, label, desc]), None)

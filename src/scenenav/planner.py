@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .graph import SceneGraph, hop_distances
-from .oracle.base import SemanticOracle
+from .oracle.rules import RuleOracle
 from .schema import ConceptKind, EdgeKind, Schema
 
 logger = logging.getLogger(__name__)
@@ -99,7 +99,7 @@ def propose_region(
     schema: Schema,
     graph: SceneGraph,
     goal: str,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     current: str | None = None,
     exhausted: set[str] | None = None,
 ) -> str:
@@ -150,7 +150,7 @@ def _order(ids: list[str], distances: Mapping[str, int]) -> list[str]:
 def _descend(
     graph: SceneGraph,
     goal: str,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     start_nodes: list[str],
     frontier: list[str],
     exhausted: set[str],
@@ -193,7 +193,7 @@ def propose_object(
     graph: SceneGraph,
     region: str,
     goal: str,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     toward: str | None = None,
 ) -> tuple[str, str, str]:
     """Ground a region into a leaf to steer toward; connectors pass through as-is.
@@ -239,7 +239,7 @@ def reason_step(
     current: str | None,
     plan: SubgoalPlan,
     goal: str,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     memory: PlannerMemory | None = None,
 ) -> SubgoalPlan:
     """Advance the plan one decision: pick/approach/search the target region."""

@@ -197,7 +197,7 @@ def extract_triplets(description: str, llm: ChatBackend, env_label: str = "") ->
         triplets = _parse_triplets(reply)
         if triplets:
             return triplets
-        logger.warning("triplet extraction attempt %d yielded nothing", attempt + 1)
+        logger.info("triplet extraction attempt %d yielded nothing", attempt + 1)
     return []
 
 
@@ -358,7 +358,7 @@ def run_pipeline(env_label: str, llm: ChatBackend, max_iterations: int = 3) -> G
             logger.info("schema for %r valid after %d iteration(s)", env_label, iteration + 1)
             return trace
         feedback = report.text()
-    logger.warning("schema generation for %r exhausted %d iterations", env_label, max_iterations)
+    logger.info("schema generation for %r exhausted %d iterations", env_label, max_iterations)
     return trace
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..graph import SceneGraph
 from ..mapper import Detection, DetectionFrame, MapperConfig, MapperState, mapper_step
-from ..oracle.base import SemanticOracle
 from ..oracle.rules import RuleOracle
 from ..planner import ExhaustedError, PlannerMemory, SubgoalPlan, reason_step
 from ..schema import Schema
@@ -194,7 +193,7 @@ def act(scene: GroundTruthScene, place_id: str, target_ref: str) -> ActResult:
 def run_episode(
     spec: EpisodeSpec,
     schema: Schema,
-    oracle: SemanticOracle | None = None,
+    oracle: RuleOracle | None = None,
     config: RunnerConfig | None = None,
 ) -> EpisodeResult:
     """Observe -> map -> reason -> move until the goal fires or budget ends."""
@@ -202,11 +201,10 @@ def run_episode(
     config = config if config is not None else RunnerConfig()
     streams = np.random.SeedSequence(spec.seed).spawn(2)
     obs_rng = np.random.default_rng(streams[0])
-    tables = getattr(oracle, "tables", None)
-    canon_fn = tables.canonical if tables is not None else (lambda s: s)
+    tables = oracle.tables
 
     mapper_cfg = MapperConfig(goal=spec.goal)
-    likely_places = tables.cooccurs(spec.goal) if tables is not None else frozenset()
+    likely_places = tables.cooccurs(spec.goal)
     state = MapperState(graph=SceneGraph(schema))
     plan = SubgoalPlan()
     memory = PlannerMemory()
@@ -246,7 +244,7 @@ def run_episode(
             # zero-hop action) before they are written off
             cur = state.current_place
             scans[cur] = scans.get(cur, 0) + 1
-            label = canon_fn(state.graph.node(cur).label)
+            label = tables.canonical(state.graph.node(cur).label)
             if label not in likely_places or scans[cur] >= 2:
                 memory.exhausted.add(cur)
         if actions >= spec.horizon:

@@ -41,7 +41,7 @@ from itertools import accumulate
 import numpy as np
 
 from .graph import ObjectFeatures
-from .oracle.base import SemanticOracle
+from .oracle.rules import RuleOracle
 
 logger = logging.getLogger(__name__)
 
@@ -295,7 +295,7 @@ def _select(nodes: list[int], cumulative: list[float], fresh: int, draw: float) 
 def likelihood(
     obs: ObsRecord,
     particle: TopologyParticle,
-    oracle: SemanticOracle,
+    oracle: RuleOracle,
     observations: list[ObsRecord],
 ) -> float:
     """P(obs | topology): match the assigned cell, mismatch similar rivals."""
@@ -319,7 +319,7 @@ def likelihood(
     return value
 
 
-def step(state: FilterState, obs: ObsRecord, oracle: SemanticOracle) -> FilterState:
+def step(state: FilterState, obs: ObsRecord, oracle: RuleOracle) -> FilterState:
     """Advance the filter by one observation: propose, weight, resample.
 
     Each particle draws its cell from its own uniform number, taken in particle

@@ -1,12 +1,16 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scenenav
 from scenenav import cli, mapper
 from scenenav.cli import main
 from scenenav.mapper import MapperConfig, frames_to_jsonl
@@ -87,6 +91,47 @@ class TestGenSchema:
         code = main(["gen-schema", "void", "--backend", f"mock:{mock}", "--out", str(out)])
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("triplets", ["Triplets:\n[room, contains, room]", "no triplets"],
+                             ids=["cyclic", "no-triplet"])
+    def test_exhausted_budget_prints_one_line_in_a_shell(self, tmp_path, triplets):
+        # in a subprocess: under pytest the root logger already has a handler,
+        # so an in-process run would hide a log line that reaches a shell
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps({"replies": {
+            "env_description": "Text: rooms contain rooms",
+            "triplet_extraction": triplets,
+            "triplet_canonicalisation": "Answer: [room, contains, room]",
+        }}))
+        out = tmp_path / "schema.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(scenenav.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scenenav.cli", "gen-schema", "home",
+             "--backend", f"mock:{mock}", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("no valid schema within 3 iteration(s): ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_missing_output_directory_fails_before_the_pipeline(
+        self, tmp_path, monkeypatch, capsys, flag
+    ):
+        ran = []
+        pipeline = cli.run_pipeline
+        monkeypatch.setattr(cli, "run_pipeline",
+                            lambda *args, **kwargs: ran.append(args) or pipeline(*args, **kwargs))
+        paths = {"--out": tmp_path / "s.json", "--trace": tmp_path / "t.json"}
+        paths[flag] = tmp_path / "nodir" / paths[flag].name
+        code = main(["gen-schema", "home", "--backend", "mock:home",
+                     "--out", str(paths["--out"]), "--trace", str(paths["--trace"])])
+        assert code == 2
+        assert ran == []
+        err = capsys.readouterr().err.strip()
+        assert err.startswith(f"{flag} ") and len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
     @pytest.mark.parametrize("doc,needle", [
@@ -189,6 +234,22 @@ class TestMap:
         log = tmp_path / "traj.jsonl"
         log.write_text(frames_to_jsonl(frames))
         return log
+
+    def test_missing_out_directory_fails_before_any_input_is_read(
+        self, tmp_path, home_path, monkeypatch, capsys
+    ):
+        log = self._write_log(tmp_path, generate_home_scene(np.random.default_rng(321)))
+        read = []
+        for name in ("_read", "load_schema_file"):
+            fn = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda path, fn=fn: read.append(path) or fn(path))
+        out = tmp_path / "nodir" / "g.json"
+        code = main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)])
+        assert code == 2
+        assert read == []
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("--out ") and len(err.splitlines()) == 1
+        assert not out.parent.exists()
 
     def test_noiseless_replay_counts(self, tmp_path, home_path, capsys):
         scene = generate_home_scene(np.random.default_rng(321))
@@ -425,6 +486,19 @@ class TestRun:
         assert "--out" in err and len(err.splitlines()) == 1
         assert not out.parent.exists()
 
+    def test_out_naming_a_directory_fails_before_any_episode(
+        self, tmp_path, home_path, monkeypatch, capsys
+    ):
+        ran = []
+        monkeypatch.setattr(cli, "run_episode", lambda *args: ran.append(args))
+        code = main(["run", "--schema", home_path, "--scenes", "1", "--episodes", "1",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert ran == []
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("--out ") and len(err.splitlines()) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["home.json"]
+
     def test_negative_particles_rejected(self, tmp_path, home_path, capsys):
         out = tmp_path / "n.csv"
         code = main([
@@ -607,6 +681,30 @@ class TestRun:
         assert not out.exists()
         err = capsys.readouterr().err.strip()
         assert "--episodes" in err and "--scenes" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("case,code", [("missing", 2), ("unparsable", 1), ("invalid", 1)])
+def test_every_command_reports_a_bad_schema_alike(tmp_path, home_path, capsys, case, code):
+    schema = tmp_path / "schema.json"
+    if case == "unparsable":
+        schema.write_text("{")
+    elif case == "invalid":
+        doc = json.loads(open(home_path).read())
+        doc["Room"]["has"] = ["Corridor"]
+        schema.write_text(json.dumps(doc))
+    log = tmp_path / "t.jsonl"
+    log.write_text("")
+    out = str(tmp_path / "out")
+    errs = []
+    for argv in (["verify-schema", str(schema)],
+                 ["map", "--log", str(log), "--schema", str(schema), "--out", out],
+                 ["run", "--schema", str(schema), "--scenes", "1", "--episodes", "1",
+                  "--out", out]):
+        assert main(argv) == code
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == errs[2]
+    assert len(errs[0].strip().splitlines()) == 1
+    assert not os.path.exists(out)
 
 
 class TestFlagBounds:

@@ -4,7 +4,7 @@ import pytest
 from scenenav.graph import ConnectorNode, PlaceNode, SceneGraph, validate_graph
 from scenenav.mapper import MapperConfig, MapperState, mapper_step
 from scenenav.oracle.rules import RuleOracle
-from scenenav.oracle.tables import DEFAULT_SYNONYM_GROUPS, default_tables
+from scenenav.oracle.tables import DEFAULT_SYNONYM_GROUPS, OracleTables, default_tables
 from scenenav.schema import builtin_schema
 from scenenav.sim import (
     EpisodeResult,
@@ -362,6 +362,39 @@ class TestRunEpisode:
         without = run_episode(spec, home, RuleOracle(), plain)
         # the filter is diagnostics-only: outcomes stay identical
         assert with_filter == without
+
+    def test_a_likely_place_gets_one_rescan(self, home):
+        # a kitchenette (canonically a kitchen) is where a sink is typical, but
+        # this one holds none: the runner looks once more, a zero-hop action,
+        # before writing it off; with no co-occurrence table it looks no more
+        scene = GroundTruthScene(env_label="home")
+        scene.places["kitchen_1"] = ScenePlace(
+            "kitchen_1", "Room", "kitchenette",
+            [SceneObject("fridge", "white"), SceneObject("oven", "black metal")],
+        )
+        scene.places["hallway_2"] = ScenePlace(
+            "hallway_2", "Corridor", "hallway",
+            [SceneObject("plant", "green"), SceneObject("picture", "framed")],
+        )
+        scene.places["bathroom_3"] = ScenePlace(
+            "bathroom_3", "Room", "bathroom",
+            [SceneObject("sink", "steel"), SceneObject("toilet", "white")],
+        )
+        scene.connectors["door_1"] = SceneConnector("door_1", "door", ("kitchen_1", "hallway_2"))
+        scene.connectors["door_2"] = SceneConnector("door_2", "door", ("hallway_2", "bathroom_3"))
+        scene.links = [
+            ("kitchen_1", "hallway_2", "door_1"),
+            ("hallway_2", "bathroom_3", "door_2"),
+        ]
+        spec = EpisodeSpec(scene=scene, start="kitchen_1", goal="sink", horizon=10, seed=0)
+
+        def rescans(oracle):
+            result = run_episode(spec, home, oracle)
+            assert result.success and result.hops_traversed == 2
+            return [s for s in result.steps if s.get("cost") == 0 and s["place"] == "kitchen_1"]
+
+        assert len(rescans(RuleOracle())) == 1
+        assert rescans(RuleOracle(OracleTables.from_dict({"cooccurrence": {}}))) == []
 
 
 class TestMetrics:
