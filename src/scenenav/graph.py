@@ -15,7 +15,19 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .schema import ConceptKind, EdgeKind, Schema
+from .schema import (
+    CONNECTOR,
+    CONNECTS_TO,
+    CONTAINS,
+    HAS,
+    IS_NEAR,
+    OBJECT_ROLE,
+    PLACE,
+    REGION,
+    ConceptKind,
+    EdgeKind,
+    Schema,
+)
 
 __all__ = [
     "ObjectNode",
@@ -56,7 +68,7 @@ class ObjectNode:
     image_ref: str = ""
     id: str = ""
 
-    kind = ConceptKind.OBJECT_ROLE
+    kind = OBJECT_ROLE
 
 
 @dataclass
@@ -66,7 +78,7 @@ class PlaceNode:
     id: str = ""
     aliases: list[str] = field(default_factory=list)
 
-    kind = ConceptKind.PLACE
+    kind = PLACE
 
 
 @dataclass
@@ -77,7 +89,7 @@ class ConnectorNode:
     image_ref: str = ""
     id: str = ""
 
-    kind = ConceptKind.CONNECTOR
+    kind = CONNECTOR
 
 
 @dataclass
@@ -86,7 +98,7 @@ class RegionNode:
     label: str
     id: str = ""
 
-    kind = ConceptKind.REGION
+    kind = REGION
 
 
 Node = ObjectNode | PlaceNode | ConnectorNode | RegionNode
@@ -115,10 +127,9 @@ class ObjectFeatures:
 
 
 # the edge kind whose targets make up a node's maintained summary
-_SUMMARY_EDGE = {ConceptKind.PLACE: EdgeKind.HAS, ConceptKind.REGION: EdgeKind.CONTAINS,
-                 ConceptKind.CONNECTOR: EdgeKind.IS_NEAR}
+_SUMMARY_EDGE = {PLACE: HAS, REGION: CONTAINS, CONNECTOR: IS_NEAR}
 # the kinds stored both ways, with the name an audit gives their edges
-_SYMMETRIC = {EdgeKind.CONNECTS_TO: "connectivity", EdgeKind.IS_NEAR: "proximity"}
+_SYMMETRIC = {CONNECTS_TO: "connectivity", IS_NEAR: "proximity"}
 
 
 def _id_prefix(node: Node) -> str:
@@ -217,7 +228,10 @@ class SceneGraph:
         self._by_layer.setdefault(concept.layer_id, []).append(node)
         self._pairs[node.id] = (node.label, getattr(node, "desc", ""))
         self._rank[node.id] = len(self._rank)
-        self._index_ref(node.id, getattr(node, "image_ref", ""))
+        image_ref = getattr(node, "image_ref", "")
+        if image_ref:
+            # a new node ranks last, so appending keeps the holders in rank order
+            self._by_ref.setdefault(image_ref, []).append(node.id)
         self.version += 1
         return node.id
 
@@ -238,8 +252,8 @@ class SceneGraph:
             self._pairs[node_id] = (node.label, desc)
             # proximity is stored both ways: the leaf's neighbours are its out-list
             for holders in (
-                self._out[node_id].get(EdgeKind.IS_NEAR, ()),
-                self._in[node_id].get(EdgeKind.HAS, ()),
+                self._out[node_id].get(IS_NEAR, ()),
+                self._in[node_id].get(HAS, ()),
             ):
                 for holder in holders:
                     self._features.pop(holder, None)
@@ -250,11 +264,8 @@ class SceneGraph:
                 if not holders:
                     del self._by_ref[node.image_ref]
             node.image_ref = image_ref
-            self._index_ref(node_id, image_ref)
-
-    def _index_ref(self, node_id: str, image_ref: str) -> None:
-        if image_ref:
-            insort(self._by_ref.setdefault(image_ref, []), node_id, key=self._rank.__getitem__)
+            if image_ref:
+                insort(self._by_ref.setdefault(image_ref, []), node_id, key=self._rank.__getitem__)
 
     def node(self, node_id: str) -> Node:
         try:
@@ -271,7 +282,7 @@ class SceneGraph:
         return list(self._by_kind[kind])
 
     def places(self) -> list[PlaceNode]:
-        return list(self._by_kind[ConceptKind.PLACE])
+        return list(self._by_kind[PLACE])
 
     def count(self, kind: ConceptKind) -> int:
         """How many nodes of a concept kind the graph holds."""
@@ -313,7 +324,7 @@ class SceneGraph:
             raise EdgeRuleError(f"self-loop on {src!r} rejected")
         if not self.schema.permits(src_cls, kind, dst_cls):
             raise EdgeRuleError(f"schema forbids {kind.value} edge {src_cls} -> {dst_cls}")
-        if kind is EdgeKind.CONTAINS:
+        if kind is CONTAINS:
             parents = self._in[dst].get(kind)
             if parents:
                 raise EdgeRuleError(
@@ -328,12 +339,12 @@ class SceneGraph:
         if kind not in _SYMMETRIC:
             self._in[dst].setdefault(kind, []).append(src)
         self._edges.add((src, dst, kind))
-        if kind is EdgeKind.CONNECTS_TO and src in self._adj and dst in self._adj:
+        if kind is CONNECTS_TO and src in self._adj and dst in self._adj:
             self._adj[src][dst] = 1.0
             if src in self._place_counts and isinstance(self._nodes[dst], PlaceNode):
                 self._place_counts[src] += 1
         # a node's features read its own out-list only
-        if kind is EdgeKind.IS_NEAR or kind is EdgeKind.HAS:
+        if kind is IS_NEAR or kind is HAS:
             self._features.pop(src, None)
         if kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
             _, name, summary = self._rows[src]
@@ -381,10 +392,10 @@ class SceneGraph:
         pairs = self._pairs
         if isinstance(node, RegionNode):
             items = []
-            for child in self._out[node_id].get(EdgeKind.CONTAINS, ()):
+            for child in self._out[node_id].get(CONTAINS, ()):
                 items.extend(self.object_features(child).items)
             return ObjectFeatures(items=tuple(items))
-        kind = EdgeKind.HAS if isinstance(node, PlaceNode) else EdgeKind.IS_NEAR
+        kind = HAS if isinstance(node, PlaceNode) else IS_NEAR
         features = self._features[node_id] = ObjectFeatures(
             items=tuple([pairs[nb] for nb in self._out[node_id].get(kind, ())])
         )
@@ -458,7 +469,7 @@ class SceneGraph:
         return tree[2], tree[3]
 
     def parent_region(self, node_id: str) -> str | None:
-        parents = self.in_neighbors(node_id, EdgeKind.CONTAINS)
+        parents = self.in_neighbors(node_id, CONTAINS)
         if not parents:
             return None
         if len(parents) > 1:
@@ -515,10 +526,10 @@ class SceneGraph:
                 lines.append(f'    "{node.id}" [label="{node.label}"];')
             lines.append("  }")
         style = {
-            EdgeKind.IS_NEAR: "dashed",
-            EdgeKind.CONNECTS_TO: "solid",
-            EdgeKind.HAS: "dotted",
-            EdgeKind.CONTAINS: "bold",
+            IS_NEAR: "dashed",
+            CONNECTS_TO: "solid",
+            HAS: "dotted",
+            CONTAINS: "bold",
         }
         for src, dst, kind in self.edges():
             lines.append(f'  "{src}" -> "{dst}" [style={style[kind]}];')
@@ -581,16 +592,16 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
                 f"node entry {entry!r} puts a {cls} at layer {layer!r}, "
                 f"not at its schema layer {concept.layer_id}"
             )
-        if concept.kind is ConceptKind.OBJECT_ROLE:
+        if concept.kind is OBJECT_ROLE:
             node: Node = ObjectNode(
                 label=label,
                 desc=entry.get("desc", ""),
                 image_ref=entry.get("image_ref", ""),
             )
-        elif concept.kind is ConceptKind.PLACE:
+        elif concept.kind is PLACE:
             node = PlaceNode(cls=cls, label=label)
             node.aliases = list(aliases)
-        elif concept.kind is ConceptKind.CONNECTOR:
+        elif concept.kind is CONNECTOR:
             node = ConnectorNode(
                 cls=cls,
                 label=label,
@@ -672,7 +683,7 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     permitted: dict[tuple[str, EdgeKind, str], bool] = {}
     for src, by_kind in graph._out.items():  # the edges in edges() order
         for kind, targets in by_kind.items():
-            symmetric, contains = _SYMMETRIC.get(kind), kind is EdgeKind.CONTAINS
+            symmetric, contains = _SYMMETRIC.get(kind), kind is CONTAINS
             for dst in targets:
                 if src == dst:
                     problems.append(f"self-loop on {src}")
@@ -693,21 +704,21 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     by_id = graph._nodes
     nodes = list(by_id.values())
     for node in nodes:
-        parents = graph._in[node.id].get(EdgeKind.CONTAINS, ())
+        parents = graph._in[node.id].get(CONTAINS, ())
         if len(parents) > 1:
             problems.append(f"{node.id} has multiple parents {list(parents)}")
     if graph._cls != {n.id: cls_of[n.id] for n in nodes}:
         problems.append("the node class index differs from its rebuild")
-    candidates = [n for n in nodes if n.kind is not ConceptKind.OBJECT_ROLE]
+    candidates = [n for n in nodes if n.kind is not OBJECT_ROLE]
     for node, row in zip(candidates, graph.candidate_rows(n.id for n in candidates)):
         rebuilt = (node.id, node.label, _rebuilt_summary(graph, node))
         if row != rebuilt:
             problems.append(f"candidate row {row!r} differs from its rebuild {rebuilt!r}")
-    linked = (ConceptKind.PLACE, ConceptKind.CONNECTOR)
+    linked = (PLACE, CONNECTOR)
     adj = {
         n.id: {
             nb: 1.0
-            for nb in graph.out_targets(n.id, EdgeKind.CONNECTS_TO)
+            for nb in graph.out_targets(n.id, CONNECTS_TO)
             if by_id[nb].kind in linked
         }
         for n in nodes
@@ -716,9 +727,9 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     if _ordered(graph.connectivity_subgraph()) != _ordered(adj):
         problems.append("the connectivity adjacency differs from its rebuild")
     counts = {
-        c.id: sum(by_id[nb].kind is ConceptKind.PLACE for nb in adj[c.id])
+        c.id: sum(by_id[nb].kind is PLACE for nb in adj[c.id])
         for c in nodes
-        if c.kind is ConceptKind.CONNECTOR
+        if c.kind is CONNECTOR
     }
     if list(graph.connector_place_counts().items()) != list(counts.items()):
         problems.append("the connector place counts differ from their rebuild")

@@ -27,7 +27,7 @@ from .graph import (
 )
 from .oracle.rules import RuleOracle
 from .oracle.tables import strip_suffix
-from .schema import ConceptKind, EdgeKind, Schema
+from .schema import CONNECTOR, CONNECTS_TO, CONTAINS, HAS, IS_NEAR, PLACE, REGION, Schema
 
 __all__ = [
     "Detection",
@@ -133,7 +133,7 @@ def parse_frame(
 ) -> ParsedObservation:
     """Structure one detection frame: classify leaves, wire proximity, spot the goal."""
     place_concept = schema.concepts.get(frame.place_type_answer)
-    if place_concept is None or place_concept.kind is not ConceptKind.PLACE:
+    if place_concept is None or place_concept.kind is not PLACE:
         raise FrameError(
             f"frame {frame.frame_id}: {frame.place_type_answer!r} is not a place "
             f"concept of the active schema"
@@ -193,9 +193,9 @@ def _place_signature(graph: SceneGraph, place_id: str) -> ObjectFeatures:
     the stored side gets them too; otherwise every comparison is diluted.
     """
     items = list(graph.object_features(place_id).items)
-    for nb in graph.out_neighbors(place_id, EdgeKind.CONNECTS_TO):
+    for nb in graph.out_neighbors(place_id, CONNECTS_TO):
         node = graph.node(nb)
-        if node.kind is ConceptKind.CONNECTOR:
+        if node.kind is CONNECTOR:
             items.append((node.label, getattr(node, "desc", "")))
     return ObjectFeatures(items=tuple(items))
 
@@ -226,7 +226,7 @@ def estimate_state(
 
 
 def _connector_concept_for(schema: Schema, label: str) -> str | None:
-    connectors = schema.by_kind(ConceptKind.CONNECTOR)
+    connectors = schema.by_kind(CONNECTOR)
     if not connectors:
         return None
     base = strip_suffix(label).lower()
@@ -258,7 +258,7 @@ def _add_leaves(
         if idx in assoc:
             continue
         node_id = graph.add_node(ObjectNode(label=label, desc=desc, image_ref=image_ref))
-        graph.add_edge(place_id, node_id, EdgeKind.HAS)
+        graph.add_edge(place_id, node_id, HAS)
         assoc[idx] = node_id
     for k, (label, desc, image_ref) in enumerate(obs.connectors):
         idx = n_objects + k
@@ -269,7 +269,7 @@ def _add_leaves(
             # a connector already mapped from its other side carries the same
             # opaque handle; reuse it instead of splitting the passage in two
             known = graph.find_by_image_ref(image_ref)
-            if known is not None and graph.node(known).kind is ConceptKind.CONNECTOR:
+            if known is not None and graph.node(known).kind is CONNECTOR:
                 node_id = known
                 if desc:
                     graph.set_leaf(known, desc=desc)
@@ -277,7 +277,7 @@ def _add_leaves(
             cls = _connector_concept_for(graph.schema, label)
             if cls is None:
                 node_id = graph.add_node(ObjectNode(label=label, desc=desc, image_ref=image_ref))
-                graph.add_edge(place_id, node_id, EdgeKind.HAS)
+                graph.add_edge(place_id, node_id, HAS)
                 assoc[idx] = node_id
                 continue
             node_id = graph.add_node(
@@ -297,7 +297,7 @@ def _associate_traversed_connector(
     if subgoal_node is None or subgoal_node not in graph:
         return
     node = graph.node(subgoal_node)
-    if node.kind is not ConceptKind.CONNECTOR:
+    if node.kind is not CONNECTOR:
         return
     n_objects = len(obs.objects)
     by_ref = None
@@ -320,12 +320,12 @@ def _merge_near_edges(graph: SceneGraph, obs: ParsedObservation, assoc: dict[int
     leaves = {
         idx: node_id
         for idx, node_id in assoc.items()
-        if graph.node(node_id).kind is not ConceptKind.PLACE
+        if graph.node(node_id).kind is not PLACE
     }
     for i, j in obs.near_pairs:
         a, b = leaves.get(i), leaves.get(j)
         if a is not None and b is not None and a != b:
-            graph.add_edge(a, b, EdgeKind.IS_NEAR)
+            graph.add_edge(a, b, IS_NEAR)
 
 
 def _wire_previous(
@@ -338,7 +338,7 @@ def _wire_previous(
     if prev_place is None or prev_place == new_place:
         return
     connector = _resolve_subgoal(graph, subgoal)
-    if connector is not None and graph.node(connector).kind is ConceptKind.CONNECTOR:
+    if connector is not None and graph.node(connector).kind is CONNECTOR:
         _connect(graph, prev_place, connector)
         if _connect(graph, connector, new_place):
             return
@@ -347,9 +347,9 @@ def _wire_previous(
 
 def _connect(graph: SceneGraph, a: str, b: str) -> bool:
     """Store ``a CONNECTS_TO b`` if the schema permits it; say whether it does."""
-    if not graph.schema.permits(graph.node(a).cls, EdgeKind.CONNECTS_TO, graph.node(b).cls):
+    if not graph.schema.permits(graph.node(a).cls, CONNECTS_TO, graph.node(b).cls):
         return False
-    graph.add_edge(a, b, EdgeKind.CONNECTS_TO)
+    graph.add_edge(a, b, CONNECTS_TO)
     return True
 
 
@@ -370,7 +370,7 @@ def _update_regions(
             break
         existing = [
             (n.id, n.label)
-            for n in graph.nodes(ConceptKind.REGION)
+            for n in graph.nodes(REGION)
             if n.cls == region_cls
         ]
         prev_parent = graph.parent_region(v_prev) if v_prev is not None else None
@@ -386,18 +386,18 @@ def _update_regions(
             via_label=subgoal_label,
         )
         if not choice.is_new and choice.value in graph:
-            graph.add_edge(choice.value, v_t, EdgeKind.CONTAINS)
+            graph.add_edge(choice.value, v_t, CONTAINS)
             break
         region_id = graph.add_node(RegionNode(cls=region_cls, label=choice.value))
-        graph.add_edge(region_id, v_t, EdgeKind.CONTAINS)
+        graph.add_edge(region_id, v_t, CONTAINS)
         if (
             v_prev is not None
             and prev_parent is None
             and graph.schema.permits(
-                region_cls, EdgeKind.CONTAINS, graph.node_cls(graph.node(v_prev))
+                region_cls, CONTAINS, graph.node_cls(graph.node(v_prev))
             )
         ):
-            graph.add_edge(region_id, v_prev, EdgeKind.CONTAINS)
+            graph.add_edge(region_id, v_prev, CONTAINS)
         v_t = region_id
         v_prev = prev_parent
 
@@ -448,11 +448,11 @@ def _associate_leaves(
     oracle: RuleOracle,
 ) -> dict[int, str]:
     """Match observed leaves against the place's known leaves; refresh matches."""
-    object_ids = graph.out_neighbors(place_id, EdgeKind.HAS)
+    object_ids = graph.out_neighbors(place_id, HAS)
     connector_ids = [
         nb
-        for nb in graph.out_neighbors(place_id, EdgeKind.CONNECTS_TO)
-        if graph.node(nb).kind is ConceptKind.CONNECTOR
+        for nb in graph.out_neighbors(place_id, CONNECTS_TO)
+        if graph.node(nb).kind is CONNECTOR
     ]
     leaves = object_ids + connector_ids
     candidates = [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,24 +129,23 @@ def observe(
     image handle.
     """
     place = scene.places[place_id]
-    raw: list[tuple[str, str, str]] = []
-    for k, obj in enumerate(place.objects):
-        if not noise.detected(rng):
-            continue
-        label = noise.observe_label(obj.label, rng)
-        raw.append((label, obj.desc, f"gt:obj:{place_id}:{k}"))
-    for neighbor, via in scene.neighbors(place_id):
-        if via is None:
-            continue
-        if not noise.detected(rng):
-            continue
-        conn = scene.connectors[via]
-        label = noise.observe_label(conn.label, rng)
-        raw.append((label, "", f"gt:conn:{conn.id}"))
-    detections = tuple(
-        Detection(label=label, desc=desc, bbox=bbox, image_ref=ref)
-        for (label, desc, ref), bbox in zip(raw, _ring(len(raw)))
-    )
+    detected, observe_label = noise.detected, noise.observe_label
+    # each kept element draws its detection, then its label, in this order
+    raw = [
+        (observe_label(obj.label, rng), obj.desc, f"gt:obj:{place_id}:{k}")
+        for k, obj in enumerate(place.objects)
+        if detected(rng)
+    ]
+    connectors = scene.connectors
+    for _, via in scene.neighbors(place_id):
+        if via is not None and detected(rng):
+            conn = connectors[via]
+            raw.append((observe_label(conn.label, rng), "", f"gt:conn:{conn.id}"))
+    # Detection(label, desc, bbox, image_ref) by position: a frozen dataclass
+    # takes keywords markedly slower, and a frame renders several
+    detections = tuple([
+        Detection(label, desc, bbox, ref) for (label, desc, ref), bbox in zip(raw, _ring(len(raw)))
+    ])
     return DetectionFrame(
         frame_id=frame_id,
         place_type_answer=place.cls,
@@ -156,11 +156,15 @@ def observe(
 
 
 def act(scene: GroundTruthScene, place_id: str, target_ref: str) -> ActResult:
-    """Execute one local move toward a ground-truth-anchored element."""
+    """Execute one local move toward a ground-truth-anchored element.
+
+    Anchors are parsed by prefix, so a scene id may contain ``:``: the host of
+    ``gt:obj:<place>:<k>`` is everything up to the last ``:``, and the
+    connector of ``gt:conn:<id>`` everything after the prefix.
+    """
     adjacent = {nb for nb, _ in scene.neighbors(place_id)}
-    parts = target_ref.split(":")
-    if len(parts) >= 3 and parts[0] == "gt" and parts[1] == "obj":
-        host = parts[2]
+    if target_ref.startswith("gt:obj:"):
+        host = target_ref[len("gt:obj:"):].rpartition(":")[0]
         if host not in scene.places:
             raise ValueError(f"unknown object anchor {target_ref!r}")
         if host == place_id:
@@ -168,8 +172,8 @@ def act(scene: GroundTruthScene, place_id: str, target_ref: str) -> ActResult:
         if host in adjacent:
             return ActResult(place=host, cost=1, moved=True, ok=True)
         return ActResult(place=place_id, cost=1, moved=False, ok=False)
-    if len(parts) >= 3 and parts[0] == "gt" and parts[1] == "conn":
-        conn = scene.connectors.get(parts[2])
+    if target_ref.startswith("gt:conn:"):
+        conn = scene.connectors.get(target_ref[len("gt:conn:"):])
         if conn is None:
             raise ValueError(f"unknown connector anchor {target_ref!r}")
         a, b = conn.endpoints
@@ -199,8 +203,10 @@ def run_episode(
     """Observe -> map -> reason -> move until the goal fires or budget ends."""
     oracle = oracle if oracle is not None else RuleOracle()
     config = config if config is not None else RunnerConfig()
-    streams = np.random.SeedSequence(spec.seed).spawn(2)
-    obs_rng = np.random.default_rng(streams[0])
+    # the observation and filter streams are the spawned children 0 and 1 of
+    # SeedSequence(seed); each is built directly from its spawn key, without
+    # the parent, and the filter's only when a filter runs
+    obs_rng = np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(0,)))
     tables = oracle.tables
 
     mapper_cfg = MapperConfig(goal=spec.goal)
@@ -210,7 +216,10 @@ def run_episode(
     memory = PlannerMemory()
     scans: dict[str, int] = {}
     filter_state = (
-        FilterState.create(config.filter, seed=np.random.default_rng(streams[1]))
+        FilterState.create(
+            config.filter,
+            seed=np.random.default_rng(np.random.SeedSequence(spec.seed, spawn_key=(1,))),
+        )
         if config.filter is not None
         else None
     )
@@ -321,27 +330,28 @@ def cover_walk(scene: GroundTruthScene, start: str) -> list[str]:
     walk = [start]
     visited = {start}
 
-    def neighbors_sorted(pid: str) -> list[tuple[str, str | None]]:
-        pairs = scene.neighbors(pid)
-        # keep stairs for last so floors finish before the walk climbs
-        return sorted(
-            pairs,
-            key=lambda item: (
-                item[1] is not None and scene.connectors[item[1]].label == "stairs",
-                pairs.index(item),
-            ),
-        )
+    def by_stairs_last(pid: str) -> Iterator[tuple[str, str | None]]:
+        # keep stairs for last so floors finish before the walk climbs; the
+        # sort is stable, so link order breaks ties
+        return iter(sorted(
+            scene.neighbors(pid),
+            key=lambda item: item[1] is not None and scene.connectors[item[1]].label == "stairs",
+        ))
 
-    def dfs(pid: str) -> None:
-        for nb, _ in neighbors_sorted(pid):
-            if nb in visited:
-                continue
-            visited.add(nb)
-            walk.append(nb)
-            dfs(nb)
-            walk.append(pid)
-
-    dfs(start)
+    # depth-first, returning to each place after each child: one stack entry
+    # per place on the current path, so the walk's depth needs no recursion
+    stack = [(start, by_stairs_last(start))]
+    while stack:
+        for nb, _ in stack[-1][1]:
+            if nb not in visited:
+                visited.add(nb)
+                walk.append(nb)
+                stack.append((nb, by_stairs_last(nb)))
+                break
+        else:
+            stack.pop()
+            if stack:
+                walk.append(stack[-1][0])
 
     crossed = {frozenset(pair) for pair in zip(walk, walk[1:])}
     for a, b, _ in scene.links:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -91,15 +92,29 @@ class GroundTruthScene:
     connectors: dict[str, SceneConnector] = field(default_factory=dict)
     regions: dict[str, SceneRegion] = field(default_factory=dict)
     links: list[tuple[str, str, str | None]] = field(default_factory=list)
+    # the neighbour table and the copy of ``links`` it was built from
+    _table_links: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _table: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def neighbors(self, place_id: str) -> list[tuple[str, str | None]]:
-        out = []
-        for a, b, via in self.links:
-            if a == place_id:
-                out.append((b, via))
-            elif b == place_id:
-                out.append((a, via))
-        return out
+    def neighbors(self, place_id: str) -> Sequence[tuple[str, str | None]]:
+        """``(neighbour, connector or None)`` of every link at ``place_id``, in link order.
+
+        Answered from a table built from ``links``; the table is built again
+        when ``links`` no longer equals the copy it was built from, so appending
+        to, reassigning or replacing an item of ``links`` is seen on the next
+        call.  That check is one list comparison, so each call still walks
+        the links, in C.  Links are tuples.  The sequence is the table's own
+        and read-only.
+        """
+        if self._table_links != self.links:
+            table: dict[str, list[tuple[str, str | None]]] = {}
+            for a, b, via in self.links:
+                table.setdefault(a, []).append((b, via))
+                if b != a:
+                    table.setdefault(b, []).append((a, via))
+            self._table = {pid: tuple(pairs) for pid, pairs in table.items()}
+            self._table_links = list(self.links)
+        return self._table.get(place_id, ())
 
     def hosts(self, goal: str) -> list[str]:
         """The places holding an object that satisfies ``goal``, by the rule oracle's test."""

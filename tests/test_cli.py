@@ -866,6 +866,19 @@ class TestSceneFileShapes:
             connectors=[], links=[["kitchen_1", "bedroom_1", None]]))
         assert code == 0 and out.exists()
 
+    @pytest.mark.parametrize("old,new", [("door_1", "a:b"), ("kitchen_1", "kit:1")])
+    def test_ids_with_colons_run_like_plain_ids(self, tmp_path, old, new):
+        # the move primitive parses gt:obj:<place>:<k> and gt:conn:<id> by prefix
+        renamed = json.loads(json.dumps(self._scene()).replace(f'"{old}"', f'"{new}"'))
+        outs = []
+        for name, scene in (("plain", self._scene()), ("colon", renamed)):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+            path.write_text(json.dumps(scene))
+            assert main(["run", "--schema", HOME, "--scene", str(path), "--episodes", "6",
+                         "--baseline", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[1] == outs[0]
+
     @pytest.mark.parametrize("changes,needle", [
         ({"env_label": 3}, "'env_label'"),
         ({"places": {"kitchen_1": {}}}, "'places'"),

@@ -227,6 +227,111 @@ class TestCoverWalk:
             for a, b in zip(walk, walk[1:]):
                 assert b in {nb for nb, _ in scene.neighbors(a)}
 
+    def test_a_long_corridor_needs_no_recursion(self):
+        # one room per stack entry: a recursive walk would exceed Python's
+        # default recursion limit of 1,000 frames here
+        scene = GroundTruthScene(env_label="home")
+        ids = [f"hallway_{i}" for i in range(1100)]
+        for pid in ids:
+            scene.places[pid] = ScenePlace(pid, "Corridor", "hallway", [SceneObject("plant")])
+        scene.links = [(a, b, None) for a, b in zip(ids, ids[1:])]
+        assert cover_walk(scene, ids[0]) == ids + ids[-2::-1]
+
+    def test_walks_equal_the_recursive_walk(self, sweep):
+        homes = [(sweep.sweep_home(n, seed), None) for seed in range(6) for n in sweep.SWEEP_SIZES]
+        for seed in range(2500, 2520):
+            homes.append((generate_home_scene(np.random.default_rng(seed)), "every"))
+            # reversed, stairs come first in link order, so the walk must sort them last
+            flipped = generate_home_scene(np.random.default_rng(seed))
+            flipped.links.reverse()
+            homes.append((flipped, "every"))
+        for scene, starts in homes:
+            for start in list(scene.places) if starts else [next(iter(scene.places))]:
+                assert cover_walk(scene, start) == _recursive_cover_walk(scene, start)
+
+
+def _recursive_cover_walk(scene, start):
+    """``cover_walk`` as a recursive depth-first walk, kept as the reference."""
+    walk = [start]
+    visited = {start}
+
+    def neighbors_sorted(pid):
+        pairs = list(scene.neighbors(pid))
+        return sorted(
+            pairs,
+            key=lambda item: (
+                item[1] is not None and scene.connectors[item[1]].label == "stairs",
+                pairs.index(item),
+            ),
+        )
+
+    def dfs(pid):
+        for nb, _ in neighbors_sorted(pid):
+            if nb in visited:
+                continue
+            visited.add(nb)
+            walk.append(nb)
+            dfs(nb)
+            walk.append(pid)
+
+    dfs(start)
+    crossed = {frozenset(pair) for pair in zip(walk, walk[1:])}
+    for a, b, _ in scene.links:
+        if frozenset((a, b)) in crossed:
+            continue
+        walk.extend(scene.route(walk[-1], lambda p: p == a))
+        walk.append(b)
+        crossed = {frozenset(pair) for pair in zip(walk, walk[1:])}
+    return walk
+
+
+def _scanned_neighbors(scene, place_id):
+    """``neighbors`` as a scan of every link, kept as the reference for the table."""
+    out = []
+    for a, b, via in scene.links:
+        if a == place_id:
+            out.append((b, via))
+        elif b == place_id:
+            out.append((a, via))
+    return out
+
+
+class TestNeighborTable:
+    @staticmethod
+    def _assert_matches_scan(scene):
+        for pid in [*scene.places, "nowhere"]:
+            assert list(scene.neighbors(pid)) == _scanned_neighbors(scene, pid)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_follows_every_change_to_links(self, seed):
+        rng = np.random.default_rng(seed)
+        scene = generate_home_scene(rng)
+        ids = list(scene.places)
+        self._assert_matches_scan(scene)
+        # appended
+        for _ in range(3):
+            a, b = (ids[int(i)] for i in rng.choice(len(ids), size=2, replace=False))
+            scene.links.append((a, b, None))
+            self._assert_matches_scan(scene)
+        # an item replaced, also by a self-loop
+        scene.links[int(rng.integers(len(scene.links)))] = (ids[0], ids[-1], None)
+        self._assert_matches_scan(scene)
+        scene.links[0] = (ids[1], ids[1], None)
+        self._assert_matches_scan(scene)
+        # reassigned, to a shuffled copy and to an empty list
+        scene.links = [scene.links[int(i)] for i in rng.permutation(len(scene.links))]
+        self._assert_matches_scan(scene)
+        scene.links = []
+        self._assert_matches_scan(scene)
+        # built up again on a scene whose table was read before any link
+        scene.links.append((ids[0], ids[1], None))
+        self._assert_matches_scan(scene)
+
+    def test_sequence_is_read_only(self):
+        scene = small_scene()
+        assert isinstance(scene.neighbors("hallway_2"), tuple)
+        assert scene.neighbors("nowhere") == ()
+
 
 def _replay(scene, schema, noise, seed=0):
     rng = np.random.default_rng(seed)
@@ -362,6 +467,35 @@ class TestRunEpisode:
         without = run_episode(spec, home, RuleOracle(), plain)
         # the filter is diagnostics-only: outcomes stay identical
         assert with_filter == without
+
+    def test_streams_are_the_seeds_spawned_children(self, home, monkeypatch):
+        # observation draws come from SeedSequence(seed).spawn(2)[0], the
+        # filter's from [1]
+        from scenenav.sim import RunnerConfig, episode
+        from scenenav.topofilter import FilterConfig, FilterState
+
+        seen = {}
+        create = FilterState.create
+
+        def spy_create(config, seed):
+            seen["filter"] = seed.bit_generator.state
+            return create(config, seed=seed)
+
+        observe_ = episode.observe
+
+        def spy_observe(scene, place_id, noise, rng, *args):
+            seen.setdefault("observe", rng.bit_generator.state)
+            return observe_(scene, place_id, noise, rng, *args)
+
+        monkeypatch.setattr(FilterState, "create", spy_create)
+        monkeypatch.setattr(episode, "observe", spy_observe)
+        scene = generate_home_scene(np.random.default_rng(29))
+        spec = EpisodeSpec(scene=scene, start=next(iter(scene.places)),
+                           goal=scene.object_labels()[0], horizon=12, seed=4)
+        run_episode(spec, home, RuleOracle(), RunnerConfig(filter=FilterConfig(num_particles=5)))
+        children = np.random.SeedSequence(4).spawn(2)
+        assert seen["observe"] == np.random.default_rng(children[0]).bit_generator.state
+        assert seen["filter"] == np.random.default_rng(children[1]).bit_generator.state
 
     def test_a_likely_place_gets_one_rescan(self, home):
         # a kitchenette (canonically a kitchen) is where a sink is typical, but
