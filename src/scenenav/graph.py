@@ -61,7 +61,7 @@ class GraphCorruptionError(GraphError):
     pass
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectNode:
     label: str
     desc: str = ""
@@ -71,7 +71,7 @@ class ObjectNode:
     kind = OBJECT_ROLE
 
 
-@dataclass
+@dataclass(slots=True)
 class PlaceNode:
     cls: str
     label: str
@@ -81,7 +81,7 @@ class PlaceNode:
     kind = PLACE
 
 
-@dataclass
+@dataclass(slots=True)
 class ConnectorNode:
     cls: str
     label: str
@@ -92,7 +92,7 @@ class ConnectorNode:
     kind = CONNECTOR
 
 
-@dataclass
+@dataclass(slots=True)
 class RegionNode:
     cls: str
     label: str
@@ -130,14 +130,17 @@ class ObjectFeatures:
 _SUMMARY_EDGE = {PLACE: HAS, REGION: CONTAINS, CONNECTOR: IS_NEAR}
 # the kinds stored both ways, with the name an audit gives their edges
 _SYMMETRIC = {CONNECTS_TO: "connectivity", IS_NEAR: "proximity"}
+# the node kinds of the place/connector adjacency
+_LINKED = (PLACE, CONNECTOR)
 
 
 def _id_prefix(node: Node) -> str:
-    if isinstance(node, (ObjectNode, ConnectorNode, PlaceNode, RegionNode)):
-        label = node.label.strip()
-        if label:
-            return label
-    return getattr(node, "cls", "node")
+    return node.label.strip() or getattr(node, "cls", "node")
+
+
+def _dot_quoted(text: str) -> str:
+    """``text`` as a DOT quoted string: ``\\`` and ``"`` escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 class SceneGraph:
@@ -175,6 +178,8 @@ class SceneGraph:
         self.schema = schema
         self._nodes: dict[str, Node] = {}
         self._cls: dict[str, str] = {}  # node id -> its schema class
+        # node id -> (summary edge kind or None, in the adjacency?), fixed by add_node
+        self._facts: dict[str, tuple[EdgeKind | None, bool]] = {}
         self._counters: dict[str, int] = {}
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}  # non-symmetric kinds only
@@ -206,9 +211,10 @@ class SceneGraph:
     def add_node(self, node: Node) -> str:
         cls = self.node_cls(node)
         concept = self.schema.concepts.get(cls)
-        if concept is None or concept.kind is not node.kind:
+        kind = node.kind
+        if concept is None or concept.kind is not kind:
             raise EdgeRuleError(
-                f"class {cls!r} is not a {node.kind.value} concept of the active schema"
+                f"class {cls!r} is not a {kind.value} concept of the active schema"
             )
         prefix = _id_prefix(node)
         count = self._counters.get(prefix, 0) + 1
@@ -218,13 +224,14 @@ class SceneGraph:
         self._cls[node.id] = cls
         self._out[node.id] = {}
         self._in[node.id] = {}
-        if isinstance(node, (PlaceNode, ConnectorNode)):
+        summary, linked = self._facts[node.id] = (_SUMMARY_EDGE.get(kind), kind in _LINKED)
+        if linked:
             self._adj[node.id] = {}
-        if node.kind in _SUMMARY_EDGE:
+        if summary is not None:
             self._rows[node.id] = (node.id, node.label, "")
-        if isinstance(node, ConnectorNode):
+        if kind is CONNECTOR:
             self._place_counts[node.id] = 0
-        self._by_kind[node.kind].append(node)
+        self._by_kind[kind].append(node)
         self._by_layer.setdefault(concept.layer_id, []).append(node)
         self._pairs[node.id] = (node.label, getattr(node, "desc", ""))
         self._rank[node.id] = len(self._rank)
@@ -303,10 +310,11 @@ class SceneGraph:
     def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
         if not self._admits(src, dst, kind):
             return
-        self._insert(src, dst, kind)
+        symmetric = kind in _SYMMETRIC
+        self._insert(src, dst, kind, symmetric)
         # a symmetric kind is stored both ways, so the reverse is missing too
-        if kind in _SYMMETRIC:
-            self._insert(dst, src, kind)
+        if symmetric:
+            self._insert(dst, src, kind, symmetric)
         self.version += 1
 
     def _admits(self, src: str, dst: str, kind: EdgeKind) -> bool:
@@ -332,24 +340,28 @@ class SceneGraph:
                 )
         return True
 
-    def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
+    def _insert(self, src: str, dst: str, kind: EdgeKind, symmetric: bool | None = None) -> None:
+        if symmetric is None:
+            symmetric = kind in _SYMMETRIC
         targets = self._out[src].setdefault(kind, [])
         targets.append(dst)
         # a symmetric kind's in-list would repeat its out-list
-        if kind not in _SYMMETRIC:
+        if not symmetric:
             self._in[dst].setdefault(kind, []).append(src)
         self._edges.add((src, dst, kind))
-        if kind is CONNECTS_TO and src in self._adj and dst in self._adj:
+        summary, linked = self._facts[src]
+        if kind is CONNECTS_TO and linked and self._facts[dst][1]:
             self._adj[src][dst] = 1.0
-            if src in self._place_counts and isinstance(self._nodes[dst], PlaceNode):
+            # a connector's summary kind is IS_NEAR and a place's HAS
+            if summary is IS_NEAR and self._facts[dst][0] is HAS:
                 self._place_counts[src] += 1
         # a node's features read its own out-list only
         if kind is IS_NEAR or kind is HAS:
             self._features.pop(src, None)
-        if kind is _SUMMARY_EDGE.get(self._nodes[src].kind):
-            _, name, summary = self._rows[src]
+        if kind is summary:
+            _, name, text = self._rows[src]
             label = self._nodes[dst].label
-            self._rows[src] = (src, name, f"{summary}, {label}" if len(targets) > 1 else label)
+            self._rows[src] = (src, name, f"{text}, {label}" if len(targets) > 1 else label)
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         out = []
@@ -523,7 +535,7 @@ class SceneGraph:
             lines.append(f"  subgraph cluster_{layer} {{")
             lines.append(f'    label="layer {layer}";')
             for node in by_layer[layer]:
-                lines.append(f'    "{node.id}" [label="{node.label}"];')
+                lines.append(f"    {_dot_quoted(node.id)} [label={_dot_quoted(node.label)}];")
             lines.append("  }")
         style = {
             IS_NEAR: "dashed",
@@ -532,7 +544,7 @@ class SceneGraph:
             CONTAINS: "bold",
         }
         for src, dst, kind in self.edges():
-            lines.append(f'  "{src}" -> "{dst}" [style={style[kind]}];')
+            lines.append(f"  {_dot_quoted(src)} -> {_dot_quoted(dst)} [style={style[kind]}];")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -665,9 +677,9 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     maintained views from the edge lists and reports any that differ: the
     candidate row (and so the summary) of every place, region and connector,
     ``connector_place_counts()`` and ``connectivity_subgraph()``, key and
-    neighbour order included, and compares each node's kept class with
-    ``node_cls``.  Each node's class is resolved, and each distinct class
-    triple checked against the schema, once per audit.
+    neighbour order included, and compares each node's kept class and insert
+    facts with ``node_cls`` and its kind.  Each node's class is resolved, and
+    each distinct class triple checked against the schema, once per audit.
     """
     problems: list[str] = []
     all_edges = graph.edges()
@@ -709,20 +721,21 @@ def validate_graph(graph: SceneGraph) -> list[str]:
             problems.append(f"{node.id} has multiple parents {list(parents)}")
     if graph._cls != {n.id: cls_of[n.id] for n in nodes}:
         problems.append("the node class index differs from its rebuild")
+    if graph._facts != {n.id: (_SUMMARY_EDGE.get(n.kind), n.kind in _LINKED) for n in nodes}:
+        problems.append("the node insert facts differ from their rebuild")
     candidates = [n for n in nodes if n.kind is not OBJECT_ROLE]
     for node, row in zip(candidates, graph.candidate_rows(n.id for n in candidates)):
         rebuilt = (node.id, node.label, _rebuilt_summary(graph, node))
         if row != rebuilt:
             problems.append(f"candidate row {row!r} differs from its rebuild {rebuilt!r}")
-    linked = (PLACE, CONNECTOR)
     adj = {
         n.id: {
             nb: 1.0
             for nb in graph.out_targets(n.id, CONNECTS_TO)
-            if by_id[nb].kind in linked
+            if by_id[nb].kind in _LINKED
         }
         for n in nodes
-        if n.kind in linked
+        if n.kind in _LINKED
     }
     if _ordered(graph.connectivity_subgraph()) != _ordered(adj):
         problems.append("the connectivity adjacency differs from its rebuild")

@@ -8,6 +8,7 @@ nearest first.  Integration either opens a new place (wiring connectivity
 back to the previous one and updating the region hierarchy bottom-up) or
 folds the observation into the recognised place through per-leaf data
 association.
+A frame's records are NamedTuples: each equals a plain tuple of the same values.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import (
     ConnectorNode,
+    EdgeRuleError,
     ObjectFeatures,
     ObjectNode,
     PlaceNode,
@@ -58,8 +61,7 @@ class FrameError(ValueError):
     """An observation frame violates its contract."""
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(NamedTuple):
     label: str
     desc: str = ""
     bbox: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)  # x, y, w, h
@@ -75,8 +77,7 @@ class Detection:
         return (x + w / 2.0, y + h / 2.0)
 
 
-@dataclass(frozen=True)
-class DetectionFrame:
+class DetectionFrame(NamedTuple):
     frame_id: int
     place_type_answer: str
     place_label_answer: str
@@ -84,8 +85,7 @@ class DetectionFrame:
     previous_subgoal: str | None = None
 
 
-@dataclass(frozen=True)
-class ParsedObservation:
+class ParsedObservation(NamedTuple):
     place: tuple[str, str]  # (concept name, label)
     objects: tuple[tuple[str, str, str], ...] = ()  # (label, desc, image_ref)
     connectors: tuple[tuple[str, str, str], ...] = ()
@@ -110,8 +110,7 @@ class MapperState:
     place_history: list[str] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(NamedTuple):
     state: MapperState
     goal_hit: Detection | None = None
     revisit: bool = False
@@ -347,9 +346,10 @@ def _wire_previous(
 
 def _connect(graph: SceneGraph, a: str, b: str) -> bool:
     """Store ``a CONNECTS_TO b`` if the schema permits it; say whether it does."""
-    if not graph.schema.permits(graph.node(a).cls, CONNECTS_TO, graph.node(b).cls):
+    try:  # a and b always differ, so only the schema can refuse the edge
+        graph.add_edge(a, b, CONNECTS_TO)
+    except EdgeRuleError:
         return False
-    graph.add_edge(a, b, CONNECTS_TO)
     return True
 
 

@@ -2,11 +2,12 @@
 
 The remote chat backend serves schema generation only; it raises
 ``OracleError`` when the endpoint stays unusable.
+An answer is a NamedTuple: it equals a plain tuple of the same values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "MatchDecision",
@@ -21,30 +22,25 @@ class OracleError(Exception):
     """A backend failed to produce a usable answer."""
 
 
-@dataclass(frozen=True)
-class MatchDecision:
+class MatchDecision(NamedTuple):
     matched: bool
     confidence: float  # always strictly inside (0, 1)
     reasoning: str = ""
 
 
-@dataclass(frozen=True)
-class ClassifiedElements:
+class ClassifiedElements(NamedTuple):
     place_label: str | None
     connectors: tuple[str, ...] = ()
     objects: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RegionChoice:
+class RegionChoice(NamedTuple):
     """Either an existing region node id or a label for a brand-new one."""
 
     is_new: bool
     value: str
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     chosen: str
     reasoning: str = ""
-

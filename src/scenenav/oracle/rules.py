@@ -13,7 +13,7 @@ import weakref
 from collections.abc import Callable
 
 from ..graph import ObjectFeatures
-from ..schema import ConceptKind, Schema
+from ..schema import CONNECTOR, Schema
 from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice
 from .tables import OracleTables, default_tables, strip_suffix
 
@@ -170,7 +170,7 @@ class RuleOracle:
         connectors: list[str] = []
         objects: list[str] = []
         # whether the schema has connectors is asked per call, never memoised
-        has_connector_concepts = bool(schema.by_kind(ConceptKind.CONNECTOR))
+        has_connector_concepts = bool(schema.by_kind(CONNECTOR))
         seen: set[str] = set()
         elements = self._elements
         for raw in labels:

@@ -14,6 +14,7 @@ or ``IS_NEAR`` insert from it), the frontier from each connector's count of
 place-side neighbours, and one breadth-first tree per graph version and source
 (``SceneGraph.hop_tree``), which gives both the hop order of the candidates
 and the route to the target.
+A ``SubgoalPlan`` is a NamedTuple: it equals a plain tuple of the same values.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ import json
 import logging
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graph import SceneGraph, hop_distances
 from .oracle.rules import RuleOracle
-from .schema import ConceptKind, EdgeKind, Schema
+from .schema import CONNECTOR, CONNECTS_TO, CONTAINS, HAS, PLACE, REGION, Schema
 
 logger = logging.getLogger(__name__)
 
@@ -48,8 +50,7 @@ class ExhaustedError(RuntimeError):
     """Nothing left to search: no promising region and no frontier."""
 
 
-@dataclass(frozen=True)
-class SubgoalPlan:
+class SubgoalPlan(NamedTuple):
     target_region: str | None = None
     waypoint: str | None = None
     object_goal: tuple[str, str] | None = None  # (node id, image_ref)
@@ -87,7 +88,7 @@ def find_path(graph: SceneGraph, frm: str, to: str) -> list[str] | None:
 
 
 def _is_connector(graph: SceneGraph, node_id: str) -> bool:
-    return graph.node(node_id).kind is ConceptKind.CONNECTOR
+    return graph.node(node_id).kind is CONNECTOR
 
 
 def _frontier_connectors(graph: SceneGraph) -> list[str]:
@@ -111,12 +112,12 @@ def propose_region(
     target is the unexplored connector fewest hops away (ties: first mapped).
     """
     exhausted = exhausted or set()
-    if not graph.count(ConceptKind.PLACE):
+    if not graph.count(PLACE):
         raise ExhaustedError("the graph holds no places yet")
 
     start_nodes: list[str] = []
     for layer in reversed(schema.region_layers):
-        start_nodes = [n.id for n in graph.layer_nodes(layer) if n.kind is ConceptKind.REGION]
+        start_nodes = [n.id for n in graph.layer_nodes(layer) if n.kind is REGION]
         if start_nodes:
             break
 
@@ -159,7 +160,7 @@ def _descend(
     """Walk containment downward; every pick is a child of the previous pick."""
 
     def region_key(region_id: str) -> tuple[float, str]:
-        children = graph.out_targets(region_id, EdgeKind.CONTAINS)
+        children = graph.out_targets(region_id, CONTAINS)
         reach = [distances[c] for c in children if c in distances]
         return (min(reach) if reach else float("inf"), region_id)
 
@@ -167,10 +168,10 @@ def _descend(
     while level:
         proposal = oracle.select_region(graph.candidate_rows(level), goal)
         node = graph.node(proposal.chosen)
-        if node.kind is not ConceptKind.REGION:
+        if node.kind is not REGION:
             return proposal.chosen
-        children = graph.out_targets(node.id, EdgeKind.CONTAINS)
-        if all(graph.node(c).kind is ConceptKind.REGION for c in children) and children:
+        children = graph.out_targets(node.id, CONTAINS)
+        if all(graph.node(c).kind is REGION for c in children) and children:
             level = sorted(children, key=region_key)
             continue
         places = _order([c for c in children if c not in exhausted], distances)
@@ -180,7 +181,7 @@ def _descend(
         inside = {c for c in children if c not in counts}
         nearby_frontier = [
             f for f in frontier
-            if not inside.isdisjoint(graph.out_targets(f, EdgeKind.CONNECTS_TO))
+            if not inside.isdisjoint(graph.out_targets(f, CONNECTS_TO))
         ]
         candidates = places + nearby_frontier
         if not candidates:
@@ -201,12 +202,12 @@ def propose_object(
     Returns (node id, image handle, reasoning).
     """
     node = graph.node(region)
-    if node.kind is ConceptKind.CONNECTOR:
+    if node.kind is CONNECTOR:
         return (region, getattr(node, "image_ref", ""), "the target is itself a passage")
-    objects = graph.out_neighbors(region, EdgeKind.HAS)
+    objects = graph.out_neighbors(region, HAS)
     connectors = [
         nb
-        for nb in graph.out_neighbors(region, EdgeKind.CONNECTS_TO)
+        for nb in graph.out_neighbors(region, CONNECTS_TO)
         if _is_connector(graph, nb)
     ]
     if toward is not None and toward in connectors:
@@ -229,7 +230,7 @@ def _reached(graph: SceneGraph, target: str, current: str | None) -> bool:
     if current == target:
         return True
     return _is_connector(graph, target) and graph.has_edge(
-        current, target, EdgeKind.CONNECTS_TO
+        current, target, CONNECTS_TO
     )
 
 
@@ -245,7 +246,7 @@ def reason_step(
     """Advance the plan one decision: pick/approach/search the target region."""
     memory = memory if memory is not None else PlannerMemory()
     frontier_size = sum(places <= 1 for places in graph.connector_place_counts().values())
-    attempts = graph.count(ConceptKind.PLACE) + frontier_size + 2
+    attempts = graph.count(PLACE) + frontier_size + 2
     target = plan.target_region
     for _ in range(attempts):
         if target is None:

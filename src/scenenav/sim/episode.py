@@ -4,6 +4,7 @@ The action primitive mirrors a local image-goal controller: moving toward an
 element succeeds only when its host place is the current place or one hop
 away.  Success requires standing in a place that hosts the goal while its
 detection fires; path lengths are hop counts.
+The result records are NamedTuples: each equals a plain tuple of the same values.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +80,7 @@ class EpisodeSpec:
         return self.scene.shortest_hops(self.start, self.goal_hosts)
 
 
-@dataclass(frozen=True)
-class EpisodeResult:
+class EpisodeResult(NamedTuple):
     success: bool
     hops_traversed: int
     shortest_hops: float
@@ -94,8 +95,7 @@ class RunnerConfig:
     filter: FilterConfig | None = None  # run the topology filter alongside when set
 
 
-@dataclass(frozen=True)
-class ActResult:
+class ActResult(NamedTuple):
     place: str
     cost: int
     moved: bool
@@ -141,8 +141,7 @@ def observe(
         if via is not None and detected(rng):
             conn = connectors[via]
             raw.append((observe_label(conn.label, rng), "", f"gt:conn:{conn.id}"))
-    # Detection(label, desc, bbox, image_ref) by position: a frozen dataclass
-    # takes keywords markedly slower, and a frame renders several
+    # Detection(label, desc, bbox, image_ref) by position, the cheapest call
     detections = tuple([
         Detection(label, desc, bbox, ref) for (label, desc, ref), bbox in zip(raw, _ring(len(raw)))
     ])

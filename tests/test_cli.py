@@ -32,6 +32,9 @@ HOME = "src/scenenav/assets/schemas/home.json"
 FIXED_RUN_SHA256 = "915d33c82476f92592079c0892820180042b8568d7f32442850592a9d1943cca"
 # the same run with --noiseless
 FIXED_NOISELESS_RUN_SHA256 = "5156264fe742a483ebfa1bf563eb168b184c03fa352eba606bc5d88a75ccfbc6"
+# the structured export of TestMap's log with a quote and a backslash in its
+# labels, recorded before the DOT export escaped them
+STRUCTURED_SHA256 = "a4b2533ae9dec9f5ad3186e5f7a00081bc21cf5f00674715acf1fd0f12f92d70"
 SCENE_RUN_SHA256 = {
     "noise": "884c2dbd814bb64ba61a22535007976c847422e7d1bd395fff5e4fbedb6cce8a",
     "absent-goal": "fcdcc59f36c2b20464ac4f31567395f506a2922c4c2112a85a06dde7bc4988d7",
@@ -298,6 +301,28 @@ class TestMap:
             "--out", str(out), "--format", "dot",
         ]) == 0
         assert "subgraph cluster_2" in out.read_text()
+
+    def test_dot_output_escapes_quotes_and_backslashes(self, tmp_path, home_path):
+        frame = self._first_frame()
+        frame["detections"][0]["label"] = '27" monitor'
+        frame["detections"][1]["label"] = "back\\slash"
+        log = tmp_path / "traj.jsonl"
+        log.write_text(json.dumps(frame) + "\n")
+        outs = {fmt: tmp_path / f"graph.{fmt}" for fmt in ("dot", "structured")}
+        for fmt, out in outs.items():
+            argv = ["map", "--log", str(log), "--schema", home_path, "--out", str(out)]
+            assert main(argv + ["--format", fmt]) == 0
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        strings = []
+        for line in outs["dot"].read_text().splitlines():
+            assert '"' not in quoted.sub("", line), line
+            strings += [re.sub(r"\\(.)", r"\1", s) for s in quoted.findall(line)]
+        assert {'27" monitor', '27" monitor_1', "back\\slash", "back\\slash_1"} <= set(strings)
+        # the structured export escapes by JSON alone, as before
+        structured = outs["structured"].read_bytes()
+        assert hashlib.sha256(structured).hexdigest() == STRUCTURED_SHA256
+        labels = {n["label"] for n in json.loads(structured)["nodes"]}
+        assert {'27" monitor', "back\\slash"} <= labels
 
     def _first_frame(self):
         scene = generate_home_scene(np.random.default_rng(321))

@@ -214,6 +214,10 @@ def _tampered_fixture(graph, what):
         graph._place_counts[doors[1]] = 0
     elif what == "class index":
         graph._cls[rooms[1]] = "Corridor"
+    elif what == "summary kind":
+        graph._facts[rooms[1]] = (EdgeKind.IS_NEAR, True)
+    elif what == "adjacency fact":
+        graph._facts[sofa] = (None, True)
     else:
         del graph._adj[rooms[2]][doors[1]]
     return validate_graph(graph)
@@ -225,6 +229,8 @@ def _tampered_fixture(graph, what):
     ("connector row", "candidate row ('door_1', 'door', '')"),
     ("place count", "the connector place counts"),
     ("class index", "the node class index"),
+    ("summary kind", "the node insert facts"),
+    ("adjacency fact", "the node insert facts"),
     ("adjacency", "the connectivity adjacency"),
 ])
 def test_validate_graph_reports_a_tampered_view(graph, what, needle):
@@ -953,8 +959,14 @@ def _near_fixture(graph):
 
 
 def _write_state(graph):
-    """What a write may change: the edges, the version and which memos are kept."""
-    return graph.export(), graph.version, list(graph._features), list(graph._rows)
+    """What a write may change: the edges, the version, which memos are kept and every kept view."""
+    return (
+        graph.export(), graph.version, list(graph._features), list(graph._rows.items()),
+        [(k, list(v.items())) for k, v in graph._adj.items()],
+        list(graph._place_counts.items()), sorted(graph._edges, key=repr),
+        {n: {k: list(v) for k, v in by_kind.items()} for n, by_kind in graph._in.items()},
+        list(graph._facts.items()), list(graph._cls.items()),
+    )
 
 
 def test_is_near_is_stored_both_ways_as_one_mutation(graph):
@@ -1003,16 +1015,56 @@ def test_a_near_pair_drops_both_ends_features_and_writes_the_connector_row(graph
     assert validate_graph(graph) == []
 
 
-@pytest.mark.parametrize("bad", ["forbidden", "self-loop", "unknown-node"])
+# a refused edge of each kind: its ends, and the error and message it raises
+_REFUSED = {
+    "forbidden": ("is_near", "livingroom_1", "tv_1", EdgeRuleError,
+                  "schema forbids is_near edge Room -> Object"),
+    "forbidden-reversed": ("is_near", "tv_1", "livingroom_1", EdgeRuleError,
+                           "schema forbids is_near edge Object -> Room"),
+    "self-loop": ("is_near", "tv_1", "tv_1", EdgeRuleError, "self-loop on 'tv_1' rejected"),
+    "unknown-node": ("is_near", "tv_1", "ghost_1", UnknownNodeError, "no node 'ghost_1'"),
+    "unknown-node-reversed": ("is_near", "ghost_1", "tv_1", UnknownNodeError,
+                              "no node 'ghost_1'"),
+    "connects_to-forbidden": ("connects_to", "livingroom_1", "sofa_1", EdgeRuleError,
+                              "schema forbids connects_to edge Room -> Object"),
+    "connects_to-self-loop": ("connects_to", "door_1", "door_1", EdgeRuleError,
+                              "self-loop on 'door_1' rejected"),
+    "connects_to-unknown-node": ("connects_to", "livingroom_1", "ghost_1", UnknownNodeError,
+                                 "no node 'ghost_1'"),
+    "has-forbidden": ("has", "door_1", "sofa_1", EdgeRuleError,
+                      "schema forbids has edge Entrance -> Object"),
+    "has-reversed": ("has", "sofa_1", "livingroom_1", EdgeRuleError,
+                     "schema forbids has edge Object -> Room"),
+    "has-self-loop": ("has", "livingroom_1", "livingroom_1", EdgeRuleError,
+                      "self-loop on 'livingroom_1' rejected"),
+    "has-unknown-node": ("has", "ghost_1", "ghost_2", UnknownNodeError, "no node 'ghost_1'"),
+    "contains-forbidden": ("contains", "floor_1", "sofa_1", EdgeRuleError,
+                           "schema forbids contains edge Floor -> Object"),
+    "contains-second-parent": ("contains", "floor_2", "livingroom_1", EdgeRuleError,
+                               "'livingroom_1' already has a containing parent 'floor_1'"),
+    # the schema is checked before the containing parent
+    "contains-forbidden-with-parent": ("contains", "door_1", "livingroom_1", EdgeRuleError,
+                                       "schema forbids contains edge Entrance -> Room"),
+    "contains-self-loop": ("contains", "floor_2", "floor_2", EdgeRuleError,
+                           "self-loop on 'floor_2' rejected"),
+    "contains-unknown-node": ("contains", "floor_2", "ghost_1", UnknownNodeError,
+                              "no node 'ghost_1'"),
+}
+
+
+@pytest.mark.parametrize("bad", list(_REFUSED))
 def test_a_refused_near_pair_stores_nothing(graph, bad):
+    """A refused edge of any kind raises, and leaves the version and every kept view."""
+    kind, src, dst, error, message = _REFUSED[bad]
     room, door, sofa, tv = _near_fixture(graph)
-    a, b = {"forbidden": (room, tv), "self-loop": (tv, tv), "unknown-node": (tv, "ghost_1")}[bad]
-    error = UnknownNodeError if bad == "unknown-node" else EdgeRuleError
+    floor, spare = (graph.add_node(RegionNode(cls="Floor", label="floor")) for _ in range(2))
+    graph.add_edge(floor, room, EdgeKind.CONTAINS)
+    assert (room, door, floor, spare) == ("livingroom_1", "door_1", "floor_1", "floor_2")
     state = _write_state(graph)
-    for src, dst in ((a, b), (b, a)):
-        with pytest.raises(error):
-            graph.add_edge(src, dst, EdgeKind.IS_NEAR)
-        assert _write_state(graph) == state
+    with pytest.raises(error) as refused:
+        graph.add_edge(src, dst, EdgeKind(kind))
+    assert str(refused.value) == message
+    assert _write_state(graph) == state
 
 
 def test_validate_graph_reports_a_one_way_proximity_edge(graph):

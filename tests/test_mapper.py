@@ -203,6 +203,36 @@ class TestUpdateGraph:
         assert graph.has_edge(new_place, door, EdgeKind.CONNECTS_TO)
         assert not graph.has_edge("livingroom_1", new_place, EdgeKind.CONNECTS_TO)
 
+    def test_a_link_the_schema_forbids_is_left_out(self, oracle, config):
+        # an apartment room connects to entrances only, and a mall escalator
+        # to walkways only: the refused link is skipped, or falls back to the
+        # place-to-place link when the schema permits that one
+        apartment = builtin_schema("apartment")
+        state = MapperState(graph=SceneGraph(apartment))
+        for fid, label in enumerate(("livingroom", "bedroom")):
+            f = frame(fid, label=label, dets=_spread([det(f"{label} lamp")]))
+            state, est = self._step(state, apartment, oracle, config, f)
+        assert est is None
+        assert state.graph.connectivity_subgraph() == {"livingroom_1": {}, "bedroom_1": {}}
+        assert validate_graph(state.graph) == []
+        mall = builtin_schema("mall")
+        state = MapperState(graph=SceneGraph(mall))
+        dets = _spread([det("bench"), det("escalator", image_ref="img:esc")])
+        f = frame(0, label="walkway", cls="Walkway", dets=dets)
+        state, _ = self._step(state, mall, oracle, config, f)
+        graph = state.graph
+        escalator = graph.find_by_image_ref("img:esc")
+        assert graph.node(escalator).cls == "Escalator"
+        f = frame(1, label="store", cls="Store", dets=_spread([det("shelf")]), subgoal=escalator)
+        state, est = self._step(state, mall, oracle, config, f)
+        assert est is None
+        assert graph.connectivity_subgraph() == {
+            "walkway_1": {escalator: 1.0, "store_1": 1.0},
+            escalator: {"walkway_1": 1.0},
+            "store_1": {"walkway_1": 1.0},
+        }
+        assert validate_graph(graph) == []
+
     def test_same_floor_region_reused_then_new_floor(self, home, oracle, config):
         state = MapperState(graph=SceneGraph(home))
         state, _ = self._step(

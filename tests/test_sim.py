@@ -1,8 +1,12 @@
+import pickle
+
 import numpy as np
 import pytest
 
+from scenenav import mapper, planner
 from scenenav.graph import ConnectorNode, PlaceNode, SceneGraph, validate_graph
 from scenenav.mapper import MapperConfig, MapperState, mapper_step
+from scenenav.oracle import base
 from scenenav.oracle.rules import RuleOracle
 from scenenav.oracle.tables import DEFAULT_SYNONYM_GROUPS, OracleTables, default_tables
 from scenenav.schema import builtin_schema
@@ -30,6 +34,7 @@ from scenenav.sim import (
     validate_scene,
     walk_to_frames,
 )
+from scenenav.sim import episode
 from scenenav.sim.protocol import GOAL_CATEGORIES, BenchmarkProtocol, build_episodes
 from scenenav.sim.scene import AISLE_POOLS, COLORS, MATERIALS, ROOM_POOLS
 
@@ -753,3 +758,54 @@ class TestBuildEpisodes:
             assert spec.goal == "white fabric sink" and spec.start != "kitchen_1"
             shortest = scene.shortest_hops(spec.start, ["kitchen_1"])
             assert spec.horizon == 2 * max(shortest, 1) + 4
+
+
+# each record with the fields of the frozen dataclass it replaces, their
+# defaults, and one value per field
+_RECORDS = {
+    "Detection": (("label", "desc", "bbox", "image_ref"),
+                  {"desc": "", "bbox": (0.0, 0.0, 0.0, 0.0), "image_ref": ""},
+                  ("sofa", "red", (1.0, 2.0, 3.0, 4.0), "gt:obj:kitchen_1:0")),
+    "DetectionFrame": (("frame_id", "place_type_answer", "place_label_answer", "detections",
+                        "previous_subgoal"),
+                       {"detections": (), "previous_subgoal": None},
+                       (3, "Room", "kitchen", (), "door_1")),
+    "ParsedObservation": (("place", "objects", "connectors", "near_pairs", "goal_hit"),
+                          {"objects": (), "connectors": (), "near_pairs": (), "goal_hit": None},
+                          (("Room", "kitchen"), (("sofa", "", "r"),), (), ((0, 1),), None)),
+    "StepResult": (("state", "goal_hit", "revisit", "obs"),
+                   {"goal_hit": None, "revisit": False, "obs": None},
+                   (MapperState(graph=None), None, True, None)),
+    "ActResult": (("place", "cost", "moved", "ok"), {}, ("kitchen_1", 1, True, True)),
+    "EpisodeResult": (("success", "hops_traversed", "shortest_hops", "final_goal_distance",
+                       "steps", "failure"),
+                      {"steps": (), "failure": None},
+                      (False, 4, 2.0, 1.0, ({"frame": 0},), "horizon exhausted")),
+    "SubgoalPlan": (("target_region", "waypoint", "object_goal"),
+                    {"target_region": None, "waypoint": None, "object_goal": None},
+                    ("kitchen_1", "door_1", ("door_1", "gt:conn:d0"))),
+    "MatchDecision": (("matched", "confidence", "reasoning"), {"reasoning": ""},
+                      (True, 0.75, "overlap")),
+    "ClassifiedElements": (("place_label", "connectors", "objects"),
+                           {"connectors": (), "objects": ()}, (None, ("door",), ("sofa",))),
+    "RegionChoice": (("is_new", "value"), {}, (False, "floor_1")),
+    "Proposal": (("chosen", "reasoning"), {"reasoning": ""}, ("kitchen_1", "nearest")),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDS))
+def test_a_record_keeps_its_dataclass_fields_and_stays_immutable(name):
+    record_type = next(
+        getattr(module, name) for module in (mapper, episode, planner, base) if hasattr(module, name)
+    )
+    fields, defaults, values = _RECORDS[name]
+    assert record_type._fields == fields
+    assert record_type._field_defaults == defaults
+    record = record_type(*values)
+    assert record == values
+    for attr in (fields[0], "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, values[0])
+    # --jobs hands results between processes
+    again = pickle.loads(pickle.dumps(record))
+    assert type(again) is record_type and again == record
