@@ -9,7 +9,6 @@ discrete simulator reproduces the evaluation protocol at desk scale.
 
 from .graph import (
     ConnectorNode,
-    ObjectFeatures,
     ObjectNode,
     PlaceNode,
     RegionNode,

@@ -51,17 +51,25 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
 class _Exit(Exception):
     """Ends a command with one line on stderr and an exit code."""
 
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+def _read(path: str, what: str) -> str:
+    """The text of the ``what`` file at ``path``, or exit 2 if it cannot be read.
+
+    Text that is not UTF-8 raises ``UnicodeDecodeError``, a ``ValueError``,
+    which each caller reports as its own parse failure.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise _Exit(f"cannot read {what}: {exc}", EXIT_IO) from None
 
 
 def _check_outputs(**paths: str) -> None:
@@ -80,7 +88,7 @@ def _load_verified_schema(path: str) -> Schema:
         schema = load_schema_file(path)
     except OSError as exc:
         raise _Exit(f"cannot read schema: {exc}", EXIT_IO) from None
-    except SchemaParseError as exc:
+    except (SchemaParseError, UnicodeDecodeError) as exc:
         raise _Exit(f"schema parse error: {exc}", EXIT_INVALID) from None
     report = verify_schema(schema)
     if not report.valid:
@@ -109,36 +117,29 @@ def _make_backend(spec: str):
 
 def cmd_gen_schema(args: argparse.Namespace) -> int:
     if args.max_iterations < 1:
-        print(f"--max-iterations must be at least 1, got {args.max_iterations}",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"--max-iterations must be at least 1, got {args.max_iterations}",
+                    EXIT_INVALID)
     if not args.env.strip():
-        print(f"environment label must be non-empty, got {args.env!r}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"environment label must be non-empty, got {args.env!r}", EXIT_INVALID)
     _check_outputs(out=args.out, trace=args.trace)
     try:
         backend = _make_backend(args.backend)
     except OSError as exc:
-        print(f"cannot set up backend: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise _Exit(f"cannot set up backend: {exc}", EXIT_IO) from None
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(str(exc), EXIT_INVALID) from None
     try:
         trace = run_pipeline(args.env, backend, max_iterations=args.max_iterations)
     except OracleError as exc:
-        print(f"remote backend failed: {exc}", file=sys.stderr)
-        return EXIT_REMOTE
+        raise _Exit(f"remote backend failed: {exc}", EXIT_REMOTE) from None
     except ValueError as exc:  # a mock backend without a reply the pipeline asks for
-        print(str(exc), file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(str(exc), EXIT_INVALID) from None
     if args.trace:
         _atomic_write(args.trace, trace_to_json(trace))
     if not trace.succeeded:
         last = trace.iterations[-1].report.text("; ") if trace.iterations else "no iterations"
-        print(f"no valid schema within {args.max_iterations} iteration(s): {last}",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"no valid schema within {args.max_iterations} iteration(s): {last}",
+                    EXIT_INVALID)
     _atomic_write(args.out, serialize_schema(trace.final))
     print(f"wrote {args.out} after {len(trace.iterations)} iteration(s)")
     return EXIT_OK
@@ -148,15 +149,9 @@ def cmd_map(args: argparse.Namespace) -> int:
     _check_outputs(out=args.out)
     schema = _load_verified_schema(args.schema)
     try:
-        log_text = _read(args.log)
-    except OSError as exc:
-        print(f"cannot read log: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        frames = frames_from_jsonl(log_text)
+        frames = frames_from_jsonl(_read(args.log, "log"))
     except (ValueError, KeyError) as exc:
-        print(f"trajectory log parse error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"trajectory log parse error: {exc}", EXIT_INVALID) from None
     oracle = RuleOracle()
     state = MapperState(graph=SceneGraph(schema))
     config = MapperConfig()
@@ -165,11 +160,10 @@ def cmd_map(args: argparse.Namespace) -> int:
         try:
             state = mapper_step(frame, schema, state, oracle, config).state
         except FrameError as exc:
-            print(f"invalid frame: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _Exit(f"invalid frame: {exc}", EXIT_INVALID) from None
         except EdgeRuleError as exc:
-            print(f"the schema does not fit frame {frame.frame_id}: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _Exit(f"the schema does not fit frame {frame.frame_id}: {exc}",
+                        EXIT_INVALID) from None
         logger.info(
             "frame %s: %s -> %s", frame.frame_id, before or "(start)", state.current_place
         )
@@ -229,42 +223,32 @@ def _format_row(agent: str, episode: str, result: EpisodeResult) -> str:
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.particles < 0:
-        print(f"--particles must be 0 (filter off) or positive, got {args.particles}",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"--particles must be 0 (filter off) or positive, got {args.particles}",
+                    EXIT_INVALID)
     if args.jobs < 1:
-        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"--jobs must be at least 1, got {args.jobs}", EXIT_INVALID)
     if args.seed < 0:
-        print(f"--seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"--seed must be a non-negative integer, got {args.seed}", EXIT_INVALID)
     if args.scene_seed < 0 and not args.scene:  # a scene file draws no home
-        print(f"--scene-seed must be a non-negative integer, got {args.scene_seed}",
-              file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"--scene-seed must be a non-negative integer, got {args.scene_seed}",
+                    EXIT_INVALID)
     goals = args.goal.split(",") if args.goal else GOAL_CATEGORIES
     goals = [goal.strip() for goal in goals]
     if not all(goals):
-        print(f"--goal entries must not be empty, got {args.goal!r}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"--goal entries must not be empty, got {args.goal!r}", EXIT_INVALID)
     _check_outputs(out=args.out)
     schema = _load_verified_schema(args.schema)
     noise = noiseless() if args.noiseless else default_noise()
     scene = None
     if args.scene:
         try:
-            scene = scene_from_json(_read(args.scene))
-        except OSError as exc:
-            print(f"cannot read scene: {exc}", file=sys.stderr)
-            return EXIT_IO
+            scene = scene_from_json(_read(args.scene, "scene"))
         except ValueError as exc:
-            print(f"invalid scene: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _Exit(f"invalid scene: {exc}", EXIT_INVALID) from None
         num_scenes, per_scene = 1, args.episodes
     elif args.scenes < 1 or args.episodes < 1 or args.episodes % args.scenes:
-        print(f"--episodes must be a positive multiple of --scenes, got --episodes "
-              f"{args.episodes} and --scenes {args.scenes}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"--episodes must be a positive multiple of --scenes, got --episodes "
+                    f"{args.episodes} and --scenes {args.scenes}", EXIT_INVALID)
     else:
         num_scenes, per_scene = args.scenes, args.episodes // args.scenes
     protocol = BenchmarkProtocol(
@@ -277,16 +261,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         specs = build_episodes(protocol, scene)
     except ValueError as exc:
-        print(f"invalid scene: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"invalid scene: {exc}", EXIT_INVALID) from None
     # checked after the draws, which name an unreachable goal more precisely
     problems = validate_scene(scene) if scene is not None else []
     if problems:
-        print(f"invalid scene: {'; '.join(problems)}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"invalid scene: {'; '.join(problems)}", EXIT_INVALID)
     if not specs:
-        print("no episodes to run", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit("no episodes to run", EXIT_INVALID)
 
     agents = ["full"] + (["random", "frontier"] if args.baseline else [])
     jobs = []
@@ -313,8 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 index, agent, result = _episode_worker(payload, oracle)
                 results[(agent, index)] = result
     except (EdgeRuleError, FrameError) as exc:
-        print(f"the schema does not fit the scenes: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise _Exit(f"the schema does not fit the scenes: {exc}", EXIT_INVALID) from None
 
     lines = ["agent,episode,success,spl,p,l,dtg"]
     for agent in agents:

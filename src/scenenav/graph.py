@@ -1,5 +1,9 @@
 """The layered scene graph instance: typed nodes, typed edges, feature access.
 
+A node's features (``Features``) are a plain tuple of ``(label, desc)`` pairs,
+and one method, ``SceneGraph.leaves_of``, lists a place's leaves: its objects,
+then the connectors it links to.
+
 A graph is bound to a schema; every stored edge triple (source concept, edge
 kind, target concept) must be permitted by it.  Node ids follow the
 ``<label-or-class>_<counter>`` convention (``livingroom_1``, ``door_2``) so
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import json
 from bisect import insort
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -34,7 +38,6 @@ __all__ = [
     "PlaceNode",
     "ConnectorNode",
     "RegionNode",
-    "ObjectFeatures",
     "SceneGraph",
     "GraphError",
     "UnknownNodeError",
@@ -104,26 +107,8 @@ class RegionNode:
 Node = ObjectNode | PlaceNode | ConnectorNode | RegionNode
 
 
-@dataclass
-class ObjectFeatures:
-    """Aggregated (label, description) pairs of a node's semantic context.
-
-    Equality is order-insensitive: two feature sets are equal when they hold
-    the same multiset of pairs.
-    """
-
-    items: tuple[tuple[str, str], ...] = ()
-
-    def labels(self) -> list[str]:
-        return [label for label, _ in self.items]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ObjectFeatures):
-            return NotImplemented
-        return Counter(self.items) == Counter(other.items)
-
-    def __bool__(self) -> bool:
-        return bool(self.items)
+# a node's semantic context: the (label, desc) pair of each of its neighbours
+Features = tuple[tuple[str, str], ...]
 
 
 # the edge kind whose targets make up a node's maintained summary
@@ -192,7 +177,7 @@ class SceneGraph:
         self._rows: dict[str, tuple[str, str, str]] = {}
         self._place_counts: dict[str, int] = {}
         self._pairs: dict[str, tuple[str, str]] = {}
-        self._features: dict[str, ObjectFeatures] = {}
+        self._features: dict[str, Features] = {}
         self._rank: dict[str, int] = {}
         self._by_ref: dict[str, list[str]] = {}
         self._tree: tuple[int, str, Mapping[str, int], dict[str, str]] | None = None
@@ -389,7 +374,7 @@ class SceneGraph:
 
     # -- derived views ---------------------------------------------------------
 
-    def object_features(self, node_id: str) -> ObjectFeatures:
+    def object_features(self, node_id: str) -> Features:
         """Semantic signature of a node, per its kind.
 
         Leaf nodes aggregate their proximity neighbours, places aggregate the
@@ -405,13 +390,28 @@ class SceneGraph:
         if isinstance(node, RegionNode):
             items = []
             for child in self._out[node_id].get(CONTAINS, ()):
-                items.extend(self.object_features(child).items)
-            return ObjectFeatures(items=tuple(items))
+                items.extend(self.object_features(child))
+            return tuple(items)
         kind = HAS if isinstance(node, PlaceNode) else IS_NEAR
-        features = self._features[node_id] = ObjectFeatures(
-            items=tuple([pairs[nb] for nb in self._out[node_id].get(kind, ())])
+        features = self._features[node_id] = tuple(
+            [pairs[nb] for nb in self._out[node_id].get(kind, ())]
         )
         return features
+
+    def leaves_of(self, place_id: str) -> list[str]:
+        """A place's leaves: its ``HAS`` objects, then the connectors it ``CONNECTS_TO``.
+
+        Each group is in edge insertion order; a place it connects to directly
+        is no leaf.  The list is new.
+        """
+        try:
+            out = self._out[place_id]
+        except KeyError:
+            raise UnknownNodeError(f"no node {place_id!r}") from None
+        nodes = self._nodes
+        leaves = list(out.get(HAS, ()))
+        leaves += [nb for nb in out.get(CONNECTS_TO, ()) if nodes[nb].kind is CONNECTOR]
+        return leaves
 
     def summary(self, node_id: str) -> str:
         """Labels of a node's contents, joined with ``", "``.
@@ -434,7 +434,8 @@ class SceneGraph:
 
     def _leaf_row(self, node_id: str) -> tuple[str, str, str]:
         node = self.node(node_id)
-        return (node_id, node.label, ", ".join(self.object_features(node_id).labels()))
+        labels = [label for label, _ in self.object_features(node_id)]
+        return (node_id, node.label, ", ".join(labels))
 
     def connector_place_counts(self) -> dict[str, int]:
         """Connector id -> number of places it ``CONNECTS_TO``, in node insertion order.
@@ -561,6 +562,13 @@ def hop_distances(graph: SceneGraph, source: str | None) -> Mapping[str, int]:
     if source is None or source not in graph.connectivity_subgraph():
         return _NO_HOPS
     return graph.hop_tree(source)[0]
+
+
+def hop_order(ids: Iterable[str], distances: Mapping[str, int]) -> list[str]:
+    """``ids`` nearest-first by ``distances``; equal hops and unreachable ids keep input order."""
+    get = distances.get
+    inf = float("inf")
+    return sorted(ids, key=lambda n: get(n, inf))
 
 
 def import_graph(document: str, schema: Schema) -> SceneGraph:

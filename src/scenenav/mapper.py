@@ -3,11 +3,12 @@
 Each frame passes through three stages.  Parsing turns raw detections into a
 structured observation (place guess, leaf elements, proximity pairs, goal
 check).  State estimation decides whether the agent stands in an already
-mapped place by matching object features against semantically similar places,
-nearest first.  Integration either opens a new place (wiring connectivity
-back to the previous one and updating the region hierarchy bottom-up) or
-folds the observation into the recognised place through per-leaf data
-association.
+mapped place by matching the frame's ``(label, desc)`` pairs against those of
+the leaves (``SceneGraph.leaves_of``) of semantically similar places, nearest
+first (``hop_order``: equal hops go to the earlier place).  Integration either
+opens a new place (wiring connectivity back to the previous one and updating
+the region hierarchy bottom-up) or folds the observation into the recognised
+place through per-leaf data association.
 A frame's records are NamedTuples: each equals a plain tuple of the same values.
 """
 
@@ -21,12 +22,13 @@ from typing import NamedTuple
 from .graph import (
     ConnectorNode,
     EdgeRuleError,
-    ObjectFeatures,
+    Features,
     ObjectNode,
     PlaceNode,
     RegionNode,
     SceneGraph,
     hop_distances,
+    hop_order,
 )
 from .oracle.rules import RuleOracle
 from .oracle.tables import strip_suffix
@@ -92,10 +94,10 @@ class ParsedObservation(NamedTuple):
     near_pairs: tuple[tuple[int, int], ...] = ()  # indices into objects + connectors
     goal_hit: Detection | None = None
 
-    def leaf_features(self) -> ObjectFeatures:
+    def leaf_features(self) -> Features:
         pairs = [(label, desc) for label, desc, _ in self.objects]
         pairs += [(label, desc) for label, desc, _ in self.connectors]
-        return ObjectFeatures(items=tuple(pairs))
+        return tuple(pairs)
 
 
 @dataclass(frozen=True)
@@ -185,18 +187,14 @@ def parse_frame(
     )
 
 
-def _place_signature(graph: SceneGraph, place_id: str) -> ObjectFeatures:
-    """Stored features of a place plus its adjacent connectors.
+def _place_signature(graph: SceneGraph, place_id: str) -> Features:
+    """The ``(label, desc)`` pairs of a place's leaves, its objects and then its connectors.
 
     The observation side of place matching always carries doors and stairs, so
     the stored side gets them too; otherwise every comparison is diluted.
     """
-    items = list(graph.object_features(place_id).items)
-    for nb in graph.out_neighbors(place_id, CONNECTS_TO):
-        node = graph.node(nb)
-        if node.kind is CONNECTOR:
-            items.append((node.label, getattr(node, "desc", "")))
-    return ObjectFeatures(items=tuple(items))
+    node = graph.node
+    return tuple([(leaf.label, leaf.desc) for leaf in map(node, graph.leaves_of(place_id))])
 
 
 def estimate_state(
@@ -213,11 +211,9 @@ def estimate_state(
     candidates = oracle.similar_labels(obs.place[1], place_ids)
     if not candidates:
         return None
-    distances = hop_distances(graph, prev_state)
-    order = {pid: i for i, pid in enumerate(place_ids)}
-    candidates.sort(key=lambda pid: (distances.get(pid, float("inf")), order[pid]))
+    # similar_labels keeps place order, so equal hops go to the earlier place
     observed = obs.leaf_features()
-    for pid in candidates:
+    for pid in hop_order(candidates, hop_distances(graph, prev_state)):
         stored = _place_signature(graph, pid)
         if oracle.match_place(stored, observed).matched:
             return pid
@@ -448,21 +444,10 @@ def _associate_leaves(
     oracle: RuleOracle,
 ) -> dict[int, str]:
     """Match observed leaves against the place's known leaves; refresh matches."""
-    object_ids = graph.out_neighbors(place_id, HAS)
-    connector_ids = [
-        nb
-        for nb in graph.out_neighbors(place_id, CONNECTS_TO)
-        if graph.node(nb).kind is CONNECTOR
-    ]
-    leaves = object_ids + connector_ids
+    leaves = graph.leaves_of(place_id)
     candidates = [
-        (
-            leaf,
-            graph.node(leaf).label,
-            getattr(graph.node(leaf), "desc", ""),
-            graph.object_features(leaf),
-        )
-        for leaf in leaves
+        (leaf, node.label, node.desc, graph.object_features(leaf))
+        for leaf, node in zip(leaves, map(graph.node, leaves))
     ]
 
     all_leaf_dets = list(obs.objects) + list(obs.connectors)
@@ -473,9 +458,7 @@ def _associate_leaves(
 
     assoc: dict[int, str] = {}
     claimed: set[str] = set()
-    ref_of = {
-        leaf: getattr(graph.node(leaf), "image_ref", "") for leaf in leaves
-    }
+    ref_of = {leaf: graph.node(leaf).image_ref for leaf in leaves}
     for idx, (label, desc, image_ref) in enumerate(all_leaf_dets):
         if not image_ref:
             continue
@@ -489,7 +472,7 @@ def _associate_leaves(
     for idx, (label, desc, image_ref) in enumerate(all_leaf_dets):
         if idx in assoc:
             continue
-        features = ObjectFeatures(items=tuple(near_map.get(idx, ())))
+        features = tuple(near_map.get(idx, ()))
         open_candidates = [c for c in candidates if c[0] not in claimed]
         match = oracle.match_object((label, desc, features), open_candidates)
         if match is None:

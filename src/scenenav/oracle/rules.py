@@ -3,7 +3,9 @@ filter ask for, made by table lookups instead of generative calls.
 
 Every decision is a pure function of the inputs, the oracle's tables (fixed
 when it is built) and the module constants below, so replays are
-reproducible bit-for-bit across runs and platforms.
+reproducible bit-for-bit across runs and platforms.  Object features arrive
+as plain tuples of ``(label, desc)`` pairs (``graph.Features``), and the bag
+and place-match memos key on those tuples as they are.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import math
 import weakref
 from collections.abc import Callable
 
-from ..graph import ObjectFeatures
+from ..graph import Features
 from ..schema import CONNECTOR, Schema
 from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice
 from .tables import OracleTables, default_tables, strip_suffix
@@ -91,20 +93,17 @@ class RuleOracle:
             _LABEL_MEMO_SIZE,
         )
 
-        def bag(items: tuple[tuple[str, str], ...]) -> dict[str, float]:
+        def bag(items: Features) -> dict[str, float]:
             counts: dict[str, int] = {}
             for label, _ in items:
                 label = canon[label]
                 counts[label] = counts.get(label, 0) + 1
             return {label: weight[label] * count for label, count in counts.items()}
 
-        # features items -> canonical label -> weight x count
+        # features -> canonical label -> weight x count
         self._bags = _Memo(bag, _LABEL_MEMO_SIZE)
-        # (items a, items b) -> match_place decision
-        self._matches = _Memo(
-            lambda key: oracle._decide_match(ObjectFeatures(key[0]), ObjectFeatures(key[1])),
-            _MATCH_MEMO_SIZE,
-        )
+        # (features a, features b) -> match_place decision
+        self._matches = _Memo(lambda key: oracle._decide_match(*key), _MATCH_MEMO_SIZE)
         # raw element tag -> (cleaned label, class)
         self._elements = _Memo(lambda raw: oracle._element_class(raw), _LABEL_MEMO_SIZE)
         # goal -> its test, split once per run (a run asks a few goals);
@@ -120,9 +119,9 @@ class RuleOracle:
 
     # -- label handling --------------------------------------------------------
 
-    def _bag(self, features: ObjectFeatures) -> dict[str, float]:
+    def _bag(self, features: Features) -> dict[str, float]:
         """Canonical label -> overlap weight x count over ``features``; shared, read it only."""
-        return self._bags[features.items]
+        return self._bags[features]
 
     def _overlap(self, a: dict[str, float], b: dict[str, float]) -> float:
         """Weighted Jaccard on canonical label multisets; empty-vs-empty is 1.
@@ -152,11 +151,11 @@ class RuleOracle:
         want = canon[query]
         return [c for c in candidates if canon[c] == want]
 
-    def match_place(self, features_a: ObjectFeatures, features_b: ObjectFeatures) -> MatchDecision:
-        """Do two object-feature sets describe the same place?"""
-        return self._matches[features_a.items, features_b.items]
+    def match_place(self, features_a: Features, features_b: Features) -> MatchDecision:
+        """Do two object-feature tuples describe the same place?"""
+        return self._matches[features_a, features_b]
 
-    def _decide_match(self, a: ObjectFeatures, b: ObjectFeatures) -> MatchDecision:
+    def _decide_match(self, a: Features, b: Features) -> MatchDecision:
         overlap = self._overlap(self._bag(a), self._bag(b))
         return MatchDecision(
             matched=overlap >= MATCH_THRESHOLD,
@@ -213,8 +212,8 @@ class RuleOracle:
 
     def match_object(
         self,
-        probe: tuple[str, str, ObjectFeatures],
-        candidates: list[tuple[str, str, str, ObjectFeatures]],
+        probe: tuple[str, str, Features],
+        candidates: list[tuple[str, str, str, Features]],
     ) -> str | None:
         """Associate an observed leaf with at most one candidate node id."""
         probe_label, _, probe_features = probe

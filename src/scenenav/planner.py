@@ -25,9 +25,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graph import SceneGraph, hop_distances
+from .graph import SceneGraph, hop_distances, hop_order
 from .oracle.rules import RuleOracle
-from .schema import CONNECTOR, CONNECTS_TO, CONTAINS, HAS, PLACE, REGION, Schema
+from .schema import CONNECTOR, CONNECTS_TO, CONTAINS, PLACE, REGION, Schema
 
 logger = logging.getLogger(__name__)
 
@@ -122,12 +122,12 @@ def propose_region(
             break
 
     distances = hop_distances(graph, current)
-    frontier = _order(
+    frontier = hop_order(
         [f for f in _frontier_connectors(graph) if f not in exhausted], distances
     )
 
     if not start_nodes:
-        candidates = _order(
+        candidates = hop_order(
             [p.id for p in graph.places() if p.id not in exhausted], distances
         ) + frontier
         if candidates:
@@ -139,13 +139,6 @@ def propose_region(
         if frontier:
             return frontier[0]
     raise ExhaustedError("no unexplored region or connector remains")
-
-
-def _order(ids: list[str], distances: Mapping[str, int]) -> list[str]:
-    # sorted() is stable: ids at equal hop counts, and unreachable ones, keep input order
-    get = distances.get
-    inf = float("inf")
-    return sorted(ids, key=lambda n: get(n, inf))
 
 
 def _descend(
@@ -174,7 +167,7 @@ def _descend(
         if all(graph.node(c).kind is REGION for c in children) and children:
             level = sorted(children, key=region_key)
             continue
-        places = _order([c for c in children if c not in exhausted], distances)
+        places = hop_order([c for c in children if c not in exhausted], distances)
         # a frontier connector is nearby when it connects to a non-connector
         # child; every connector, and only a connector, has a place count
         counts = graph.connector_place_counts()
@@ -203,25 +196,17 @@ def propose_object(
     """
     node = graph.node(region)
     if node.kind is CONNECTOR:
-        return (region, getattr(node, "image_ref", ""), "the target is itself a passage")
-    objects = graph.out_neighbors(region, HAS)
-    connectors = [
-        nb
-        for nb in graph.out_neighbors(region, CONNECTS_TO)
-        if _is_connector(graph, nb)
-    ]
-    if toward is not None and toward in connectors:
-        t = graph.node(toward)
-        return (toward, getattr(t, "image_ref", ""), "this passage continues the planned path")
-    leaves = objects + connectors
+        return (region, node.image_ref, "the target is itself a passage")
+    leaves = graph.leaves_of(region)
+    # a path node is a place or connector, never an object: only a connector matches here
+    if toward is not None and toward in leaves:
+        return (toward, graph.node(toward).image_ref, "this passage continues the planned path")
     if not leaves:
         raise ExhaustedError(f"{region} holds no leaf to steer toward")
     proposal = oracle.select_object(
-        [(l, graph.node(l).label, getattr(graph.node(l), "desc", "")) for l in leaves],
-        goal,
+        [(leaf.id, leaf.label, leaf.desc) for leaf in map(graph.node, leaves)], goal
     )
-    chosen = graph.node(proposal.chosen)
-    return (proposal.chosen, getattr(chosen, "image_ref", ""), proposal.reasoning)
+    return (proposal.chosen, graph.node(proposal.chosen).image_ref, proposal.reasoning)
 
 
 def _reached(graph: SceneGraph, target: str, current: str | None) -> bool:

@@ -9,7 +9,8 @@ observation matches its cell while mismatching rival cells of similar label,
 and systematic resampling keeps the ensemble focused.
 
 Each hypothesis keeps one immutable cells object: cell sizes, cell adjacency,
-each cell's unique ``(label, desc)`` pairs in first-seen order and a tag
+each cell's unique ``(label, desc)`` pairs in first-seen order (a plain
+features tuple, handed to ``match_place`` as it is) and a tag
 naming the cell by its first observation's place label.  ``_Cells.child``
 folds one more observation into new cells that share every unchanged cell's
 value, so proposing and weighting one hypothesis costs time in its number of
@@ -40,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .graph import ObjectFeatures
+from .graph import Features
 from .oracle.rules import RuleOracle
 
 logger = logging.getLogger(__name__)
@@ -63,7 +64,7 @@ __all__ = [
 @dataclass(frozen=True)
 class ObsRecord:
     place_label: str
-    features: ObjectFeatures
+    features: Features
 
 
 class _Cells:
@@ -83,7 +84,7 @@ class _Cells:
         self.observations: list[ObsRecord] | None = observations
         self.sizes: tuple[int, ...] = sizes
         self.adjacency: tuple[frozenset[int], ...] = adjacency
-        self.items: tuple[tuple[tuple[str, str], ...], ...] = items
+        self.items: tuple[Features, ...] = items
         self.tags: tuple[str | None, ...] = tags
 
     def child(
@@ -118,7 +119,7 @@ class _Cells:
         cell = items[node]
         seen = set(cell)
         extra = []
-        for pair in obs.features.items:
+        for pair in obs.features:
             if pair not in seen:
                 seen.add(pair)
                 extra.append(pair)
@@ -303,18 +304,14 @@ def likelihood(
     if assigned is None:
         return 1.0
     cells = particle._cells(observations)
-    p_assigned = oracle.match_place(
-        ObjectFeatures(items=cells.items[assigned]), obs.features
-    ).confidence
+    p_assigned = oracle.match_place(cells.items[assigned], obs.features).confidence
     similar = oracle.similar_labels(obs.place_label, list(cells.tags))
     value = p_assigned
     for tag in similar:
         node = int(tag.rsplit("_", 1)[1])
         if node == assigned:
             continue
-        p_rival = oracle.match_place(
-            ObjectFeatures(items=cells.items[node]), obs.features
-        ).confidence
+        p_rival = oracle.match_place(cells.items[node], obs.features).confidence
         value *= 1.0 - p_rival
     return value
 

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from scenenav.graph import ObjectFeatures, PlaceNode, SceneGraph, validate_graph
+from scenenav.graph import PlaceNode, SceneGraph, validate_graph
 from scenenav.mapper import MapperConfig, MapperState, mapper_step
 from scenenav.oracle.rules import RuleOracle
 from scenenav.oracle.tables import default_tables
@@ -246,8 +246,8 @@ def test_criterion_6_topology_filter():
     assert freqs[2] == pytest.approx(0.2, abs=0.01)
 
     # (b) posterior vs exhaustive enumeration on a 3-observation world
-    corridor = ObsRecord("corridor", ObjectFeatures(items=(("plant", ""), ("picture", ""), ("bench", ""))))
-    room = ObsRecord("bedroom", ObjectFeatures(items=(("bed", ""), ("lamp", ""), ("dresser", ""))))
+    corridor = ObsRecord("corridor", (("plant", ""), ("picture", ""), ("bench", "")))
+    room = ObsRecord("bedroom", (("bed", ""), ("lamp", ""), ("dresser", "")))
     observations = [corridor, room, corridor]
     oracle = RuleOracle()
 
@@ -342,7 +342,7 @@ def test_criterion_8_data_association_fixtures():
             if len(group) > 1 and rng.random() < 0.1:
                 label = group[int(rng.integers(len(group)))]
             out.append((label, ""))
-        return ObjectFeatures(items=tuple(out))
+        return tuple(out)
 
     room_types = list(ROOM_POOLS)
     recognise_total = recognise_hits = 0

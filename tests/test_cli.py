@@ -69,6 +69,14 @@ class TestVerifySchema:
         assert main(["verify-schema", "/nonexistent/schema.json"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "schema.json"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["verify-schema", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema parse error: 'utf-8' codec can't decode")
+        assert len(err.splitlines()) == 1
+
 
 class TestGenSchema:
     @pytest.mark.parametrize("env", ["home", "hospital", "airport"])
@@ -245,7 +253,9 @@ class TestMap:
         read = []
         for name in ("_read", "load_schema_file"):
             fn = getattr(cli, name)
-            monkeypatch.setattr(cli, name, lambda path, fn=fn: read.append(path) or fn(path))
+            monkeypatch.setattr(
+                cli, name, lambda path, *rest, fn=fn: read.append(path) or fn(path, *rest)
+            )
         out = tmp_path / "nodir" / "g.json"
         code = main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)])
         assert code == 2
@@ -253,6 +263,21 @@ class TestMap:
         err = capsys.readouterr().err.strip()
         assert err.startswith("--out ") and len(err.splitlines()) == 1
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("content,code,prefix", [
+        (None, 2, "cannot read log: "),
+        (b"\xff\xfe", 1, "trajectory log parse error: 'utf-8' codec can't decode"),
+    ], ids=["missing", "not-utf8"])
+    def test_unreadable_log_ends_in_one_line(
+        self, tmp_path, home_path, capsys, content, code, prefix
+    ):
+        log, out = tmp_path / "traj.jsonl", tmp_path / "g.json"
+        if content is not None:
+            log.write_bytes(content)
+        assert main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_noiseless_replay_counts(self, tmp_path, home_path, capsys):
         scene = generate_home_scene(np.random.default_rng(321))
@@ -884,6 +909,20 @@ class TestSceneFileShapes:
                      "--out", str(out)])
         return code, out
 
+    @pytest.mark.parametrize("content,code,prefix", [
+        (None, 2, "cannot read scene: "),
+        (b"\xff\xfe", 1, "invalid scene: 'utf-8' codec can't decode"),
+    ], ids=["missing", "not-utf8"])
+    def test_unreadable_scene_ends_in_one_line(self, tmp_path, capsys, content, code, prefix):
+        path, out = tmp_path / "scene.json", tmp_path / "m.csv"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["run", "--schema", HOME, "--scene", str(path), "--episodes", "2",
+                     "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_well_formed_scene_runs(self, tmp_path):
         code, out = self._run(tmp_path, self._scene())
         assert code == 0 and out.exists()
@@ -968,3 +1007,47 @@ def test_readme_documents_every_registered_option():
 def test_readme_mentions_no_unregistered_option():
     mentioned = set(_OPTION.findall(_readme_sections(*_CLI_SECTIONS)))
     assert mentioned - _registered_long_options() == set()
+
+
+# a module bullet of the README runs from its "- **`scenenav.x`**" line to the
+# next bullet, blank line or heading
+_MODULE_BULLET = re.compile(r"^- \*\*`(scenenav(?:\.\w+)*)`\*\*(.*?)(?=^- |^$|^#)",
+                            re.MULTILINE | re.DOTALL)
+_CALL_NAME = re.compile(r"`(\w+(?:\.\w+)*)\(\)`")
+
+
+def _public_attributes(module) -> set[str]:
+    """Public names of ``module`` and of the classes defined in it or its submodules."""
+    names = {name for name in vars(module) if not name.startswith("_")}
+    for value in vars(module).values():
+        if isinstance(value, type) and (
+            value.__module__ == module.__name__
+            or value.__module__.startswith(module.__name__ + ".")
+        ):
+            for klass in value.__mro__:  # what a builtin base adds is no project API
+                if klass.__module__ != "builtins":
+                    names |= {name for name in vars(klass) if not name.startswith("_")}
+    return names
+
+
+def test_readme_module_bullets_name_only_public_calls():
+    import importlib
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    bullets = _MODULE_BULLET.findall(text)
+    assert {"scenenav.graph", "scenenav.oracle", "scenenav.mapper"} <= {m for m, _ in bullets}
+    checked = 0
+    for module_name, body in bullets:
+        module = importlib.import_module(module_name)
+        public = _public_attributes(module)
+        for call in _CALL_NAME.findall(body):
+            owner, *path = call.split(".")
+            assert owner in public, f"README {module_name} bullet names {call}()"
+            value = getattr(module, owner, None)
+            for attr in path:  # a dotted name resolves one public attribute at a time
+                assert not attr.startswith("_") and hasattr(value, attr), (
+                    f"README {module_name} bullet names {call}()"
+                )
+                value = getattr(value, attr)
+            checked += 1
+    assert checked >= 20

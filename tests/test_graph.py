@@ -9,7 +9,6 @@ from scenenav.graph import (
     EdgeRuleError,
     GraphError,
     GraphCorruptionError,
-    ObjectFeatures,
     ObjectNode,
     PlaceNode,
     RegionNode,
@@ -82,7 +81,7 @@ def test_unknown_node_raises(graph):
 
 def test_object_features_isolated_object(graph):
     obj = graph.add_node(ObjectNode(label="lamp"))
-    assert graph.object_features(obj) == ObjectFeatures()
+    assert graph.object_features(obj) == ()
 
 
 def test_object_features_of_place(graph):
@@ -92,7 +91,7 @@ def test_object_features_of_place(graph):
     graph.add_edge(room, bed, EdgeKind.HAS)
     graph.add_edge(room, lamp, EdgeKind.HAS)
     feats = graph.object_features(room)
-    assert feats == ObjectFeatures(items=(("lamp", "brown metal"), ("bed", "white wood")))
+    assert feats == (("bed", "white wood"), ("lamp", "brown metal"))
 
 
 def test_object_features_three_near_neighbors(graph):
@@ -105,7 +104,7 @@ def test_object_features_three_near_neighbors(graph):
         graph.add_edge(room, ids[label], EdgeKind.HAS)
         graph.add_edge(door, ids[label], EdgeKind.IS_NEAR)
     feats = graph.object_features(door)
-    assert sorted(feats.items) == [("chair", "wood"), ("stool", "metal"), ("tv", "black")]
+    assert feats == (("tv", "black"), ("chair", "wood"), ("stool", "metal"))
 
 
 def test_region_features_union_over_places(graph):
@@ -118,7 +117,7 @@ def test_region_features_union_over_places(graph):
     graph.add_edge(r2, sink, EdgeKind.HAS)
     graph.add_edge(floor, r1, EdgeKind.CONTAINS)
     graph.add_edge(floor, r2, EdgeKind.CONTAINS)
-    assert sorted(graph.object_features(floor).items) == [("bed", ""), ("sink", "")]
+    assert graph.object_features(floor) == (("bed", ""), ("sink", ""))
 
 
 def _home_fixture(graph):
@@ -293,12 +292,12 @@ def test_random_graphs_stay_valid(graph):
 @given(_random_home_graph())
 def test_place_features_match_brute_force(graph):
     for place in graph.places():
-        brute = sorted(
+        brute = tuple(
             (graph.node(dst).label, graph.node(dst).desc)
             for src, dst, kind in graph.edges()
             if src == place.id and kind is EdgeKind.HAS
         )
-        assert sorted(graph.object_features(place.id).items) == brute
+        assert graph.object_features(place.id) == brute
 
 
 # -- maintained views against from-scratch rebuilds ---------------------------
@@ -429,7 +428,7 @@ def _full_scan_summary(graph, node_id):
     if node.kind is ConceptKind.REGION:
         children = graph.out_neighbors(node_id, EdgeKind.CONTAINS)
         return ", ".join(graph.node(c).label for c in children)
-    return ", ".join(graph.object_features(node_id).labels())
+    return ", ".join(label for label, _ in graph.object_features(node_id))
 
 
 def _full_scan_frontier(graph):
@@ -723,10 +722,23 @@ def _full_scan_find_by_image_ref(graph, image_ref):
 _REFS = ["", "img:a", "img:b", "img:c", "img:d"]
 
 
+def _full_scan_leaves(graph, place_id):
+    """A place's leaves read off the full edge list: objects, then connectors (reference)."""
+    out = [(dst, kind) for src, dst, kind in graph.edges() if src == place_id]
+    objects = [dst for dst, kind in out if kind is EdgeKind.HAS]
+    connectors = [
+        dst for dst, kind in out
+        if kind is EdgeKind.CONNECTS_TO and graph.node(dst).kind is ConceptKind.CONNECTOR
+    ]
+    return objects + connectors
+
+
 def _assert_leaf_views_match_full_scan(graph):
     for node in graph.nodes():
         items = _full_scan_features(graph, node.id)
-        assert graph.object_features(node.id).items == items
+        assert graph.object_features(node.id) == items
+        if node.kind is ConceptKind.PLACE:
+            assert graph.leaves_of(node.id) == _full_scan_leaves(graph, node.id)
         if node.kind is ConceptKind.REGION:
             labels = [graph.node(c).label for c in graph.out_neighbors(node.id, EdgeKind.CONTAINS)]
         elif node.kind is ConceptKind.PLACE:
@@ -796,6 +808,44 @@ def test_leaf_views_equal_full_scan_under_set_leaf(schema_name, seed):
     assert reloaded.export() == graph.export()
 
 
+def test_leaves_of_skips_place_links_and_keeps_edge_order(home):
+    from scenenav.mapper import Detection, DetectionFrame, MapperConfig, MapperState, mapper_step
+    from scenenav.oracle.rules import RuleOracle
+
+    def frame(fid, label, *dets, subgoal=None):
+        spread = [Detection(l, d, (i * 400.0, 0.0, 20.0, 20.0), ref)
+                  for i, (l, d, ref) in enumerate(dets)]
+        return DetectionFrame(fid, "Room", label, tuple(spread), subgoal)
+
+    # no subgoal names the passage walked, so the mapper links the rooms
+    # directly (the market-style link); each room sees the one door by its
+    # image handle, so the second room reuses the first room's connector
+    frames = [
+        frame(0, "livingroom", ("sofa", "", ""), ("door", "oak", "img:door")),
+        frame(1, "kitchen", ("door", "", "img:door"), ("sink", "", ""), ("stairs", "", "")),
+        frame(2, "bedroom", ("bed", "", ""), ("door", "", "img:door2")),
+        frame(3, "livingroom", ("sofa", "", ""), ("door", "oak", "img:door"),
+              ("door", "pine", "img:door3")),
+    ]
+    state, oracle = MapperState(graph=SceneGraph(home)), RuleOracle()
+    for f in frames:
+        state = mapper_step(f, home, state, oracle, MapperConfig()).state
+    graph = state.graph
+    assert state.place_history == ["livingroom_1", "kitchen_1", "bedroom_1", "livingroom_1"]
+    assert graph.has_edge("livingroom_1", "kitchen_1", EdgeKind.CONNECTS_TO)
+    assert graph.out_neighbors("livingroom_1", EdgeKind.CONNECTS_TO) == [
+        "door_1", "kitchen_1", "door_3", "bedroom_1",
+    ]
+    assert graph.leaves_of("livingroom_1") == ["sofa_1", "door_1", "door_3"]
+    assert graph.leaves_of("kitchen_1") == ["sink_1", "door_1", "stairs_1"]
+    assert graph.leaves_of("bedroom_1") == ["bed_1", "door_2"]
+    for place in graph.places():
+        assert graph.leaves_of(place.id) == _full_scan_leaves(graph, place.id)
+    assert graph.leaves_of("livingroom_1") is not graph.leaves_of("livingroom_1")
+    with pytest.raises(UnknownNodeError):
+        graph.leaves_of("ghost_1")
+
+
 def test_set_leaf_shares_one_pair_and_keeps_version(graph):
     room = graph.add_node(PlaceNode(cls="Room", label="kitchen"))
     sink, stove = (graph.add_node(ObjectNode(label=l, desc="red")) for l in ("sink", "stove"))
@@ -805,10 +855,10 @@ def test_set_leaf_shares_one_pair_and_keeps_version(graph):
     before = (graph.object_features(room), graph.object_features(stove), graph.version)
     graph.set_leaf(sink, desc="blue", image_ref="img:sink")
     assert graph.version == before[2]
-    assert graph.object_features(room).items == (("sink", "blue"), ("stove", "red"))
-    assert graph.object_features(stove).items == (("sink", "blue"),)
-    assert before[0].items == (("sink", "red"), ("stove", "red"))
-    assert graph.object_features(room).items[0] is graph.object_features(stove).items[0]
+    assert graph.object_features(room) == (("sink", "blue"), ("stove", "red"))
+    assert graph.object_features(stove) == (("sink", "blue"),)
+    assert before[0] == (("sink", "red"), ("stove", "red"))
+    assert graph.object_features(room)[0] is graph.object_features(stove)[0]
     assert graph.node(sink).desc == "blue"
     assert graph.find_by_image_ref("img:sink") == sink
     graph.set_leaf(sink, image_ref="")
@@ -1009,8 +1059,8 @@ def test_a_near_pair_drops_both_ends_features_and_writes_the_connector_row(graph
     assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa, tv, lamp")
     # an object is never a candidate and keeps no row; its summary is read from its features
     assert tv not in graph._rows and graph.summary(tv) == "door"
-    assert graph.object_features(door).items == (("sofa", "red"), ("tv", "red"), ("lamp", ""))
-    assert graph.object_features(tv).items == (("door", ""),)
+    assert graph.object_features(door) == (("sofa", "red"), ("tv", "red"), ("lamp", ""))
+    assert graph.object_features(tv) == (("door", ""),)
     assert graph.candidate_rows([door]) == [(door, "door", "sofa, tv, lamp")]
     assert validate_graph(graph) == []
 

@@ -20,6 +20,7 @@ from scenenav.mapper import (
     parse_frame,
     update_graph,
 )
+from scenenav.oracle.base import MatchDecision
 from scenenav.oracle.rules import RuleOracle
 from scenenav.schema import ConceptKind, EdgeKind, builtin_schema
 from scenenav.sim import cover_walk, default_noise, generate_home_scene, walk_to_frames
@@ -154,6 +155,42 @@ class TestEstimateState:
         f = frame(2, label="bedroom", dets=_spread([det("bed"), det("lamp")]))
         obs = parse_frame(f, home, oracle, config)
         assert estimate_state(home, graph, start, obs, oracle) == near
+
+    def test_candidates_go_nearest_first_then_in_place_order(self, home, oracle, config):
+        # insertion order: unreachable, 2 hops, 1 hop, 1 hop; each bedroom's
+        # bed names it in its desc, so the stored signature shows which is asked
+        graph = SceneGraph(home)
+        lost, far, near, tie = (
+            graph.add_node(PlaceNode(cls="Room", label="bedroom")) for _ in range(4)
+        )
+        start = graph.add_node(PlaceNode(cls="Room", label="kitchen"))
+        other = graph.add_node(PlaceNode(cls="Room", label="kitchen"))
+        for room in (lost, far, near, tie):
+            graph.add_edge(room, graph.add_node(ObjectNode(label="bed", desc=room)), EdgeKind.HAS)
+        for a, b in ((start, near), (start, tie), (start, other), (near, far)):
+            graph.add_edge(a, b, EdgeKind.CONNECTS_TO)
+
+        class Refusing(RuleOracle):
+            def __init__(self):
+                super().__init__()
+                self.asked = []
+
+            def match_place(self, stored, observed):
+                self.asked.append(stored[0][1])
+                return MatchDecision(matched=False, confidence=0.1)
+
+        obs = parse_frame(frame(2, label="bedroom", dets=[det("bed")]), home, oracle, config)
+        refusing = Refusing()
+        assert estimate_state(home, graph, start, obs, refusing) is None
+        assert refusing.asked == [near, tie, far, lost]
+        refusing.asked.clear()
+        assert estimate_state(home, graph, None, obs, refusing) is None
+        assert refusing.asked == [lost, far, near, tie]
+        # every bedroom matches: the nearer one wins over the earlier one, and
+        # of two at one hop the earlier one
+        assert estimate_state(home, graph, start, obs, oracle) == near
+        assert estimate_state(home, graph, far, obs, oracle) == far
+        assert estimate_state(home, graph, other, obs, oracle) == near
 
 
 class TestUpdateGraph:
@@ -359,7 +396,7 @@ def test_leaf_refreshes_reach_the_kept_views(home, oracle, config):
         graph = state.graph
         for node in graph.nodes():
             if node.kind is not ConceptKind.REGION:
-                assert graph.object_features(node.id).items == _scanned_features(graph, node.id)
+                assert graph.object_features(node.id) == _scanned_features(graph, node.id)
         for ref in ("img:door", "img:sofa", "img:sofa2"):
             holders = [n.id for n in graph.nodes() if getattr(n, "image_ref", "") == ref]
             assert graph.find_by_image_ref(ref) == (holders[0] if holders else None)
@@ -367,7 +404,7 @@ def test_leaf_refreshes_reach_the_kept_views(home, oracle, config):
     sofa = graph.find_by_image_ref("img:sofa2")
     assert graph.node(sofa).desc == "green"
     assert graph.find_by_image_ref("img:sofa") is None
-    assert ("sofa", "green") in graph.object_features("livingroom_1").items
+    assert ("sofa", "green") in graph.object_features("livingroom_1")
 
 
 @pytest.mark.parametrize("line,needle", [

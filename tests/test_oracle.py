@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenenav.graph import ObjectFeatures
 from scenenav.oracle import rules
 from scenenav.oracle.base import Proposal
 from scenenav.oracle.rules import RuleOracle, strip_suffix
@@ -27,7 +26,7 @@ def home():
 
 
 def feats(*labels):
-    return ObjectFeatures(items=tuple((l, "") for l in labels))
+    return tuple((l, "") for l in labels)
 
 
 def test_synonym_groups_must_be_disjoint():
@@ -676,7 +675,7 @@ class _MemoFree(RuleOracle):
     """Bags and overlaps as they were computed before the bag memo (reference)."""
 
     def _bag(self, features):
-        return Counter(self.tables.canonical(strip_suffix(l)) for l in features.labels())
+        return Counter(self.tables.canonical(strip_suffix(l)) for l, _ in features)
 
     def _overlap(self, a, b):
         if not a and not b:
@@ -744,7 +743,7 @@ class _CounterBags(RuleOracle):
     """The rule oracle with Counter bags and the per-call weighted formula."""
 
     def _bag(self, features):
-        return Counter(self.tables.canonical(strip_suffix(l)) for l in features.labels())
+        return Counter(self.tables.canonical(strip_suffix(l)) for l, _ in features)
 
     def _overlap(self, a, b):
         return _counter_overlap(self, a, b)
@@ -763,7 +762,7 @@ def _random_features(rng):
     # count times would differ from multiplying by the count
     size = int(rng.integers(0, 25))
     labels = [_BAG_POOL[int(k)] for k in rng.integers(len(_BAG_POOL), size=size)]
-    return ObjectFeatures(items=tuple((l, str(int(rng.integers(3)))) for l in labels))
+    return tuple((l, str(int(rng.integers(3)))) for l in labels)
 
 
 @pytest.mark.parametrize("large_weight", [3.0, 2.7, 0.1, 1e-3])
@@ -780,10 +779,10 @@ def test_weighted_bags_match_the_counter_formula_bit_for_bit(large_weight, monke
         assert weighted.match_place(a, b) == reference.match_place(a, b)
         partial += 0.0 < overlap < 1.0
         candidates = [
-            (f"obj_{i}", a.items[0][0] if a.items else "lamp", "", _random_features(rng))
+            (f"obj_{i}", a[0][0] if a else "lamp", "", _random_features(rng))
             for i in range(int(rng.integers(1, 5)))
         ]
-        probe = (a.items[0][0] if a.items else "lamp", "", a)
+        probe = (a[0][0] if a else "lamp", "", a)
         assert weighted.match_object(probe, candidates) == reference.match_object(
             probe, candidates
         )

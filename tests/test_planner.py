@@ -4,11 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenenav.graph import ConnectorNode, ObjectNode, PlaceNode, RegionNode, SceneGraph
+from scenenav.graph import (
+    ConnectorNode,
+    ObjectNode,
+    PlaceNode,
+    RegionNode,
+    SceneGraph,
+    hop_order,
+)
 from scenenav.oracle.rules import RuleOracle
 from scenenav.planner import (
     ExhaustedError,
-    _order,
     PlannerMemory,
     SubgoalPlan,
     find_path,
@@ -113,7 +119,7 @@ _node_id = st.sampled_from([f"n{i}" for i in range(12)])
 def test_order_matches_a_distance_then_input_index_key(ids, hops):
     index = {node_id: i for i, node_id in enumerate(ids)}
     want = sorted(ids, key=lambda n: (hops.get(n, float("inf")), index[n]))
-    got = _order(ids, hops)
+    got = hop_order(ids, hops)
     assert got == want
     reachable = [n for n in got if n in hops]
     assert got[len(reachable):] == [n for n in ids if n not in hops]
@@ -404,7 +410,7 @@ def _full_scan_descend(graph, goal, oracle, start_nodes, frontier, exhausted, di
         if children and all(graph.node(c).kind is ConceptKind.REGION for c in children):
             level = sorted(children, key=region_key)
             continue
-        places = _order([c for c in children if c not in exhausted], distances)
+        places = hop_order([c for c in children if c not in exhausted], distances)
         nearby_frontier = [
             f for f in frontier
             if any(nb in children and graph.node(nb).kind is not ConceptKind.CONNECTOR

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from scenenav.graph import ObjectFeatures, SceneGraph
+from scenenav.graph import SceneGraph
 from scenenav.mapper import MapperConfig, MapperState, mapper_step
 from scenenav.oracle.rules import RuleOracle
 from scenenav.schema import builtin_schema
@@ -30,8 +30,12 @@ from scenenav.topofilter import (
 def rec(label, *feature_labels):
     return ObsRecord(
         place_label=label,
-        features=ObjectFeatures(items=tuple((l, "") for l in feature_labels)),
+        features=tuple((l, "") for l in feature_labels),
     )
+
+
+def labels(features):
+    return [label for label, _ in features]
 
 
 CORRIDOR = rec("corridor", "plant", "picture", "bench")
@@ -46,7 +50,7 @@ class FixedOracle(RuleOracle):
         self.table = table
 
     def match_place(self, a, b):
-        key = (frozenset(a.labels()), frozenset(b.labels()))
+        key = (frozenset(labels(a)), frozenset(labels(b)))
         conf = self.table.get(key, self.table.get((key[1], key[0]), 0.5))
         from scenenav.oracle.base import MatchDecision
 
@@ -95,7 +99,7 @@ class TestProposal:
 
 class TestLikelihood:
     def test_singleton_similar_set(self):
-        fa = frozenset(ROOM.features.labels())
+        fa = frozenset(labels(ROOM.features))
         oracle = FixedOracle({(fa, fa): 0.9})
         particle = TopologyParticle(assignments=[0])
         value = likelihood(ROOM, particle, oracle, [ROOM])
@@ -106,8 +110,8 @@ class TestLikelihood:
         obs = rec("bedroom", "bed", "lamp")
         rival = rec("bedroom", "bed", "mirror")
         table = {
-            (frozenset(obs.features.labels()), frozenset(obs.features.labels())): 0.9,
-            (frozenset(rival.features.labels()), frozenset(obs.features.labels())): 0.5,
+            (frozenset(labels(obs.features)), frozenset(labels(obs.features))): 0.9,
+            (frozenset(labels(rival.features)), frozenset(labels(obs.features))): 0.5,
         }
         oracle = FixedOracle(table)
         particle = TopologyParticle(assignments=[0, 1])
@@ -117,7 +121,7 @@ class TestLikelihood:
     def test_dissimilar_labels_reduce_to_assigned_factor(self):
         obs = rec("kitchen", "sink", "oven")
         other = rec("bedroom", "bed", "lamp")
-        table = {(frozenset(obs.features.labels()), frozenset(obs.features.labels())): 0.8}
+        table = {(frozenset(labels(obs.features)), frozenset(labels(obs.features))): 0.8}
         oracle = FixedOracle(table)
         particle = TopologyParticle(assignments=[0, 1])
         assert likelihood(obs, particle, oracle, [other, obs]) == pytest.approx(0.8)
@@ -140,7 +144,7 @@ class TestStep:
             def match_place(self, a, b):
                 from scenenav.oracle.base import MatchDecision
 
-                conf = 0.2 if "sink" in a.labels() else 0.8
+                conf = 0.2 if "sink" in labels(a) else 0.8
                 return MatchDecision(matched=conf >= 0.5, confidence=conf)
 
         config = FilterConfig(num_particles=2, alpha=1e-9, radius=0, resample_threshold=0.0)
@@ -314,7 +318,7 @@ def _brute_cell_items(assignments, node, observations):
     for i, n in enumerate(assignments):
         if n != node:
             continue
-        for pair in observations[i].features.items:
+        for pair in observations[i].features:
             if pair not in items:
                 items.append(pair)
     return tuple(items)
@@ -367,7 +371,7 @@ def _random_stream(seed, length):
         picks = rng.choice(len(pool), size=int(rng.integers(1, len(pool) + 1)))
         # repeated picks give duplicate pairs within one observation
         items = tuple((pool[k], ["", "red", "old"][int(rng.integers(3))]) for k in picks)
-        stream.append(ObsRecord(place_label=label, features=ObjectFeatures(items=items)))
+        stream.append(ObsRecord(place_label=label, features=items))
     return stream
 
 
