@@ -32,7 +32,17 @@ from .graph import (
 )
 from .oracle.rules import RuleOracle
 from .oracle.tables import strip_suffix
-from .schema import CONNECTOR, CONNECTS_TO, CONTAINS, HAS, IS_NEAR, PLACE, REGION, Schema
+from .schema import (
+    CONNECTOR,
+    CONNECTS_TO,
+    CONTAINS,
+    HAS,
+    IS_NEAR,
+    OBJECT_ROLE,
+    PLACE,
+    REGION,
+    Schema,
+)
 
 __all__ = [
     "Detection",
@@ -150,18 +160,9 @@ def parse_frame(
             raise FrameError(f"frame {frame.frame_id}: negative bbox coordinate")
 
     kept = [d for d in frame.detections if d.area >= MIN_OBJ_AREA]
-    tagged = [f"{d.label}_{i}" for i, d in enumerate(kept)]
-    classified = oracle.classify_elements(tagged, schema)
-
-    def _resolve(tags: tuple[str, ...]) -> list[Detection]:
-        out = []
-        for tag in tags:
-            idx = int(tag.rsplit("_", 1)[1])
-            out.append(kept[idx])
-        return out
-
-    object_dets = _resolve(classified.objects)
-    connector_dets = _resolve(classified.connectors)
+    kinds = oracle.classify_elements([d.label for d in kept], schema)
+    object_dets = [d for d, kind in zip(kept, kinds) if kind is OBJECT_ROLE]
+    connector_dets = [d for d, kind in zip(kept, kinds) if kind is CONNECTOR]
     ordered = object_dets + connector_dets
     centroids = [d.centroid for d in ordered]
     near_pairs = []
@@ -176,7 +177,7 @@ def parse_frame(
     if config.goal:
         hit = oracle.goal_match([(d.label, d.desc) for d in ordered], config.goal)
         if hit is not None:
-            goal_hit = next(d for d in ordered if (d.label, d.desc) == hit)
+            goal_hit = ordered[hit]
 
     return ParsedObservation(
         place=(place_concept.name, frame.place_label_answer),
@@ -205,13 +206,14 @@ def estimate_state(
     oracle: RuleOracle,
 ) -> str | None:
     """Recognise the currently occupied place, or none if it looks unvisited."""
-    place_ids = [p.id for p in graph.places()]
-    if not place_ids:
+    places = graph.places()
+    if not places:
         return None
-    candidates = oracle.similar_labels(obs.place[1], place_ids)
-    if not candidates:
+    similar = oracle.similar_labels(obs.place[1], [p.label for p in places])
+    if not similar:
         return None
     # similar_labels keeps place order, so equal hops go to the earlier place
+    candidates = [places[i].id for i in similar]
     observed = obs.leaf_features()
     for pid in hop_order(candidates, hop_distances(graph, prev_state)):
         stored = _place_signature(graph, pid)

@@ -1,5 +1,4 @@
 from .base import (
-    ClassifiedElements,
     MatchDecision,
     OracleError,
     Proposal,
@@ -10,7 +9,6 @@ from .rules import RuleOracle
 from .tables import OracleTables, SynonymTable, default_tables
 
 __all__ = [
-    "ClassifiedElements",
     "MatchDecision",
     "OracleError",
     "OracleTables",

@@ -11,7 +11,6 @@ from typing import NamedTuple
 
 __all__ = [
     "MatchDecision",
-    "ClassifiedElements",
     "RegionChoice",
     "Proposal",
     "OracleError",
@@ -26,12 +25,6 @@ class MatchDecision(NamedTuple):
     matched: bool
     confidence: float  # always strictly inside (0, 1)
     reasoning: str = ""
-
-
-class ClassifiedElements(NamedTuple):
-    place_label: str | None
-    connectors: tuple[str, ...] = ()
-    objects: tuple[str, ...] = ()
 
 
 class RegionChoice(NamedTuple):

@@ -66,7 +66,10 @@ class RemoteConfig:
     def from_file(cls, path: str) -> "RemoteConfig":
         """Load a config; anything but an object of known, valid keys raises ``ValueError``."""
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            try:
+                raw = json.load(handle)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ValueError(f"{path}: {exc}") from None
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: a remote config must be a JSON object")
         known = {f.name: f for f in fields(cls)}

@@ -15,8 +15,8 @@ import weakref
 from collections.abc import Callable
 
 from ..graph import Features
-from ..schema import CONNECTOR, Schema
-from .base import ClassifiedElements, MatchDecision, Proposal, RegionChoice
+from ..schema import CONNECTOR, OBJECT_ROLE, PLACE, ConceptKind, Schema
+from .base import MatchDecision, Proposal, RegionChoice
 from .tables import OracleTables, default_tables, strip_suffix
 
 __all__ = ["RuleOracle"]
@@ -33,17 +33,14 @@ CONFIDENCE_STEEPNESS = 4.0
 
 # Bounds of the per-oracle memos; each is cleared when full.  `scenenav run`
 # builds one oracle per run (one per worker process under --jobs), so the
-# memos carry from episode to episode.  Labels repeat across a run, but mapper
-# place ids ("bedroom_12"), filter cell tags and frame element tags ("sofa_3")
-# grow with the map.  Repeated place-match questions come from the filter's
-# particles within one step (about a dozen distinct ones per step), so a small
-# memo catches nearly all of them; a larger one mostly keeps mapper feature
-# tuples alive.
+# memos carry from episode to episode.  Label memos are keyed by the labels
+# the scenes and detectors use, which repeat across a run; what grows with the
+# map are candidate summaries and feature tuples.  Repeated place-match
+# questions come from the filter's particles within one step (about a dozen
+# distinct ones per step), so a small memo catches nearly all of them; a larger
+# one mostly keeps mapper feature tuples alive.
 _LABEL_MEMO_SIZE = 1024
 _MATCH_MEMO_SIZE = 64
-
-# classes of a raw element tag, as classify_elements memoises them
-_STRUCTURAL, _PLACE, _CONNECTOR, _OBJECT = "structural", "place", "connector", "object"
 
 
 class _Memo(dict):
@@ -104,8 +101,8 @@ class RuleOracle:
         self._bags = _Memo(bag, _LABEL_MEMO_SIZE)
         # (features a, features b) -> match_place decision
         self._matches = _Memo(lambda key: oracle._decide_match(*key), _MATCH_MEMO_SIZE)
-        # raw element tag -> (cleaned label, class)
-        self._elements = _Memo(lambda raw: oracle._element_class(raw), _LABEL_MEMO_SIZE)
+        # detection label -> its schema-free kind
+        self._elements = _Memo(lambda label: oracle._element_kind(label), _LABEL_MEMO_SIZE)
         # goal -> its test, split once per run (a run asks a few goals);
         # (goal, label, desc) -> whether that detection is the goal
         goal_tests = self._goal_tests = _Memo(tables.goal_test, _MATCH_MEMO_SIZE)
@@ -145,11 +142,11 @@ class RuleOracle:
 
     # -- decisions ---------------------------------------------------------------
 
-    def similar_labels(self, query: str, candidates: list[str]) -> list[str]:
-        """Subset of ``candidates`` naming the same kind of place as ``query``."""
+    def similar_labels(self, query: str, labels: list[str]) -> list[int]:
+        """Positions, in order, of the ``labels`` naming the same kind of place as ``query``."""
         canon = self._canon
         want = canon[query]
-        return [c for c in candidates if canon[c] == want]
+        return [i for i, label in enumerate(labels) if canon[label] == want]
 
     def match_place(self, features_a: Features, features_b: Features) -> MatchDecision:
         """Do two object-feature tuples describe the same place?"""
@@ -163,45 +160,30 @@ class RuleOracle:
             reasoning=f"weighted label overlap {overlap:.3f} vs threshold {MATCH_THRESHOLD}",
         )
 
-    def classify_elements(self, labels: list[str], schema: Schema) -> ClassifiedElements:
-        """Partition detection labels into place / connectors / objects."""
-        place_label: str | None = None
-        connectors: list[str] = []
-        objects: list[str] = []
-        # whether the schema has connectors is asked per call, never memoised
-        has_connector_concepts = bool(schema.by_kind(CONNECTOR))
-        seen: set[str] = set()
-        elements = self._elements
-        for raw in labels:
-            cleaned, cls = elements[raw]
-            if cleaned in seen:
-                continue
-            seen.add(cleaned)
-            if cls is _STRUCTURAL:
-                continue
-            if cls is _PLACE:
-                if place_label is None:
-                    place_label = cleaned
-                continue
-            if has_connector_concepts and cls is _CONNECTOR:
-                connectors.append(cleaned)
-            else:
-                objects.append(cleaned)
-        return ClassifiedElements(
-            place_label=place_label, connectors=tuple(connectors), objects=tuple(objects)
-        )
+    def classify_elements(self, labels: list[str], schema: Schema) -> list[ConceptKind | None]:
+        """The kind of each detection label, in order.
 
-    def _element_class(self, raw: str) -> tuple[str, str]:
-        """A raw tag's cleaned label and its schema-free class."""
-        cleaned = self._strip_place_prefix(raw)
-        base = strip_suffix(cleaned).lower()
-        if self.tables.is_structural(base):
-            return cleaned, _STRUCTURAL
-        if self.tables.is_place_term(base):
-            return cleaned, _PLACE
-        if self.tables.is_connector_label(base):
-            return cleaned, _CONNECTOR
-        return cleaned, _OBJECT
+        ``OBJECT_ROLE``, ``CONNECTOR``, ``PLACE`` for a place word, or ``None``
+        for structure (walls, floors); a connector word is an object under a
+        schema without connector concepts.
+        """
+        kinds = [self._elements[label] for label in labels]
+        # whether the schema has connectors is asked per call, never memoised
+        if not schema.by_kind(CONNECTOR):
+            return [OBJECT_ROLE if kind is CONNECTOR else kind for kind in kinds]
+        return kinds
+
+    def _element_kind(self, label: str) -> ConceptKind | None:
+        """A detection label's kind, whatever the schema."""
+        base = strip_suffix(self._strip_place_prefix(label)).lower()
+        tables = self.tables
+        if tables.is_structural(base):
+            return None
+        if tables.is_place_term(base):
+            return PLACE
+        if tables.is_connector_label(base):
+            return CONNECTOR
+        return OBJECT_ROLE
 
     def _strip_place_prefix(self, label: str) -> str:
         # detectors sometimes emit "livingroom sofa"; drop the place word
@@ -321,9 +303,9 @@ class RuleOracle:
                 )
         return Proposal(chosen=objects[0][0], reasoning="no prior; taking the first object")
 
-    def goal_match(
-        self, detections: list[tuple[str, str]], goal: str
-    ) -> tuple[str, str] | None:
-        """Return the detection satisfying the goal description, if any."""
+    def goal_match(self, detections: list[tuple[str, str]], goal: str) -> int | None:
+        """The position of the first ``(label, desc)`` detection satisfying the goal, if any."""
         hits = self._goal_hits
-        return next(((label, desc) for label, desc in detections if hits[goal, label, desc]), None)
+        return next(
+            (i for i, (label, desc) in enumerate(detections) if hits[goal, label, desc]), None
+        )

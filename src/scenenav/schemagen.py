@@ -122,9 +122,8 @@ class MockChatBackend(ChatBackend):
         return reply
 
 
-def _mock_from_json(text: str, source: str) -> MockChatBackend:
+def _mock_from_json(raw: object, source: str) -> MockChatBackend:
     """A mock backend from ``{"replies": {template id: reply or non-empty reply list}}``."""
-    raw = json.loads(text)
     replies = raw.get("replies") if isinstance(raw, dict) else None
     if not isinstance(replies, dict):
         raise ValueError(f"{source}: a mock backend must be an object with a 'replies' object")
@@ -141,12 +140,16 @@ def _mock_from_json(text: str, source: str) -> MockChatBackend:
 
 def load_mock_backend(path: str) -> MockChatBackend:
     with open(path, "r", encoding="utf-8") as handle:
-        return _mock_from_json(handle.read(), path)
+        try:
+            raw = json.load(handle)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise ValueError(f"{path}: {exc}") from None
+    return _mock_from_json(raw, path)
 
 
 def builtin_mock_backend(name: str) -> MockChatBackend:
     ref = resources.files("scenenav.assets.mocks").joinpath(f"{name}.json")
-    return _mock_from_json(ref.read_text(encoding="utf-8"), f"mock:{name}")
+    return _mock_from_json(json.loads(ref.read_text(encoding="utf-8")), f"mock:{name}")
 
 
 def prompt_template(name: str) -> str:

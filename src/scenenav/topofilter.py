@@ -10,12 +10,12 @@ and systematic resampling keeps the ensemble focused.
 
 Each hypothesis keeps one immutable cells object: cell sizes, cell adjacency,
 each cell's unique ``(label, desc)`` pairs in first-seen order (a plain
-features tuple, handed to ``match_place`` as it is) and a tag
-naming the cell by its first observation's place label.  ``_Cells.child``
-folds one more observation into new cells that share every unchanged cell's
-value, so proposing and weighting one hypothesis costs time in its number of
-cells, not in the length of the history: the proposal walks the cells within
-its radius, and the rival search hands every cell's tag to ``similar_labels``.
+features tuple, handed to ``match_place`` as it is) and the place label of
+each cell's first observation.  ``_Cells.child`` folds one more observation
+into new cells that share every unchanged cell's value, so proposing and
+weighting one hypothesis costs time in its number of cells, not in the length
+of the history: the proposal walks the cells within its radius, and the rival
+search hands every cell's label to ``similar_labels``.
 
 Resampling leaves many particles on one hypothesis, so they share its cells
 object, and a step keys its work by it: the proposal (cumulative cell masses)
@@ -72,20 +72,20 @@ class _Cells:
 
     ``sizes`` and ``adjacency`` follow from the first ``length`` assignments
     alone; ``items`` (each cell's unique ``(label, desc)`` pairs in first-seen
-    order) and ``tags`` (``"<label of the cell's first observation>_<cell>"``)
+    order) and ``labels`` (the place label of each cell's first observation)
     are read from ``observations`` and stay empty when that is ``None``.
     Every field is a tuple indexed by cell.
     """
 
-    __slots__ = ("length", "observations", "sizes", "adjacency", "items", "tags")
+    __slots__ = ("length", "observations", "sizes", "adjacency", "items", "labels")
 
-    def __init__(self, length=0, observations=None, sizes=(), adjacency=(), items=(), tags=()):
+    def __init__(self, length=0, observations=None, sizes=(), adjacency=(), items=(), labels=()):
         self.length: int = length
         self.observations: list[ObsRecord] | None = observations
         self.sizes: tuple[int, ...] = sizes
         self.adjacency: tuple[frozenset[int], ...] = adjacency
         self.items: tuple[Features, ...] = items
-        self.tags: tuple[str | None, ...] = tags
+        self.labels: tuple[str | None, ...] = labels
 
     def child(
         self, prev: int | None, node: int, observations: list[ObsRecord] | None
@@ -110,12 +110,12 @@ class _Cells:
         if observations is None:
             return _Cells(self.length + 1, None, tuple(sizes), adjacency)
         obs = observations[self.length]
-        items, tags = self.items, self.tags
+        items, labels = self.items, self.labels
         if opened > 0:
             items += ((),) * opened
-            tags += (None,) * opened
-        if tags[node] is None:
-            tags = tags[:node] + (f"{obs.place_label}_{node}",) + tags[node + 1 :]
+            labels += (None,) * opened
+        if labels[node] is None:
+            labels = labels[:node] + (obs.place_label,) + labels[node + 1 :]
         cell = items[node]
         seen = set(cell)
         extra = []
@@ -125,7 +125,7 @@ class _Cells:
                 extra.append(pair)
         if extra:
             items = items[:node] + (cell + tuple(extra),) + items[node + 1 :]
-        return _Cells(self.length + 1, observations, tuple(sizes), adjacency, items, tags)
+        return _Cells(self.length + 1, observations, tuple(sizes), adjacency, items, labels)
 
 
 _EMPTY = _Cells()
@@ -148,7 +148,7 @@ class TopologyParticle:
     )
 
     def _cells(self, observations: list[ObsRecord] | None = None) -> _Cells:
-        """The cells of ``assignments``, with items and tags read from
+        """The cells of ``assignments``, with items and labels read from
         ``observations`` unless that is ``None``."""
         named, cells = self._hypothesis or (None, _EMPTY)
         assignments = self.assignments
@@ -305,10 +305,8 @@ def likelihood(
         return 1.0
     cells = particle._cells(observations)
     p_assigned = oracle.match_place(cells.items[assigned], obs.features).confidence
-    similar = oracle.similar_labels(obs.place_label, list(cells.tags))
     value = p_assigned
-    for tag in similar:
-        node = int(tag.rsplit("_", 1)[1])
+    for node in oracle.similar_labels(obs.place_label, list(cells.labels)):
         if node == assigned:
             continue
         p_rival = oracle.match_place(cells.items[node], obs.features).confidence

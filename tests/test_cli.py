@@ -14,6 +14,8 @@ import scenenav
 from scenenav import cli, mapper
 from scenenav.cli import main
 from scenenav.mapper import MapperConfig, frames_to_jsonl
+from scenenav.oracle.rules import RuleOracle
+from scenenav.schema import CONNECTOR, OBJECT_ROLE, PLACE, builtin_schema
 from scenenav.sim import (
     EpisodeResult,
     cover_walk,
@@ -32,6 +34,12 @@ HOME = "src/scenenav/assets/schemas/home.json"
 FIXED_RUN_SHA256 = "915d33c82476f92592079c0892820180042b8568d7f32442850592a9d1943cca"
 # the same run with --noiseless
 FIXED_NOISELESS_RUN_SHA256 = "5156264fe742a483ebfa1bf563eb168b184c03fa352eba606bc5d88a75ccfbc6"
+# RuleOracle decisions of the fixed run, per kind
+FIXED_RUN_DECISIONS = {
+    "select_region": 1630, "classify_elements": 1196, "goal_match": 1196,
+    "similar_labels": 827, "infer_region": 704, "match_place": 380, "select_object": 151,
+    "match_object": 121,
+}
 # the structured export of TestMap's log with a quote and a backslash in its
 # labels, recorded before the DOT export escaped them
 STRUCTURED_SHA256 = "a4b2533ae9dec9f5ad3186e5f7a00081bc21cf5f00674715acf1fd0f12f92d70"
@@ -172,13 +180,15 @@ class TestGenSchema:
         ('{"endpoint": "https://example.invalid", "model": 7}', "'model'"),
         ('{"endpoint": "https://example.invalid", "model": "m", "api_key_env": null}',
          "'api_key_env'"),
+        ('{"endpoint": "https://example.invalid"', "remote.json: "),
+        (b"\xff\xfe", "remote.json: "),
     ], ids=["unknown-key", "missing-key", "not-an-object", "in-flight-string", "in-flight-zero",
             "in-flight-bool", "retries-string", "retries-negative", "retries-float",
             "temperature-negative", "temperature-nan", "timeout-zero", "timeout-string",
-            "endpoint-list", "model-number", "api-key-env-null"])
+            "endpoint-list", "model-number", "api-key-env-null", "truncated", "not-utf8"])
     def test_malformed_remote_config_rejected(self, tmp_path, capsys, doc, needle):
         config = tmp_path / "remote.json"
-        config.write_text(doc)
+        config.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         out = tmp_path / "schema.json"
         code = main(["gen-schema", "home", "--backend", f"remote:{config}", "--out", str(out)])
         assert code == 1
@@ -196,11 +206,13 @@ class TestGenSchema:
         ('{"replies": {"env_description": []}}', "'env_description'"),
         ('{"replies": {"env_description": "Text: rooms hold objects"}}',
          "no reply for template 'triplet_extraction'"),
+        ('{"replies": ', "mock.json: "),
+        (b"\xff\xfe", "mock.json: "),
     ], ids=["list", "string", "replies-list", "replies-null", "reply-number",
-            "reply-list-of-null", "reply-empty-list", "template-missing"])
+            "reply-list-of-null", "reply-empty-list", "template-missing", "truncated", "not-utf8"])
     def test_malformed_mock_backend_rejected(self, tmp_path, capsys, doc, needle):
         mock = tmp_path / "mock.json"
-        mock.write_text(doc)
+        mock.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
         out = tmp_path / "schema.json"
         code = main(["gen-schema", "home", "--backend", f"mock:{mock}", "--out", str(out)])
         assert code == 1
@@ -348,6 +360,36 @@ class TestMap:
         assert hashlib.sha256(structured).hexdigest() == STRUCTURED_SHA256
         labels = {n["label"] for n in json.loads(structured)["nodes"]}
         assert {'27" monitor', "back\\slash"} <= labels
+
+    def _map_frames(self, tmp_path, home_path, frames):
+        log, out = tmp_path / "traj.jsonl", tmp_path / "graph.json"
+        log.write_text("".join(json.dumps(frame) + "\n" for frame in frames))
+        assert main(["map", "--log", str(log), "--schema", home_path, "--out", str(out)]) == 0
+        kind = {name: concept.kind for name, concept in builtin_schema("home").concepts.items()}
+        nodes = {}
+        for node in json.loads(out.read_text())["nodes"]:
+            nodes.setdefault(kind[node["cls"]], []).append(node["label"])
+        return nodes
+
+    @staticmethod
+    def _paper_frame(fid, place_label, labels):
+        detections = [{"label": label, "bbox": [i * 400.0, 0.0, 20.0, 20.0]}
+                      for i, label in enumerate(labels)]
+        return {"frame_id": fid, "place_type_answer": "Room",
+                "place_label_answer": place_label, "detections": detections}
+
+    def test_paper_frame_stores_its_connectors_and_objects(self, tmp_path, home_path):
+        labels = ["livingroom_0", "window_13", "door_2", "doorway_3", "table_4", "stairs_10",
+                  "wall_8"]
+        nodes = self._map_frames(tmp_path, home_path, [self._paper_frame(0, "livingroom", labels)])
+        assert nodes[CONNECTOR] == ["door_2", "doorway_3", "stairs_10"]
+        assert nodes[OBJECT_ROLE] == ["window_13", "table_4"]
+        assert nodes[PLACE] == ["livingroom"]
+
+    def test_a_suffixed_place_label_answered_twice_maps_to_one_place(self, tmp_path, home_path):
+        frames = [self._paper_frame(fid, "livingroom_0", ["sofa", "tv", "rug"]) for fid in (0, 1)]
+        nodes = self._map_frames(tmp_path, home_path, frames)
+        assert nodes[PLACE] == ["livingroom_0"]
 
     def _first_frame(self):
         scene = generate_home_scene(np.random.default_rng(321))
@@ -631,6 +673,27 @@ class TestRun:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_RUN_SHA256
         # every generated home holds some protocol goal: no fallback line
         assert "every object label" not in capsys.readouterr().err
+
+    def test_fixed_run_asks_the_oracle_as_often_as_recorded(
+        self, tmp_path, home_path, monkeypatch
+    ):
+        # each decision is one completion of a foundation model, the paper's cost
+        # unit: the shape of an answer must not change how often it is asked
+        asked = dict.fromkeys(FIXED_RUN_DECISIONS, 0)
+        for name in asked:
+            def counted(self, *args, _name=name, _decide=getattr(RuleOracle, name), **kwargs):
+                asked[_name] += 1
+                return _decide(self, *args, **kwargs)
+
+            monkeypatch.setattr(RuleOracle, name, counted)
+        out = tmp_path / "fixed.csv"
+        code = main([
+            "run", "--schema", home_path, "--scenes", "20", "--episodes", "200",
+            "--baseline", "--out", str(out),
+        ])
+        assert code == 0
+        assert asked == FIXED_RUN_DECISIONS
+        assert sum(asked.values()) / 200 == pytest.approx(31.0, abs=0.05)
 
     def test_fixed_noiseless_run_csv_golden(self, tmp_path, home_path):
         out = tmp_path / "fixed.csv"

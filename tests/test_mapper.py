@@ -102,6 +102,22 @@ class TestParseFrame:
         obs = parse_frame(f, home, oracle, cfg)
         assert obs.goal_hit is not None and obs.goal_hit.label == "bed"
 
+    def test_paper_frame_keeps_instance_labels(self, home, oracle, config):
+        # the detector's own instance suffixes name a door, a wall, a place word
+        labels = ["livingroom_0", "window_13", "door_2", "doorway_3", "table_4", "stairs_10",
+                  "wall_8", "kitchen door_3"]
+        obs = parse_frame(frame(0, dets=_spread([det(l) for l in labels])), home, oracle, config)
+        assert [l for l, _, _ in obs.connectors] == [
+            "door_2", "doorway_3", "stairs_10", "kitchen door_3"
+        ]
+        assert [l for l, _, _ in obs.objects] == ["window_13", "table_4"]
+
+    def test_goal_hit_is_the_matching_detection(self, home, oracle):
+        sofa = det("sofa_2", x=400.0, desc="red", image_ref="s2")
+        dets = [det("lamp"), sofa, det("sofa_2", x=800.0, desc="red", image_ref="s3")]
+        obs = parse_frame(frame(0, dets=dets), home, oracle, MapperConfig(goal="sofa"))
+        assert obs.goal_hit is sofa
+
     def test_unknown_place_type_rejected(self, home, oracle, config):
         with pytest.raises(FrameError):
             parse_frame(frame(0, cls="Aisle"), home, oracle, config)
@@ -345,6 +361,13 @@ class TestMapperStep:
         assert r2.revisit
         assert len(r2.state.graph.nodes()) == count
         assert r2.state.place_history == ["livingroom_1", "livingroom_1"]
+
+    def test_two_detections_with_one_label_stay_two_leaves(self, home, oracle, config):
+        state = MapperState(graph=SceneGraph(home))
+        dets = _spread([det("chair", image_ref="a"), det("chair", image_ref="b")])
+        graph = mapper_step(frame(0, dets=dets), home, state, oracle, config).state.graph
+        leaves = [graph.node(leaf) for leaf in graph.leaves_of("livingroom_1")]
+        assert [(n.label, n.image_ref) for n in leaves] == [("chair", "a"), ("chair", "b")]
 
     def test_history_appended(self, home, oracle, config):
         state = MapperState(graph=SceneGraph(home))

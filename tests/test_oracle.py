@@ -11,7 +11,7 @@ from scenenav.oracle import rules
 from scenenav.oracle.base import Proposal
 from scenenav.oracle.rules import RuleOracle, strip_suffix
 from scenenav.oracle.tables import OracleTables, SynonymTable, default_tables
-from scenenav.schema import builtin_schema
+from scenenav.schema import CONNECTOR, OBJECT_ROLE, PLACE, builtin_schema
 from scenenav.sim import EpisodeSpec, RunnerConfig, default_noise, generate_home_scene, run_episode
 
 
@@ -39,7 +39,7 @@ def test_similar_labels_place_names(oracle):
         "livingroom",
         ["kitchen_1", "livingroom_1", "livingroom_2", "bedroom_1", "familyroom_2"],
     )
-    assert got == ["livingroom_1", "livingroom_2", "familyroom_2"]
+    assert got == [1, 2, 4]  # livingroom_1, livingroom_2, familyroom_2
 
 
 def test_similar_labels_empty(oracle):
@@ -48,7 +48,7 @@ def test_similar_labels_empty(oracle):
 
 def test_similar_labels_without_group_falls_back_to_exact(oracle):
     got = oracle.similar_labels("gym", ["gym_1", "kitchen_1", "gym_2"])
-    assert got == ["gym_1", "gym_2"]
+    assert got == [0, 2]
 
 
 def test_match_place_reflexive(oracle):
@@ -95,40 +95,34 @@ def test_classify_elements_paper_frame(oracle, home):
         "table_4", "stairs_10", "wall_8",
     ]
     got = oracle.classify_elements(labels, home)
-    assert got.place_label == "livingroom_0"
-    assert got.connectors == ("door_2", "doorway_3", "stairs_10")
-    assert got.objects == ("window_13", "table_4")
+    assert got == [PLACE, OBJECT_ROLE, CONNECTOR, CONNECTOR, OBJECT_ROLE, CONNECTOR, None]
 
 
 def test_classify_elements_empty(oracle, home):
-    got = oracle.classify_elements([], home)
-    assert got.place_label is None
-    assert got.connectors == () and got.objects == ()
+    assert oracle.classify_elements([], home) == []
 
 
 def test_classify_elements_lexicon(oracle, home):
     got = oracle.classify_elements(["fridge", "doorway"], home)
-    assert got.connectors == ("doorway",)
-    assert got.objects == ("fridge",)
+    assert got == [OBJECT_ROLE, CONNECTOR]
 
 
 def test_classify_without_connector_concepts(oracle):
     market = builtin_schema("supermarket")
     got = oracle.classify_elements(["milk", "gate"], market)
-    assert got.connectors == ()
-    assert got.objects == ("milk", "gate")
+    assert got == [OBJECT_ROLE, OBJECT_ROLE]
 
 
 def test_classify_memo_leaves_the_connector_test_to_each_schema(oracle, home):
-    # the memo keeps a tag's class, not the schema's answer: one oracle asked
+    # the memo keeps a label's kind, not the schema's answer: one oracle asked
     # under a schema with connector concepts, then under one without, classes
     # doors as objects the second time
-    tags = ["door_0", "milk_1", "stairs_2"]
-    first = oracle.classify_elements(tags, home)
-    assert first.connectors == ("door_0", "stairs_2") and first.objects == ("milk_1",)
-    second = oracle.classify_elements(tags, builtin_schema("supermarket"))
-    assert second.connectors == () and second.objects == ("door_0", "milk_1", "stairs_2")
-    assert oracle.classify_elements(tags, home) == first
+    labels = ["door_0", "milk_1", "stairs_2"]
+    first = oracle.classify_elements(labels, home)
+    assert first == [CONNECTOR, OBJECT_ROLE, CONNECTOR]
+    second = oracle.classify_elements(labels, builtin_schema("supermarket"))
+    assert second == [OBJECT_ROLE, OBJECT_ROLE, OBJECT_ROLE]
+    assert oracle.classify_elements(labels, home) == first
 
 
 def test_classify_memo_answers_as_a_fresh_oracle(oracle, home):
@@ -153,8 +147,10 @@ def test_classify_memo_stays_bounded(oracle, home):
 
 
 def test_classify_strips_place_prefix(oracle, home):
-    got = oracle.classify_elements(["livingroom sofa_6", "bathroom mirror_1"], home)
-    assert got.objects == ("sofa_6", "mirror_1")
+    # without the place word, "kitchen door_3" is a door and "livingroom wall_2" a wall
+    labels = ["livingroom sofa_6", "bathroom mirror_1", "kitchen door_3", "livingroom wall_2"]
+    got = oracle.classify_elements(labels, home)
+    assert got == [OBJECT_ROLE, OBJECT_ROLE, CONNECTOR, None]
 
 
 def test_match_object_paper_example(oracle):
@@ -292,22 +288,16 @@ def test_select_object_goal_itself_preferred(oracle):
 
 
 def test_goal_match_substring(oracle):
-    assert oracle.goal_match([("bed", "red cotton floral")], "bed") == (
-        "bed",
-        "red cotton floral",
-    )
+    assert oracle.goal_match([("bed", "red cotton floral")], "bed") == 0
 
 
 def test_goal_match_descriptor_conjunction(oracle):
     assert oracle.goal_match([("bed", "blue plain")], "red floral bed") is None
-    assert oracle.goal_match([("bed", "red cotton floral")], "red floral bed") == (
-        "bed",
-        "red cotton floral",
-    )
+    assert oracle.goal_match([("bed", "red cotton floral")], "red floral bed") == 0
 
 
 def test_goal_match_synonyms(oracle):
-    assert oracle.goal_match([("couch", "gray fabric")], "settee") == ("couch", "gray fabric")
+    assert oracle.goal_match([("couch", "gray fabric")], "settee") == 0
 
 
 def test_goal_match_no_detections(oracle):
@@ -321,10 +311,10 @@ def test_goal_match_alternating_goals_answers_as_a_fresh_test(oracle):
     for goal in goals * 2:
         is_goal = default_tables().goal_test(goal)
         for obj in objects:
-            expected = obj if is_goal(*obj) else None
+            expected = 0 if is_goal(*obj) else None
             assert oracle.goal_match([obj], goal) == expected
         assert oracle.goal_match(objects, goal) == next(
-            (obj for obj in objects if is_goal(*obj)), None
+            (i for i, obj in enumerate(objects) if is_goal(*obj)), None
         )
 
 
@@ -349,7 +339,7 @@ def test_memoised_goal_match_answers_as_a_fresh_test_on_the_fixed_run_homes():
             is_goal = default_tables().goal_test(goal)
             for obj in objects:
                 expected = is_goal(*obj)
-                assert (oracle.goal_match([obj], goal) == obj) is expected, (goal, obj)
+                assert (oracle.goal_match([obj], goal) == 0) is expected, (goal, obj)
                 hits += expected
         assert len(oracle._goal_hits) <= _LABEL_MEMO_SIZE
         assert len(oracle._goal_tests) <= _MATCH_MEMO_SIZE
@@ -539,7 +529,7 @@ def test_tables_are_fixed_at_construction(oracle):
     assert oracle.similar_labels("zorb", ["blip_1"]) == []
     custom = RuleOracle(OracleTables.from_dict({"synonyms": [["zorb", "blip"]]}))
     assert custom.match_place(a, b).matched
-    assert custom.similar_labels("zorb", ["blip_1"]) == ["blip_1"]
+    assert custom.similar_labels("zorb", ["blip_1"]) == [0]
     with pytest.raises(AttributeError):
         custom.tables = default_tables()
 
@@ -636,10 +626,10 @@ def test_oracles_on_different_tables_never_share_an_answer():
     custom = RuleOracle(OracleTables.from_dict({"synonyms": [["zorb", "blip"]]}))
     default = RuleOracle()
     for _ in range(2):
-        assert default.similar_labels("zorb", ["blip_1", "zorb_2"]) == ["zorb_2"]
-        assert custom.similar_labels("zorb", ["blip_1", "zorb_2"]) == ["blip_1", "zorb_2"]
+        assert default.similar_labels("zorb", ["blip_1", "zorb_2"]) == [1]
+        assert custom.similar_labels("zorb", ["blip_1", "zorb_2"]) == [0, 1]
         assert default.goal_match([("blip_1", "")], "zorb") is None
-        assert custom.goal_match([("blip_1", "")], "zorb") == ("blip_1", "")
+        assert custom.goal_match([("blip_1", "")], "zorb") == 0
         assert default.match_place(feats("zorb"), feats("blip")).matched is False
         assert custom.match_place(feats("zorb"), feats("blip")).matched is True
 

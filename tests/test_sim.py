@@ -786,8 +786,6 @@ _RECORDS = {
                     ("kitchen_1", "door_1", ("door_1", "gt:conn:d0"))),
     "MatchDecision": (("matched", "confidence", "reasoning"), {"reasoning": ""},
                       (True, 0.75, "overlap")),
-    "ClassifiedElements": (("place_label", "connectors", "objects"),
-                           {"connectors": (), "objects": ()}, (None, ("door",), ("sofa",))),
     "RegionChoice": (("is_new", "value"), {}, (False, "floor_1")),
     "Proposal": (("chosen", "reasoning"), {"reasoning": ""}, ("kitchen_1", "nearest")),
 }

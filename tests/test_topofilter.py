@@ -352,9 +352,7 @@ def _assert_cells_match(particle, observations):
         assignments
     )
     assert cells.items == tuple(_brute_cell_items(assignments, n, observations) for n in nodes)
-    assert cells.tags == tuple(
-        f"{_brute_cell_label(assignments, n, observations)}_{n}" for n in nodes
-    )
+    assert cells.labels == tuple(_brute_cell_label(assignments, n, observations) for n in nodes)
 
 
 def _random_stream(seed, length):
@@ -385,7 +383,7 @@ def test_cell_tables_match_brute_force_over_a_seeded_stream():
     assert sum(rec["resampled"] for rec in state.trace) >= 5
 
 
-CELL_FIELDS = ("length", "observations", "sizes", "adjacency", "items", "tags")
+CELL_FIELDS = ("length", "observations", "sizes", "adjacency", "items", "labels")
 
 
 def _snapshot(cells):
