@@ -149,6 +149,12 @@ class SceneGraph:
     ``add_node``.  A leaf's ``desc`` and ``image_ref`` change only through
     ``set_leaf``, never by assignment.
 
+    Per ``(kind, class)`` the graph keeps what ``add_node`` resolves once:
+    that the schema holds the class with that kind, the insert facts every
+    node of it shares (its summary edge kind, whether it joins the
+    adjacency) and its kind's and layer's node lists.  A class the schema
+    lacks is never kept, so every add of it raises ``EdgeRuleError``.
+
     Two views are kept on read instead.  ``object_features`` of objects,
     connectors and places reads the node's own out-list and is memoised per
     node; an entry is dropped when an ``IS_NEAR`` or ``HAS`` edge from the
@@ -165,6 +171,11 @@ class SceneGraph:
         self._cls: dict[str, str] = {}  # node id -> its schema class
         # node id -> (summary edge kind or None, in the adjacency?), fixed by add_node
         self._facts: dict[str, tuple[EdgeKind | None, bool]] = {}
+        # (kind, class) -> (insert facts, the kind's node list, the layer's),
+        # resolved by the first add_node of a class the schema holds
+        self._classes: dict[
+            tuple[ConceptKind, str], tuple[tuple[EdgeKind | None, bool], list[Node], list[Node]]
+        ] = {}
         self._counters: dict[str, int] = {}
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}  # non-symmetric kinds only
@@ -194,38 +205,57 @@ class SceneGraph:
         return node.cls
 
     def add_node(self, node: Node) -> str:
-        cls = self.node_cls(node)
-        concept = self.schema.concepts.get(cls)
         kind = node.kind
+        cls = self.node_cls(node)
+        resolved = self._classes.get((kind, cls))
+        if resolved is None:
+            resolved = self._resolve_class(kind, cls)
+        facts, of_kind, of_layer = resolved
+        prefix = _id_prefix(node)
+        count = self._counters.get(prefix, 0) + 1
+        self._counters[prefix] = count
+        node_id = node.id = f"{prefix}_{count}"
+        self._nodes[node_id] = node
+        self._cls[node_id] = cls
+        self._out[node_id] = {}
+        self._in[node_id] = {}
+        summary, linked = self._facts[node_id] = facts
+        if linked:
+            self._adj[node_id] = {}
+        if summary is not None:
+            self._rows[node_id] = (node_id, node.label, "")
+        if kind is CONNECTOR:
+            self._place_counts[node_id] = 0
+        of_kind.append(node)
+        of_layer.append(node)
+        self._pairs[node_id] = (node.label, getattr(node, "desc", ""))
+        self._rank[node_id] = len(self._rank)
+        image_ref = getattr(node, "image_ref", "")
+        if image_ref:
+            # a new node ranks last, so appending keeps the holders in rank order
+            self._by_ref.setdefault(image_ref, []).append(node_id)
+        self.version += 1
+        return node_id
+
+    def _resolve_class(
+        self, kind: ConceptKind, cls: str
+    ) -> tuple[tuple[EdgeKind | None, bool], list[Node], list[Node]]:
+        """Check a node class against the schema and keep what ``add_node`` reads of it.
+
+        Only a class the schema holds with this kind is kept, so a bad one
+        raises on every add.
+        """
+        concept = self.schema.concepts.get(cls)
         if concept is None or concept.kind is not kind:
             raise EdgeRuleError(
                 f"class {cls!r} is not a {kind.value} concept of the active schema"
             )
-        prefix = _id_prefix(node)
-        count = self._counters.get(prefix, 0) + 1
-        self._counters[prefix] = count
-        node.id = f"{prefix}_{count}"
-        self._nodes[node.id] = node
-        self._cls[node.id] = cls
-        self._out[node.id] = {}
-        self._in[node.id] = {}
-        summary, linked = self._facts[node.id] = (_SUMMARY_EDGE.get(kind), kind in _LINKED)
-        if linked:
-            self._adj[node.id] = {}
-        if summary is not None:
-            self._rows[node.id] = (node.id, node.label, "")
-        if kind is CONNECTOR:
-            self._place_counts[node.id] = 0
-        self._by_kind[kind].append(node)
-        self._by_layer.setdefault(concept.layer_id, []).append(node)
-        self._pairs[node.id] = (node.label, getattr(node, "desc", ""))
-        self._rank[node.id] = len(self._rank)
-        image_ref = getattr(node, "image_ref", "")
-        if image_ref:
-            # a new node ranks last, so appending keeps the holders in rank order
-            self._by_ref.setdefault(image_ref, []).append(node.id)
-        self.version += 1
-        return node.id
+        resolved = self._classes[kind, cls] = (
+            (_SUMMARY_EDGE.get(kind), kind in _LINKED),
+            self._by_kind[kind],
+            self._by_layer.setdefault(concept.layer_id, []),
+        )
+        return resolved
 
     def set_leaf(
         self, node_id: str, *, desc: str | None = None, image_ref: str | None = None

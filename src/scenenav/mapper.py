@@ -129,9 +129,9 @@ class StepResult(NamedTuple):
     obs: ParsedObservation | None = None
 
 
-def _iou(a: Detection, b: Detection) -> float:
-    ax, ay, aw, ah = a.bbox
-    bx, by, bw, bh = b.bbox
+def _iou(a: tuple[float, float, float, float], b: tuple[float, float, float, float]) -> float:
+    ax, ay, aw, ah = a
+    bx, by, bw, bh = b
     ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
     iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
     inter = ix * iy
@@ -142,7 +142,14 @@ def _iou(a: Detection, b: Detection) -> float:
 def parse_frame(
     frame: DetectionFrame, schema: Schema, oracle: RuleOracle, config: MapperConfig
 ) -> ParsedObservation:
-    """Structure one detection frame: classify leaves, wire proximity, spot the goal."""
+    """Structure one detection frame: classify leaves, wire proximity, spot the goal.
+
+    One pass over the detections validates each, drops those smaller than
+    ``MIN_OBJ_AREA`` and keeps the rest; their kinds are asked for in one
+    call and split once into objects and then connectors, the order of the
+    leaves, the near pairs and the goal check.  Areas and centroids are read
+    straight off each bbox tuple.
+    """
     place_concept = schema.concepts.get(frame.place_type_answer)
     if place_concept is None or place_concept.kind is not PLACE:
         raise FrameError(
@@ -153,24 +160,35 @@ def parse_frame(
         raise FrameError(
             f"frame {frame.frame_id}: blank place label {frame.place_label_answer!r}"
         )
+    kept = []
+    labels = []
     for det in frame.detections:
-        if not det.label.strip():
-            raise FrameError(f"frame {frame.frame_id}: blank detection label {det.label!r}")
-        if min(det.bbox) < 0:
+        label, _, bbox, _ = det
+        if not label.strip():
+            raise FrameError(f"frame {frame.frame_id}: blank detection label {label!r}")
+        if min(bbox) < 0:
             raise FrameError(f"frame {frame.frame_id}: negative bbox coordinate")
+        if bbox[2] * bbox[3] >= MIN_OBJ_AREA:
+            kept.append(det)
+            labels.append(label)
 
-    kept = [d for d in frame.detections if d.area >= MIN_OBJ_AREA]
-    kinds = oracle.classify_elements([d.label for d in kept], schema)
-    object_dets = [d for d, kind in zip(kept, kinds) if kind is OBJECT_ROLE]
-    connector_dets = [d for d, kind in zip(kept, kinds) if kind is CONNECTOR]
-    ordered = object_dets + connector_dets
-    centroids = [d.centroid for d in ordered]
+    objects: list[Detection] = []
+    connectors: list[Detection] = []
+    for det, kind in zip(kept, oracle.classify_elements(labels, schema)):
+        if kind is OBJECT_ROLE:
+            objects.append(det)
+        elif kind is CONNECTOR:
+            connectors.append(det)
+    ordered = objects + connectors
+    boxes = [d.bbox for d in ordered]
+    centroids = [(x + w / 2.0, y + h / 2.0) for x, y, w, h in boxes]
     near_pairs = []
     for i, (ax, ay) in enumerate(centroids):
+        box = boxes[i]
         for j in range(i + 1, len(ordered)):
             bx, by = centroids[j]
             if (((ax - bx) ** 2 + (ay - by) ** 2) ** 0.5 < BETA_PIX
-                    or _iou(ordered[i], ordered[j]) > BETA_IOU):
+                    or _iou(box, boxes[j]) > BETA_IOU):
                 near_pairs.append((i, j))
 
     goal_hit = None
@@ -181,8 +199,8 @@ def parse_frame(
 
     return ParsedObservation(
         place=(place_concept.name, frame.place_label_answer),
-        objects=tuple((d.label, d.desc, d.image_ref) for d in object_dets),
-        connectors=tuple((d.label, d.desc, d.image_ref) for d in connector_dets),
+        objects=tuple([(d.label, d.desc, d.image_ref) for d in objects]),
+        connectors=tuple([(d.label, d.desc, d.image_ref) for d in connectors]),
         near_pairs=tuple(near_pairs),
         goal_hit=goal_hit,
     )
@@ -313,14 +331,11 @@ def _associate_traversed_connector(
 
 
 def _merge_near_edges(graph: SceneGraph, obs: ParsedObservation, assoc: dict[int, str]) -> None:
-    # a detection associated with a place, or with no node, gets no proximity edge
-    leaves = {
-        idx: node_id
-        for idx, node_id in assoc.items()
-        if graph.node(node_id).kind is not PLACE
-    }
+    # every associated node is an object or a connector; a detection with no
+    # node gets no proximity edge
+    get = assoc.get
     for i, j in obs.near_pairs:
-        a, b = leaves.get(i), leaves.get(j)
+        a, b = get(i), get(j)
         if a is not None and b is not None and a != b:
             graph.add_edge(a, b, IS_NEAR)
 

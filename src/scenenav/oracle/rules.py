@@ -38,9 +38,19 @@ CONFIDENCE_STEEPNESS = 4.0
 # map are candidate summaries and feature tuples.  Repeated place-match
 # questions come from the filter's particles within one step (about a dozen
 # distinct ones per step), so a small memo catches nearly all of them; a larger
-# one mostly keeps mapper feature tuples alive.
+# one mostly keeps mapper feature tuples alive.  Goal memos hold a run's few
+# goals, so the small bound serves them too.
 _LABEL_MEMO_SIZE = 1024
 _MATCH_MEMO_SIZE = 64
+
+
+# select_region's score tiers and what each says about the pick
+_REGION_REASONS = {
+    3.0: "its contents mention the goal",
+    2.5: "it holds a place where the goal is typical",
+    2.0: "the goal is typical for this kind of place",
+    1.0: "an unexplored passage may lead to the goal",
+}
 
 
 class _Memo(dict):
@@ -108,6 +118,15 @@ class RuleOracle:
         goal_tests = self._goal_tests = _Memo(tables.goal_test, _MATCH_MEMO_SIZE)
         self._goal_hits = _Memo(
             lambda key: goal_tests[key[0]](key[1], key[2]), _LABEL_MEMO_SIZE
+        )
+        # goal -> (places it co-occurs in, canonical goal), for select_region
+        self._region_goals = _Memo(
+            lambda goal: (tables.cooccurs(goal), canon[goal]), _MATCH_MEMO_SIZE
+        )
+        # candidate label -> (canonical label, is it a connector word?)
+        self._region_labels = _Memo(
+            lambda label: (canon[label], tables.is_connector_label(strip_suffix(label))),
+            _LABEL_MEMO_SIZE,
         )
 
     @property
@@ -186,10 +205,13 @@ class RuleOracle:
         return OBJECT_ROLE
 
     def _strip_place_prefix(self, label: str) -> str:
-        # detectors sometimes emit "livingroom sofa"; drop the place word
-        parts = label.split(" ")
-        if len(parts) > 1 and self.tables.is_place_term(parts[0]):
-            return " ".join(parts[1:]).strip()
+        # detectors sometimes emit "livingroom sofa" or "living room sofa";
+        # drop the longest place term of one or two words that leaves a word,
+        # whatever whitespace separates the words
+        parts = label.split()
+        for n in (2, 1):
+            if len(parts) > n and self.tables.is_place_term(" ".join(parts[:n])):
+                return " ".join(parts[n:]).strip()
         return label.strip()
 
     def match_object(
@@ -250,41 +272,40 @@ class RuleOracle:
         Takes the first candidate of the highest score tier.
 
         The loop stops at the first candidate whose contents name the goal:
-        nothing can outrank it and ties go to the earlier candidate.
+        nothing can outrank it and ties go to the earlier candidate.  The
+        goal's facts (the places it co-occurs in, its canonical label) and
+        each candidate label's (canonical label, connector word or not) are
+        read from memos, so each is derived once per goal and label.
         """
         if not candidates:
             raise ValueError("select_region needs at least one candidate")
-        want_places = self.tables.cooccurs(goal)
-        goal_canon = self._canon[goal]
+        want_places, goal_canon = self._region_goals[goal]
+        summaries, label_facts = self._summaries, self._region_labels
         best = candidates[0]
         best_score = -1.0
         for cand in candidates:
-            cand_id, label, summary = cand
-            summary_labels = self._summaries[summary]
+            summary_labels = summaries[cand[2]]
             if goal_canon in summary_labels:
                 best_score = 3.0
                 best = cand
                 break
-            score = 0.0
             if not summary_labels.isdisjoint(want_places):
                 # a coarse region whose children include a likely place
                 score = 2.5
-            elif self._canon[label] in want_places:
-                score = 2.0
-            elif self.tables.is_connector_label(strip_suffix(label)):
-                score = 1.0
+            else:
+                label, connector = label_facts[cand[1]]
+                if label in want_places:
+                    score = 2.0
+                elif connector:
+                    score = 1.0
+                else:
+                    score = 0.0
             if score > best_score:
                 best_score = score
                 best = cand
-        reasons = {
-            3.0: "its contents mention the goal",
-            2.5: "it holds a place where the goal is typical",
-            2.0: "the goal is typical for this kind of place",
-            1.0: "an unexplored passage may lead to the goal",
-        }
         return Proposal(
             chosen=best[0],
-            reasoning=reasons.get(best_score, "no candidate stood out; taking the first"),
+            reasoning=_REGION_REASONS.get(best_score, "no candidate stood out; taking the first"),
         )
 
     def select_object(self, objects: list[tuple[str, str, str]], goal: str) -> Proposal:

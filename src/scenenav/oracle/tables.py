@@ -227,6 +227,19 @@ class OracleTables:
     def near_labels(self, goal: str) -> frozenset[str]:
         return frozenset(self._near_canon.get(self.canonical(goal), frozenset()))
 
+    def _goal_splits(self, goal: str) -> dict[str, list[list[str]]]:
+        """Each spelling of a noun ``goal`` may end in -> its lists of leading descriptors."""
+        tokens = goal.lower().split()
+        splits: dict[str, list[list[str]]] = {}
+        for i in range(len(tokens)):
+            for spelling in self.synonyms.group_of(" ".join(tokens[i:])):
+                splits.setdefault(spelling, []).append(tokens[:i])
+        return splits
+
+    def goal_nouns(self, goal: str) -> frozenset[str]:
+        """The object labels, suffix-free and lower case, that ``goal_test(goal)`` can pass."""
+        return frozenset(self._goal_splits(goal))
+
     def goal_test(self, goal: str) -> Callable[[str, str], bool]:
         """The one goal predicate: whether an object ``(label, desc)`` is a ``goal``.
 
@@ -235,12 +248,7 @@ class OracleTables:
         every descriptor among the words of its label and description.  The
         goal is split here, once; the test it returns runs once per object.
         """
-        tokens = goal.lower().split()
-        # each spelling of a noun the goal may end in -> its descriptor lists
-        splits: dict[str, list[list[str]]] = {}
-        for i in range(len(tokens)):
-            for spelling in self.synonyms.group_of(" ".join(tokens[i:])):
-                splits.setdefault(spelling, []).append(tokens[:i])
+        splits = self._goal_splits(goal)
 
         def test(label: str, desc: str) -> bool:
             key = strip_suffix(label).lower()

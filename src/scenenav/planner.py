@@ -230,8 +230,7 @@ def reason_step(
 ) -> SubgoalPlan:
     """Advance the plan one decision: pick/approach/search the target region."""
     memory = memory if memory is not None else PlannerMemory()
-    frontier_size = sum(places <= 1 for places in graph.connector_place_counts().values())
-    attempts = graph.count(PLACE) + frontier_size + 2
+    attempts = graph.count(PLACE) + len(_frontier_connectors(graph)) + 2
     target = plan.target_region
     for _ in range(attempts):
         if target is None:

@@ -214,6 +214,7 @@ def run_episode(
     plan = SubgoalPlan()
     memory = PlannerMemory()
     scans: dict[str, int] = {}
+    typical: dict[str, bool] = {}  # mapped place -> is the goal typical there?
     filter_state = (
         FilterState.create(
             config.filter,
@@ -252,8 +253,12 @@ def run_episode(
             # zero-hop action) before they are written off
             cur = state.current_place
             scans[cur] = scans.get(cur, 0) + 1
-            label = tables.canonical(state.graph.node(cur).label)
-            if label not in likely_places or scans[cur] >= 2:
+            likely = typical.get(cur)
+            if likely is None:
+                # a node's label never changes, so this is decided once per place
+                label = tables.canonical(state.graph.node(cur).label)
+                likely = typical[cur] = label in likely_places
+            if not likely or scans[cur] >= 2:
                 memory.exhausted.add(cur)
         if actions >= spec.horizon:
             failure = "horizon exhausted"

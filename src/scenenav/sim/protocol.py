@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..oracle.tables import default_tables
+from ..oracle.tables import default_tables, strip_suffix
 from .episode import EpisodeSpec
 from .scene import GroundTruthScene, generate_home_scene
 
@@ -57,7 +57,8 @@ def build_episodes(
     hops to the nearest of them.  A scene with no objects at all, or a drawn
     goal that cannot be reached from the drawn start, raises ``ValueError``.
     Each spec comes with its goal hosts and shortest hop count, scanned once
-    per drawn goal and home.
+    per drawn goal and home.  A goal's test runs only on the objects whose
+    noun the goal names (``OracleTables.goal_nouns``): it passes no other.
     """
     rng = np.random.default_rng(protocol.episode_seed)
     if scene is not None:
@@ -69,11 +70,20 @@ def build_episodes(
             for seed in seeds
         ]
     specs: list[EpisodeSpec] = []
-    tests = {goal: default_tables().goal_test(goal) for goal in protocol.goals}
+    tables = default_tables()
+    tests = {goal: tables.goal_test(goal) for goal in protocol.goals}
+    nouns = {goal: tables.goal_nouns(goal) for goal in protocol.goals}
     for name, world in scenes:
-        objects = [(o.label, o.desc) for place in world.places.values() for o in place.objects]
+        # the scene's objects by noun: a goal's test can pass only on the nouns it names
+        by_noun: dict[str, list[tuple[str, str]]] = {}
+        for place in world.places.values():
+            for o in place.objects:
+                by_noun.setdefault(strip_suffix(o.label).lower(), []).append((o.label, o.desc))
         # whether some object satisfies a goal; the hosts wait for its first draw
-        usable = [goal for goal in protocol.goals if any(tests[goal](*obj) for obj in objects)]
+        usable = [
+            goal for goal in protocol.goals
+            if any(tests[goal](*obj) for noun in nouns[goal] for obj in by_noun.get(noun, ()))
+        ]
         if not usable:
             labels = sorted(set(world.object_labels()))
             if not labels:

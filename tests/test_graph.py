@@ -41,6 +41,35 @@ def test_add_node_rejects_foreign_class(graph):
         graph.add_node(PlaceNode(cls="Aisle", label="dairy"))
 
 
+def test_a_class_the_schema_lacks_raises_on_every_add(graph):
+    # the graph keeps what it resolves of a class only when the schema holds it
+    # with the node's kind, so a bad class is refused each time it is offered
+    bad = [
+        lambda: PlaceNode(cls="Aisle", label="dairy"),
+        lambda: ConnectorNode(cls="Room", label="door"),
+        lambda: PlaceNode(cls="Entrance", label="door"),
+        lambda: RegionNode(cls="Room", label="floor"),
+    ]
+    for make in bad:
+        with pytest.raises(EdgeRuleError):
+            graph.add_node(make())
+    room = graph.add_node(PlaceNode(cls="Room", label="kitchen"))
+    door = graph.add_node(ConnectorNode(cls="Entrance", label="door"))
+    graph.add_node(RegionNode(cls="Floor", label="floor"))
+    sink = graph.add_node(ObjectNode(label="sink"))
+    graph.add_edge(room, door, EdgeKind.CONNECTS_TO)
+    graph.add_edge(room, sink, EdgeKind.HAS)
+    before = (graph.version, len(graph.nodes()))
+    for _ in range(2):
+        for make in bad:
+            with pytest.raises(EdgeRuleError, match="concept of the active schema"):
+                graph.add_node(make())
+    assert (graph.version, len(graph.nodes())) == before
+    assert graph.layer_nodes(2) == [graph.node(room), graph.node(door)]
+    assert graph.add_node(PlaceNode(cls="Room", label="kitchen")) == "kitchen_2"
+    assert validate_graph(graph) == []
+
+
 def test_has_edge_direction_enforced(graph):
     room = graph.add_node(PlaceNode(cls="Room", label="livingroom"))
     sofa = graph.add_node(ObjectNode(label="sofa"))

@@ -147,10 +147,24 @@ def test_classify_memo_stays_bounded(oracle, home):
 
 
 def test_classify_strips_place_prefix(oracle, home):
-    # without the place word, "kitchen door_3" is a door and "livingroom wall_2" a wall
-    labels = ["livingroom sofa_6", "bathroom mirror_1", "kitchen door_3", "livingroom wall_2"]
+    # without the place word, "kitchen door_3" is a door and "livingroom wall_2" a wall;
+    # the same holds however the detector spells the room, and a place term
+    # alone keeps its words and stays a place
+    labels = ["livingroom sofa_6", "bathroom mirror_1", "kitchen door_3", "livingroom wall_2",
+              "living room door_2", "dining room wall", "guest room stairs_1", "living room"]
     got = oracle.classify_elements(labels, home)
-    assert got == [OBJECT_ROLE, OBJECT_ROLE, CONNECTOR, None]
+    assert got == [OBJECT_ROLE, OBJECT_ROLE, CONNECTOR, None, CONNECTOR, None, CONNECTOR, PLACE]
+
+
+@pytest.mark.parametrize("label, bare", [
+    ("dining room table", "table"),
+    ("guest room bed", "bed"),
+    ("living room door_2", "door_2"),
+    ("living  room door_2", "door_2"),
+    ("kitchen\tdoor_2", "door_2"),
+])
+def test_a_two_word_place_prefix_is_stripped(oracle, label, bare):
+    assert oracle._strip_place_prefix(label) == bare
 
 
 def test_match_object_paper_example(oracle):
@@ -265,6 +279,40 @@ def test_select_region_goal_naming_candidate_outranks_earlier_tiers(oracle):
     assert got == Proposal(chosen="bedroom_3", reasoning="its contents mention the goal")
 
 
+def test_select_region_answers_as_a_fresh_oracle_under_goals_in_turn(oracle):
+    candidates = [
+        ("kitchen_1", "kitchen", "oven, kettle"),
+        ("bathroom_2", "washroom", "towel"),
+        ("bedroom_3", "bedroom", "bed, lamp"),
+        ("door_4", "door", ""),
+        ("floor_5", "floor", "kitchen, bedroom"),
+    ]
+    answers = set()
+    for goal in ["sink", "bed", "sink", "toilet", "piano", "bed", "toilet"]:
+        got = oracle.select_region(candidates, goal)
+        assert got == RuleOracle().select_region(candidates, goal), goal
+        answers.add(got.chosen)
+    assert answers == {"floor_5", "bedroom_3", "bathroom_2", "door_4"}
+
+
+def test_a_connector_label_scores_as_a_passage_under_each_new_goal():
+    # under "rope" a door is where the goal is typical; under "sink" the same
+    # label is an unexplored passage again, whatever it scored before
+    tables = OracleTables.from_dict({"cooccurrence": {"rope": ["door"], "sink": ["kitchen"]}})
+    oracle = RuleOracle(tables)
+    candidates = [("hall_1", "hall", "plant"), ("door_2", "door", ""), ("door_3", "doorway_3", "")]
+    assert oracle.select_region(candidates, "rope") == Proposal(
+        chosen="door_2", reasoning="the goal is typical for this kind of place"
+    )
+    for goal in ("sink", "rope", "sink"):
+        assert oracle.select_region(candidates, goal) == RuleOracle(tables).select_region(
+            candidates, goal
+        )
+    assert oracle.select_region(candidates[::-1], "sink") == Proposal(
+        chosen="door_3", reasoning="an unexplored passage may lead to the goal"
+    )
+
+
 def test_select_object_nearness(oracle):
     objects = [
         ("mirror_2", "mirror", ""),
@@ -344,6 +392,29 @@ def test_memoised_goal_match_answers_as_a_fresh_test_on_the_fixed_run_homes():
         assert len(oracle._goal_hits) <= _LABEL_MEMO_SIZE
         assert len(oracle._goal_tests) <= _MATCH_MEMO_SIZE
     assert 0 < hits < len(goals) * len(objects)
+
+
+def test_goal_nouns_name_every_object_the_goal_test_passes():
+    from scenenav.sim.protocol import GOAL_CATEGORIES, BenchmarkProtocol
+
+    protocol = BenchmarkProtocol()
+    seeds = range(protocol.scene_seed, protocol.scene_seed + protocol.num_scenes)
+    objects = sorted({(obj.label, obj.desc) for seed in seeds
+                      for place in generate_home_scene(np.random.default_rng(seed)).places.values()
+                      for obj in place.objects})
+    objects += [(f"{label}_3", desc) for label, desc in objects[::5]]
+    tables = default_tables()
+    assert tables.goal_nouns("white fabric couch") == {
+        "white fabric couch", "fabric couch", "couch", "sofa", "settee"
+    }
+    hits = 0
+    for goal in [*GOAL_CATEGORIES, "settee", "television", "red floral bed", "white sink"]:
+        test, nouns = tables.goal_test(goal), tables.goal_nouns(goal)
+        for label, desc in objects:
+            if test(label, desc):
+                hits += 1
+                assert strip_suffix(label).lower() in nouns, (goal, label)
+    assert hits > len(GOAL_CATEGORIES)
 
 
 @pytest.mark.parametrize("label", ["sofa_2", "sofa", " sofa ", "sofa_", "a_b", "bed_12 ",
@@ -647,10 +718,12 @@ def test_an_oracle_that_answered_every_decision_is_freed_by_reference_count(home
     oracle.infer_region(home, "Floor", [("floor_0", "Floor")], ("bedroom_0", "bedroom"), None,
                         via_label="stairs_3")
     oracle.select_region([("bedroom_1", "bedroom", "bed, sink")], "sink")
+    oracle.select_region([("door_1", "door", "")], "sink")
     oracle.select_object([("bed_1", "bed", "")], "bed")
     oracle.goal_match([("bed_2", "")], "bed")
     memos = (oracle._canon, oracle._weights, oracle._summaries, oracle._bags,
-             oracle._matches, oracle._elements, oracle._goal_tests, oracle._goal_hits)
+             oracle._matches, oracle._elements, oracle._goal_tests, oracle._goal_hits,
+             oracle._region_goals, oracle._region_labels)
     assert all(memos)
     ref = weakref.ref(oracle)
     gc.disable()  # only reference counting may free it

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,8 @@ from scenenav.planner import (
     propose_region,
     reason_step,
 )
-from scenenav.schema import ConceptKind, EdgeKind, builtin_schema
+from scenenav.oracle.base import Proposal
+from scenenav.schema import ConceptKind, EdgeKind, builtin_schema, parse_schema
 
 
 @pytest.fixture
@@ -208,6 +210,63 @@ class TestProposeRegion:
             propose_region(home, graph, "sink", oracle)
 
 
+def _towers():
+    """Two floors of a building, two rooms each, on a schema with two region layers."""
+    schema = parse_schema(json.dumps({
+        "Building": {"layer_type": "Region", "layer_id": 4, "contains": ["Floor"]},
+        "Floor": {"layer_type": "Region", "layer_id": 3, "contains": ["Room"]},
+        "Room": {"layer_type": "Place", "layer_id": 2, "has": ["Object"],
+                 "connects_to": ["Room"]},
+        "Object": {"layer_id": 1},
+    }))
+    graph = SceneGraph(schema)
+    kitchen, living, bedroom, bath = _chain(graph, ["kitchen", "livingroom", "bedroom", "bathroom"])
+    _furnish(graph, kitchen, ["oven"])
+    _furnish(graph, living, ["sofa"])
+    _furnish(graph, bedroom, ["bed"])
+    _furnish(graph, bath, ["mirror"])
+    building = graph.add_node(RegionNode(cls="Building", label="building"))
+    for rooms in ((kitchen, living), (bedroom, bath)):
+        floor = graph.add_node(RegionNode(cls="Floor", label="floor"))
+        graph.add_edge(building, floor, EdgeKind.CONTAINS)
+        for room in rooms:
+            graph.add_edge(floor, room, EdgeKind.CONTAINS)
+    return schema, graph
+
+
+class _Recorded(RuleOracle):
+    """The rule oracle, recording the candidate ids of each region choice."""
+
+    def __init__(self, answer=None):
+        super().__init__()
+        self.asked = []
+        self.answer = answer
+
+    def select_region(self, candidates, goal):
+        self.asked.append([c[0] for c in candidates])
+        if self.answer is not None:
+            return Proposal(chosen=self.answer, reasoning="answered as asked")
+        return super().select_region(candidates, goal)
+
+
+class TestDescentThroughRegionLayers:
+    def test_a_level_of_regions_is_descended_to_its_rooms(self):
+        schema, graph = _towers()
+        oracle = _Recorded()
+        # the toilet is typical of the bathroom, which only the second floor holds
+        assert propose_region(schema, graph, "toilet", oracle) == "bathroom_1"
+        assert oracle.asked == [
+            ["building_1"], ["floor_1", "floor_2"], ["bedroom_1", "bathroom_1"]
+        ]
+
+    def test_a_pick_that_is_no_region_is_the_target(self):
+        schema, graph = _towers()
+        # an oracle may answer a place straight away; the descent stops there
+        oracle = _Recorded(answer="livingroom_1")
+        assert propose_region(schema, graph, "toilet", oracle) == "livingroom_1"
+        assert oracle.asked == [["building_1"]]
+
+
 class TestProposeObject:
     def test_connector_passes_through(self, home, oracle):
         graph = SceneGraph(home)
@@ -291,6 +350,21 @@ class TestReasonStep:
         pair_one = (first.target_region, first.object_goal[0])
         pair_two = (second.target_region, second.object_goal[0])
         assert pair_one != pair_two
+
+    def test_a_target_with_no_route_is_written_off_and_proposed_again(self, home, oracle):
+        graph = SceneGraph(home)
+        living, kitchen = _chain(graph, ["livingroom", "kitchen"])
+        island = graph.add_node(PlaceNode(cls="Room", label="bathroom"))
+        (sofa,) = _furnish(graph, living, ["sofa"])
+        _furnish(graph, kitchen, ["oven"])
+        _furnish(graph, island, ["mirror", "toilet"])
+        memory = PlannerMemory()
+        # the island names the toilet, so it is proposed first; no route reaches it
+        assert propose_region(home, graph, "toilet", oracle, current=living) == island
+        plan = reason_step(home, graph, living, SubgoalPlan(), "toilet", oracle, memory)
+        assert island in memory.exhausted
+        assert plan == SubgoalPlan(target_region=None, waypoint=None, object_goal=(sofa, ""))
+        assert [r["target_region"] for r in memory.trace] == [None]
 
     def test_unreachable_target_triggers_reproposal(self, home, oracle):
         graph = SceneGraph(home)

@@ -215,6 +215,23 @@ class TestAct:
             act(scene, "kitchen_3", "gt:obj:nowhere:0")
         with pytest.raises(ValueError):
             act(scene, "kitchen_3", "whatever_1")
+        with pytest.raises(ValueError, match="unknown connector anchor 'gt:conn:door_9'"):
+            act(scene, "kitchen_3", "gt:conn:door_9")
+
+    def test_connector_seen_from_a_place_that_is_no_endpoint(self):
+        # from the kitchen, door_1 (living room - hallway) is reached through
+        # its adjacent endpoint; from a place next to neither endpoint it fails
+        scene = small_scene()
+        scene.places["attic_9"] = ScenePlace("attic_9", "Room", "attic", [])
+        assert act(scene, "hallway_2", "gt:conn:door_1") == ("livingroom_1", 1, True, True)
+        assert act(scene, "kitchen_3", "gt:conn:door_1") == ("hallway_2", 1, True, True)
+        assert act(scene, "attic_9", "gt:conn:door_1") == ("attic_9", 1, False, False)
+
+    def test_place_id_targets(self):
+        scene = small_scene()
+        assert act(scene, "hallway_2", "hallway_2") == ("hallway_2", 0, False, True)
+        assert act(scene, "livingroom_1", "hallway_2") == ("hallway_2", 1, True, True)
+        assert act(scene, "livingroom_1", "kitchen_3") == ("livingroom_1", 1, False, False)
 
 
 class TestCoverWalk:
@@ -501,6 +518,20 @@ class TestRunEpisode:
         children = np.random.SeedSequence(4).spawn(2)
         assert seen["observe"] == np.random.default_rng(children[0]).bit_generator.state
         assert seen["filter"] == np.random.default_rng(children[1]).bit_generator.state
+
+    def test_a_move_the_scene_cannot_make_ends_the_episode(self, home, monkeypatch):
+        # a plan naming an anchor the scene does not hold is a bad action: the
+        # episode stops there, with no hop taken
+        def plan_nowhere(*args):
+            return planner.SubgoalPlan(object_goal=("door_9", "gt:conn:door_9"))
+
+        monkeypatch.setattr(episode, "reason_step", plan_nowhere)
+        spec = EpisodeSpec(scene=small_scene(), start="livingroom_1", goal="sink", horizon=10)
+        result = run_episode(spec, home)
+        assert result == EpisodeResult(
+            success=False, hops_traversed=0, shortest_hops=2, final_goal_distance=2,
+            steps=(), failure="bad action: unknown connector anchor 'gt:conn:door_9'",
+        )
 
     def test_a_likely_place_gets_one_rescan(self, home):
         # a kitchenette (canonically a kitchen) is where a sink is typical, but
