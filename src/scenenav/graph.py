@@ -149,11 +149,11 @@ class SceneGraph:
     ``add_node``.  A leaf's ``desc`` and ``image_ref`` change only through
     ``set_leaf``, never by assignment.
 
-    Per ``(kind, class)`` the graph keeps what ``add_node`` resolves once:
-    that the schema holds the class with that kind, the insert facts every
-    node of it shares (its summary edge kind, whether it joins the
-    adjacency) and its kind's and layer's node lists.  A class the schema
-    lacks is never kept, so every add of it raises ``EdgeRuleError``.
+    A node's concept kind fixes where it sits: places and connectors join
+    the adjacency, a connector keeps a place count, and a place's, region's
+    and connector's row follows its ``HAS``, ``CONTAINS`` or ``IS_NEAR``
+    edges.  Every write reads the kinds of its nodes; no other table
+    repeats them.
 
     Two views are kept on read instead.  ``object_features`` of objects,
     connectors and places reads the node's own out-list and is memoised per
@@ -169,13 +169,6 @@ class SceneGraph:
         self.schema = schema
         self._nodes: dict[str, Node] = {}
         self._cls: dict[str, str] = {}  # node id -> its schema class
-        # node id -> (summary edge kind or None, in the adjacency?), fixed by add_node
-        self._facts: dict[str, tuple[EdgeKind | None, bool]] = {}
-        # (kind, class) -> (insert facts, the kind's node list, the layer's),
-        # resolved by the first add_node of a class the schema holds
-        self._classes: dict[
-            tuple[ConceptKind, str], tuple[tuple[EdgeKind | None, bool], list[Node], list[Node]]
-        ] = {}
         self._counters: dict[str, int] = {}
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}  # non-symmetric kinds only
@@ -205,12 +198,18 @@ class SceneGraph:
         return node.cls
 
     def add_node(self, node: Node) -> str:
+        """Store a node under a fresh ``<label-or-class>_<counter>`` id and return it.
+
+        Raises ``EdgeRuleError``, and stores nothing, unless the schema holds
+        the node's class as a concept of the node's kind.
+        """
         kind = node.kind
         cls = self.node_cls(node)
-        resolved = self._classes.get((kind, cls))
-        if resolved is None:
-            resolved = self._resolve_class(kind, cls)
-        facts, of_kind, of_layer = resolved
+        concept = self.schema.concepts.get(cls)
+        if concept is None or concept.kind is not kind:
+            raise EdgeRuleError(
+                f"class {cls!r} is not a {kind.value} concept of the active schema"
+            )
         prefix = _id_prefix(node)
         count = self._counters.get(prefix, 0) + 1
         self._counters[prefix] = count
@@ -219,15 +218,14 @@ class SceneGraph:
         self._cls[node_id] = cls
         self._out[node_id] = {}
         self._in[node_id] = {}
-        summary, linked = self._facts[node_id] = facts
-        if linked:
+        if kind in _LINKED:
             self._adj[node_id] = {}
-        if summary is not None:
+        if kind in _SUMMARY_EDGE:
             self._rows[node_id] = (node_id, node.label, "")
         if kind is CONNECTOR:
             self._place_counts[node_id] = 0
-        of_kind.append(node)
-        of_layer.append(node)
+        self._by_kind[kind].append(node)
+        self._by_layer.setdefault(concept.layer_id, []).append(node)
         self._pairs[node_id] = (node.label, getattr(node, "desc", ""))
         self._rank[node_id] = len(self._rank)
         image_ref = getattr(node, "image_ref", "")
@@ -236,26 +234,6 @@ class SceneGraph:
             self._by_ref.setdefault(image_ref, []).append(node_id)
         self.version += 1
         return node_id
-
-    def _resolve_class(
-        self, kind: ConceptKind, cls: str
-    ) -> tuple[tuple[EdgeKind | None, bool], list[Node], list[Node]]:
-        """Check a node class against the schema and keep what ``add_node`` reads of it.
-
-        Only a class the schema holds with this kind is kept, so a bad one
-        raises on every add.
-        """
-        concept = self.schema.concepts.get(cls)
-        if concept is None or concept.kind is not kind:
-            raise EdgeRuleError(
-                f"class {cls!r} is not a {kind.value} concept of the active schema"
-            )
-        resolved = self._classes[kind, cls] = (
-            (_SUMMARY_EDGE.get(kind), kind in _LINKED),
-            self._by_kind[kind],
-            self._by_layer.setdefault(concept.layer_id, []),
-        )
-        return resolved
 
     def set_leaf(
         self, node_id: str, *, desc: str | None = None, image_ref: str | None = None
@@ -325,11 +303,10 @@ class SceneGraph:
     def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
         if not self._admits(src, dst, kind):
             return
-        symmetric = kind in _SYMMETRIC
-        self._insert(src, dst, kind, symmetric)
+        self._insert(src, dst, kind)
         # a symmetric kind is stored both ways, so the reverse is missing too
-        if symmetric:
-            self._insert(dst, src, kind, symmetric)
+        if kind in _SYMMETRIC:
+            self._insert(dst, src, kind)
         self.version += 1
 
     def _admits(self, src: str, dst: str, kind: EdgeKind) -> bool:
@@ -355,27 +332,27 @@ class SceneGraph:
                 )
         return True
 
-    def _insert(self, src: str, dst: str, kind: EdgeKind, symmetric: bool | None = None) -> None:
-        if symmetric is None:
-            symmetric = kind in _SYMMETRIC
+    def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
         targets = self._out[src].setdefault(kind, [])
         targets.append(dst)
         # a symmetric kind's in-list would repeat its out-list
-        if not symmetric:
+        if kind not in _SYMMETRIC:
             self._in[dst].setdefault(kind, []).append(src)
         self._edges.add((src, dst, kind))
-        summary, linked = self._facts[src]
-        if kind is CONNECTS_TO and linked and self._facts[dst][1]:
-            self._adj[src][dst] = 1.0
-            # a connector's summary kind is IS_NEAR and a place's HAS
-            if summary is IS_NEAR and self._facts[dst][0] is HAS:
-                self._place_counts[src] += 1
+        nodes = self._nodes
+        src_kind = nodes[src].kind
+        if kind is CONNECTS_TO:
+            adj = self._adj
+            if src in adj and dst in adj:
+                adj[src][dst] = 1.0
+                if src_kind is CONNECTOR and nodes[dst].kind is PLACE:
+                    self._place_counts[src] += 1
         # a node's features read its own out-list only
         if kind is IS_NEAR or kind is HAS:
             self._features.pop(src, None)
-        if kind is summary:
+        if kind is _SUMMARY_EDGE.get(src_kind):
             _, name, text = self._rows[src]
-            label = self._nodes[dst].label
+            label = nodes[dst].label
             self._rows[src] = (src, name, f"{text}, {label}" if len(targets) > 1 else label)
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
@@ -715,9 +692,9 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     maintained views from the edge lists and reports any that differ: the
     candidate row (and so the summary) of every place, region and connector,
     ``connector_place_counts()`` and ``connectivity_subgraph()``, key and
-    neighbour order included, and compares each node's kept class and insert
-    facts with ``node_cls`` and its kind.  Each node's class is resolved, and
-    each distinct class triple checked against the schema, once per audit.
+    neighbour order included, and compares each node's kept class with
+    ``node_cls``.  Each node's class is resolved, and each distinct class
+    triple checked against the schema, once per audit.
     """
     problems: list[str] = []
     all_edges = graph.edges()
@@ -759,8 +736,6 @@ def validate_graph(graph: SceneGraph) -> list[str]:
             problems.append(f"{node.id} has multiple parents {list(parents)}")
     if graph._cls != {n.id: cls_of[n.id] for n in nodes}:
         problems.append("the node class index differs from its rebuild")
-    if graph._facts != {n.id: (_SUMMARY_EDGE.get(n.kind), n.kind in _LINKED) for n in nodes}:
-        problems.append("the node insert facts differ from their rebuild")
     candidates = [n for n in nodes if n.kind is not OBJECT_ROLE]
     for node, row in zip(candidates, graph.candidate_rows(n.id for n in candidates)):
         rebuilt = (node.id, node.label, _rebuilt_summary(graph, node))

@@ -88,9 +88,7 @@ class RuleOracle:
         # the computes reach overridable methods through a proxy, never self
         oracle = weakref.proxy(self)
         # raw label -> canonical label, canonical label -> overlap weight
-        canon = self._canon = _Memo(
-            lambda label: tables.canonical(strip_suffix(label)), _LABEL_MEMO_SIZE
-        )
+        canon = self._canon = _Memo(tables.canonical_base, _LABEL_MEMO_SIZE)
         weight = self._weights = _Memo(
             lambda label: LARGE_WEIGHT if tables.is_large(label) else 1.0, _LABEL_MEMO_SIZE
         )

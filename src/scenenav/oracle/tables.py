@@ -195,6 +195,10 @@ class OracleTables:
     def canonical(self, label: str) -> str:
         return self.synonyms.canonical(label)
 
+    def canonical_base(self, label: str) -> str:
+        """A label's canonical form without its instance suffix: ``bedroom_1`` -> ``bedroom``."""
+        return self.synonyms.canonical(strip_suffix(label))
+
     def is_large(self, label: str) -> bool:
         canon = self.canonical(label)
         return canon in self._large_canon

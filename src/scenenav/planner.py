@@ -168,10 +168,8 @@ def _descend(
             level = sorted(children, key=region_key)
             continue
         places = hop_order([c for c in children if c not in exhausted], distances)
-        # a frontier connector is nearby when it connects to a non-connector
-        # child; every connector, and only a connector, has a place count
-        counts = graph.connector_place_counts()
-        inside = {c for c in children if c not in counts}
+        # a frontier connector is nearby when it connects to a non-connector child
+        inside = {c for c in children if graph.node(c).kind is not CONNECTOR}
         nearby_frontier = [
             f for f in frontier
             if not inside.isdisjoint(graph.out_targets(f, CONNECTS_TO))

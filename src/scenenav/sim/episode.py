@@ -256,7 +256,7 @@ def run_episode(
             likely = typical.get(cur)
             if likely is None:
                 # a node's label never changes, so this is decided once per place
-                label = tables.canonical(state.graph.node(cur).label)
+                label = tables.canonical_base(state.graph.node(cur).label)
                 likely = typical[cur] = label in likely_places
             if not likely or scans[cur] >= 2:
                 memory.exhausted.add(cur)

@@ -1,9 +1,10 @@
 """Map-quality scoring: compare a built graph with its ground-truth scene.
 
 Nodes and connectivity edges of the place/connector layer are compared as
-label multisets (labels canonicalised through the synonym table), giving
-precision and recall that tolerate id differences while punishing missing,
-duplicated or mislabelled structure.
+label multisets (each label read without its instance suffix and
+canonicalised through the synonym table), giving precision and recall that
+tolerate id differences while punishing missing, duplicated or mislabelled
+structure.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _graph_multisets(graph: SceneGraph, canon) -> tuple[Counter, Counter]:
 
 def layer2_quality(graph: SceneGraph, scene: GroundTruthScene) -> LayerQuality:
     """Precision/recall of place-layer structure against the scene."""
-    canon = default_tables().canonical
+    canon = default_tables().canonical_base
     pred_nodes, pred_edges = _graph_multisets(graph, canon)
     true_nodes, true_edges = _scene_multisets(scene, canon)
     node_p, node_r = _overlap_scores(pred_nodes, true_nodes)

@@ -66,7 +66,7 @@ class TestVerifySchema:
         assert "valid" in capsys.readouterr().out
 
     def test_broken_rule_nonzero(self, tmp_path, home_path, capsys):
-        doc = json.loads(open(home_path).read())
+        doc = json.loads(Path(home_path).read_text())
         doc["Room"]["has"] = ["Corridor"]
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -456,7 +456,7 @@ class TestMap:
     def test_valid_schema_that_does_not_fit_the_frames_rejected(self, tmp_path, capsys):
         # a place concept with no has rule passes verify-schema, but a frame
         # of that place holding an object needs a has edge the schema forbids
-        doc = json.loads(open(HOME).read())
+        doc = json.loads(Path(HOME).read_text())
         doc["Hall"] = {"layer_type": "Place", "layer_id": 2, "connects_to": ["Room"]}
         schema = tmp_path / "hall.json"
         schema.write_text(json.dumps(doc))
@@ -802,7 +802,7 @@ def test_every_command_reports_a_bad_schema_alike(tmp_path, home_path, capsys, c
     if case == "unparsable":
         schema.write_text("{")
     elif case == "invalid":
-        doc = json.loads(open(home_path).read())
+        doc = json.loads(Path(home_path).read_text())
         doc["Room"]["has"] = ["Corridor"]
         schema.write_text(json.dumps(doc))
     log = tmp_path / "t.jsonl"

@@ -14,6 +14,7 @@ from scenenav.graph import (
     RegionNode,
     SceneGraph,
     UnknownNodeError,
+    hop_distances,
     import_graph,
     validate_graph,
 )
@@ -171,6 +172,28 @@ def test_connectivity_subgraph_counts(graph):
     assert set(sub[doors[0]]) == {rooms[0], rooms[1]}
 
 
+def test_a_floor_stairs_link_stays_out_of_the_place_layer(graph):
+    # the schema lets a Floor connect to Stairs, but a region is no part of
+    # the place/connector layer: the link is stored both ways and no view of
+    # that layer counts it
+    rooms, doors = _home_fixture(graph)
+    floor = graph.add_node(RegionNode(cls="Floor", label="floor"))
+    stairs = graph.add_node(PlaceNode(cls="Stairs", label="stairs"))
+    graph.add_edge(stairs, rooms[2], EdgeKind.CONNECTS_TO)
+    graph.add_edge(floor, stairs, EdgeKind.CONNECTS_TO)
+    assert graph.has_edge(stairs, floor, EdgeKind.CONNECTS_TO)
+    sub = graph.connectivity_subgraph()
+    assert floor not in sub
+    assert sub[stairs] == {rooms[2]: 1.0}
+    assert graph.connector_place_counts() == {doors[0]: 2, doors[1]: 2}
+    assert dict(hop_distances(graph, stairs)) == {
+        stairs: 0, rooms[2]: 1, doors[1]: 2, rooms[1]: 3, doors[0]: 4, rooms[0]: 5,
+    }
+    assert hop_distances(graph, floor) == {}
+    assert graph.summary(floor) == graph.summary(stairs) == ""
+    assert validate_graph(graph) == []
+
+
 def test_parent_region(graph):
     floor = graph.add_node(RegionNode(cls="Floor", label="floor"))
     room = graph.add_node(PlaceNode(cls="Room", label="bedroom"))
@@ -242,10 +265,6 @@ def _tampered_fixture(graph, what):
         graph._place_counts[doors[1]] = 0
     elif what == "class index":
         graph._cls[rooms[1]] = "Corridor"
-    elif what == "summary kind":
-        graph._facts[rooms[1]] = (EdgeKind.IS_NEAR, True)
-    elif what == "adjacency fact":
-        graph._facts[sofa] = (None, True)
     else:
         del graph._adj[rooms[2]][doors[1]]
     return validate_graph(graph)
@@ -257,8 +276,6 @@ def _tampered_fixture(graph, what):
     ("connector row", "candidate row ('door_1', 'door', '')"),
     ("place count", "the connector place counts"),
     ("class index", "the node class index"),
-    ("summary kind", "the node insert facts"),
-    ("adjacency fact", "the node insert facts"),
     ("adjacency", "the connectivity adjacency"),
 ])
 def test_validate_graph_reports_a_tampered_view(graph, what, needle):
@@ -1044,7 +1061,7 @@ def _write_state(graph):
         [(k, list(v.items())) for k, v in graph._adj.items()],
         list(graph._place_counts.items()), sorted(graph._edges, key=repr),
         {n: {k: list(v) for k, v in by_kind.items()} for n, by_kind in graph._in.items()},
-        list(graph._facts.items()), list(graph._cls.items()),
+        list(graph._cls.items()),
     )
 
 

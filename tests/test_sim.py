@@ -9,11 +9,12 @@ from scenenav.mapper import MapperConfig, MapperState, mapper_step
 from scenenav.oracle import base
 from scenenav.oracle.rules import RuleOracle
 from scenenav.oracle.tables import DEFAULT_SYNONYM_GROUPS, OracleTables, default_tables
-from scenenav.schema import builtin_schema
+from scenenav.schema import EdgeKind, builtin_schema
 from scenenav.sim import (
     EpisodeResult,
     EpisodeSpec,
     GroundTruthScene,
+    LayerQuality,
     SceneConnector,
     SceneObject,
     ScenePlace,
@@ -433,6 +434,22 @@ class TestMappingFidelity:
         quality = layer2_quality(graph, scene)
         assert quality.all_perfect(), quality
 
+    def test_an_instance_suffix_is_no_mislabel(self, home):
+        # a detector's door_2 is the scene's door: the map is exact
+        scene = GroundTruthScene(env_label="home")
+        scene.places["kitchen_1"] = ScenePlace("kitchen_1", "Room", "kitchen", [])
+        scene.places["bedroom_2"] = ScenePlace("bedroom_2", "Room", "bedroom", [])
+        scene.connectors["door_1"] = SceneConnector("door_1", "door", ("kitchen_1", "bedroom_2"))
+        scene.links = [("kitchen_1", "bedroom_2", "door_1")]
+        graph = SceneGraph(home)
+        kitchen, bedroom = (
+            graph.add_node(PlaceNode(cls="Room", label=l)) for l in ("kitchen", "bedroom")
+        )
+        door = graph.add_node(ConnectorNode(cls="Entrance", label="door_2"))
+        graph.add_edge(kitchen, door, EdgeKind.CONNECTS_TO)
+        graph.add_edge(door, bedroom, EdgeKind.CONNECTS_TO)
+        assert layer2_quality(graph, scene) == LayerQuality(1.0, 1.0, 1.0, 1.0)
+
 
 class TestRunEpisode:
     def test_goal_in_start_place(self, home):
@@ -565,6 +582,26 @@ class TestRunEpisode:
 
         assert len(rescans(RuleOracle())) == 1
         assert rescans(RuleOracle(OracleTables.from_dict({"cooccurrence": {}}))) == []
+
+    @pytest.mark.parametrize("label", ["bedroom", "bedroom_1"])
+    def test_an_instance_suffix_keeps_a_place_likely(self, home, label):
+        # a bed is typical for a bedroom, whether or not its label carries an
+        # instance suffix: either start place gets the one zero-hop rescan
+        scene = GroundTruthScene(env_label="home")
+        scene.places["bedroom_1"] = ScenePlace(
+            "bedroom_1", "Room", label,
+            [SceneObject("lamp", "white"), SceneObject("dresser", "oak")],
+        )
+        scene.places["guestroom_2"] = ScenePlace(
+            "guestroom_2", "Room", "guestroom",
+            [SceneObject("bed", "blue"), SceneObject("chair", "wooden")],
+        )
+        scene.connectors["door_1"] = SceneConnector("door_1", "door", ("bedroom_1", "guestroom_2"))
+        scene.links = [("bedroom_1", "guestroom_2", "door_1")]
+        spec = EpisodeSpec(scene=scene, start="bedroom_1", goal="bed", horizon=10, seed=0)
+        result = run_episode(spec, home)
+        assert result.success
+        assert [s["place"] for s in result.steps if s.get("cost") == 0] == ["bedroom_1"]
 
 
 class TestMetrics:
