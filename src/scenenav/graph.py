@@ -1,8 +1,8 @@
 """The layered scene graph instance: typed nodes, typed edges, feature access.
 
 A node's features (``Features``) are a plain tuple of ``(label, desc)`` pairs,
-and one method, ``SceneGraph.leaves_of``, lists a place's leaves: its objects,
-then the connectors it links to.
+and one method, ``SceneGraph.leaves_of``, lists a place's leaves, whose pairs
+are its features: its objects, then the connectors it links to.
 
 A graph is bound to a schema; every stored edge triple (source concept, edge
 kind, target concept) must be permitted by it.  Node ids follow the
@@ -140,7 +140,7 @@ class SceneGraph:
     The derived views are maintained on write, not rebuilt on read: the
     place/connector adjacency, the node lists per concept kind and
     per layer, each place's, region's and connector's candidate row
-    (``candidate_rows``: id, label and ``summary``, replaced by each ``HAS``,
+    (``candidate_rows``: id, label and summary, replaced by each ``HAS``,
     ``CONTAINS`` or ``IS_NEAR`` insert from it; an object is never a
     candidate and keeps no row), each connector's count of place-side
     neighbours (``connector_place_counts``), each node's class and ``(label,
@@ -156,9 +156,9 @@ class SceneGraph:
     repeats them.
 
     Two views are kept on read instead.  ``object_features`` of objects,
-    connectors and places reads the node's own out-list and is memoised per
-    node; an entry is dropped when an ``IS_NEAR`` or ``HAS`` edge from the
-    node is stored or ``set_leaf`` changes a neighbour's ``desc``.
+    connectors and places reads the node's own out-lists and is memoised per
+    node; an entry is dropped when an ``IS_NEAR``, ``HAS`` or ``CONNECTS_TO``
+    edge from the node is stored or ``set_leaf`` changes a neighbour's ``desc``.
     ``hop_tree`` keeps one breadth-first tree, for the latest ``(version,
     source)``.  ``connectivity_subgraph()``, ``connector_place_counts()``,
     ``out_targets``, the features, the rows and the tree are the graph's own
@@ -242,7 +242,8 @@ class SceneGraph:
 
         Not a structural mutation: ``version`` stays.  The features of every
         node that aggregates this leaf's pair are dropped, to be rebuilt on
-        their next read.
+        their next read: its ``HAS`` holders, its ``IS_NEAR`` neighbours and
+        the places a connector ``CONNECTS_TO``.
         """
         node = self.node(node_id)
         if not isinstance(node, (ObjectNode, ConnectorNode)):
@@ -250,11 +251,10 @@ class SceneGraph:
         if desc is not None and desc != node.desc:
             node.desc = desc
             self._pairs[node_id] = (node.label, desc)
-            # proximity is stored both ways: the leaf's neighbours are its out-list
-            for holders in (
-                self._out[node_id].get(IS_NEAR, ()),
-                self._in[node_id].get(HAS, ()),
-            ):
+            # proximity and connectivity are stored both ways: the leaf's
+            # neighbours and the places a connector joins are its out-lists
+            out, held_by = self._out[node_id], self._in[node_id].get(HAS, ())
+            for holders in (out.get(IS_NEAR, ()), out.get(CONNECTS_TO, ()), held_by):
                 for holder in holders:
                     self._features.pop(holder, None)
         if image_ref is not None and image_ref != node.image_ref:
@@ -347,8 +347,8 @@ class SceneGraph:
                 adj[src][dst] = 1.0
                 if src_kind is CONNECTOR and nodes[dst].kind is PLACE:
                     self._place_counts[src] += 1
-        # a node's features read its own out-list only
-        if kind is IS_NEAR or kind is HAS:
+        # a node's features read its own IS_NEAR, HAS and CONNECTS_TO out-lists only
+        if kind is not CONTAINS:
             self._features.pop(src, None)
         if kind is _SUMMARY_EDGE.get(src_kind):
             _, name, text = self._rows[src]
@@ -382,27 +382,22 @@ class SceneGraph:
     # -- derived views ---------------------------------------------------------
 
     def object_features(self, node_id: str) -> Features:
-        """Semantic signature of a node, per its kind.
+        """The ``(label, desc)`` pairs of a place's leaves or of a leaf's proximity neighbours.
 
-        Leaf nodes aggregate their proximity neighbours, places aggregate the
-        objects they hold, regions aggregate over all contained places.  The
-        features of leaves and places are memoised (see the class docstring)
-        and shared with the caller: read them, never modify them.
+        A place's are its objects', then its connectors' (``leaves_of``): the
+        observation side of place matching always carries doors and stairs, so
+        the stored side does too.  A region has none and raises ``GraphError``.
+        Memoised (see the class docstring) and shared: read, never modify.
         """
         features = self._features.get(node_id)
         if features is not None:
             return features
-        node = self.node(node_id)
+        kind = self.node(node_id).kind
+        if kind is REGION:
+            raise GraphError(f"{node_id!r} is a region, which has no features")
+        leaves = self.leaves_of(node_id) if kind is PLACE else self._out[node_id].get(IS_NEAR, ())
         pairs = self._pairs
-        if isinstance(node, RegionNode):
-            items = []
-            for child in self._out[node_id].get(CONTAINS, ()):
-                items.extend(self.object_features(child))
-            return tuple(items)
-        kind = HAS if isinstance(node, PlaceNode) else IS_NEAR
-        features = self._features[node_id] = tuple(
-            [pairs[nb] for nb in self._out[node_id].get(kind, ())]
-        )
+        features = self._features[node_id] = tuple([pairs[nb] for nb in leaves])
         return features
 
     def leaves_of(self, place_id: str) -> list[str]:
@@ -420,29 +415,15 @@ class SceneGraph:
         leaves += [nb for nb in out.get(CONNECTS_TO, ()) if nodes[nb].kind is CONNECTOR]
         return leaves
 
-    def summary(self, node_id: str) -> str:
-        """Labels of a node's contents, joined with ``", "``.
-
-        A place's contents are its ``HAS`` targets, a region's its
-        ``CONTAINS`` children and a connector's or object's its ``IS_NEAR``
-        neighbours, in edge insertion order.  It is the last field of the
-        node's candidate row.
-        """
-        return (self._rows.get(node_id) or self._leaf_row(node_id))[2]
-
     def candidate_rows(self, node_ids: Iterable[str]) -> list[tuple[str, str, str]]:
-        """The ``(id, label, summary)`` row of each node, in the order given.
+        """The ``(id, label, summary)`` row of each place, region or connector, in order.
 
-        The rows are the graph's own tuples (see the class docstring for when
-        each is kept); the list is new.
+        The summary joins the labels of a place's ``HAS`` targets, a region's
+        ``CONTAINS`` children or a connector's ``IS_NEAR`` neighbours.  An
+        object has no row: its id raises ``KeyError``.  The list is new.
         """
         rows = self._rows
-        return [rows.get(n) or self._leaf_row(n) for n in node_ids]
-
-    def _leaf_row(self, node_id: str) -> tuple[str, str, str]:
-        node = self.node(node_id)
-        labels = [label for label, _ in self.object_features(node_id)]
-        return (node_id, node.label, ", ".join(labels))
+        return [rows[n] for n in node_ids]
 
     def connector_place_counts(self) -> dict[str, int]:
         """Connector id -> number of places it ``CONNECTS_TO``, in node insertion order.
@@ -690,11 +671,11 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     connectivity and proximity symmetry, the single-parent containment
     forest and that containment never skips layers.  It also rebuilds the
     maintained views from the edge lists and reports any that differ: the
-    candidate row (and so the summary) of every place, region and connector,
-    ``connector_place_counts()`` and ``connectivity_subgraph()``, key and
-    neighbour order included, and compares each node's kept class with
-    ``node_cls``.  Each node's class is resolved, and each distinct class
-    triple checked against the schema, once per audit.
+    candidate row of every place, region and connector, the connector place
+    counts and the connectivity subgraph, key and neighbour order included,
+    and compares each node's kept class with ``node_cls``.  Each node's class
+    is resolved, and each distinct class triple checked against the schema,
+    once per audit.
     """
     problems: list[str] = []
     all_edges = graph.edges()

@@ -3,12 +3,12 @@
 Each frame passes through three stages.  Parsing turns raw detections into a
 structured observation (place guess, leaf elements, proximity pairs, goal
 check).  State estimation decides whether the agent stands in an already
-mapped place by matching the frame's ``(label, desc)`` pairs against those of
-the leaves (``SceneGraph.leaves_of``) of semantically similar places, nearest
-first (``hop_order``: equal hops go to the earlier place).  Integration either
-opens a new place (wiring connectivity back to the previous one and updating
-the region hierarchy bottom-up) or folds the observation into the recognised
-place through per-leaf data association.
+mapped place by matching the frame's ``(label, desc)`` pairs against the
+features (``SceneGraph.object_features``, its leaves' pairs) of semantically
+similar places, nearest first (``hop_order``: equal hops go to the earlier
+place).  Integration either opens a new place (wiring connectivity back to
+the previous one and updating the region hierarchy bottom-up) or folds the
+observation into the recognised place through per-leaf data association.
 A frame's records are NamedTuples: each equals a plain tuple of the same values.
 """
 
@@ -206,16 +206,6 @@ def parse_frame(
     )
 
 
-def _place_signature(graph: SceneGraph, place_id: str) -> Features:
-    """The ``(label, desc)`` pairs of a place's leaves, its objects and then its connectors.
-
-    The observation side of place matching always carries doors and stairs, so
-    the stored side gets them too; otherwise every comparison is diluted.
-    """
-    node = graph.node
-    return tuple([(leaf.label, leaf.desc) for leaf in map(node, graph.leaves_of(place_id))])
-
-
 def estimate_state(
     schema: Schema,
     graph: SceneGraph,
@@ -234,8 +224,7 @@ def estimate_state(
     candidates = [places[i].id for i in similar]
     observed = obs.leaf_features()
     for pid in hop_order(candidates, hop_distances(graph, prev_state)):
-        stored = _place_signature(graph, pid)
-        if oracle.match_place(stored, observed).matched:
+        if oracle.match_place(graph.object_features(pid), observed).matched:
             return pid
     return None
 
@@ -569,8 +558,18 @@ def _typed(raw: dict, key: str, kind: type | tuple[type, ...], where: str, defau
     return value
 
 
+def _known_keys(raw: dict, keys: tuple[str, ...], where: str) -> None:
+    """Raise ``ValueError`` for the first key of ``raw`` not in ``keys``."""
+    for key in raw:
+        if key not in keys:
+            raise ValueError(f"{where}: unknown key {key!r}")
+
+
 def frames_from_jsonl(text: str) -> list[DetectionFrame]:
-    """Parse a trajectory log; a malformed line raises ``ValueError`` or ``KeyError``."""
+    """Parse a trajectory log; a malformed line raises ``ValueError`` or ``KeyError``.
+
+    A frame or detection holds no key but the fields of ``DetectionFrame`` or ``Detection``.
+    """
     frames = []
     for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -581,10 +580,12 @@ def frames_from_jsonl(text: str) -> list[DetectionFrame]:
             raise ValueError(f"line {number}: a frame must be a JSON object")
         frame_id = _typed(raw, "frame_id", int, f"line {number}")
         where = f"frame {frame_id}"
+        _known_keys(raw, DetectionFrame._fields, where)
         detections = []
         for d in _typed(raw, "detections", list, where, default=[]):
             if not isinstance(d, dict):
                 raise ValueError(f"{where}: a detection must be a JSON object, got {d!r}")
+            _known_keys(d, Detection._fields, where)
             detections.append(
                 Detection(
                     label=_typed(d, "label", str, where),

@@ -327,7 +327,7 @@ def scene_to_json(scene: GroundTruthScene) -> str:
 
 
 def scene_from_json(text: str) -> GroundTruthScene:
-    """Load a scene; malformed JSON, a missing key or a repeated id raises ``ValueError``."""
+    """Load a scene; bad JSON, a missing or unknown key or a repeated id raises ``ValueError``."""
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError(f"a scene must be a JSON object, not {type(raw).__name__}")
@@ -339,11 +339,20 @@ def scene_from_json(text: str) -> GroundTruthScene:
         raise ValueError(f"malformed scene entry: {exc}") from None
 
 
-def _entries(raw: dict, key: str) -> list[dict]:
+def _entries(raw: dict, key: str, *known: str) -> list[dict]:
     entries = raw.get(key, [])
     if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
         raise TypeError(f"{key!r} must be a list of objects")
+    for entry in entries:
+        _known_keys(entry, known, f"an entry of {key!r}")
     return entries
+
+
+def _known_keys(entry: dict, known: tuple[str, ...], where: str) -> None:
+    """Raise ``TypeError`` for the first key of ``entry`` not in ``known``."""
+    for key in entry:
+        if key not in known:
+            raise TypeError(f"{where} has unknown key {key!r}")
 
 
 def _text(entry: dict, key: str, default: str | None = None) -> str:
@@ -371,22 +380,23 @@ def _add(table: dict, what: str, entry: ScenePlace | SceneConnector | SceneRegio
 
 
 def _scene_from_dict(raw: dict) -> GroundTruthScene:
+    _known_keys(raw, ("env_label", "places", "connectors", "regions", "links"), "the scene")
     scene = GroundTruthScene(env_label=_text(raw, "env_label"))
-    for p in _entries(raw, "places"):
+    for p in _entries(raw, "places", "id", "cls", "label", "objects"):
         _add(scene.places, "place", ScenePlace(
             id=_text(p, "id"),
             cls=_text(p, "cls"),
             label=_text(p, "label"),
             objects=[
                 SceneObject(label=_text(o, "label"), desc=_text(o, "desc", ""))
-                for o in _entries(p, "objects")
+                for o in _entries(p, "objects", "label", "desc")
             ],
         ))
-    for c in _entries(raw, "connectors"):
+    for c in _entries(raw, "connectors", "id", "label", "endpoints"):
         _add(scene.connectors, "connector", SceneConnector(
             id=_text(c, "id"), label=_text(c, "label"), endpoints=tuple(_texts(c["endpoints"], 2))
         ))
-    for r in _entries(raw, "regions"):
+    for r in _entries(raw, "regions", "id", "cls", "label", "children"):
         _add(scene.regions, "region", SceneRegion(
             id=_text(r, "id"), cls=_text(r, "cls"), label=_text(r, "label"),
             children=list(_texts(r["children"])),

@@ -279,7 +279,10 @@ class TestMap:
     @pytest.mark.parametrize("content,code,prefix", [
         (None, 2, "cannot read log: "),
         (b"\xff\xfe", 1, "trajectory log parse error: 'utf-8' codec can't decode"),
-    ], ids=["missing", "not-utf8"])
+        (b'{"frame_id": 1, "place_type_answer": "Room", "place_label_answer": "hall",'
+         b' "previous_subgoals": "door_1"}\n', 1,
+         "trajectory log parse error: frame 1: unknown key 'previous_subgoals'\n"),
+    ], ids=["missing", "not-utf8", "unknown-key"])
     def test_unreadable_log_ends_in_one_line(
         self, tmp_path, home_path, capsys, content, code, prefix
     ):
@@ -609,8 +612,25 @@ class TestRun:
         ('{"env_label": "home", "places": [{"id": "a", "cls": "Room"}]}', "'label'"),
         ('{"env_label": "home", "places": [{"id": "a", "cls": "Room", "label": "kitchen",'
          ' "objects": []}]}', "no objects"),
+        # a misspelt optional key would otherwise read as an empty room or no links
+        ('{"env_label": "home", "places": [{"id": "a", "cls": "Room", "label": "kitchen",'
+         ' "object": [{"label": "sink"}]}]}',
+         "invalid scene: malformed scene entry: an entry of 'places' has unknown key 'object'"),
+        ('{"env_label": "home", "places": [{"id": "a", "cls": "Room", "label": "kitchen",'
+         ' "objects": [{"label": "sink"}]}], "link": []}',
+         "invalid scene: malformed scene entry: the scene has unknown key 'link'"),
+        ('{"env_label": "home", "places": [{"id": "a", "cls": "Room", "label": "kitchen",'
+         ' "objects": [{"label": "sink", "descr": "steel"}]}]}',
+         "an entry of 'objects' has unknown key 'descr'"),
+        ('{"env_label": "home", "connectors": [{"id": "d", "label": "door",'
+         ' "endpoints": ["a", "b"], "endpoint": "a"}]}',
+         "an entry of 'connectors' has unknown key 'endpoint'"),
+        ('{"env_label": "home", "regions": [{"id": "f", "cls": "Floor", "label": "floor",'
+         ' "children": [], "child": "a"}]}',
+         "an entry of 'regions' has unknown key 'child'"),
     ], ids=["invalid-json", "no-env-label", "not-an-object", "place-without-label",
-            "no-objects"])
+            "no-objects", "place-unknown-key", "scene-unknown-key", "object-unknown-key",
+            "connector-unknown-key", "region-unknown-key"])
     def test_invalid_scene_file_rejected(self, tmp_path, home_path, capsys, text, needle):
         scene_path = tmp_path / "scene.json"
         scene_path.write_text(text)

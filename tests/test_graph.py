@@ -137,17 +137,28 @@ def test_object_features_three_near_neighbors(graph):
     assert feats == (("tv", "black"), ("chair", "wood"), ("stool", "metal"))
 
 
-def test_region_features_union_over_places(graph):
+def test_place_features_end_with_its_connectors_and_follow_their_desc(graph):
+    room = graph.add_node(PlaceNode(cls="Room", label="livingroom"))
+    sofa = graph.add_node(ObjectNode(label="sofa", desc="red"))
+    graph.add_edge(room, sofa, EdgeKind.HAS)
+    door = graph.add_node(ConnectorNode(cls="Entrance", label="door"))
+    graph.add_edge(door, room, EdgeKind.CONNECTS_TO)
+    assert graph.object_features(room) == (("sofa", "red"), ("door", ""))
+    graph.set_leaf(door, desc="oak")
+    assert graph.object_features(room) == (("sofa", "red"), ("door", "oak"))
+    # a place it links to directly is no leaf, and no feature
+    hall = graph.add_node(PlaceNode(cls="Room", label="hall"))
+    graph.add_edge(room, hall, EdgeKind.CONNECTS_TO)
+    assert graph.object_features(room) == (("sofa", "red"), ("door", "oak"))
+    assert graph.object_features(hall) == ()
+
+
+def test_object_features_of_a_region_raises(graph):
     floor = graph.add_node(RegionNode(cls="Floor", label="floor"))
-    r1 = graph.add_node(PlaceNode(cls="Room", label="bedroom"))
-    r2 = graph.add_node(PlaceNode(cls="Room", label="kitchen"))
-    bed = graph.add_node(ObjectNode(label="bed"))
-    sink = graph.add_node(ObjectNode(label="sink"))
-    graph.add_edge(r1, bed, EdgeKind.HAS)
-    graph.add_edge(r2, sink, EdgeKind.HAS)
-    graph.add_edge(floor, r1, EdgeKind.CONTAINS)
-    graph.add_edge(floor, r2, EdgeKind.CONTAINS)
-    assert graph.object_features(floor) == (("bed", ""), ("sink", ""))
+    room = graph.add_node(PlaceNode(cls="Room", label="bedroom"))
+    graph.add_edge(floor, room, EdgeKind.CONTAINS)
+    with pytest.raises(GraphError, match="region"):
+        graph.object_features(floor)
 
 
 def _home_fixture(graph):
@@ -190,7 +201,7 @@ def test_a_floor_stairs_link_stays_out_of_the_place_layer(graph):
         stairs: 0, rooms[2]: 1, doors[1]: 2, rooms[1]: 3, doors[0]: 4, rooms[0]: 5,
     }
     assert hop_distances(graph, floor) == {}
-    assert graph.summary(floor) == graph.summary(stairs) == ""
+    assert graph.candidate_rows([floor, stairs]) == [(floor, "floor", ""), (stairs, "stairs", "")]
     assert validate_graph(graph) == []
 
 
@@ -339,9 +350,8 @@ def test_random_graphs_stay_valid(graph):
 def test_place_features_match_brute_force(graph):
     for place in graph.places():
         brute = tuple(
-            (graph.node(dst).label, graph.node(dst).desc)
-            for src, dst, kind in graph.edges()
-            if src == place.id and kind is EdgeKind.HAS
+            (graph.node(leaf).label, graph.node(leaf).desc)
+            for leaf in _full_scan_leaves(graph, place.id)
         )
         assert graph.object_features(place.id) == brute
 
@@ -472,9 +482,13 @@ def _full_scan_summary(graph, node_id):
     """A candidate's summary as the planner once rebuilt it per query (reference)."""
     node = graph.node(node_id)
     if node.kind is ConceptKind.REGION:
-        children = graph.out_neighbors(node_id, EdgeKind.CONTAINS)
-        return ", ".join(graph.node(c).label for c in children)
-    return ", ".join(label for label, _ in graph.object_features(node_id))
+        contents = graph.out_neighbors(node_id, EdgeKind.CONTAINS)
+    elif node.kind is ConceptKind.PLACE:
+        contents = graph.out_neighbors(node_id, EdgeKind.HAS)
+    else:
+        contents = dict.fromkeys(graph.out_neighbors(node_id, EdgeKind.IS_NEAR)
+                                 + graph.in_neighbors(node_id, EdgeKind.IS_NEAR))
+    return ", ".join(graph.node(c).label for c in contents)
 
 
 def _full_scan_frontier(graph):
@@ -504,8 +518,6 @@ def _assert_rows_match_full_scan(graph):
 def _assert_summaries_and_frontier_match_full_scan(graph):
     from scenenav.planner import _frontier_connectors
 
-    for node in graph.nodes():
-        assert graph.summary(node.id) == _full_scan_summary(graph, node.id)
     _assert_rows_match_full_scan(graph)
     adj = _rebuilt_connectivity(graph)
     assert graph.connector_place_counts() == {
@@ -532,7 +544,7 @@ def test_maintained_summaries_and_frontier_equal_full_scan(schema_name, seed, mo
     monkeypatch.setitem(globals(), "_assert_views_match_rebuild", check)
     test_maintained_views_equal_rebuild(schema_name, seed)
     original, reloaded = checked[-2], checked[-1]
-    assert any(original.summary(p.id) for p in original.places())
+    assert any(row[2] for row in original.candidate_rows(p.id for p in original.places()))
     assert reloaded.export() == original.export()
     assert reloaded.version == original.version
     adj, ref = reloaded.connectivity_subgraph(), original.connectivity_subgraph()
@@ -747,12 +759,7 @@ def _full_scan_features(graph, node_id):
             if nb not in seen:
                 seen.append(nb)
         return tuple(pair(nb) for nb in seen)
-    if isinstance(node, PlaceNode):
-        return tuple(pair(obj) for obj in graph.out_neighbors(node_id, EdgeKind.HAS))
-    items = []
-    for child in graph.out_neighbors(node_id, EdgeKind.CONTAINS):
-        items.extend(_full_scan_features(graph, child))
-    return tuple(items)
+    return tuple(pair(leaf) for leaf in _full_scan_leaves(graph, node_id))
 
 
 def _full_scan_find_by_image_ref(graph, image_ref):
@@ -781,19 +788,12 @@ def _full_scan_leaves(graph, place_id):
 
 def _assert_leaf_views_match_full_scan(graph):
     for node in graph.nodes():
-        items = _full_scan_features(graph, node.id)
-        assert graph.object_features(node.id) == items
+        if node.kind is not ConceptKind.REGION:
+            assert graph.object_features(node.id) == _full_scan_features(graph, node.id)
         if node.kind is ConceptKind.PLACE:
             assert graph.leaves_of(node.id) == _full_scan_leaves(graph, node.id)
-        if node.kind is ConceptKind.REGION:
-            labels = [graph.node(c).label for c in graph.out_neighbors(node.id, EdgeKind.CONTAINS)]
-        elif node.kind is ConceptKind.PLACE:
-            labels = [graph.node(c).label for c in graph.out_neighbors(node.id, EdgeKind.HAS)]
-        else:
-            labels = [label for label, _ in items]
-        assert graph.summary(node.id) == ", ".join(labels)
         if node.kind is not ConceptKind.OBJECT_ROLE:
-            row = (node.id, node.label, ", ".join(labels))
+            row = (node.id, node.label, _full_scan_summary(graph, node.id))
             assert graph.candidate_rows([node.id]) == [row]
     for ref in _REFS:
         assert graph.find_by_image_ref(ref) == _full_scan_find_by_image_ref(graph, ref)
@@ -1103,8 +1103,8 @@ def test_a_near_pair_drops_both_ends_features_and_writes_the_connector_row(graph
     lamp = graph.add_node(ObjectNode(label="lamp"))
     graph.add_edge(*((door, lamp) if reverse else (lamp, door)), EdgeKind.IS_NEAR)
     assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa, tv, lamp")
-    # an object is never a candidate and keeps no row; its summary is read from its features
-    assert tv not in graph._rows and graph.summary(tv) == "door"
+    # an object is never a candidate and keeps no row
+    assert tv not in graph._rows
     assert graph.object_features(door) == (("sofa", "red"), ("tv", "red"), ("lamp", ""))
     assert graph.object_features(tv) == (("door", ""),)
     assert graph.candidate_rows([door]) == [(door, "door", "sofa, tv, lamp")]

@@ -394,7 +394,10 @@ def _scanned_features(graph, node_id):
     """A node's (label, desc) context read straight off its edges (reference)."""
     node = graph.node(node_id)
     if node.kind is ConceptKind.PLACE:
-        near = graph.out_neighbors(node_id, EdgeKind.HAS)
+        near = graph.out_neighbors(node_id, EdgeKind.HAS) + [
+            nb for nb in graph.out_neighbors(node_id, EdgeKind.CONNECTS_TO)
+            if graph.node(nb).kind is ConceptKind.CONNECTOR
+        ]
     else:
         near = graph.out_neighbors(node_id, EdgeKind.IS_NEAR)
         near += [nb for nb in graph.in_neighbors(node_id, EdgeKind.IS_NEAR) if nb not in near]
@@ -444,6 +447,13 @@ def test_leaf_refreshes_reach_the_kept_views(home, oracle, config):
      ' "detections": [{"label": "tv", "desc": 7}]}', "'desc'"),
     ('{"frame_id": 0, "place_type_answer": "Room", "place_label_answer": "hall",'
      ' "previous_subgoal": ["door_1"]}', "'previous_subgoal'"),
+    # a misspelt optional key would otherwise read as a frame with no
+    # traversal or a detection with no image handle
+    ('{"frame_id": 1, "place_type_answer": "Room", "place_label_answer": "hall",'
+     ' "previous_subgoals": "door_1"}', "^frame 1: unknown key 'previous_subgoals'$"),
+    ('{"frame_id": 1, "place_type_answer": "Room", "place_label_answer": "hall",'
+     ' "detections": [{"label": "tv", "imageref": "img:tv"}]}',
+     "^frame 1: unknown key 'imageref'$"),
     *[
         ('{"frame_id": 3, "place_type_answer": "Room", "place_label_answer": "hall",'
          f' "detections": [{{"label": "tv", "bbox": [{number}, 10, 30, 30]}}]}}',
@@ -451,8 +461,8 @@ def test_leaf_refreshes_reach_the_kept_views(home, oracle, config):
         for number in ("NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400)
     ],
 ], ids=["not-an-object", "frame-id", "place-type", "detections", "detection",
-        "desc", "subgoal", "bbox-nan", "bbox-infinity", "bbox--infinity", "bbox-1e999",
-        "bbox-huge-int"])
+        "desc", "subgoal", "unknown-frame-key", "unknown-detection-key", "bbox-nan",
+        "bbox-infinity", "bbox--infinity", "bbox-1e999", "bbox-huge-int"])
 def test_frames_jsonl_rejects_wrong_types(line, needle):
     with pytest.raises(ValueError, match=needle):
         frames_from_jsonl(line)
