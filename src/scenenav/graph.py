@@ -111,7 +111,7 @@ Node = ObjectNode | PlaceNode | ConnectorNode | RegionNode
 Features = tuple[tuple[str, str], ...]
 
 
-# the edge kind whose targets make up a node's maintained summary
+# the edge kind whose targets' labels make up a node's candidate row
 _SUMMARY_EDGE = {PLACE: HAS, REGION: CONTAINS, CONNECTOR: IS_NEAR}
 # the kinds stored both ways, with the name an audit gives their edges
 _SYMMETRIC = {CONNECTS_TO: "connectivity", IS_NEAR: "proximity"}
@@ -140,13 +140,13 @@ class SceneGraph:
     The derived views are maintained on write, not rebuilt on read: the
     place/connector adjacency, the node lists per concept kind and
     per layer, each place's, region's and connector's candidate row
-    (``candidate_rows``: id, label and summary, replaced by each ``HAS``,
-    ``CONTAINS`` or ``IS_NEAR`` insert from it; an object is never a
-    candidate and keeps no row), each connector's count of place-side
-    neighbours (``connector_place_counts``), each node's class and ``(label,
-    desc)`` pair and the ``image_ref`` -> node index.  Nodes and edges are
-    never removed, and a node's kind, class and label never change after
-    ``add_node``.  A leaf's ``desc`` and ``image_ref`` change only through
+    (``candidate_rows``: id, label and the tuple of its children's labels,
+    extended by each ``HAS``, ``CONTAINS`` or ``IS_NEAR`` insert from it; an
+    object is never a candidate and keeps no row), each connector's count
+    of place-side neighbours (``connector_place_counts``), each node's class
+    and ``(label, desc)`` pair and the ``image_ref`` -> node index.  Nodes
+    and edges are never removed, and a node's kind, class and label never
+    change after ``add_node``.  A leaf's ``desc`` and ``image_ref`` change only through
     ``set_leaf``, never by assignment.
 
     A node's concept kind fixes where it sits: places and connectors join
@@ -176,9 +176,9 @@ class SceneGraph:
         self._adj: dict[str, dict[str, float]] = {}
         self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
         self._by_layer: dict[int, list[Node]] = {}
-        # place, region or connector id -> (id, label, summary), the row a
-        # planning query hands the oracle
-        self._rows: dict[str, tuple[str, str, str]] = {}
+        # place, region or connector id -> (id, label, children's labels), the
+        # row a planning query hands the oracle
+        self._rows: dict[str, tuple[str, str, tuple[str, ...]]] = {}
         self._place_counts: dict[str, int] = {}
         self._pairs: dict[str, tuple[str, str]] = {}
         self._features: dict[str, Features] = {}
@@ -221,7 +221,7 @@ class SceneGraph:
         if kind in _LINKED:
             self._adj[node_id] = {}
         if kind in _SUMMARY_EDGE:
-            self._rows[node_id] = (node_id, node.label, "")
+            self._rows[node_id] = (node_id, node.label, ())
         if kind is CONNECTOR:
             self._place_counts[node_id] = 0
         self._by_kind[kind].append(node)
@@ -333,8 +333,7 @@ class SceneGraph:
         return True
 
     def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
-        targets = self._out[src].setdefault(kind, [])
-        targets.append(dst)
+        self._out[src].setdefault(kind, []).append(dst)
         # a symmetric kind's in-list would repeat its out-list
         if kind not in _SYMMETRIC:
             self._in[dst].setdefault(kind, []).append(src)
@@ -351,9 +350,8 @@ class SceneGraph:
         if kind is not CONTAINS:
             self._features.pop(src, None)
         if kind is _SUMMARY_EDGE.get(src_kind):
-            _, name, text = self._rows[src]
-            label = nodes[dst].label
-            self._rows[src] = (src, name, f"{text}, {label}" if len(targets) > 1 else label)
+            _, name, labels = self._rows[src]
+            self._rows[src] = (src, name, labels + (nodes[dst].label,))
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         out = []
@@ -415,12 +413,13 @@ class SceneGraph:
         leaves += [nb for nb in out.get(CONNECTS_TO, ()) if nodes[nb].kind is CONNECTOR]
         return leaves
 
-    def candidate_rows(self, node_ids: Iterable[str]) -> list[tuple[str, str, str]]:
-        """The ``(id, label, summary)`` row of each place, region or connector, in order.
+    def candidate_rows(self, node_ids: Iterable[str]) -> list[tuple[str, str, tuple[str, ...]]]:
+        """The ``(id, label, labels)`` row of each place, region or connector, in order.
 
-        The summary joins the labels of a place's ``HAS`` targets, a region's
-        ``CONTAINS`` children or a connector's ``IS_NEAR`` neighbours.  An
-        object has no row: its id raises ``KeyError``.  The list is new.
+        ``labels`` is the tuple of the labels of a place's ``HAS`` targets, a
+        region's ``CONTAINS`` children or a connector's ``IS_NEAR`` neighbours,
+        in edge order; each label stays whole, commas and all.  An object has
+        no row: its id raises ``KeyError``.  The list is new.
         """
         rows = self._rows
         return [rows[n] for n in node_ids]
@@ -755,10 +754,10 @@ class _Classes(dict):
         return cls
 
 
-def _rebuilt_summary(graph: SceneGraph, node: Node) -> str:
+def _rebuilt_summary(graph: SceneGraph, node: Node) -> tuple[str, ...]:
     contents = graph.out_targets(node.id, _SUMMARY_EDGE[node.kind])
     by_id = graph._nodes
-    return ", ".join([by_id[c].label for c in contents])
+    return tuple([by_id[c].label for c in contents])
 
 
 def _ordered(adj: Mapping[str, Mapping[str, float]]) -> list:

@@ -35,7 +35,7 @@ CONFIDENCE_STEEPNESS = 4.0
 # builds one oracle per run (one per worker process under --jobs), so the
 # memos carry from episode to episode.  Label memos are keyed by the labels
 # the scenes and detectors use, which repeat across a run; what grows with the
-# map are candidate summaries and feature tuples.  Repeated place-match
+# map are candidate rows' label tuples and feature tuples.  Repeated place-match
 # questions come from the filter's particles within one step (about a dozen
 # distinct ones per step), so a small memo catches nearly all of them; a larger
 # one mostly keeps mapper feature tuples alive.  Goal memos hold a run's few
@@ -92,10 +92,9 @@ class RuleOracle:
         weight = self._weights = _Memo(
             lambda label: LARGE_WEIGHT if tables.is_large(label) else 1.0, _LABEL_MEMO_SIZE
         )
-        # candidate summary -> the set of canonical labels it lists
+        # a candidate row's labels -> the set of their canonical labels
         self._summaries = _Memo(
-            lambda summary: frozenset(canon[s] for s in summary.split(",") if s.strip()),
-            _LABEL_MEMO_SIZE,
+            lambda labels: frozenset(map(canon.__getitem__, labels)), _LABEL_MEMO_SIZE
         )
 
         def bag(items: Features) -> dict[str, float]:
@@ -120,11 +119,6 @@ class RuleOracle:
         # goal -> (places it co-occurs in, canonical goal), for select_region
         self._region_goals = _Memo(
             lambda goal: (tables.cooccurs(goal), canon[goal]), _MATCH_MEMO_SIZE
-        )
-        # candidate label -> (canonical label, is it a connector word?)
-        self._region_labels = _Memo(
-            lambda label: (canon[label], tables.is_connector_label(strip_suffix(label))),
-            _LABEL_MEMO_SIZE,
         )
 
     @property
@@ -256,29 +250,34 @@ class RuleOracle:
 
     def _crosses_region_boundary(self, schema: Schema, region_cls: str, via_label: str) -> bool:
         """True when the traversed element names a location concept linked to this region class."""
-        base = strip_suffix(via_label)
-        canon, lower = self._canon[via_label], base.lower()
+        # a place word goes first, as for the classifier: "living room stairs_3" is stairs
+        label = self._strip_place_prefix(via_label)
+        canon, lower = self._canon[label], strip_suffix(label).lower()
         canonical = self.tables.canonical
         return any(
             canonical(name) == canon or name.lower() == lower
             for name in schema.linked_locations(region_cls)
         )
 
-    def select_region(self, candidates: list[tuple[str, str, str]], goal: str) -> Proposal:
-        """Pick the candidate (id, label, summary) most worth searching.
+    def select_region(
+        self, candidates: list[tuple[str, str, tuple[str, ...]]], goal: str
+    ) -> Proposal:
+        """Pick the candidate (id, label, contents' labels) most worth searching.
 
         Takes the first candidate of the highest score tier.
 
         The loop stops at the first candidate whose contents name the goal:
         nothing can outrank it and ties go to the earlier candidate.  The
-        goal's facts (the places it co-occurs in, its canonical label) and
-        each candidate label's (canonical label, connector word or not) are
-        read from memos, so each is derived once per goal and label.
+        goal's facts (the places it co-occurs in, its canonical label), each
+        contents tuple's canonical labels and each candidate label's canonical
+        label and kind are read from memos, so each is derived once per goal,
+        tuple and label.  A candidate is a passage when ``classify_elements``
+        would call its label a connector, whatever the schema.
         """
         if not candidates:
             raise ValueError("select_region needs at least one candidate")
         want_places, goal_canon = self._region_goals[goal]
-        summaries, label_facts = self._summaries, self._region_labels
+        summaries, canon, kinds = self._summaries, self._canon, self._elements
         best = candidates[0]
         best_score = -1.0
         for cand in candidates:
@@ -291,10 +290,10 @@ class RuleOracle:
                 # a coarse region whose children include a likely place
                 score = 2.5
             else:
-                label, connector = label_facts[cand[1]]
-                if label in want_places:
+                label = cand[1]
+                if canon[label] in want_places:
                     score = 2.0
-                elif connector:
+                elif kinds[label] is CONNECTOR:
                     score = 1.0
                 else:
                     score = 0.0

@@ -8,9 +8,10 @@ connectivity turns the chosen target into a next waypoint, and object
 proposal grounds that waypoint into a concrete leaf to steer toward.
 
 Each query reads what the graph keeps rather than rebuilding it: the
-``(id, label, summary)`` rows the oracle sees (``SceneGraph.candidate_rows``;
-a place's, region's and connector's is replaced on each ``HAS``, ``CONTAINS``
-or ``IS_NEAR`` insert from it), the frontier from each connector's count of
+``(id, label, labels)`` rows the oracle sees (``SceneGraph.candidate_rows``;
+``labels`` is the tuple of a place's, region's or connector's children's
+labels, extended on each ``HAS``, ``CONTAINS`` or ``IS_NEAR`` insert from it,
+and handed on unchanged), the frontier from each connector's count of
 place-side neighbours, and one breadth-first tree per graph version and source
 (``SceneGraph.hop_tree``), which gives both the hop order of the candidates
 and the route to the target.

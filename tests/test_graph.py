@@ -201,7 +201,7 @@ def test_a_floor_stairs_link_stays_out_of_the_place_layer(graph):
         stairs: 0, rooms[2]: 1, doors[1]: 2, rooms[1]: 3, doors[0]: 4, rooms[0]: 5,
     }
     assert hop_distances(graph, floor) == {}
-    assert graph.candidate_rows([floor, stairs]) == [(floor, "floor", ""), (stairs, "stairs", "")]
+    assert graph.candidate_rows([floor, stairs]) == [(floor, "floor", ()), (stairs, "stairs", ())]
     assert validate_graph(graph) == []
 
 
@@ -267,11 +267,11 @@ def _tampered_fixture(graph, what):
     graph.add_edge(doors[0], sofa, EdgeKind.IS_NEAR)
     assert validate_graph(graph) == []  # which also builds the door's row
     if what == "place row":
-        graph._rows[rooms[0]] = (rooms[0], "room0", "sofa, tv")
+        graph._rows[rooms[0]] = (rooms[0], "room0", ("sofa", "tv"))
     elif what == "region row":
-        graph._rows[floor] = (floor, "floor", "")
+        graph._rows[floor] = (floor, "floor", ())
     elif what == "connector row":
-        graph._rows[doors[0]] = (doors[0], "door", "")
+        graph._rows[doors[0]] = (doors[0], "door", ())
     elif what == "place count":
         graph._place_counts[doors[1]] = 0
     elif what == "class index":
@@ -282,9 +282,9 @@ def _tampered_fixture(graph, what):
 
 
 @pytest.mark.parametrize("what,needle", [
-    ("place row", "candidate row ('room0_1', 'room0', 'sofa, tv')"),
-    ("region row", "candidate row ('floor_1', 'floor', '')"),
-    ("connector row", "candidate row ('door_1', 'door', '')"),
+    ("place row", "candidate row ('room0_1', 'room0', ('sofa', 'tv'))"),
+    ("region row", "candidate row ('floor_1', 'floor', ())"),
+    ("connector row", "candidate row ('door_1', 'door', ())"),
     ("place count", "the connector place counts"),
     ("class index", "the node class index"),
     ("adjacency", "the connectivity adjacency"),
@@ -479,7 +479,7 @@ def test_node_views_are_copies(graph):
 
 
 def _full_scan_summary(graph, node_id):
-    """A candidate's summary as the planner once rebuilt it per query (reference)."""
+    """A candidate's contents' labels, from copied neighbour lists (reference)."""
     node = graph.node(node_id)
     if node.kind is ConceptKind.REGION:
         contents = graph.out_neighbors(node_id, EdgeKind.CONTAINS)
@@ -488,7 +488,7 @@ def _full_scan_summary(graph, node_id):
     else:
         contents = dict.fromkeys(graph.out_neighbors(node_id, EdgeKind.IS_NEAR)
                                  + graph.in_neighbors(node_id, EdgeKind.IS_NEAR))
-    return ", ".join(graph.node(c).label for c in contents)
+    return tuple(graph.node(c).label for c in contents)
 
 
 def _full_scan_frontier(graph):
@@ -1093,21 +1093,21 @@ def test_a_near_pair_drops_both_ends_features_and_writes_the_connector_row(graph
 
     def rebuilt_row():
         near = graph.out_neighbors(door, EdgeKind.IS_NEAR)
-        return (door, "door", ", ".join(graph.node(n).label for n in near))
+        return (door, "door", tuple(graph.node(n).label for n in near))
 
-    assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa")
+    assert graph._rows[door] == rebuilt_row() == (door, "door", ("sofa",))
     graph.add_edge(*((door, tv) if reverse else (tv, door)), EdgeKind.IS_NEAR)
     assert tv not in graph._features and door not in graph._features
     assert room in graph._features and sofa in graph._features and room in graph._rows
-    assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa, tv")
+    assert graph._rows[door] == rebuilt_row() == (door, "door", ("sofa", "tv"))
     lamp = graph.add_node(ObjectNode(label="lamp"))
     graph.add_edge(*((door, lamp) if reverse else (lamp, door)), EdgeKind.IS_NEAR)
-    assert graph._rows[door] == rebuilt_row() == (door, "door", "sofa, tv, lamp")
+    assert graph._rows[door] == rebuilt_row() == (door, "door", ("sofa", "tv", "lamp"))
     # an object is never a candidate and keeps no row
     assert tv not in graph._rows
     assert graph.object_features(door) == (("sofa", "red"), ("tv", "red"), ("lamp", ""))
     assert graph.object_features(tv) == (("door", ""),)
-    assert graph.candidate_rows([door]) == [(door, "door", "sofa, tv, lamp")]
+    assert graph.candidate_rows([door]) == [(door, "door", ("sofa", "tv", "lamp"))]
     assert validate_graph(graph) == []
 
 

@@ -463,7 +463,7 @@ def _full_scan_rows(graph, ids):
         else:
             contents = dict.fromkeys(graph.out_neighbors(node_id, EdgeKind.IS_NEAR)
                                      + graph.in_neighbors(node_id, EdgeKind.IS_NEAR))
-        rows.append((node_id, node.label, ", ".join(graph.node(c).label for c in contents)))
+        rows.append((node_id, node.label, tuple(graph.node(c).label for c in contents)))
     return rows
 
 
