@@ -135,7 +135,10 @@ class SceneGraph:
     ``version`` counter advances once per added node, edge or symmetric
     pair, which lets planners detect staleness cheaply.  Connectivity
     (``CONNECTS_TO``) and proximity (``IS_NEAR``) are symmetric: ``add_edge``
-    stores either both ways, as one mutation.
+    stores either both ways, as one mutation.  The mapper writes proximity
+    only for pairs with a connector at one end, since no decision reads the
+    proximity of two objects; ``add_edge`` still stores such a pair when a
+    caller offers it.
 
     The derived views are maintained on write, not rebuilt on read: the
     place/connector adjacency, the node lists per concept kind and
@@ -384,8 +387,11 @@ class SceneGraph:
 
         A place's are its objects', then its connectors' (``leaves_of``): the
         observation side of place matching always carries doors and stairs, so
-        the stored side does too.  A region has none and raises ``GraphError``.
-        Memoised (see the class docstring) and shared: read, never modify.
+        the stored side does too.  A leaf's are its ``IS_NEAR`` neighbours, in
+        edge order: on a mapped graph an object's are the connectors seen near
+        it, and a connector's are the objects and connectors seen near it.  A
+        region has none and raises ``GraphError``.  Memoised (see the class
+        docstring) and shared: read, never modify.
         """
         features = self._features.get(node_id)
         if features is not None:

@@ -8,7 +8,10 @@ features (``SceneGraph.object_features``, its leaves' pairs) of semantically
 similar places, nearest first (``hop_order``: equal hops go to the earlier
 place).  Integration either opens a new place (wiring connectivity back to
 the previous one and updating the region hierarchy bottom-up) or folds the
-observation into the recognised place through per-leaf data association.
+observation into the recognised place through per-leaf data association:
+a detection takes the known leaf that holds its image handle, and only the
+rest are matched by label and context.  Proximity is stored only for pairs
+with a connector at one end.
 A frame's records are NamedTuples: each equals a plain tuple of the same values.
 """
 
@@ -321,11 +324,14 @@ def _associate_traversed_connector(
 
 def _merge_near_edges(graph: SceneGraph, obs: ParsedObservation, assoc: dict[int, str]) -> None:
     # every associated node is an object or a connector; a detection with no
-    # node gets no proximity edge
-    get = assoc.get
+    # node gets no proximity edge, and neither do two objects: only pairs with
+    # a connector feed a decision (a connector's row, the door and stairs
+    # tie-break of match_object)
+    get, node = assoc.get, graph.node
     for i, j in obs.near_pairs:
         a, b = get(i), get(j)
-        if a is not None and b is not None and a != b:
+        if (a is not None and b is not None and a != b
+                and (node(a).kind is not OBJECT_ROLE or node(b).kind is not OBJECT_ROLE)):
             graph.add_edge(a, b, IS_NEAR)
 
 
@@ -449,35 +455,48 @@ def _associate_leaves(
     obs: ParsedObservation,
     oracle: RuleOracle,
 ) -> dict[int, str]:
-    """Match observed leaves against the place's known leaves; refresh matches."""
+    """Match observed leaves against the place's known leaves; refresh matches.
+
+    A detection with an image handle takes the first unclaimed leaf, in
+    ``leaves_of`` order, that holds the same handle.  Only when a detection
+    is left over are the candidate rows and the frame's near map built for
+    ``match_object``; the rows are taken before the handle matches refresh
+    any ``desc``, so the oracle sees the leaves as the frame found them.
+    """
     leaves = graph.leaves_of(place_id)
-    candidates = [
-        (leaf, node.label, node.desc, graph.object_features(leaf))
-        for leaf, node in zip(leaves, map(graph.node, leaves))
-    ]
+    holders: dict[str, list[str]] = {}
+    for leaf in leaves:
+        image_ref = graph.node(leaf).image_ref
+        if image_ref:
+            holders.setdefault(image_ref, []).append(leaf)
 
-    all_leaf_dets = list(obs.objects) + list(obs.connectors)
-    near_map: dict[int, list[tuple[str, str]]] = {}
-    for i, j in obs.near_pairs:
-        near_map.setdefault(i, []).append(all_leaf_dets[j][:2])
-        near_map.setdefault(j, []).append(all_leaf_dets[i][:2])
-
+    all_leaf_dets = obs.objects + obs.connectors
     assoc: dict[int, str] = {}
-    claimed: set[str] = set()
-    ref_of = {leaf: graph.node(leaf).image_ref for leaf in leaves}
-    for idx, (label, desc, image_ref) in enumerate(all_leaf_dets):
-        if not image_ref:
+    refreshes = []
+    rest = []
+    for idx, (_, desc, image_ref) in enumerate(all_leaf_dets):
+        held = holders.get(image_ref)
+        if not held:
+            rest.append(idx)
             continue
-        for leaf in leaves:
-            if leaf not in claimed and ref_of[leaf] and ref_of[leaf] == image_ref:
-                assoc[idx] = leaf
-                claimed.add(leaf)
-                if desc:
-                    graph.set_leaf(leaf, desc=desc)
-                break
-    for idx, (label, desc, image_ref) in enumerate(all_leaf_dets):
-        if idx in assoc:
-            continue
+        leaf = assoc[idx] = held.pop(0)
+        if desc:
+            refreshes.append((leaf, desc))
+    if rest:
+        candidates = [
+            (leaf, node.label, node.desc, graph.object_features(leaf))
+            for leaf, node in zip(leaves, map(graph.node, leaves))
+        ]
+        near_map: dict[int, list[tuple[str, str]]] = {}
+        for i, j in obs.near_pairs:
+            near_map.setdefault(i, []).append(all_leaf_dets[j][:2])
+            near_map.setdefault(j, []).append(all_leaf_dets[i][:2])
+        claimed = set(assoc.values())
+    for leaf, desc in refreshes:
+        graph.set_leaf(leaf, desc=desc)
+
+    for idx in rest:
+        label, desc, image_ref = all_leaf_dets[idx]
         features = tuple(near_map.get(idx, ()))
         open_candidates = [c for c in candidates if c[0] not in claimed]
         match = oracle.match_object((label, desc, features), open_candidates)

@@ -41,8 +41,10 @@ FIXED_RUN_DECISIONS = {
     "match_object": 121,
 }
 # the structured export of TestMap's log with a quote and a backslash in its
-# labels, recorded before the DOT export escaped them
-STRUCTURED_SHA256 = "a4b2533ae9dec9f5ad3186e5f7a00081bc21cf5f00674715acf1fd0f12f92d70"
+# labels, recorded before the DOT export escaped them; re-pinned when the
+# mapper stopped writing object-object proximity: the export is the previous
+# one with its object-object IS_NEAR edges taken out (39 -> 27 edges)
+STRUCTURED_SHA256 = "11e1822a21e8df24ceeb611f93f4e99e33e0c064ff06dce50b423e03468da957"
 SCENE_RUN_SHA256 = {
     "noise": "884c2dbd814bb64ba61a22535007976c847422e7d1bd395fff5e4fbedb6cce8a",
     "absent-goal": "fcdcc59f36c2b20464ac4f31567395f506a2922c4c2112a85a06dde7bc4988d7",

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenenav.graph import ObjectNode, PlaceNode, SceneGraph, validate_graph
+from scenenav.graph import ConnectorNode, ObjectNode, PlaceNode, SceneGraph, validate_graph
 from scenenav.mapper import (
     BETA_IOU,
     BETA_PIX,
@@ -13,6 +15,8 @@ from scenenav.mapper import (
     FrameError,
     MapperConfig,
     MapperState,
+    ParsedObservation,
+    _associate_leaves,
     estimate_state,
     frames_from_jsonl,
     frames_to_jsonl,
@@ -24,6 +28,7 @@ from scenenav.oracle.base import MatchDecision
 from scenenav.oracle.rules import RuleOracle
 from scenenav.schema import ConceptKind, EdgeKind, builtin_schema
 from scenenav.sim import cover_walk, default_noise, generate_home_scene, walk_to_frames
+from scenenav.sim.episode import _ring
 
 
 @pytest.fixture
@@ -532,8 +537,10 @@ def test_parse_frame_pairs_follow_object_then_connector_order(home, oracle, conf
 # SHA-256 of the concatenated exports of the 20 fixed-run homes (scene seeds
 # 2500..2519), each cover-walked from its first place, rendered under
 # default_noise() and mapped frame by frame; recorded before the scene kept a
-# neighbour table
-MULTI_FLOOR_EXPORTS_SHA256 = "9611aca04d923671b2d461e870c51ceef950300de552fc98735e2ad8a78a67f4"
+# neighbour table, and re-pinned when the mapper stopped writing object-object
+# proximity: each export is the previous one with its object-object IS_NEAR
+# edges taken out
+MULTI_FLOOR_EXPORTS_SHA256 = "b06bf508e4ed0f5500a1153f5ea040a7e844bf567ef937d3c547f7664a5703c3"
 
 
 def test_mapper_writes_on_multi_floor_homes(home, oracle, config):
@@ -551,3 +558,142 @@ def test_mapper_writes_on_multi_floor_homes(home, oracle, config):
         frames_mapped += len(frames)
     assert frames_mapped == 260
     assert digest.hexdigest() == MULTI_FLOOR_EXPORTS_SHA256
+
+
+def test_a_ring_frame_stores_proximity_only_where_a_connector_is(home, oracle, config):
+    # every detection sits on one pixel ring, as the simulator renders them, so
+    # many pairs are near; two objects get no edge, and every pair with a
+    # connector is kept both ways, on a first visit and on a revisit
+    labels = ["sofa", "tv", "lamp", "rug", "door", "doorway"]
+    dets = [det(label, *box, desc="oak", image_ref=f"img:{label}")
+            for label, box in zip(labels, _ring(len(labels)))]
+    state = MapperState(graph=SceneGraph(home))
+    for fid in range(2):
+        result = mapper_step(frame(fid, dets=dets), home, state, oracle, config)
+        state, obs = result.state, result.obs
+        graph = state.graph
+        ids = [graph.find_by_image_ref(ref) for _, _, ref in obs.objects + obs.connectors]
+        kinds = [graph.node(n).kind for n in ids]
+        near = {(s, d) for s, d, kind in graph.edges() if kind is EdgeKind.IS_NEAR}
+        assert any(kinds[i] is kinds[j] is ConceptKind.OBJECT_ROLE for i, j in obs.near_pairs)
+        expected = set()
+        for i, j in obs.near_pairs:
+            if ConceptKind.CONNECTOR in (kinds[i], kinds[j]):
+                expected |= {(ids[i], ids[j]), (ids[j], ids[i])}
+        assert expected and near == expected
+        assert validate_graph(graph) == []
+    assert result.revisit
+
+
+def _associate_leaves_full_scan(graph, place_id, obs, oracle):
+    """Leaf association with every candidate row and the near map built up
+    front, and every leaf scanned for each image handle (reference)."""
+    leaves = graph.leaves_of(place_id)
+    candidates = [
+        (leaf, node.label, node.desc, graph.object_features(leaf))
+        for leaf, node in zip(leaves, map(graph.node, leaves))
+    ]
+    all_leaf_dets = list(obs.objects) + list(obs.connectors)
+    near_map = {}
+    for i, j in obs.near_pairs:
+        near_map.setdefault(i, []).append(all_leaf_dets[j][:2])
+        near_map.setdefault(j, []).append(all_leaf_dets[i][:2])
+    assoc = {}
+    claimed = set()
+    ref_of = {leaf: graph.node(leaf).image_ref for leaf in leaves}
+    for idx, (label, desc, image_ref) in enumerate(all_leaf_dets):
+        if not image_ref:
+            continue
+        for leaf in leaves:
+            if leaf not in claimed and ref_of[leaf] and ref_of[leaf] == image_ref:
+                assoc[idx] = leaf
+                claimed.add(leaf)
+                if desc:
+                    graph.set_leaf(leaf, desc=desc)
+                break
+    for idx, (label, desc, image_ref) in enumerate(all_leaf_dets):
+        if idx in assoc:
+            continue
+        features = tuple(near_map.get(idx, ()))
+        open_candidates = [c for c in candidates if c[0] not in claimed]
+        match = oracle.match_object((label, desc, features), open_candidates)
+        if match is None:
+            continue
+        assoc[idx] = match
+        claimed.add(match)
+        graph.set_leaf(match, desc=desc or None, image_ref=image_ref or None)
+    return assoc
+
+
+class _MatchRecorder(RuleOracle):
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def match_object(self, probe, candidates):
+        self.asked.append((probe, list(candidates)))
+        return super().match_object(probe, candidates)
+
+
+# few labels, descs and handles, so that leaves share handles, a handle is
+# held by no leaf or by several, and match_object weighs same-label rivals
+_object_label = st.sampled_from(["chair", "sofa", "couch"])
+_connector_label = st.sampled_from(["door", "doorway"])
+_desc = st.sampled_from(["", "red", "oak"])
+_ref = st.sampled_from(["", "a", "b", "c"])
+
+
+@st.composite
+def _revisit(draw):
+    """A place's leaves, proximity among them, and an observation of it."""
+    stored = draw(st.lists(st.tuples(st.booleans(), _desc, _ref), max_size=6))
+    stored = [(draw(_connector_label if is_door else _object_label), desc, ref)
+              for is_door, desc, ref in stored]
+    pairs = [(i, j) for i in range(len(stored)) for j in range(i + 1, len(stored))]
+    near = draw(st.lists(st.sampled_from(pairs), unique=True) if pairs else st.just([]))
+    objects = draw(st.lists(st.tuples(_object_label, _desc, _ref), max_size=4))
+    connectors = draw(st.lists(st.tuples(_connector_label, _desc, _ref), max_size=2))
+    count = len(objects) + len(connectors)
+    seen = [(i, j) for i in range(count) for j in range(i + 1, count)]
+    near_pairs = draw(st.lists(st.sampled_from(seen), unique=True) if seen else st.just([]))
+    obs = ParsedObservation(
+        place=("Room", "livingroom"), objects=tuple(objects), connectors=tuple(connectors),
+        near_pairs=tuple(sorted(near_pairs)),
+    )
+    return stored, near, obs
+
+
+def _furnished(home, stored, near):
+    graph = SceneGraph(home)
+    place = graph.add_node(PlaceNode(cls="Room", label="livingroom"))
+    ids = []
+    for label, desc, ref in stored:
+        if label in ("door", "doorway"):
+            leaf = graph.add_node(
+                ConnectorNode(cls="Entrance", label=label, desc=desc, image_ref=ref)
+            )
+            graph.add_edge(place, leaf, EdgeKind.CONNECTS_TO)
+        else:
+            leaf = graph.add_node(ObjectNode(label=label, desc=desc, image_ref=ref))
+            graph.add_edge(place, leaf, EdgeKind.HAS)
+        ids.append(leaf)
+    for i, j in near:  # a library caller may still store object-object proximity
+        graph.add_edge(ids[i], ids[j], EdgeKind.IS_NEAR)
+    return graph, place
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_revisit())
+def test_leaf_association_matches_a_full_scan(case):
+    home = builtin_schema("home")
+    stored, near, obs = case
+    results = []
+    for associate in (_associate_leaves, _associate_leaves_full_scan):
+        graph, place = _furnished(home, stored, near)
+        oracle = _MatchRecorder()
+        assoc = associate(graph, place, obs, oracle)
+        leaves = [(n.id, n.desc, n.image_ref) for n in graph.nodes()
+                  if n.kind is not ConceptKind.PLACE]
+        refs = {ref: graph.find_by_image_ref(ref) for ref in "abc"}
+        results.append((assoc, leaves, refs, oracle.asked))
+    assert results[0] == results[1]
