@@ -70,6 +70,8 @@ class ObjectNode:
     desc: str = ""
     image_ref: str = ""
     id: str = ""
+    # the schema's object concept, set by ``SceneGraph.add_node``
+    cls: str = field(default="", init=False)
 
     kind = OBJECT_ROLE
 
@@ -120,7 +122,8 @@ _LINKED = (PLACE, CONNECTOR)
 
 
 def _id_prefix(node: Node) -> str:
-    return node.label.strip() or getattr(node, "cls", "node")
+    # a blank-label object is numbered as "node", any other node by its class
+    return node.label.strip() or ("node" if node.kind is OBJECT_ROLE else node.cls)
 
 
 def _dot_quoted(text: str) -> str:
@@ -141,13 +144,13 @@ class SceneGraph:
     caller offers it.
 
     The derived views are maintained on write, not rebuilt on read: the
-    place/connector adjacency, the node lists per concept kind and
-    per layer, each place's, region's and connector's candidate row
+    place/connector adjacency, the node lists per concept kind,
+    each place's, region's and connector's candidate row
     (``candidate_rows``: id, label and the tuple of its children's labels,
     extended by each ``HAS``, ``CONTAINS`` or ``IS_NEAR`` insert from it; an
     object is never a candidate and keeps no row), each connector's count
-    of place-side neighbours (``connector_place_counts``), each node's class
-    and ``(label, desc)`` pair and the ``image_ref`` -> node index.  Nodes
+    of place-side neighbours (``connector_place_counts``), each node's
+    ``(label, desc)`` pair and the ``image_ref`` -> node index.  Nodes
     and edges are never removed, and a node's kind, class and label never
     change after ``add_node``.  A leaf's ``desc`` and ``image_ref`` change only through
     ``set_leaf``, never by assignment.
@@ -155,8 +158,11 @@ class SceneGraph:
     A node's concept kind fixes where it sits: places and connectors join
     the adjacency, a connector keeps a place count, and a place's, region's
     and connector's row follows its ``HAS``, ``CONTAINS`` or ``IS_NEAR``
-    edges.  Every write reads the kinds of its nodes; no other table
-    repeats them.
+    edges.  A node carries its schema class (``cls``, set by ``add_node``
+    for an object) and its layer is its class's; an edge lives in its
+    source's out-list (a non-symmetric kind also in its target's in-list),
+    which ``has_edge`` reads.  Every write reads these facts off the nodes
+    and the lists; no other table repeats them.
 
     Two views are kept on read instead.  ``object_features`` of objects,
     connectors and places reads the node's own out-lists and is memoised per
@@ -171,14 +177,11 @@ class SceneGraph:
     def __init__(self, schema: Schema):
         self.schema = schema
         self._nodes: dict[str, Node] = {}
-        self._cls: dict[str, str] = {}  # node id -> its schema class
         self._counters: dict[str, int] = {}
         self._out: dict[str, dict[EdgeKind, list[str]]] = {}
         self._in: dict[str, dict[EdgeKind, list[str]]] = {}  # non-symmetric kinds only
-        self._edges: set[tuple[str, str, EdgeKind]] = set()
         self._adj: dict[str, dict[str, float]] = {}
         self._by_kind: dict[ConceptKind, list[Node]] = {kind: [] for kind in ConceptKind}
-        self._by_layer: dict[int, list[Node]] = {}
         # place, region or connector id -> (id, label, children's labels), the
         # row a planning query hands the oracle
         self._rows: dict[str, tuple[str, str, tuple[str, ...]]] = {}
@@ -192,22 +195,20 @@ class SceneGraph:
 
     # -- nodes ---------------------------------------------------------------
 
-    def node_cls(self, node: Node) -> str:
-        if isinstance(node, ObjectNode):
-            role = self.schema.object_concept
-            if role is None:
-                raise EdgeRuleError("schema declares no object concept")
-            return role.name
-        return node.cls
-
     def add_node(self, node: Node) -> str:
         """Store a node under a fresh ``<label-or-class>_<counter>`` id and return it.
 
-        Raises ``EdgeRuleError``, and stores nothing, unless the schema holds
-        the node's class as a concept of the node's kind.
+        An object's ``cls`` is set to the schema's object concept.  Raises
+        ``EdgeRuleError``, and stores nothing, unless the schema holds the
+        node's class as a concept of the node's kind.
         """
         kind = node.kind
-        cls = self.node_cls(node)
+        if kind is OBJECT_ROLE:
+            role = self.schema.object_concept
+            if role is None:
+                raise EdgeRuleError("schema declares no object concept")
+            node.cls = role.name
+        cls = node.cls
         concept = self.schema.concepts.get(cls)
         if concept is None or concept.kind is not kind:
             raise EdgeRuleError(
@@ -218,7 +219,6 @@ class SceneGraph:
         self._counters[prefix] = count
         node_id = node.id = f"{prefix}_{count}"
         self._nodes[node_id] = node
-        self._cls[node_id] = cls
         self._out[node_id] = {}
         self._in[node_id] = {}
         if kind in _LINKED:
@@ -228,7 +228,6 @@ class SceneGraph:
         if kind is CONNECTOR:
             self._place_counts[node_id] = 0
         self._by_kind[kind].append(node)
-        self._by_layer.setdefault(concept.layer_id, []).append(node)
         self._pairs[node_id] = (node.label, getattr(node, "desc", ""))
         self._rank[node_id] = len(self._rank)
         image_ref = getattr(node, "image_ref", "")
@@ -291,17 +290,14 @@ class SceneGraph:
         """How many nodes of a concept kind the graph holds."""
         return len(self._by_kind[kind])
 
-    def layer_nodes(self, layer: int) -> list[Node]:
-        return list(self._by_layer.get(layer, ()))
-
     def node_layer(self, node_id: str) -> int:
-        concept = self.schema.concepts[self.node_cls(self.node(node_id))]
-        return concept.layer_id
+        return self.schema.concepts[self.node(node_id).cls].layer_id
 
     # -- edges ---------------------------------------------------------------
 
     def has_edge(self, src: str, dst: str, kind: EdgeKind) -> bool:
-        return (src, dst, kind) in self._edges
+        out = self._out.get(src)
+        return out is not None and dst in out.get(kind, ())
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
         if not self._admits(src, dst, kind):
@@ -317,12 +313,13 @@ class SceneGraph:
 
         Returns False when the edge is already stored: it was admitted then.
         """
-        if (src, dst, kind) in self._edges:
-            return False
+        nodes = self._nodes
         try:
-            src_cls, dst_cls = self._cls[src], self._cls[dst]
+            src_cls, dst_cls = nodes[src].cls, nodes[dst].cls
         except KeyError as missing:
             raise UnknownNodeError(f"no node {missing.args[0]!r}") from None
+        if dst in self._out[src].get(kind, ()):
+            return False
         if src == dst:
             raise EdgeRuleError(f"self-loop on {src!r} rejected")
         if not self.schema.permits(src_cls, kind, dst_cls):
@@ -340,7 +337,6 @@ class SceneGraph:
         # a symmetric kind's in-list would repeat its out-list
         if kind not in _SYMMETRIC:
             self._in[dst].setdefault(kind, []).append(src)
-        self._edges.add((src, dst, kind))
         nodes = self._nodes
         src_kind = nodes[src].kind
         if kind is CONNECTS_TO:
@@ -504,7 +500,7 @@ class SceneGraph:
             entry = {
                 "id": node.id,
                 "layer": self.node_layer(node.id),
-                "cls": self.node_cls(node),
+                "cls": node.cls,
                 "label": node.label,
                 "desc": getattr(node, "desc", ""),
             }
@@ -678,9 +674,8 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     maintained views from the edge lists and reports any that differ: the
     candidate row of every place, region and connector, the connector place
     counts and the connectivity subgraph, key and neighbour order included,
-    and compares each node's kept class with ``node_cls``.  Each node's class
-    is resolved, and each distinct class triple checked against the schema,
-    once per audit.
+    and reports every node whose class is not a schema concept of its kind.
+    Each distinct class triple is checked against the schema once per audit.
     """
     problems: list[str] = []
     all_edges = graph.edges()
@@ -691,7 +686,7 @@ def validate_graph(graph: SceneGraph) -> list[str]:
             if triple in seen:
                 problems.append(f"duplicate edge {triple}")
             seen.add(triple)
-    cls_of = _Classes(graph)
+    node_of = graph.node  # an edge naming an unknown id raises UnknownNodeError
     concepts = graph.schema.concepts
     permitted: dict[tuple[str, EdgeKind, str], bool] = {}
     for src, by_kind in graph._out.items():  # the edges in edges() order
@@ -700,7 +695,7 @@ def validate_graph(graph: SceneGraph) -> list[str]:
             for dst in targets:
                 if src == dst:
                     problems.append(f"self-loop on {src}")
-                src_cls, dst_cls = cls_of[src], cls_of[dst]
+                src_cls, dst_cls = node_of(src).cls, node_of(dst).cls
                 triple = (src_cls, kind, dst_cls)
                 allowed = permitted.get(triple)
                 if allowed is None:
@@ -720,8 +715,9 @@ def validate_graph(graph: SceneGraph) -> list[str]:
         parents = graph._in[node.id].get(CONTAINS, ())
         if len(parents) > 1:
             problems.append(f"{node.id} has multiple parents {list(parents)}")
-    if graph._cls != {n.id: cls_of[n.id] for n in nodes}:
-        problems.append("the node class index differs from its rebuild")
+        concept = concepts.get(node.cls)
+        if concept is None or concept.kind is not node.kind:
+            problems.append(f"{node.id} has class {node.cls!r}, not a {node.kind.value} concept")
     candidates = [n for n in nodes if n.kind is not OBJECT_ROLE]
     for node, row in zip(candidates, graph.candidate_rows(n.id for n in candidates)):
         rebuilt = (node.id, node.label, _rebuilt_summary(graph, node))
@@ -746,18 +742,6 @@ def validate_graph(graph: SceneGraph) -> list[str]:
     if list(graph.connector_place_counts().items()) != list(counts.items()):
         problems.append("the connector place counts differ from their rebuild")
     return problems
-
-
-class _Classes(dict):
-    """Node id -> class, resolved on first lookup; an unknown id raises ``UnknownNodeError``."""
-
-    def __init__(self, graph: SceneGraph):
-        super().__init__()
-        self.graph = graph
-
-    def __missing__(self, node_id: str) -> str:
-        cls = self[node_id] = self.graph.node_cls(self.graph.node(node_id))
-        return cls
 
 
 def _rebuilt_summary(graph: SceneGraph, node: Node) -> tuple[str, ...]:

@@ -34,7 +34,7 @@ from .graph import (
     hop_order,
 )
 from .oracle.rules import RuleOracle
-from .oracle.tables import strip_suffix
+from .oracle.tables import OracleTables, strip_suffix
 from .schema import (
     CONNECTOR,
     CONNECTS_TO,
@@ -210,7 +210,6 @@ def parse_frame(
 
 
 def estimate_state(
-    schema: Schema,
     graph: SceneGraph,
     prev_state: str | None,
     obs: ParsedObservation,
@@ -232,11 +231,12 @@ def estimate_state(
     return None
 
 
-def _connector_concept_for(schema: Schema, label: str) -> str | None:
+def _connector_concept_for(schema: Schema, label: str, tables: OracleTables) -> str | None:
     connectors = schema.by_kind(CONNECTOR)
     if not connectors:
         return None
-    base = strip_suffix(label).lower()
+    # a place word goes first, as for the classifier: "lobby entrance_1" is an entrance
+    base = strip_suffix(tables.strip_place_prefix(label)).lower()
     singular = base[:-1] if base.endswith("s") else base
     for concept in connectors:
         name = concept.name.lower()
@@ -258,6 +258,7 @@ def _add_leaves(
     place_id: str,
     obs: ParsedObservation,
     assoc: dict[int, str],
+    tables: OracleTables,
 ) -> None:
     """Create nodes for unassociated leaf detections and attach them to the place."""
     n_objects = len(obs.objects)
@@ -281,7 +282,7 @@ def _add_leaves(
                 if desc:
                     graph.set_leaf(known, desc=desc)
         if node_id is None:
-            cls = _connector_concept_for(graph.schema, label)
+            cls = _connector_concept_for(graph.schema, label, tables)
             if cls is None:
                 node_id = graph.add_node(ObjectNode(label=label, desc=desc, image_ref=image_ref))
                 graph.add_edge(place_id, node_id, HAS)
@@ -363,17 +364,17 @@ def _connect(graph: SceneGraph, a: str, b: str) -> bool:
 
 def _update_regions(
     graph: SceneGraph,
-    schema: Schema,
     oracle: RuleOracle,
     new_place: str,
     prev_place: str | None,
     subgoal_label: str | None,
 ) -> None:
     """Climb the region layers, attaching the new place to abstractions."""
+    schema = graph.schema
     v_t = new_place
     v_prev = prev_place
     for layer in schema.region_layers:
-        region_cls = schema.region_for(layer, graph.node_cls(graph.node(v_t)))
+        region_cls = schema.region_for(layer, graph.node(v_t).cls)
         if region_cls is None:
             break
         existing = [
@@ -401,9 +402,7 @@ def _update_regions(
         if (
             v_prev is not None
             and prev_parent is None
-            and graph.schema.permits(
-                region_cls, CONTAINS, graph.node_cls(graph.node(v_prev))
-            )
+            and schema.permits(region_cls, CONTAINS, graph.node(v_prev).cls)
         ):
             graph.add_edge(region_id, v_prev, CONTAINS)
         v_t = region_id
@@ -411,7 +410,6 @@ def _update_regions(
 
 
 def update_graph(
-    schema: Schema,
     state: MapperState,
     est: str | None,
     obs: ParsedObservation,
@@ -430,17 +428,17 @@ def update_graph(
         _associate_traversed_connector(graph, obs, subgoal_node, assoc)
         for node_id in assoc.values():
             _connect(graph, place_id, node_id)
-        _add_leaves(graph, place_id, obs, assoc)
+        _add_leaves(graph, place_id, obs, assoc, oracle.tables)
         _merge_near_edges(graph, obs, assoc)
         _wire_previous(graph, prev_place, place_id, subgoal)
-        _update_regions(graph, schema, oracle, place_id, prev_place, subgoal_label)
+        _update_regions(graph, oracle, place_id, prev_place, subgoal_label)
     else:
         place_id = est
         node = graph.node(place_id)
         if obs.place[1] != node.label and obs.place[1] not in node.aliases:
             node.aliases.append(obs.place[1])
         assoc = _associate_leaves(graph, place_id, obs, oracle)
-        _add_leaves(graph, place_id, obs, assoc)
+        _add_leaves(graph, place_id, obs, assoc, oracle.tables)
         _merge_near_edges(graph, obs, assoc)
         _wire_previous(graph, prev_place, place_id, subgoal)
 
@@ -519,8 +517,8 @@ def mapper_step(
     obs = parse_frame(frame, schema, oracle, config)
     if obs.goal_hit is not None:
         return StepResult(state=state, goal_hit=obs.goal_hit, obs=obs)
-    est = estimate_state(schema, state.graph, state.current_place, obs, oracle)
-    state = update_graph(schema, state, est, obs, oracle, subgoal=frame.previous_subgoal)
+    est = estimate_state(state.graph, state.current_place, obs, oracle)
+    state = update_graph(state, est, obs, oracle, subgoal=frame.previous_subgoal)
     return StepResult(state=state, goal_hit=None, revisit=est is not None, obs=obs)
 
 

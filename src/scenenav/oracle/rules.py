@@ -186,7 +186,7 @@ class RuleOracle:
 
     def _element_kind(self, label: str) -> ConceptKind | None:
         """A detection label's kind, whatever the schema."""
-        base = strip_suffix(self._strip_place_prefix(label)).lower()
+        base = strip_suffix(self.tables.strip_place_prefix(label)).lower()
         tables = self.tables
         if tables.is_structural(base):
             return None
@@ -195,16 +195,6 @@ class RuleOracle:
         if tables.is_connector_label(base):
             return CONNECTOR
         return OBJECT_ROLE
-
-    def _strip_place_prefix(self, label: str) -> str:
-        # detectors sometimes emit "livingroom sofa" or "living room sofa";
-        # drop the longest place term of one or two words that leaves a word,
-        # whatever whitespace separates the words
-        parts = label.split()
-        for n in (2, 1):
-            if len(parts) > n and self.tables.is_place_term(" ".join(parts[:n])):
-                return " ".join(parts[n:]).strip()
-        return label.strip()
 
     def match_object(
         self,
@@ -251,7 +241,7 @@ class RuleOracle:
     def _crosses_region_boundary(self, schema: Schema, region_cls: str, via_label: str) -> bool:
         """True when the traversed element names a location concept linked to this region class."""
         # a place word goes first, as for the classifier: "living room stairs_3" is stairs
-        label = self._strip_place_prefix(via_label)
+        label = self.tables.strip_place_prefix(via_label)
         canon, lower = self._canon[label], strip_suffix(label).lower()
         canonical = self.tables.canonical
         return any(

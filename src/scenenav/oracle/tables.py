@@ -225,6 +225,18 @@ class OracleTables:
     def is_place_term(self, label: str) -> bool:
         return self.canonical(label) in self._place_canon
 
+    def strip_place_prefix(self, label: str) -> str:
+        """``label`` without a leading place term: ``living room door_2`` -> ``door_2``.
+
+        The longest term of one or two words that leaves a word is dropped,
+        whatever whitespace separates the words.
+        """
+        parts = label.split()
+        for n in (2, 1):
+            if len(parts) > n and self.is_place_term(" ".join(parts[:n])):
+                return " ".join(parts[n:]).strip()
+        return label.strip()
+
     def cooccurs(self, goal: str) -> frozenset[str]:
         return frozenset(self._cooc_canon.get(self.canonical(goal), frozenset()))
 

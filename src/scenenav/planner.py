@@ -116,11 +116,11 @@ def propose_region(
     if not graph.count(PLACE):
         raise ExhaustedError("the graph holds no places yet")
 
-    start_nodes: list[str] = []
-    for layer in reversed(schema.region_layers):
-        start_nodes = [n.id for n in graph.layer_nodes(layer) if n.kind is REGION]
-        if start_nodes:
-            break
+    # the descent starts at the regions of the highest layer the graph holds
+    regions = graph.nodes(REGION)
+    layers = [schema.concepts[n.cls].layer_id for n in regions]
+    top = max(layers, default=None)
+    start_nodes = [n.id for n, layer in zip(regions, layers) if layer == top]
 
     distances = hop_distances(graph, current)
     frontier = hop_order(

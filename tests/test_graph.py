@@ -66,7 +66,9 @@ def test_a_class_the_schema_lacks_raises_on_every_add(graph):
             with pytest.raises(EdgeRuleError, match="concept of the active schema"):
                 graph.add_node(make())
     assert (graph.version, len(graph.nodes())) == before
-    assert graph.layer_nodes(2) == [graph.node(room), graph.node(door)]
+    assert [n for n in graph.nodes() if graph.node_layer(n.id) == 2] == [
+        graph.node(room), graph.node(door)
+    ]
     assert graph.add_node(PlaceNode(cls="Room", label="kitchen")) == "kitchen_2"
     assert validate_graph(graph) == []
 
@@ -274,8 +276,9 @@ def _tampered_fixture(graph, what):
         graph._rows[doors[0]] = (doors[0], "door", ())
     elif what == "place count":
         graph._place_counts[doors[1]] = 0
-    elif what == "class index":
-        graph._cls[rooms[1]] = "Corridor"
+    elif what == "class":
+        # an unlinked object, so no edge of it breaks a schema rule as well
+        graph.node(graph.add_node(ObjectNode(label="lamp"))).cls = "Entrance"
     else:
         del graph._adj[rooms[2]][doors[1]]
     return validate_graph(graph)
@@ -286,7 +289,7 @@ def _tampered_fixture(graph, what):
     ("region row", "candidate row ('floor_1', 'floor', ())"),
     ("connector row", "candidate row ('door_1', 'door', ())"),
     ("place count", "the connector place counts"),
-    ("class index", "the node class index"),
+    ("class", "lamp_1 has class 'Entrance'"),
     ("adjacency", "the connectivity adjacency"),
 ])
 def test_validate_graph_reports_a_tampered_view(graph, what, needle):
@@ -385,8 +388,6 @@ def _assert_has_edge_matches_scan(graph, src, dst):
 
 
 def _assert_views_match_rebuild(graph):
-    # has_edge answers from the edge set: it must be exactly the stored edges
-    assert graph._edges == set(graph.edges())
     adj, ref = graph.connectivity_subgraph(), _rebuilt_connectivity(graph)
     assert list(adj) == list(ref)
     for nid in ref:
@@ -397,11 +398,9 @@ def _assert_views_match_rebuild(graph):
     assert graph.places() == [n for n in everything if isinstance(n, PlaceNode)]
     for kind in ConceptKind:
         assert graph.nodes(kind) == [n for n in everything if n.kind is kind]
-    for layer in range(graph.schema.num_layers + 2):
-        assert graph.layer_nodes(layer) == [
-            n for n in everything
-            if graph.schema.concepts[graph.node_cls(n)].layer_id == layer
-        ]
+    for n in everything:
+        concept = graph.schema.concepts[n.cls]
+        assert concept.kind is n.kind and graph.node_layer(n.id) == concept.layer_id
 
 
 def _random_node(schema, rng, i):
@@ -468,14 +467,84 @@ def test_maintained_views_equal_rebuild(schema_name, seed):
     assert validate_graph(reloaded) == []
 
 
+@st.composite
+def _random_mixed_graph(draw):
+    """A home graph with nodes of every kind and offered edges of every kind."""
+    graph = SceneGraph(builtin_schema("home"))
+    makers = [
+        lambda i: PlaceNode(cls="Room", label=f"r{i % 3}"),
+        lambda i: ConnectorNode(cls="Entrance", label="door"),
+        lambda i: ObjectNode(label=f"o{i % 3}"),
+        lambda i: RegionNode(cls="Floor", label="floor"),
+    ]
+    n_nodes = draw(st.integers(min_value=1, max_value=8))
+    ids = [graph.add_node(draw(st.sampled_from(makers))(i)) for i in range(n_nodes)]
+    for _ in range(draw(st.integers(min_value=0, max_value=24))):
+        src, dst = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+        try:
+            graph.add_edge(src, dst, draw(st.sampled_from(list(EdgeKind))))
+        except EdgeRuleError:
+            pass
+    return graph
+
+
+def _assert_has_edge_is_membership(graph):
+    """``has_edge`` over every pair of ids, both ways, an unknown id on either side."""
+    stored = set(graph.edges())
+    ids = [n.id for n in graph.nodes()] + ["ghost_1"]
+    for src in ids:
+        for dst in ids:
+            for kind in EdgeKind:
+                assert graph.has_edge(src, dst, kind) is ((src, dst, kind) in stored)
+    return stored
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_mixed_graph())
+def test_has_edge_answers_exactly_the_stored_edges(graph):
+    _assert_has_edge_is_membership(graph)
+
+
+def test_has_edge_answers_exactly_the_stored_edges_of_every_kind(graph):
+    room, door, sofa, tv = _near_fixture(graph)
+    floor = graph.add_node(RegionNode(cls="Floor", label="floor"))
+    graph.add_edge(floor, room, EdgeKind.CONTAINS)
+    stored = _assert_has_edge_is_membership(graph)
+    assert {kind for _, _, kind in stored} == set(EdgeKind)
+    # the symmetric kinds answer both ways, the others one way only
+    assert graph.has_edge(sofa, door, EdgeKind.IS_NEAR)
+    assert graph.has_edge(door, room, EdgeKind.CONNECTS_TO)
+    assert not graph.has_edge(sofa, room, EdgeKind.HAS)
+    assert not graph.has_edge(room, floor, EdgeKind.CONTAINS)
+
+
+def test_a_blank_label_numbers_an_object_as_node_and_any_other_node_by_class(graph):
+    assert graph.add_node(ObjectNode(label="")) == "node_1"
+    assert graph.add_node(ObjectNode(label="  ")) == "node_2"
+    assert graph.add_node(PlaceNode(cls="Room", label="")) == "Room_1"
+    assert graph.add_node(RegionNode(cls="Floor", label=" ")) == "Floor_1"
+    assert graph.add_node(ConnectorNode(cls="Entrance", label="")) == "Entrance_1"
+    assert graph.node("node_1").cls == "Object"
+
+
+def test_an_object_on_a_schema_without_an_object_concept_is_refused():
+    import json
+
+    from scenenav.schema import parse_schema
+
+    schema = parse_schema(json.dumps({"Room": {"layer_type": "Place", "layer_id": 2}}))
+    graph = SceneGraph(schema)
+    with pytest.raises(EdgeRuleError, match="schema declares no object concept"):
+        graph.add_node(ObjectNode(label="sofa"))
+    assert (graph.version, graph.nodes()) == (0, [])
+
+
 def test_node_views_are_copies(graph):
     rooms, _ = _home_fixture(graph)
     graph.places().clear()
     graph.nodes(ConceptKind.CONNECTOR).clear()
-    graph.layer_nodes(2).clear()
     assert [p.id for p in graph.places()] == rooms
     assert len(graph.nodes(ConceptKind.CONNECTOR)) == 2
-    assert len(graph.layer_nodes(2)) == 5
 
 
 def _full_scan_summary(graph, node_id):
@@ -1059,9 +1128,9 @@ def _write_state(graph):
     return (
         graph.export(), graph.version, list(graph._features), list(graph._rows.items()),
         [(k, list(v.items())) for k, v in graph._adj.items()],
-        list(graph._place_counts.items()), sorted(graph._edges, key=repr),
+        list(graph._place_counts.items()), graph.edges(),
         {n: {k: list(v) for k, v in by_kind.items()} for n, by_kind in graph._in.items()},
-        list(graph._cls.items()),
+        [(n.id, n.cls) for n in graph.nodes()],
     )
 
 

@@ -142,7 +142,7 @@ class TestEstimateState:
     def test_empty_graph(self, home, oracle, config):
         graph = SceneGraph(home)
         obs = parse_frame(frame(0), home, oracle, config)
-        assert estimate_state(home, graph, None, obs, oracle) is None
+        assert estimate_state(graph, None, obs, oracle) is None
 
     def test_identical_features_recognised(self, home, oracle, config):
         graph = SceneGraph(home)
@@ -152,7 +152,7 @@ class TestEstimateState:
             graph.add_edge(room, obj, EdgeKind.HAS)
         f = frame(1, label="bedroom", dets=_spread([det("bed"), det("lamp"), det("dresser")]))
         obs = parse_frame(f, home, oracle, config)
-        assert estimate_state(home, graph, None, obs, oracle) == room
+        assert estimate_state(graph, None, obs, oracle) == room
 
     def test_unknown_label_gives_none(self, home, oracle, config):
         graph = SceneGraph(home)
@@ -160,7 +160,7 @@ class TestEstimateState:
         obj = graph.add_node(ObjectNode(label="bed"))
         graph.add_edge(room, obj, EdgeKind.HAS)
         obs = parse_frame(frame(1, label="gym", dets=[det("bed")]), home, oracle, config)
-        assert estimate_state(home, graph, None, obs, oracle) is None
+        assert estimate_state(graph, None, obs, oracle) is None
 
     def test_nearest_similar_place_wins(self, home, oracle, config):
         graph = SceneGraph(home)
@@ -175,7 +175,7 @@ class TestEstimateState:
         graph.add_edge(near, far, EdgeKind.CONNECTS_TO)
         f = frame(2, label="bedroom", dets=_spread([det("bed"), det("lamp")]))
         obs = parse_frame(f, home, oracle, config)
-        assert estimate_state(home, graph, start, obs, oracle) == near
+        assert estimate_state(graph, start, obs, oracle) == near
 
     def test_candidates_go_nearest_first_then_in_place_order(self, home, oracle, config):
         # insertion order: unreachable, 2 hops, 1 hop, 1 hop; each bedroom's
@@ -202,23 +202,23 @@ class TestEstimateState:
 
         obs = parse_frame(frame(2, label="bedroom", dets=[det("bed")]), home, oracle, config)
         refusing = Refusing()
-        assert estimate_state(home, graph, start, obs, refusing) is None
+        assert estimate_state(graph, start, obs, refusing) is None
         assert refusing.asked == [near, tie, far, lost]
         refusing.asked.clear()
-        assert estimate_state(home, graph, None, obs, refusing) is None
+        assert estimate_state(graph, None, obs, refusing) is None
         assert refusing.asked == [lost, far, near, tie]
         # every bedroom matches: the nearer one wins over the earlier one, and
         # of two at one hop the earlier one
-        assert estimate_state(home, graph, start, obs, oracle) == near
-        assert estimate_state(home, graph, far, obs, oracle) == far
-        assert estimate_state(home, graph, other, obs, oracle) == near
+        assert estimate_state(graph, start, obs, oracle) == near
+        assert estimate_state(graph, far, obs, oracle) == far
+        assert estimate_state(graph, other, obs, oracle) == near
 
 
 class TestUpdateGraph:
     def _step(self, state, home, oracle, config, f):
         obs = parse_frame(f, home, oracle, config)
-        est = estimate_state(home, state.graph, state.current_place, obs, oracle)
-        return update_graph(home, state, est, obs, oracle, subgoal=f.previous_subgoal), est
+        est = estimate_state(state.graph, state.current_place, obs, oracle)
+        return update_graph(state, est, obs, oracle, subgoal=f.previous_subgoal), est
 
     def test_first_frame_base_case(self, home, oracle, config):
         state = MapperState(graph=SceneGraph(home))
@@ -349,6 +349,18 @@ class TestUpdateGraph:
 
 
 class TestMapperStep:
+    def test_a_place_word_before_a_connector_label_keeps_its_class(self, oracle, config):
+        # the class picker strips the place word as the classifier does, so
+        # under the office schema (connectors Stair, Entrance) both are entrances
+        office = builtin_schema("office")
+        state = MapperState(graph=SceneGraph(office))
+        dets = _spread([det("lobby entrance_1"), det("entrance_2")])
+        graph = mapper_step(frame(0, "office", "Office", dets), office, state, oracle, config).state.graph
+        connectors = [(n.label, n.cls) for n in graph.nodes(ConceptKind.CONNECTOR)]
+        assert connectors == [("lobby entrance_1", "Entrance"), ("entrance_2", "Entrance")]
+        assert graph.leaves_of("office_1") == [n.id for n in graph.nodes(ConceptKind.CONNECTOR)]
+        assert validate_graph(graph) == []
+
     def test_goal_short_circuit_leaves_state_untouched(self, home, oracle):
         cfg = MapperConfig(goal="sofa")
         state = MapperState(graph=SceneGraph(home))

@@ -165,7 +165,7 @@ def test_classify_strips_place_prefix(oracle, home):
     ("kitchen\tdoor_2", "door_2"),
 ])
 def test_a_two_word_place_prefix_is_stripped(oracle, label, bare):
-    assert oracle._strip_place_prefix(label) == bare
+    assert oracle.tables.strip_place_prefix(label) == bare
 
 
 def test_match_object_paper_example(oracle):
