@@ -300,57 +300,76 @@ class SceneGraph:
         return out is not None and dst in out.get(kind, ())
 
     def add_edge(self, src: str, dst: str, kind: EdgeKind) -> None:
-        if not self._admits(src, dst, kind):
-            return
-        self._insert(src, dst, kind)
-        # a symmetric kind is stored both ways, so the reverse is missing too
-        if kind in _SYMMETRIC:
-            self._insert(dst, src, kind)
-        self.version += 1
+        if self._write(src, dst, kind):
+            self.version += 1
 
-    def _admits(self, src: str, dst: str, kind: EdgeKind) -> bool:
-        """Raise for an edge the schema or the containment forest forbids.
+    def _write(self, src: str, dst: str, kind: EdgeKind, one_way: bool = False) -> bool:
+        """Store ``src -> dst`` in one pass, a symmetric kind both ways unless ``one_way``.
 
-        Returns False when the edge is already stored: it was admitted then.
+        Returns False, and stores nothing, when ``src -> dst`` is already
+        stored: it was admitted then.  Otherwise raises, in this order, for an
+        unknown end (``UnknownNodeError``), a self-loop, a triple the schema
+        forbids and a second containing parent (``EdgeRuleError``).  This is
+        the one writer of an edge's views: the out- and in-lists, the
+        adjacency, the connector place counts, the candidate rows and the
+        features memo.  ``version`` is the caller's to move.
         """
         nodes = self._nodes
         try:
-            src_cls, dst_cls = nodes[src].cls, nodes[dst].cls
+            a, b = nodes[src], nodes[dst]
         except KeyError as missing:
             raise UnknownNodeError(f"no node {missing.args[0]!r}") from None
-        if dst in self._out[src].get(kind, ()):
+        out = self._out[src]
+        targets = out.get(kind)
+        if targets is not None and dst in targets:
             return False
         if src == dst:
             raise EdgeRuleError(f"self-loop on {src!r} rejected")
-        if not self.schema.permits(src_cls, kind, dst_cls):
-            raise EdgeRuleError(f"schema forbids {kind.value} edge {src_cls} -> {dst_cls}")
+        if not self.schema.permits(a.cls, kind, b.cls):
+            raise EdgeRuleError(f"schema forbids {kind.value} edge {a.cls} -> {b.cls}")
         if kind is CONTAINS:
             parents = self._in[dst].get(kind)
             if parents:
                 raise EdgeRuleError(
                     f"{dst!r} already has a containing parent {parents[0]!r}"
                 )
-        return True
-
-    def _insert(self, src: str, dst: str, kind: EdgeKind) -> None:
-        self._out[src].setdefault(kind, []).append(dst)
-        # a symmetric kind's in-list would repeat its out-list
+        if targets is None:
+            out[kind] = [dst]
+        else:
+            targets.append(dst)
+        # a symmetric kind keeps no in-list, which would repeat its out-list;
+        # stored both ways, its reverse is missing too
+        both = False
         if kind not in _SYMMETRIC:
             self._in[dst].setdefault(kind, []).append(src)
-        nodes = self._nodes
-        src_kind = nodes[src].kind
+        elif not one_way:
+            both = True
+            self._out[dst].setdefault(kind, []).append(src)
+        a_kind, b_kind = a.kind, b.kind
         if kind is CONNECTS_TO:
             adj = self._adj
             if src in adj and dst in adj:
                 adj[src][dst] = 1.0
-                if src_kind is CONNECTOR and nodes[dst].kind is PLACE:
-                    self._place_counts[src] += 1
+                counts = self._place_counts
+                if a_kind is CONNECTOR and b_kind is PLACE:
+                    counts[src] += 1
+                if both:
+                    adj[dst][src] = 1.0
+                    if b_kind is CONNECTOR and a_kind is PLACE:
+                        counts[dst] += 1
         # a node's features read its own IS_NEAR, HAS and CONNECTS_TO out-lists only
         if kind is not CONTAINS:
-            self._features.pop(src, None)
-        if kind is _SUMMARY_EDGE.get(src_kind):
-            _, name, labels = self._rows[src]
-            self._rows[src] = (src, name, labels + (nodes[dst].label,))
+            features = self._features
+            features.pop(src, None)
+            if both:
+                features.pop(dst, None)
+        # a row's label is its node's, which never changes
+        rows = self._rows
+        if kind is _SUMMARY_EDGE.get(a_kind):
+            rows[src] = (src, a.label, rows[src][2] + (b.label,))
+        if both and kind is _SUMMARY_EDGE.get(b_kind):
+            rows[dst] = (dst, b.label, rows[dst][2] + (a.label,))
+        return True
 
     def edges(self) -> list[tuple[str, str, EdgeKind]]:
         out = []
@@ -640,12 +659,11 @@ def import_graph(document: str, schema: Schema) -> SceneGraph:
                 f"{kind.value} edge {raw_src} -> {raw_dst} has weight "
                 f"{entry['weight']!r}; edges are unit-cost"
             )
-        if not graph._admits(src, dst, kind):
-            continue
+        # one direction per entry, so each out-list keeps the document's order;
         # one mutation per symmetric pair, as add_edge counts it with its reverse
-        if not (kind in _SYMMETRIC and graph.has_edge(dst, src, kind)):
+        paired = kind in _SYMMETRIC and graph.has_edge(dst, src, kind)
+        if graph._write(src, dst, kind, one_way=True) and not paired:
             graph.version += 1
-        graph._insert(src, dst, kind)
     for src, dst, kind in graph.edges():
         if kind in _SYMMETRIC and not graph.has_edge(dst, src, kind):
             relation = _SYMMETRIC[kind]

@@ -328,12 +328,14 @@ def _merge_near_edges(graph: SceneGraph, obs: ParsedObservation, assoc: dict[int
     # node gets no proximity edge, and neither do two objects: only pairs with
     # a connector feed a decision (a connector's row, the door and stairs
     # tie-break of match_object)
-    get, node = assoc.get, graph.node
+    node = graph.node
+    # each detection's node and whether it is an object, read once per frame
+    ends = {idx: (nid, node(nid).kind is OBJECT_ROLE) for idx, nid in assoc.items()}
+    get, add_edge = ends.get, graph.add_edge
     for i, j in obs.near_pairs:
         a, b = get(i), get(j)
-        if (a is not None and b is not None and a != b
-                and (node(a).kind is not OBJECT_ROLE or node(b).kind is not OBJECT_ROLE)):
-            graph.add_edge(a, b, IS_NEAR)
+        if a is not None and b is not None and a[0] != b[0] and not (a[1] and b[1]):
+            add_edge(a[0], b[0], IS_NEAR)
 
 
 def _wire_previous(
@@ -460,6 +462,8 @@ def _associate_leaves(
     is left over are the candidate rows and the frame's near map built for
     ``match_object``; the rows are taken before the handle matches refresh
     any ``desc``, so the oracle sees the leaves as the frame found them.
+    With no unclaimed leaf left, ``match_object`` is not asked: its answer
+    is ``None``.
     """
     leaves = graph.leaves_of(place_id)
     holders: dict[str, list[str]] = {}
@@ -494,9 +498,11 @@ def _associate_leaves(
         graph.set_leaf(leaf, desc=desc)
 
     for idx in rest:
+        open_candidates = [c for c in candidates if c[0] not in claimed]
+        if not open_candidates:
+            break  # claims only grow: every later detection would get None too
         label, desc, image_ref = all_leaf_dets[idx]
         features = tuple(near_map.get(idx, ()))
-        open_candidates = [c for c in candidates if c[0] not in claimed]
         match = oracle.match_object((label, desc, features), open_candidates)
         if match is None:
             continue

@@ -3,7 +3,8 @@
 Region proposal walks the abstraction hierarchy top-down, asking the oracle
 at every layer which node is most promising for the goal; unexplored
 connectors are offered beside known places because new doors are the natural
-frontiers of a topological map.  A shortest route over the place/connector
+frontiers of a topological map.  A lone candidate is taken without asking:
+the oracle could only answer it.  A shortest route over the place/connector
 connectivity turns the chosen target into a next waypoint, and object
 proposal grounds that waypoint into a concrete leaf to steer toward.
 
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -132,7 +133,7 @@ def propose_region(
             [p.id for p in graph.places() if p.id not in exhausted], distances
         ) + frontier
         if candidates:
-            return oracle.select_region(graph.candidate_rows(candidates), goal).chosen
+            return _pick(graph, goal, oracle, candidates)
     else:
         chosen = _descend(graph, goal, oracle, start_nodes, frontier, exhausted, distances)
         if chosen is not None:
@@ -140,6 +141,13 @@ def propose_region(
         if frontier:
             return frontier[0]
     raise ExhaustedError("no unexplored region or connector remains")
+
+
+def _pick(graph: SceneGraph, goal: str, oracle: RuleOracle, candidates: Sequence[str]) -> str:
+    """The oracle's pick among ``candidates``; a lone candidate is the answer, unasked."""
+    if len(candidates) == 1:
+        return candidates[0]
+    return oracle.select_region(graph.candidate_rows(candidates), goal).chosen
 
 
 def _descend(
@@ -158,15 +166,19 @@ def _descend(
         reach = [distances[c] for c in children if c in distances]
         return (min(reach) if reach else float("inf"), region_id)
 
-    level = sorted(start_nodes, key=region_key)
+    def ranked(regions: Sequence[str]) -> Sequence[str]:
+        # a lone region needs no ranking
+        return regions if len(regions) == 1 else sorted(regions, key=region_key)
+
+    level = ranked(start_nodes)
     while level:
-        proposal = oracle.select_region(graph.candidate_rows(level), goal)
-        node = graph.node(proposal.chosen)
+        chosen = _pick(graph, goal, oracle, level)
+        node = graph.node(chosen)
         if node.kind is not REGION:
-            return proposal.chosen
-        children = graph.out_targets(node.id, CONTAINS)
+            return chosen
+        children = graph.out_targets(chosen, CONTAINS)
         if all(graph.node(c).kind is REGION for c in children) and children:
-            level = sorted(children, key=region_key)
+            level = ranked(children)
             continue
         places = hop_order([c for c in children if c not in exhausted], distances)
         # a frontier connector is nearby when it connects to a non-connector child
@@ -178,7 +190,7 @@ def _descend(
         candidates = places + nearby_frontier
         if not candidates:
             return None
-        return oracle.select_region(graph.candidate_rows(candidates), goal).chosen
+        return _pick(graph, goal, oracle, candidates)
     return None
 
 

@@ -34,11 +34,13 @@ HOME = "src/scenenav/assets/schemas/home.json"
 FIXED_RUN_SHA256 = "915d33c82476f92592079c0892820180042b8568d7f32442850592a9d1943cca"
 # the same run with --noiseless
 FIXED_NOISELESS_RUN_SHA256 = "5156264fe742a483ebfa1bf563eb168b184c03fa352eba606bc5d88a75ccfbc6"
-# RuleOracle decisions of the fixed run, per kind
+# RuleOracle decisions of the fixed run, per kind; re-pinned when the planner
+# stopped asking select_region about a lone candidate (1630 -> 653) and the
+# mapper stopped asking match_object with no candidate open (121 -> 31)
 FIXED_RUN_DECISIONS = {
-    "select_region": 1630, "classify_elements": 1196, "goal_match": 1196,
+    "select_region": 653, "classify_elements": 1196, "goal_match": 1196,
     "similar_labels": 827, "infer_region": 704, "match_place": 380, "select_object": 151,
-    "match_object": 121,
+    "match_object": 31,
 }
 # the structured export of TestMap's log with a quote and a backslash in its
 # labels, recorded before the DOT export escaped them; re-pinned when the
@@ -715,7 +717,37 @@ class TestRun:
         ])
         assert code == 0
         assert asked == FIXED_RUN_DECISIONS
-        assert sum(asked.values()) / 200 == pytest.approx(31.0, abs=0.05)
+        assert sum(asked.values()) / 200 == pytest.approx(25.7, abs=0.05)
+
+    def test_fixed_run_asks_no_question_whose_answer_it_holds(
+        self, tmp_path, home_path, monkeypatch
+    ):
+        # a lone region candidate is the answer, and with no leaf open
+        # match_object can only answer None: neither is asked, and the run
+        # keeps its bytes
+        sizes = {"select_region": [], "match_object": []}
+
+        def select_region(self, candidates, goal, _decide=RuleOracle.select_region):
+            sizes["select_region"].append(len(candidates))
+            return _decide(self, candidates, goal)
+
+        def match_object(self, probe, candidates, _decide=RuleOracle.match_object):
+            sizes["match_object"].append(len(candidates))
+            return _decide(self, probe, candidates)
+
+        monkeypatch.setattr(RuleOracle, "select_region", select_region)
+        monkeypatch.setattr(RuleOracle, "match_object", match_object)
+        out = tmp_path / "fixed.csv"
+        code = main([
+            "run", "--schema", home_path, "--scenes", "20", "--episodes", "200",
+            "--baseline", "--out", str(out),
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FIXED_RUN_SHA256
+        assert len(sizes["select_region"]) == FIXED_RUN_DECISIONS["select_region"]
+        assert len(sizes["match_object"]) == FIXED_RUN_DECISIONS["match_object"]
+        assert min(sizes["select_region"]) >= 2
+        assert min(sizes["match_object"]) >= 1
 
     def test_fixed_noiseless_run_csv_golden(self, tmp_path, home_path):
         out = tmp_path / "fixed.csv"

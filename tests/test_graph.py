@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenenav.graph import (
@@ -224,7 +224,7 @@ def test_second_parent_rejected_then_corruption_detected(graph):
     with pytest.raises(EdgeRuleError):
         graph.add_edge(f2, room, EdgeKind.CONTAINS)
     # bypass the guard to simulate corruption
-    graph._insert(f2, room, EdgeKind.CONTAINS)
+    _reference_insert(graph, f2, room, EdgeKind.CONTAINS)
     with pytest.raises(GraphCorruptionError):
         graph.parent_region(room)
 
@@ -305,11 +305,11 @@ def test_validate_graph_reports_every_edge_fault_in_edge_order(graph):
     graph.add_edge(rooms[0], sofa, EdgeKind.HAS)
     # bypass the guards to simulate corruption
     graph._out[rooms[0]][EdgeKind.CONNECTS_TO].append(doors[0])
-    graph._insert(sofa, sofa, EdgeKind.IS_NEAR)
-    graph._insert(sofa, rooms[1], EdgeKind.HAS)
-    graph._insert(rooms[0], rooms[2], EdgeKind.CONNECTS_TO)
-    graph._insert(floors[1], sofa, EdgeKind.CONTAINS)
-    graph._insert(floors[1], rooms[0], EdgeKind.CONTAINS)
+    _reference_insert(graph, sofa, sofa, EdgeKind.IS_NEAR)
+    _reference_insert(graph, sofa, rooms[1], EdgeKind.HAS)
+    _reference_insert(graph, rooms[0], rooms[2], EdgeKind.CONNECTS_TO)
+    _reference_insert(graph, floors[1], sofa, EdgeKind.CONTAINS)
+    _reference_insert(graph, floors[1], rooms[0], EdgeKind.CONTAINS)
     assert validate_graph(graph) == [
         "duplicate edge ('room0_1', 'door_1', <EdgeKind.CONNECTS_TO: 'connects_to'>)",
         "connectivity edge room0_1 -> room2_1 lacks its reverse",
@@ -1232,7 +1232,140 @@ def test_a_refused_near_pair_stores_nothing(graph, bad):
     assert _write_state(graph) == state
 
 
+# -- the one-pass write against the two-step write it replaced -----------------
+
+# the kinds stored both ways, and the edge kind that extends each kind's row
+_REF_SYMMETRIC = (EdgeKind.CONNECTS_TO, EdgeKind.IS_NEAR)
+_REF_ROW_EDGE = {
+    ConceptKind.PLACE: EdgeKind.HAS,
+    ConceptKind.REGION: EdgeKind.CONTAINS,
+    ConceptKind.CONNECTOR: EdgeKind.IS_NEAR,
+}
+
+
+def _reference_admits(graph, src, dst, kind):
+    """The write's checks as a step of their own (reference): raise for a
+    refused edge, False for a stored one."""
+    nodes = graph._nodes
+    try:
+        src_cls, dst_cls = nodes[src].cls, nodes[dst].cls
+    except KeyError as missing:
+        raise UnknownNodeError(f"no node {missing.args[0]!r}") from None
+    if dst in graph._out[src].get(kind, ()):
+        return False
+    if src == dst:
+        raise EdgeRuleError(f"self-loop on {src!r} rejected")
+    if not graph.schema.permits(src_cls, kind, dst_cls):
+        raise EdgeRuleError(f"schema forbids {kind.value} edge {src_cls} -> {dst_cls}")
+    if kind is EdgeKind.CONTAINS:
+        parents = graph._in[dst].get(kind)
+        if parents:
+            raise EdgeRuleError(f"{dst!r} already has a containing parent {parents[0]!r}")
+    return True
+
+
+def _reference_insert(graph, src, dst, kind):
+    """One direction of an edge and its views, unchecked (reference; the tests
+    also store a corrupt edge with it)."""
+    graph._out[src].setdefault(kind, []).append(dst)
+    if kind not in _REF_SYMMETRIC:
+        graph._in[dst].setdefault(kind, []).append(src)
+    nodes = graph._nodes
+    src_kind = nodes[src].kind
+    if kind is EdgeKind.CONNECTS_TO:
+        adj = graph._adj
+        if src in adj and dst in adj:
+            adj[src][dst] = 1.0
+            if src_kind is ConceptKind.CONNECTOR and nodes[dst].kind is ConceptKind.PLACE:
+                graph._place_counts[src] += 1
+    if kind is not EdgeKind.CONTAINS:
+        graph._features.pop(src, None)
+    if kind is _REF_ROW_EDGE.get(src_kind):
+        _, name, labels = graph._rows[src]
+        graph._rows[src] = (src, name, labels + (nodes[dst].label,))
+
+
+def _reference_add_edge(graph, src, dst, kind):
+    """``add_edge`` as the checks, then one insert per direction (reference)."""
+    if not _reference_admits(graph, src, dst, kind):
+        return
+    _reference_insert(graph, src, dst, kind)
+    if kind in _REF_SYMMETRIC:
+        _reference_insert(graph, dst, src, kind)
+    graph.version += 1
+
+
+_HOME_CLASSES = ["Object", "Room", "Corridor", "Stairs", "Entrance", "Floor"]
+
+
+def _graph_of(classes):
+    graph = SceneGraph(builtin_schema("home"))
+    for i, cls in enumerate(classes):
+        kind = graph.schema.concepts[cls].kind
+        label = f"{cls.lower()}{i % 2}"
+        if kind is ConceptKind.OBJECT_ROLE:
+            node = ObjectNode(label=label, desc=f"d{i}")
+        elif kind is ConceptKind.PLACE:
+            node = PlaceNode(cls=cls, label=label)
+        elif kind is ConceptKind.CONNECTOR:
+            node = ConnectorNode(cls=cls, label=label, desc=f"d{i}")
+        else:
+            node = RegionNode(cls=cls, label=label)
+        graph.add_node(node)
+    return graph
+
+
+@st.composite
+def _offer_sequence(draw):
+    """A few nodes of every home class and offers among them: new ones, the
+    same offer again or reversed, self-loops, forbidden triples, second
+    containing parents and an unknown id (the index one past the nodes)."""
+    classes = draw(st.lists(st.sampled_from(_HOME_CLASSES), min_size=1, max_size=7))
+    end = st.integers(min_value=0, max_value=len(classes))
+    offers = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        how = draw(st.sampled_from(["new", "new", "again", "reversed"]))
+        if how == "new" or not offers:
+            offers.append((draw(end), draw(end), draw(st.sampled_from(list(EdgeKind)))))
+            continue
+        src, dst, kind = draw(st.sampled_from(offers))
+        offers.append((dst, src, kind) if how == "reversed" else (src, dst, kind))
+    return classes, offers
+
+
+_C, _H, _I, _N = EdgeKind.CONTAINS, EdgeKind.HAS, EdgeKind.IS_NEAR, EdgeKind.CONNECTS_TO
+
+
+@settings(max_examples=300, deadline=None)
+@given(_offer_sequence())
+@example((
+    ["Room", "Room", "Floor", "Floor", "Entrance", "Object"],
+    [(0, 4, _N), (0, 4, _N), (4, 0, _N), (4, 1, _N), (1, 1, _H), (0, 2, _H), (2, 0, _C),
+     (3, 0, _C), (0, 5, _H), (4, 5, _I), (5, 4, _I), (6, 0, _H), (0, 6, _I), (5, 5, _I)],
+))
+def test_the_one_pass_write_matches_the_two_step_write(case):
+    """Same out- and in-lists, rows, adjacency, place counts, kept features,
+    version, and the same error class and message, offer by offer."""
+    classes, offers = case
+    graphs = (_graph_of(classes), _graph_of(classes))
+    ids = [n.id for n in graphs[0].nodes()] + ["ghost_1"]
+    for src, dst, kind in offers:
+        outcomes = []
+        for graph, write in zip(graphs, (SceneGraph.add_edge, _reference_add_edge)):
+            for node in graph.nodes():
+                if node.kind is not ConceptKind.REGION:
+                    graph.object_features(node.id)
+            try:
+                write(graph, ids[src], ids[dst], kind)
+                refused = None
+            except GraphError as error:
+                refused = (type(error), str(error))
+            outcomes.append((refused, _write_state(graph)))
+        assert outcomes[0] == outcomes[1]
+    assert validate_graph(graphs[0]) == []
+
+
 def test_validate_graph_reports_a_one_way_proximity_edge(graph):
     room, door, sofa, tv = _near_fixture(graph)
-    graph._insert(tv, sofa, EdgeKind.IS_NEAR)  # bypass add_edge, which stores the reverse too
+    _reference_insert(graph, tv, sofa, EdgeKind.IS_NEAR)  # bypass add_edge, which stores the reverse too
     assert validate_graph(graph) == ["proximity edge tv_1 -> sofa_1 lacks its reverse"]

@@ -599,7 +599,8 @@ def test_a_ring_frame_stores_proximity_only_where_a_connector_is(home, oracle, c
 
 def _associate_leaves_full_scan(graph, place_id, obs, oracle):
     """Leaf association with every candidate row and the near map built up
-    front, and every leaf scanned for each image handle (reference)."""
+    front, and every leaf scanned for each image handle (reference).  With no
+    open candidate left, match_object is not asked: its answer is None."""
     leaves = graph.leaves_of(place_id)
     candidates = [
         (leaf, node.label, node.desc, graph.object_features(leaf))
@@ -628,6 +629,8 @@ def _associate_leaves_full_scan(graph, place_id, obs, oracle):
             continue
         features = tuple(near_map.get(idx, ()))
         open_candidates = [c for c in candidates if c[0] not in claimed]
+        if not open_candidates:
+            continue
         match = oracle.match_object((label, desc, features), open_candidates)
         if match is None:
             continue

@@ -253,18 +253,17 @@ class TestDescentThroughRegionLayers:
     def test_a_level_of_regions_is_descended_to_its_rooms(self):
         schema, graph = _towers()
         oracle = _Recorded()
-        # the toilet is typical of the bathroom, which only the second floor holds
+        # the toilet is typical of the bathroom, which only the second floor
+        # holds; the lone building is entered without a question
         assert propose_region(schema, graph, "toilet", oracle) == "bathroom_1"
-        assert oracle.asked == [
-            ["building_1"], ["floor_1", "floor_2"], ["bedroom_1", "bathroom_1"]
-        ]
+        assert oracle.asked == [["floor_1", "floor_2"], ["bedroom_1", "bathroom_1"]]
 
     def test_a_pick_that_is_no_region_is_the_target(self):
         schema, graph = _towers()
-        # an oracle may answer a place straight away; the descent stops there
+        # an oracle may answer a place at its first question; the descent stops there
         oracle = _Recorded(answer="livingroom_1")
         assert propose_region(schema, graph, "toilet", oracle) == "livingroom_1"
-        assert oracle.asked == [["building_1"]]
+        assert oracle.asked == [["floor_1", "floor_2"]]
 
 
 class TestProposeObject:
@@ -475,16 +474,22 @@ def _full_scan_rows(graph, ids):
 
 
 def _full_scan_descend(graph, goal, oracle, start_nodes, frontier, exhausted, distances):
-    """``planner._descend`` with copied neighbour lists and a per-neighbour frontier test."""
+    """``planner._descend`` with copied neighbour lists and a per-neighbour frontier
+    test; a lone candidate is taken without asking the oracle."""
 
     def region_key(region_id):
         children = graph.out_neighbors(region_id, EdgeKind.CONTAINS)
         reach = [distances[c] for c in children if c in distances]
         return (min(reach) if reach else float("inf"), region_id)
 
+    def choose(candidates):
+        if len(candidates) == 1:
+            return candidates[0]
+        return oracle.select_region(_full_scan_rows(graph, candidates), goal).chosen
+
     level = sorted(start_nodes, key=region_key)
     while level:
-        chosen = oracle.select_region(_full_scan_rows(graph, level), goal).chosen
+        chosen = choose(level)
         if graph.node(chosen).kind is not ConceptKind.REGION:
             return chosen
         children = graph.out_neighbors(chosen, EdgeKind.CONTAINS)
@@ -500,26 +505,40 @@ def _full_scan_descend(graph, goal, oracle, start_nodes, frontier, exhausted, di
         candidates = places + nearby_frontier
         if not candidates:
             return None
-        return oracle.select_region(_full_scan_rows(graph, candidates), goal).chosen
+        return choose(candidates)
     return None
 
 
 def test_select_region_sees_the_full_scan_candidate_lists(home, sweep, monkeypatch):
+    import numpy as np
+
     from scenenav import planner
     from scenenav.mapper import MapperConfig, MapperState, mapper_step
+    from scenenav.sim import cover_walk, generate_home_scene, noiseless, walk_to_frames
     from scenenav.sim.protocol import GOAL_CATEGORIES
 
-    state = MapperState(graph=SceneGraph(home))
-    for frame in sweep.sweep_frames(sweep.sweep_home(40, 0), 0):
-        state = mapper_step(frame, home, state, RuleOracle(), MapperConfig()).state
-    graph = state.graph
+    def mapped(frames):
+        state = MapperState(graph=SceneGraph(home))
+        for frame in frames:
+            state = mapper_step(frame, home, state, RuleOracle(), MapperConfig()).state
+        return state.graph
+
+    # the 40-room sweep home maps to one floor, whose lone row is never asked
+    # for; the first fixed-run home maps to three floors
+    scene = generate_home_scene(np.random.default_rng(2500))
+    walk = cover_walk(scene, next(iter(scene.places)))
+    graphs = [
+        mapped(sweep.sweep_frames(sweep.sweep_home(40, 0), 0)),
+        mapped(walk_to_frames(scene, walk, noiseless(), np.random.default_rng((2500, 1)))),
+    ]
 
     def plan_all(oracle):
-        for place in graph.places():
-            for goal in GOAL_CATEGORIES:
-                _plan_text(lambda: reason_step(
-                    home, graph, place.id, SubgoalPlan(), goal, oracle, PlannerMemory()
-                ))
+        for graph in graphs:
+            for place in graph.places():
+                for goal in GOAL_CATEGORIES:
+                    _plan_text(lambda: reason_step(
+                        home, graph, place.id, SubgoalPlan(), goal, oracle, PlannerMemory()
+                    ))
         return oracle.calls
 
     kept = plan_all(_RecordingOracle())
@@ -528,7 +547,8 @@ def test_select_region_sees_the_full_scan_candidate_lists(home, sweep, monkeypat
     reference = plan_all(_RecordingOracle())
     assert kept == reference
     # the lists cover regions, places and frontier connectors
-    kinds = {graph.node(row[0]).kind for rows, _ in kept for row in rows}
+    kind_of = {n.id: n.kind for graph in graphs for n in graph.nodes()}
+    kinds = {kind_of[row[0]] for rows, _ in kept for row in rows}
     assert kinds == {ConceptKind.REGION, ConceptKind.PLACE, ConceptKind.CONNECTOR}
 
 
